@@ -20,8 +20,8 @@
 use bench::report::write_results_json;
 use hw::EnvKind;
 use inference::{
-    serve_trace_observed, serve_trace_with, synthetic_trace, ModelConfig, MscclppBackend,
-    ServeConfig, ServeReport, ServingEngine, SloSpec, TelemetryConfig,
+    serve_trace_observed, synthetic_trace, ModelConfig, MscclppBackend, ServeConfig, ServeReport,
+    ServingEngine, SloSpec, TelemetryConfig,
 };
 
 const REQUESTS: usize = 48;
@@ -58,7 +58,8 @@ fn run_point(interarrival_us: f64, admission: bool) -> Point {
         cfg.seed = SEED;
         cfg
     };
-    let report = serve_trace_with(&mut engine, &backend, &trace, &cfg).expect("serving sweep run");
+    let (report, _) =
+        serve_trace_observed(&mut engine, &backend, &trace, &cfg).expect("serving sweep run");
     assert_eq!(
         report.completed + report.shed + report.rejected + report.timed_out + report.evicted,
         REQUESTS,

@@ -320,8 +320,9 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
             );
             let backend = inference::MscclppBackend::new();
             let trace = inference::synthetic_trace(6, 128, 24, 5_000.0, 3);
-            let report =
-                inference::serve_trace(&mut engine, &backend, &trace, 8).expect("serving run");
+            let cfg = inference::ServeConfig::permissive(8);
+            let (report, _) = inference::serve_trace_observed(&mut engine, &backend, &trace, &cfg)
+                .expect("serving run");
             let rl = report.request_latency;
             CaseResult {
                 name,
@@ -350,7 +351,7 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
                 inference::ServeConfig::slo_aware(8, inference::SloSpec::new(100_000.0, 12_000.0));
             cfg.admission.max_queue_depth = 5;
             cfg.seed = 9;
-            let report = inference::serve_trace_with(&mut engine, &backend, &trace, &cfg)
+            let (report, _) = inference::serve_trace_observed(&mut engine, &backend, &trace, &cfg)
                 .expect("serving goodput run");
             assert_eq!(
                 report.completed

@@ -5,9 +5,9 @@
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
 use hw::{BufferId, Rank};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
 
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
     (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
@@ -26,8 +26,6 @@ pub(crate) struct AllPairsAllToAll {
     node_of: Vec<usize>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    /// Per-pair chunk capacity in bytes.
-    cap: usize,
     tbs: usize,
     protocol: Protocol,
     mesh: MemMesh,
@@ -35,13 +33,11 @@ pub(crate) struct AllPairsAllToAll {
 }
 
 impl AllPairsAllToAll {
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         setup: &mut Setup<'_>,
         group: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         protocol: Protocol,
     ) -> Result<AllPairsAllToAll> {
@@ -87,7 +83,6 @@ impl AllPairsAllToAll {
             node_of,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             protocol,
             mesh,
@@ -98,13 +93,7 @@ impl AllPairsAllToAll {
     /// Kernels exchanging `bytes` per (src, dst) pair: inputs and outputs
     /// hold `N * bytes` each, chunk `i` addressed to / received from
     /// rank `i`.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let n = self.group.len();
         let same = |ia: usize, ib: usize| self.node_of[ia] == self.node_of[ib];
         let mut out = Vec::with_capacity(n);
@@ -153,6 +142,6 @@ impl AllPairsAllToAll {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }

@@ -1,11 +1,11 @@
 //! AllGather algorithms: all-pairs (LL and HB) for single node and
 //! hierarchical for multi-node clusters (§5.1's AllGather evaluation).
 
-use hw::{BufferId, DataType, Rank};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use hw::{BufferId, Rank};
+use mscclpp::{split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup};
 
 use crate::algos::allreduce::PeerOrder;
-use crate::wiring::{isect, node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{isect, node_groups, MemMesh, PortMesh};
 
 /// Chunk size for pipelined PortChannel transfers.
 const PORT_CHUNK: usize = 1 << 20;
@@ -36,8 +36,6 @@ pub(crate) struct AllPairsAllGather {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    /// Per-rank chunk capacity in bytes.
-    cap: usize,
     tbs: usize,
     protocol: Protocol,
     order: PeerOrder,
@@ -45,13 +43,11 @@ pub(crate) struct AllPairsAllGather {
 }
 
 impl AllPairsAllGather {
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         setup: &mut Setup<'_>,
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         protocol: Protocol,
         order: PeerOrder,
@@ -61,7 +57,6 @@ impl AllPairsAllGather {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             protocol,
             order,
@@ -70,13 +65,7 @@ impl AllPairsAllGather {
     }
 
     /// Kernels gathering `bytes` per rank.
-    pub fn kernels(&self, bytes: usize, _dtype: DataType) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let n = self.ranks.len();
         let mut out = Vec::with_capacity(n);
         for (ig, &g) in self.ranks.iter().enumerate() {
@@ -109,7 +98,7 @@ impl AllPairsAllGather {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -123,7 +112,6 @@ pub(crate) struct HierAllGather {
     gpn: usize,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     protocol: Protocol,
     cross: Vec<PortMesh>,
@@ -135,7 +123,6 @@ impl HierAllGather {
         setup: &mut Setup<'_>,
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         protocol: Protocol,
     ) -> Result<HierAllGather> {
@@ -164,7 +151,6 @@ impl HierAllGather {
             gpn,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             protocol,
             cross,
@@ -173,13 +159,7 @@ impl HierAllGather {
     }
 
     /// Kernels gathering `bytes` per rank.
-    pub fn kernels(&self, bytes: usize, _dtype: DataType) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let mut out = Vec::with_capacity(self.world.len());
         for &g in &self.world {
             let node = g.0 / self.gpn;
@@ -232,7 +212,7 @@ impl HierAllGather {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -244,7 +224,6 @@ pub(crate) struct AllPairsAllGatherPort {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     mesh: PortMesh,
 }
@@ -255,7 +234,6 @@ impl AllPairsAllGatherPort {
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<AllPairsAllGatherPort> {
         let mesh = PortMesh::build(setup, ranks, inputs, outputs, tbs)?;
@@ -263,20 +241,13 @@ impl AllPairsAllGatherPort {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             mesh,
         })
     }
 
     /// Kernels gathering `bytes` per rank via DMA.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let n = self.ranks.len();
         let mut out = Vec::with_capacity(n);
         for (ig, &g) in self.ranks.iter().enumerate() {
@@ -304,7 +275,7 @@ impl AllPairsAllGatherPort {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -330,7 +301,6 @@ pub(crate) struct ShrunkenHierAllGather {
     k: usize,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     /// Per node: members' chunks into the leader's output.
     up: Vec<MemMesh>,
@@ -346,7 +316,6 @@ impl ShrunkenHierAllGather {
         group: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<ShrunkenHierAllGather> {
         let topo = setup.topology();
@@ -392,7 +361,6 @@ impl ShrunkenHierAllGather {
             k: pos,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             up,
             cross,
@@ -401,13 +369,7 @@ impl ShrunkenHierAllGather {
     }
 
     /// Kernels gathering `bytes` per survivor into position-indexed slots.
-    pub fn kernels(&self, bytes: usize, _dtype: DataType) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "chunk of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let total = self.k * bytes;
         let nleads = self.node_members.len();
         let mut out = Vec::new();
@@ -466,6 +428,6 @@ impl ShrunkenHierAllGather {
                 out.push(kb.build());
             }
         }
-        Ok(out)
+        out
     }
 }

@@ -12,11 +12,11 @@ use std::cell::Cell;
 
 use hw::{BufferId, DataType, Rank, ReduceOp};
 use mscclpp::{
-    DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError, MemoryChannel, Protocol, Result,
-    Setup, SwitchChannel,
+    split_range, DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError, MemoryChannel,
+    Protocol, Result, Setup, SwitchChannel,
 };
 
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 /// How an LL-protocol algorithm makes its scratch safe for the next
 /// launch (the rotating-buffers ablation of §4.4).
@@ -130,13 +130,7 @@ impl OnePhaseAllPairs {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let set = self.calls.get() % 2;
         self.calls.set(self.calls.get() + 1);
         let mesh = &self.meshes[set];
@@ -167,7 +161,7 @@ impl OnePhaseAllPairs {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -179,7 +173,6 @@ pub(crate) struct TwoPhaseAllPairsLl {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap_elems_times_es: usize,
     slot_cap: usize,
     tbs: usize,
     reuse: ScratchReuse,
@@ -242,7 +235,6 @@ impl TwoPhaseAllPairsLl {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap_elems_times_es: cap,
             slot_cap,
             tbs,
             reuse,
@@ -255,13 +247,7 @@ impl TwoPhaseAllPairsLl {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap_elems_times_es {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap_elems_times_es
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let set = match self.reuse {
             ScratchReuse::Rotate => {
                 let s = self.calls.get() % 2;
@@ -335,7 +321,7 @@ impl TwoPhaseAllPairsLl {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -349,7 +335,6 @@ pub(crate) struct TwoPhaseAllPairsHb {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     order: PeerOrder,
     mesh_read: MemMesh,
@@ -357,13 +342,11 @@ pub(crate) struct TwoPhaseAllPairsHb {
 }
 
 impl TwoPhaseAllPairsHb {
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         setup: &mut Setup<'_>,
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
         order: PeerOrder,
     ) -> Result<TwoPhaseAllPairsHb> {
@@ -373,7 +356,6 @@ impl TwoPhaseAllPairsHb {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             order,
             mesh_read,
@@ -381,13 +363,7 @@ impl TwoPhaseAllPairsHb {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -426,7 +402,7 @@ impl TwoPhaseAllPairsHb {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -438,7 +414,6 @@ pub(crate) struct TwoPhaseAllPairsPort {
     ranks: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     slot_cap: usize,
     tbs: usize,
     mesh_rs: PortMesh,
@@ -467,7 +442,6 @@ impl TwoPhaseAllPairsPort {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             slot_cap,
             tbs,
             mesh_rs,
@@ -476,13 +450,7 @@ impl TwoPhaseAllPairsPort {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -548,7 +516,7 @@ impl TwoPhaseAllPairsPort {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -559,7 +527,6 @@ impl TwoPhaseAllPairsPort {
 pub(crate) struct TwoPhaseSwitch {
     ranks: Vec<Rank>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     reduce_ch: Vec<SwitchChannel>,
     bcast_ch: Vec<SwitchChannel>,
@@ -572,7 +539,6 @@ impl TwoPhaseSwitch {
         ranks: &[Rank],
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<TwoPhaseSwitch> {
         let in_members: Vec<_> = ranks.iter().map(|&r| (r, inputs[r.0])).collect();
@@ -583,7 +549,6 @@ impl TwoPhaseSwitch {
         Ok(TwoPhaseSwitch {
             ranks: ranks.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             reduce_ch,
             bcast_ch,
@@ -591,13 +556,7 @@ impl TwoPhaseSwitch {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -641,7 +600,7 @@ impl TwoPhaseSwitch {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -698,7 +657,6 @@ pub(crate) struct RingAllReduce {
     ring: Vec<usize>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     /// Endpoint on the rank at ring position `pos` putting into its
     /// successor's scratch (reduce-scatter direction).
     rs_fwd: Vec<MemoryChannel>,
@@ -790,7 +748,6 @@ impl RingAllReduce {
             ring,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             rs_fwd,
             rs_back,
             ag_fwd,
@@ -799,13 +756,7 @@ impl RingAllReduce {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let n = self.ring.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -847,7 +798,7 @@ impl RingAllReduce {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -864,7 +815,6 @@ pub(crate) struct TwoPhaseHierarchical {
     gpn: usize,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     shard_cap: usize,
     tbs: usize,
     hb: bool,
@@ -969,7 +919,6 @@ impl TwoPhaseHierarchical {
             gpn,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             shard_cap,
             tbs,
             hb,
@@ -984,13 +933,7 @@ impl TwoPhaseHierarchical {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, self.gpn, i);
@@ -1145,7 +1088,7 @@ impl TwoPhaseHierarchical {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }
 
@@ -1248,13 +1191,7 @@ impl ShrunkenHierarchical {
         })
     }
 
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let nleads = self.node_members.len();
         let mut out = Vec::new();
         for (ni, members) in self.node_members.iter().enumerate() {
@@ -1320,6 +1257,6 @@ impl ShrunkenHierarchical {
                 out.push(kb.build());
             }
         }
-        Ok(out)
+        out
     }
 }

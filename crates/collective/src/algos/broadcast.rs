@@ -3,9 +3,9 @@
 //! variant on hardware with multimem support.
 
 use hw::{BufferId, Rank};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup, SwitchChannel};
+use mscclpp::{split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup, SwitchChannel};
 
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 /// Broadcast from a root rank.
 ///
@@ -26,7 +26,6 @@ pub(crate) struct AllPairsBroadcast {
     root: Rank,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     /// Index into `node_members[ni]` of node `ni`'s leader.
     leader_mi: Vec<usize>,
@@ -40,14 +39,12 @@ pub(crate) struct AllPairsBroadcast {
 }
 
 impl AllPairsBroadcast {
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         setup: &mut Setup<'_>,
         group: &[Rank],
         root: Rank,
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<AllPairsBroadcast> {
         let topo = setup.topology();
@@ -105,7 +102,6 @@ impl AllPairsBroadcast {
             root,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             tbs,
             leader_mi,
             root_ni,
@@ -148,15 +144,9 @@ impl AllPairsBroadcast {
     }
 
     /// Kernels broadcasting `bytes` from the root.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         if self.node_members.len() == 1 {
-            return Ok(self.single_node_kernels(bytes));
+            return self.single_node_kernels(bytes);
         }
         let mut out = Vec::new();
         for (ni, members) in self.node_members.iter().enumerate() {
@@ -202,7 +192,7 @@ impl AllPairsBroadcast {
                 out.push(kb.build());
             }
         }
-        Ok(out)
+        out
     }
 }
 
@@ -213,21 +203,18 @@ pub(crate) struct SwitchBroadcast {
     ranks: Vec<Rank>,
     root: Rank,
     inputs: Vec<BufferId>,
-    cap: usize,
     tbs: usize,
     chan: Vec<SwitchChannel>,
     barriers: Vec<mscclpp::DeviceBarrier>,
 }
 
 impl SwitchBroadcast {
-    #[allow(clippy::too_many_arguments)]
     pub fn prepare(
         setup: &mut Setup<'_>,
         group: &[Rank],
         root: Rank,
         inputs: &[BufferId],
         outputs: &[BufferId],
-        cap: usize,
         tbs: usize,
     ) -> Result<SwitchBroadcast> {
         let topo = setup.topology();
@@ -252,7 +239,6 @@ impl SwitchBroadcast {
             ranks,
             root,
             inputs: inputs.to_vec(),
-            cap,
             tbs,
             chan,
             barriers,
@@ -260,13 +246,7 @@ impl SwitchBroadcast {
     }
 
     /// Kernels broadcasting `bytes` from the root through the switch.
-    pub fn kernels(&self, bytes: usize) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let mut out = Vec::with_capacity(self.ranks.len());
         for (ig, &g) in self.ranks.iter().enumerate() {
             let mut kb = KernelBuilder::new(g);
@@ -282,6 +262,6 @@ impl SwitchBroadcast {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }

@@ -3,9 +3,9 @@
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use mscclpp::{Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
 
-use crate::wiring::{node_groups, split_range, MemMesh, PortMesh};
+use crate::wiring::{node_groups, MemMesh, PortMesh};
 
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
     (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
@@ -26,8 +26,6 @@ pub(crate) struct AllPairsReduceScatter {
     node_of: Vec<usize>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
-    /// Total input capacity in bytes (output shard is `cap / N`).
-    cap: usize,
     slot_cap: usize,
     tbs: usize,
     protocol: Protocol,
@@ -99,7 +97,6 @@ impl AllPairsReduceScatter {
             node_of,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
-            cap,
             slot_cap,
             tbs,
             protocol,
@@ -111,13 +108,7 @@ impl AllPairsReduceScatter {
 
     /// Kernels reducing `bytes` of total input per rank (each rank's
     /// output shard is `bytes / N`, rank-indexed).
-    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Result<Vec<Kernel>> {
-        if bytes > self.cap {
-            return Err(Error::InvalidArgument(format!(
-                "message of {bytes} B exceeds prepared capacity {} B",
-                self.cap
-            )));
-        }
+    pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let n = self.group.len();
         let es = dtype.size();
         let count = bytes / es;
@@ -185,6 +176,6 @@ impl AllPairsReduceScatter {
             }
             out.push(kb.build());
         }
-        Ok(out)
+        out
     }
 }

@@ -55,10 +55,8 @@ use std::rc::Rc;
 
 use commverify::{CollectiveSpec, SpecMember};
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
-use mscclpp::{Comm, DrainReport, Kernel, KernelTiming, Overheads, Protocol, Result};
+use mscclpp::{split_range, Comm, DrainReport, Kernel, KernelTiming, Overheads, Protocol, Result};
 use sim::{Duration, Engine};
-
-use wiring::split_range;
 
 pub use algos::{PeerOrder, ScratchReuse};
 pub use selector::{
@@ -229,58 +227,69 @@ pub struct Recovery {
     pub failover_root: Option<Rank>,
 }
 
-/// Everything needed to replay the collective that a launch was running
-/// when a rank died mid-flight.
-#[derive(Debug, Clone)]
-enum LaunchRecord {
-    AllReduce {
-        algo: AllReduceAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    },
-    AllGather {
-        algo: AllGatherAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-    },
-    ReduceScatter {
-        algo: ReduceScatterAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    },
-    Broadcast {
-        algo: BroadcastAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-        root: Rank,
-    },
-    AllToAll {
-        algo: AllToAllAlgo,
-        inputs: Vec<BufferId>,
-        outputs: Vec<BufferId>,
-        count: usize,
-        dtype: DataType,
-    },
+/// Which collective a launch runs, with its algorithm and, for a
+/// Broadcast, its root.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Coll {
+    AllReduce(AllReduceAlgo),
+    AllGather(AllGatherAlgo),
+    ReduceScatter(ReduceScatterAlgo),
+    Broadcast(BroadcastAlgo, Rank),
+    AllToAll(AllToAllAlgo),
 }
 
+/// A prepared plan's identity: the collective (algorithm and root) and
+/// its buffers. Count, dtype and operator are not part of it; one
+/// channel set serves every launch that fits its capacity.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Ar(AllReduceAlgo, Vec<BufferId>, Vec<BufferId>),
-    Ag(AllGatherAlgo, Vec<BufferId>, Vec<BufferId>),
-    Rs(ReduceScatterAlgo, Vec<BufferId>, Vec<BufferId>),
-    Bc(BroadcastAlgo, Rank, Vec<BufferId>, Vec<BufferId>),
-    A2a(AllToAllAlgo, Vec<BufferId>, Vec<BufferId>),
+struct Key {
+    coll: Coll,
+    inputs: Vec<BufferId>,
+    outputs: Vec<BufferId>,
 }
+
+/// One collective launch. Its plan key, the shape of its cached kernel
+/// batch, its [`CollectiveSpec`] and the record [`CollComm::shrink`]
+/// replays are all derived from it.
+#[derive(Debug, Clone)]
+struct Launch {
+    key: Key,
+    count: usize,
+    dtype: DataType,
+    /// The reduction operator. AllGather, Broadcast and AllToAll
+    /// launches carry `Sum`, which their kernels never read.
+    op: ReduceOp,
+}
+
+impl Launch {
+    fn new(
+        coll: Coll,
+        inputs: &[BufferId],
+        outputs: &[BufferId],
+        count: usize,
+        dtype: DataType,
+        op: ReduceOp,
+    ) -> Launch {
+        Launch {
+            key: Key {
+                coll,
+                inputs: inputs.to_vec(),
+                outputs: outputs.to_vec(),
+            },
+            count,
+            dtype,
+            op,
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.count * self.dtype.size()
+    }
+}
+
+/// The launch shape a cached kernel batch was built for: count, dtype
+/// and operator.
+type Shape = (usize, DataType, ReduceOp);
 
 /// One cached plan: the byte capacity its channels were wired for, the
 /// prepared channel set, and whether the static verifier has already
@@ -289,92 +298,62 @@ struct Entry {
     cap: usize,
     verified: Cell<bool>,
     plan: Prepared,
-    /// The kernel batch last built from this plan, keyed by its launch
-    /// shape. Steady-state collectives on the same tensors (the LLM
-    /// inference pattern) replay the cached batch instead of rebuilding
-    /// every instruction program; re-preparing for a larger capacity
-    /// replaces the whole entry, so a stale batch cannot survive.
-    kernels: RefCell<Option<BuiltKernels>>,
-}
-
-/// A kernel batch and the launch shape it was built for. `dtype`/`op`
-/// are `None` for collectives whose kernels do not depend on them
-/// (broadcast, all-to-all).
-struct BuiltKernels {
-    bytes: usize,
-    dtype: Option<DataType>,
-    op: Option<ReduceOp>,
-    batch: Rc<Vec<Kernel>>,
-}
-
-impl Entry {
-    /// The cached batch for this launch shape, if it is the one most
-    /// recently built.
-    fn cached_kernels(
-        &self,
-        bytes: usize,
-        dtype: Option<DataType>,
-        op: Option<ReduceOp>,
-    ) -> Option<Rc<Vec<Kernel>>> {
-        self.kernels
-            .borrow()
-            .as_ref()
-            .filter(|c| c.bytes == bytes && c.dtype == dtype && c.op == op)
-            .map(|c| Rc::clone(&c.batch))
-    }
-
-    fn store_kernels(
-        &self,
-        bytes: usize,
-        dtype: Option<DataType>,
-        op: Option<ReduceOp>,
-        batch: &Rc<Vec<Kernel>>,
-    ) {
-        *self.kernels.borrow_mut() = Some(BuiltKernels {
-            bytes,
-            dtype,
-            op,
-            batch: Rc::clone(batch),
-        });
-    }
+    /// The kernel batch last built from this plan, with its shape.
+    /// Steady-state collectives on the same tensors (the LLM inference
+    /// pattern) replay the cached batch instead of rebuilding every
+    /// instruction program; re-preparing for a larger capacity replaces
+    /// the whole entry, so a stale batch cannot survive.
+    kernels: RefCell<Option<(Shape, Rc<Vec<Kernel>>)>>,
 }
 
 enum Prepared {
-    Ar1pa(Rc<OnePhaseAllPairs>),
-    Ar2paLl(Rc<TwoPhaseAllPairsLl>),
-    Ar2paHb(Rc<TwoPhaseAllPairsHb>),
-    Ar2paPort(Rc<TwoPhaseAllPairsPort>),
-    Ar2paSwitch(Rc<TwoPhaseSwitch>),
-    ArHier(Rc<TwoPhaseHierarchical>),
-    ArHierShrunk(Rc<ShrunkenHierarchical>),
-    ArRing(Rc<RingAllReduce>),
-    AgAp(Rc<AllPairsAllGather>),
-    AgPort(Rc<AllPairsAllGatherPort>),
-    AgHier(Rc<HierAllGather>),
-    AgHierShrunk(Rc<ShrunkenHierAllGather>),
-    RsAp(Rc<AllPairsReduceScatter>),
-    BcAp(Rc<AllPairsBroadcast>),
-    BcSwitch(Rc<SwitchBroadcast>),
-    A2aAp(Rc<AllPairsAllToAll>),
+    Ar1pa(OnePhaseAllPairs),
+    Ar2paLl(TwoPhaseAllPairsLl),
+    Ar2paHb(TwoPhaseAllPairsHb),
+    Ar2paPort(TwoPhaseAllPairsPort),
+    Ar2paSwitch(TwoPhaseSwitch),
+    ArHier(TwoPhaseHierarchical),
+    ArHierShrunk(ShrunkenHierarchical),
+    ArRing(RingAllReduce),
+    AgAp(AllPairsAllGather),
+    AgPort(AllPairsAllGatherPort),
+    AgHier(HierAllGather),
+    AgHierShrunk(ShrunkenHierAllGather),
+    RsAp(AllPairsReduceScatter),
+    BcAp(AllPairsBroadcast),
+    BcSwitch(SwitchBroadcast),
+    A2aAp(AllPairsAllToAll),
 }
 
-/// Thread-block counts used by the default kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CollConfig {
-    /// Blocks for latency-bound (small-message) kernels.
-    pub tbs_small: usize,
-    /// Blocks for bandwidth-bound (large-message) kernels.
-    pub tbs_large: usize,
-}
-
-impl Default for CollConfig {
-    fn default() -> CollConfig {
-        CollConfig {
-            tbs_small: 1,
-            tbs_large: 4,
+impl Prepared {
+    /// Builds the kernel batch for one launch of `bytes`. The
+    /// data-movement algorithms ignore `dtype` and `op`.
+    fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
+        match self {
+            Prepared::Ar1pa(a) => a.kernels(bytes, dtype, op),
+            Prepared::Ar2paLl(a) => a.kernels(bytes, dtype, op),
+            Prepared::Ar2paHb(a) => a.kernels(bytes, dtype, op),
+            Prepared::Ar2paPort(a) => a.kernels(bytes, dtype, op),
+            Prepared::Ar2paSwitch(a) => a.kernels(bytes, dtype, op),
+            Prepared::ArHier(a) => a.kernels(bytes, dtype, op),
+            Prepared::ArHierShrunk(a) => a.kernels(bytes, dtype, op),
+            Prepared::ArRing(a) => a.kernels(bytes, dtype, op),
+            Prepared::AgAp(a) => a.kernels(bytes),
+            Prepared::AgPort(a) => a.kernels(bytes),
+            Prepared::AgHier(a) => a.kernels(bytes),
+            Prepared::AgHierShrunk(a) => a.kernels(bytes),
+            Prepared::RsAp(a) => a.kernels(bytes, dtype, op),
+            Prepared::BcAp(a) => a.kernels(bytes),
+            Prepared::BcSwitch(a) => a.kernels(bytes),
+            Prepared::A2aAp(a) => a.kernels(bytes),
         }
     }
 }
+
+/// Thread blocks for latency-bound (small-message) kernels.
+const TBS_SMALL: usize = 1;
+/// Thread blocks for bandwidth-bound (large-message) kernels.
+const TBS_LARGE: usize = 4;
 
 /// The NCCL-compatible communicator of the MSCCL++ Collective API.
 ///
@@ -382,7 +361,6 @@ impl Default for CollConfig {
 /// repeated collectives on the same tensors (the LLM inference pattern)
 /// reuse their channels, exactly as a real communicator would.
 pub struct CollComm {
-    cfg: CollConfig,
     ov: Overheads,
     /// Durable transport state (bootstrap rendezvous + proxy-FIFO
     /// registry) that survives across epochs and powers the drain.
@@ -394,7 +372,7 @@ pub struct CollComm {
     group: RefCell<Option<Vec<Rank>>>,
     /// The collective currently in flight (set at launch, cleared on
     /// success) — what [`CollComm::shrink`] replays or rejects.
-    pending: RefCell<Option<LaunchRecord>>,
+    pending: RefCell<Option<Launch>>,
     prepared: RefCell<HashMap<Key, Entry>>,
     custom_all_reduce: Option<Box<dyn CustomAllReduce>>,
     verify: bool,
@@ -409,7 +387,6 @@ pub struct CollComm {
 impl std::fmt::Debug for CollComm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CollComm")
-            .field("cfg", &self.cfg)
             .field("epoch", &self.epoch.get())
             .field("group", &self.group.borrow())
             .field("prepared", &self.prepared.borrow().len())
@@ -425,18 +402,10 @@ impl Default for CollComm {
 }
 
 impl CollComm {
-    /// Creates a communicator with default configuration and the MSCCL++
-    /// primitive-stack overheads.
+    /// Creates a communicator with the MSCCL++ primitive-stack overheads.
     pub fn new() -> CollComm {
-        CollComm::with_overheads(Overheads::mscclpp())
-    }
-
-    /// Creates a communicator with explicit stack overheads (the DSL
-    /// executor passes [`Overheads::mscclpp_dsl`]).
-    pub fn with_overheads(ov: Overheads) -> CollComm {
         CollComm {
-            cfg: CollConfig::default(),
-            ov,
+            ov: Overheads::mscclpp(),
             comm: Comm::new(),
             epoch: Cell::new(0),
             group: RefCell::new(None),
@@ -577,48 +546,6 @@ impl CollComm {
         Ok(Some(recovery))
     }
 
-    /// Runs the static verifier — including the semantic dataflow pass
-    /// against the collective's declared spec — over a freshly-built
-    /// kernel batch, once per prepared plan (re-verified if the plan is
-    /// rebuilt for a larger capacity).
-    fn maybe_verify(
-        &self,
-        engine: &Engine<Machine>,
-        key: &Key,
-        kernels: &[Kernel],
-        spec: &CollectiveSpec,
-    ) -> Result<()> {
-        if !self.verify {
-            return Ok(());
-        }
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(key).expect("just prepared");
-        if entry.verified.get() {
-            return Ok(());
-        }
-        commverify::verify_collective(
-            kernels,
-            engine.world().pool(),
-            &commverify::Checks::all(),
-            spec,
-        )?;
-        entry.verified.set(true);
-        Ok(())
-    }
-
-    /// The spec member list for the current epoch's group: survivors in
-    /// position order, each bound to its caller-indexed buffers.
-    fn spec_members(group: &[Rank], inputs: &[BufferId], outputs: &[BufferId]) -> Vec<SpecMember> {
-        group
-            .iter()
-            .map(|&r| SpecMember {
-                rank: r,
-                input: inputs[r.0],
-                output: outputs[r.0],
-            })
-            .collect()
-    }
-
     /// AllReduce with automatic algorithm selection (the NCCL-API entry
     /// point).
     ///
@@ -646,54 +573,6 @@ impl CollComm {
         self.all_reduce_with(engine, inputs, outputs, count, dtype, op, algo)
     }
 
-    /// Prepares channels and builds (or replays from cache) the kernel
-    /// batch for one AllReduce launch shape, plus the spec the batch
-    /// must satisfy.
-    #[allow(clippy::too_many_arguments)]
-    fn build_all_reduce(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        algo: AllReduceAlgo,
-    ) -> Result<(AllReduceAlgo, Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        // On a shrunken epoch the asked algorithm may be impossible on a
-        // subset (hierarchical layouts collapsed onto one node); re-map
-        // it and attribute the re-plan before the key is formed.
-        let group = self.active_group(engine);
-        let topo = engine.world().topology();
-        let algo = Self::fit_replan(engine, algo, fit_all_reduce(algo, &group, &topo));
-        let key = Key::Ar(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, Some(dtype), Some(op)) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::Ar1pa(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paLl(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paHb(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paPort(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::Ar2paSwitch(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::ArHier(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::ArHierShrunk(a) => a.kernels(bytes, dtype, op)?,
-                    Prepared::ArRing(a) => a.kernels(bytes, dtype, op)?,
-                    _ => unreachable!("allreduce key maps to allreduce algorithm"),
-                });
-                entry.store_kernels(bytes, Some(dtype), Some(op), &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let spec = CollectiveSpec::all_reduce(Self::spec_members(&group, inputs, outputs), bytes);
-        Ok((algo, key, kernels, spec))
-    }
-
     /// Compiles the kernel batch an AllReduce launch would run — and the
     /// [`CollectiveSpec`] it must satisfy — without launching it. This
     /// is the plan-inspection entry point the mutation harness (and any
@@ -713,9 +592,8 @@ impl CollComm {
         op: ReduceOp,
         algo: AllReduceAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, _, kernels, spec) =
-            self.build_all_reduce(engine, inputs, outputs, count, dtype, op, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let coll = Coll::AllReduce(algo);
+        self.plan(engine, Launch::new(coll, inputs, outputs, count, dtype, op))
     }
 
     /// AllReduce with an explicit algorithm.
@@ -737,20 +615,8 @@ impl CollComm {
         op: ReduceOp,
         algo: AllReduceAlgo,
     ) -> Result<KernelTiming> {
-        let (algo, key, kernels, spec) =
-            self.build_all_reduce(engine, inputs, outputs, count, dtype, op, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::AllReduce {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-            op,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let coll = Coll::AllReduce(algo);
+        self.launch(engine, Launch::new(coll, inputs, outputs, count, dtype, op))
     }
 
     /// AllGather with automatic algorithm selection. `count` is the
@@ -773,44 +639,6 @@ impl CollComm {
         self.all_gather_with(engine, inputs, outputs, count, dtype, algo)
     }
 
-    /// Prepares channels and builds (or replays from cache) one
-    /// AllGather launch shape's kernel batch and spec.
-    fn build_all_gather(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        algo: AllGatherAlgo,
-    ) -> Result<(AllGatherAlgo, Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let group = self.active_group(engine);
-        let topo = engine.world().topology();
-        let algo = Self::fit_replan(engine, algo, fit_all_gather(algo, &group, &topo));
-        let key = Key::Ag(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, Some(dtype), None) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::AgAp(a) => a.kernels(bytes, dtype)?,
-                    Prepared::AgPort(a) => a.kernels(bytes)?,
-                    Prepared::AgHier(a) => a.kernels(bytes, dtype)?,
-                    Prepared::AgHierShrunk(a) => a.kernels(bytes, dtype)?,
-                    _ => unreachable!("allgather key maps to allgather algorithm"),
-                });
-                entry.store_kernels(bytes, Some(dtype), None, &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let spec = CollectiveSpec::all_gather(Self::spec_members(&group, inputs, outputs), bytes);
-        Ok((algo, key, kernels, spec))
-    }
-
     /// Compiles an AllGather launch's kernel batch and spec without
     /// launching (see [`CollComm::plan_all_reduce_with`]).
     ///
@@ -826,9 +654,11 @@ impl CollComm {
         dtype: DataType,
         algo: AllGatherAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, _, kernels, spec) =
-            self.build_all_gather(engine, inputs, outputs, count, dtype, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let coll = Coll::AllGather(algo);
+        self.plan(
+            engine,
+            Launch::new(coll, inputs, outputs, count, dtype, ReduceOp::Sum),
+        )
     }
 
     /// AllGather with an explicit algorithm.
@@ -836,7 +666,6 @@ impl CollComm {
     /// # Errors
     ///
     /// Propagates kernel deadlocks and invalid-argument errors.
-    #[allow(clippy::too_many_arguments)]
     pub fn all_gather_with(
         &self,
         engine: &mut Engine<Machine>,
@@ -846,19 +675,11 @@ impl CollComm {
         dtype: DataType,
         algo: AllGatherAlgo,
     ) -> Result<KernelTiming> {
-        let (algo, key, kernels, spec) =
-            self.build_all_gather(engine, inputs, outputs, count, dtype, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::AllGather {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let coll = Coll::AllGather(algo);
+        self.launch(
+            engine,
+            Launch::new(coll, inputs, outputs, count, dtype, ReduceOp::Sum),
+        )
     }
 
     /// ReduceScatter with automatic algorithm selection. `count` is the
@@ -885,54 +706,6 @@ impl CollComm {
         self.reduce_scatter_with(engine, inputs, outputs, count, dtype, op, algo)
     }
 
-    /// Prepares channels and builds (or replays from cache) one
-    /// ReduceScatter launch shape's kernel batch and spec.
-    #[allow(clippy::too_many_arguments)]
-    fn build_reduce_scatter(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        algo: ReduceScatterAlgo,
-    ) -> Result<(Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let key = Key::Rs(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, Some(dtype), Some(op)) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::RsAp(a) => a.kernels(bytes, dtype, op)?,
-                    _ => unreachable!("reducescatter key maps to reducescatter algorithm"),
-                });
-                entry.store_kernels(bytes, Some(dtype), Some(op), &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        // Shards are position-renumbered `split_range` pieces of the
-        // element count — the same carve-up the kernels compute with.
-        let group = self.active_group(engine);
-        let es = dtype.size();
-        let shards: Vec<(usize, usize)> = (0..group.len())
-            .map(|j| {
-                let (s, l) = split_range(count, group.len(), j);
-                (s * es, l * es)
-            })
-            .collect();
-        let spec = CollectiveSpec::reduce_scatter(
-            Self::spec_members(&group, inputs, outputs),
-            bytes,
-            shards,
-        );
-        Ok((key, kernels, spec))
-    }
-
     /// Compiles a ReduceScatter launch's kernel batch and spec without
     /// launching (see [`CollComm::plan_all_reduce_with`]).
     ///
@@ -950,9 +723,8 @@ impl CollComm {
         op: ReduceOp,
         algo: ReduceScatterAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, kernels, spec) =
-            self.build_reduce_scatter(engine, inputs, outputs, count, dtype, op, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let coll = Coll::ReduceScatter(algo);
+        self.plan(engine, Launch::new(coll, inputs, outputs, count, dtype, op))
     }
 
     /// ReduceScatter with an explicit algorithm.
@@ -971,20 +743,8 @@ impl CollComm {
         op: ReduceOp,
         algo: ReduceScatterAlgo,
     ) -> Result<KernelTiming> {
-        let (key, kernels, spec) =
-            self.build_reduce_scatter(engine, inputs, outputs, count, dtype, op, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::ReduceScatter {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-            op,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let coll = Coll::ReduceScatter(algo);
+        self.launch(engine, Launch::new(coll, inputs, outputs, count, dtype, op))
     }
 
     /// Broadcast `count` elements from `root` with automatic algorithm
@@ -1019,48 +779,6 @@ impl CollComm {
         self.broadcast_with(engine, inputs, outputs, count, dtype, root, algo)
     }
 
-    /// Prepares channels and builds (or replays from cache) one
-    /// Broadcast launch shape's kernel batch and spec.
-    #[allow(clippy::too_many_arguments)]
-    fn build_broadcast(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        root: Rank,
-        algo: BroadcastAlgo,
-    ) -> Result<(Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let key = Key::Bc(algo, root, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, root)?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, None, None) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::BcAp(a) => a.kernels(bytes)?,
-                    Prepared::BcSwitch(a) => a.kernels(bytes)?,
-                    _ => unreachable!("broadcast key maps to broadcast algorithm"),
-                });
-                entry.store_kernels(bytes, None, None, &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let group = self.active_group(engine);
-        let root_pos = group.iter().position(|&r| r == root).ok_or_else(|| {
-            mscclpp::Error::InvalidArgument(format!(
-                "broadcast root {root} is not in the active group"
-            ))
-        })?;
-        let spec =
-            CollectiveSpec::broadcast(Self::spec_members(&group, inputs, outputs), bytes, root_pos);
-        Ok((key, kernels, spec))
-    }
-
     /// Compiles a Broadcast launch's kernel batch and spec without
     /// launching (see [`CollComm::plan_all_reduce_with`]).
     ///
@@ -1078,9 +796,11 @@ impl CollComm {
         root: Rank,
         algo: BroadcastAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, kernels, spec) =
-            self.build_broadcast(engine, inputs, outputs, count, dtype, root, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let coll = Coll::Broadcast(algo, root);
+        self.plan(
+            engine,
+            Launch::new(coll, inputs, outputs, count, dtype, ReduceOp::Sum),
+        )
     }
 
     /// Broadcast with an explicit algorithm.
@@ -1099,20 +819,11 @@ impl CollComm {
         root: Rank,
         algo: BroadcastAlgo,
     ) -> Result<KernelTiming> {
-        let (key, kernels, spec) =
-            self.build_broadcast(engine, inputs, outputs, count, dtype, root, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::Broadcast {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-            root,
-        }));
-        let timing = self.run(engine, &kernels)?;
-        self.pending.replace(None);
-        Ok(timing)
+        let coll = Coll::Broadcast(algo, root);
+        self.launch(
+            engine,
+            Launch::new(coll, inputs, outputs, count, dtype, ReduceOp::Sum),
+        )
     }
 
     /// AllToAll: rank `a`'s input chunk `b` (of `count` elements) lands
@@ -1138,39 +849,6 @@ impl CollComm {
         self.all_to_all_with(engine, inputs, outputs, count, dtype, algo)
     }
 
-    /// Prepares channels and builds (or replays from cache) one AllToAll
-    /// launch shape's kernel batch and spec.
-    fn build_all_to_all(
-        &self,
-        engine: &mut Engine<Machine>,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        algo: AllToAllAlgo,
-    ) -> Result<(Key, Rc<Vec<Kernel>>, CollectiveSpec)> {
-        let bytes = count * dtype.size();
-        let key = Key::A2a(algo, inputs.to_vec(), outputs.to_vec());
-        self.ensure_prepared(engine, &key, bytes, inputs, outputs, Rank(0))?;
-        let prepared = self.prepared.borrow();
-        let entry = prepared.get(&key).expect("just prepared");
-        let kernels = match entry.cached_kernels(bytes, None, None) {
-            Some(batch) => batch,
-            None => {
-                let batch = Rc::new(match &entry.plan {
-                    Prepared::A2aAp(a) => a.kernels(bytes)?,
-                    _ => unreachable!("alltoall key maps to alltoall algorithm"),
-                });
-                entry.store_kernels(bytes, None, None, &batch);
-                batch
-            }
-        };
-        drop(prepared);
-        let group = self.active_group(engine);
-        let spec = CollectiveSpec::all_to_all(Self::spec_members(&group, inputs, outputs), bytes);
-        Ok((key, kernels, spec))
-    }
-
     /// Compiles an AllToAll launch's kernel batch and spec without
     /// launching (see [`CollComm::plan_all_reduce_with`]).
     ///
@@ -1186,9 +864,11 @@ impl CollComm {
         dtype: DataType,
         algo: AllToAllAlgo,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (_, kernels, spec) =
-            self.build_all_to_all(engine, inputs, outputs, count, dtype, algo)?;
-        Ok((kernels.as_slice().to_vec(), spec))
+        let coll = Coll::AllToAll(algo);
+        self.plan(
+            engine,
+            Launch::new(coll, inputs, outputs, count, dtype, ReduceOp::Sum),
+        )
     }
 
     /// AllToAll with an explicit algorithm.
@@ -1205,16 +885,129 @@ impl CollComm {
         dtype: DataType,
         algo: AllToAllAlgo,
     ) -> Result<KernelTiming> {
-        let (key, kernels, spec) =
-            self.build_all_to_all(engine, inputs, outputs, count, dtype, algo)?;
-        self.maybe_verify(engine, &key, kernels.as_slice(), &spec)?;
-        self.pending.replace(Some(LaunchRecord::AllToAll {
-            algo,
-            inputs: inputs.to_vec(),
-            outputs: outputs.to_vec(),
-            count,
-            dtype,
-        }));
+        let coll = Coll::AllToAll(algo);
+        self.launch(
+            engine,
+            Launch::new(coll, inputs, outputs, count, dtype, ReduceOp::Sum),
+        )
+    }
+
+    /// Fits the launch's algorithm to the active group, prepares its
+    /// channels and builds its kernel batch, or reuses the batch cached
+    /// for the same shape. Returns the fitted launch with its batch.
+    fn build(
+        &self,
+        engine: &mut Engine<Machine>,
+        mut launch: Launch,
+    ) -> Result<(Launch, Rc<Vec<Kernel>>)> {
+        // On a shrunken epoch the asked algorithm may be impossible on a
+        // subset (hierarchical layouts collapsed onto one node); re-map
+        // it and attribute the re-plan before the key is used.
+        let group = self.active_group(engine);
+        let topo = engine.world().topology();
+        let fitted = match launch.key.coll {
+            Coll::AllReduce(a) => Coll::AllReduce(fit_all_reduce(a, &group, &topo)),
+            Coll::AllGather(a) => Coll::AllGather(fit_all_gather(a, &group, &topo)),
+            coll => coll,
+        };
+        launch.key.coll = Self::fit_replan(engine, launch.key.coll, fitted);
+        let bytes = launch.bytes();
+        self.ensure_prepared(engine, &launch.key, bytes)?;
+        let prepared = self.prepared.borrow();
+        let entry = &prepared[&launch.key];
+        if bytes > entry.cap {
+            return Err(mscclpp::Error::InvalidArgument(format!(
+                "message of {bytes} B exceeds prepared capacity {} B",
+                entry.cap
+            )));
+        }
+        let shape = (launch.count, launch.dtype, launch.op);
+        let mut cached = entry.kernels.borrow_mut();
+        let batch = match &*cached {
+            Some((built, batch)) if *built == shape => Rc::clone(batch),
+            _ => {
+                let batch = Rc::new(entry.plan.kernels(bytes, launch.dtype, launch.op));
+                *cached = Some((shape, Rc::clone(&batch)));
+                batch
+            }
+        };
+        Ok((launch, batch))
+    }
+
+    /// The [`CollectiveSpec`] a launch's kernels must satisfy, over the
+    /// current epoch's group: survivors in position order, each bound to
+    /// its caller-indexed buffers.
+    fn spec(&self, engine: &Engine<Machine>, launch: &Launch) -> Result<CollectiveSpec> {
+        let group = self.active_group(engine);
+        let Key {
+            coll,
+            inputs,
+            outputs,
+        } = &launch.key;
+        let members = group
+            .iter()
+            .map(|&r| SpecMember {
+                rank: r,
+                input: inputs[r.0],
+                output: outputs[r.0],
+            })
+            .collect();
+        let bytes = launch.bytes();
+        Ok(match *coll {
+            Coll::AllReduce(_) => CollectiveSpec::all_reduce(members, bytes),
+            Coll::AllGather(_) => CollectiveSpec::all_gather(members, bytes),
+            Coll::ReduceScatter(_) => {
+                // Shards are position-renumbered `split_range` pieces of
+                // the element count — the same carve-up the kernels
+                // compute with.
+                let es = launch.dtype.size();
+                let shards = (0..group.len())
+                    .map(|j| {
+                        let (s, l) = split_range(launch.count, group.len(), j);
+                        (s * es, l * es)
+                    })
+                    .collect();
+                CollectiveSpec::reduce_scatter(members, bytes, shards)
+            }
+            Coll::Broadcast(_, root) => {
+                let root_pos = group.iter().position(|&r| r == root).ok_or_else(|| {
+                    mscclpp::Error::InvalidArgument(format!(
+                        "broadcast root {root} is not in the active group"
+                    ))
+                })?;
+                CollectiveSpec::broadcast(members, bytes, root_pos)
+            }
+            Coll::AllToAll(_) => CollectiveSpec::all_to_all(members, bytes),
+        })
+    }
+
+    /// Builds a launch's kernel batch and spec without running it.
+    fn plan(
+        &self,
+        engine: &mut Engine<Machine>,
+        launch: Launch,
+    ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
+        let (launch, kernels) = self.build(engine, launch)?;
+        Ok((kernels.as_slice().to_vec(), self.spec(engine, &launch)?))
+    }
+
+    /// The one launch path: builds the batch, runs the static verifier —
+    /// including the semantic dataflow pass against the launch's spec —
+    /// once per prepared plan (again after a re-prepare or a shrink),
+    /// records the launch as pending, runs it and clears the record.
+    fn launch(&self, engine: &mut Engine<Machine>, launch: Launch) -> Result<KernelTiming> {
+        let (launch, kernels) = self.build(engine, launch)?;
+        if self.verify && !self.prepared.borrow()[&launch.key].verified.get() {
+            let spec = self.spec(engine, &launch)?;
+            commverify::verify_collective(
+                kernels.as_slice(),
+                engine.world().pool(),
+                &commverify::Checks::all(),
+                &spec,
+            )?;
+            self.prepared.borrow()[&launch.key].verified.set(true);
+        }
+        self.pending.replace(Some(launch));
         let timing = self.run(engine, &kernels)?;
         self.pending.replace(None);
         Ok(timing)
@@ -1222,22 +1015,14 @@ impl CollComm {
 
     /// Builds (or rebuilds, when capacity grew) the prepared channel sets
     /// for `key`.
-    fn ensure_prepared(
-        &self,
-        engine: &mut Engine<Machine>,
-        key: &Key,
-        bytes: usize,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        root: Rank,
-    ) -> Result<()> {
+    fn ensure_prepared(&self, engine: &mut Engine<Machine>, key: &Key, bytes: usize) -> Result<()> {
+        if self
+            .prepared
+            .borrow()
+            .get(key)
+            .is_some_and(|entry| entry.cap >= bytes)
         {
-            let prepared = self.prepared.borrow();
-            if let Some(entry) = prepared.get(key) {
-                if entry.cap >= bytes {
-                    return Ok(());
-                }
-            }
+            return Ok(());
         }
         let group = self.group.borrow().clone();
         let mut setup = self
@@ -1250,15 +1035,16 @@ impl CollComm {
         // (leaders re-elected among the survivors) instead of the
         // full-topology plan; every all-pairs plan is subset-capable.
         let shrunken = world.len() < setup.topology().world_size();
+        let (inputs, outputs) = (key.inputs.as_slice(), key.outputs.as_slice());
         let cap = bytes;
-        let (ts, tl) = (self.cfg.tbs_small, self.cfg.tbs_large);
-        let prepared = match key {
-            Key::Ar(algo, _, _) => match *algo {
-                AllReduceAlgo::OnePhaseLl => Prepared::Ar1pa(Rc::new(OnePhaseAllPairs::prepare(
+        let (ts, tl) = (TBS_SMALL, TBS_LARGE);
+        let prepared = match key.coll {
+            Coll::AllReduce(algo) => match algo {
+                AllReduceAlgo::OnePhaseLl => Prepared::Ar1pa(OnePhaseAllPairs::prepare(
                     &mut setup, &world, inputs, outputs, cap,
-                )?)),
+                )?),
                 AllReduceAlgo::TwoPhaseLl { reuse, order } => {
-                    Prepared::Ar2paLl(Rc::new(TwoPhaseAllPairsLl::prepare(
+                    Prepared::Ar2paLl(TwoPhaseAllPairsLl::prepare(
                         &mut setup,
                         &world,
                         inputs,
@@ -1267,111 +1053,101 @@ impl CollComm {
                         ts.max(2),
                         reuse,
                         order,
-                    )?))
+                    )?)
                 }
-                AllReduceAlgo::TwoPhaseHb { order } => {
-                    Prepared::Ar2paHb(Rc::new(TwoPhaseAllPairsHb::prepare(
-                        &mut setup, &world, inputs, outputs, cap, tl, order,
-                    )?))
-                }
-                AllReduceAlgo::TwoPhasePort => Prepared::Ar2paPort(Rc::new(
-                    TwoPhaseAllPairsPort::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllReduceAlgo::TwoPhaseSwitch => Prepared::Ar2paSwitch(Rc::new(
-                    TwoPhaseSwitch::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllReduceAlgo::HierLl if shrunken => Prepared::ArHierShrunk(Rc::new(
+                AllReduceAlgo::TwoPhaseHb { order } => Prepared::Ar2paHb(
+                    TwoPhaseAllPairsHb::prepare(&mut setup, &world, inputs, outputs, tl, order)?,
+                ),
+                AllReduceAlgo::TwoPhasePort => Prepared::Ar2paPort(TwoPhaseAllPairsPort::prepare(
+                    &mut setup, &world, inputs, outputs, cap, tl,
+                )?),
+                AllReduceAlgo::TwoPhaseSwitch => Prepared::Ar2paSwitch(TwoPhaseSwitch::prepare(
+                    &mut setup, &world, inputs, outputs, tl,
+                )?),
+                AllReduceAlgo::HierLl if shrunken => Prepared::ArHierShrunk(
                     ShrunkenHierarchical::prepare(&mut setup, &world, inputs, outputs, cap, 1)?,
-                )),
-                AllReduceAlgo::HierHb if shrunken => Prepared::ArHierShrunk(Rc::new(
+                ),
+                AllReduceAlgo::HierHb if shrunken => Prepared::ArHierShrunk(
                     ShrunkenHierarchical::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllReduceAlgo::HierLl => Prepared::ArHier(Rc::new(TwoPhaseHierarchical::prepare(
+                ),
+                AllReduceAlgo::HierLl => Prepared::ArHier(TwoPhaseHierarchical::prepare(
                     &mut setup, inputs, outputs, cap, 1, false,
-                )?)),
-                AllReduceAlgo::HierHb => Prepared::ArHier(Rc::new(TwoPhaseHierarchical::prepare(
+                )?),
+                AllReduceAlgo::HierHb => Prepared::ArHier(TwoPhaseHierarchical::prepare(
                     &mut setup, inputs, outputs, cap, tl, true,
-                )?)),
-                AllReduceAlgo::Ring => Prepared::ArRing(Rc::new(RingAllReduce::prepare(
+                )?),
+                AllReduceAlgo::Ring => Prepared::ArRing(RingAllReduce::prepare(
                     &mut setup, &world, inputs, outputs, cap,
-                )?)),
+                )?),
             },
-            Key::Ag(algo, _, _) => match *algo {
-                AllGatherAlgo::AllPairsLl => Prepared::AgAp(Rc::new(AllPairsAllGather::prepare(
+            Coll::AllGather(algo) => match algo {
+                AllGatherAlgo::AllPairsLl => Prepared::AgAp(AllPairsAllGather::prepare(
                     &mut setup,
                     &world,
                     inputs,
                     outputs,
-                    cap,
                     ts,
                     Protocol::LL,
                     PeerOrder::Staggered,
-                )?)),
-                AllGatherAlgo::AllPairsHb => Prepared::AgAp(Rc::new(AllPairsAllGather::prepare(
+                )?),
+                AllGatherAlgo::AllPairsHb => Prepared::AgAp(AllPairsAllGather::prepare(
                     &mut setup,
                     &world,
                     inputs,
                     outputs,
-                    cap,
                     tl,
                     Protocol::HB,
                     PeerOrder::Staggered,
-                )?)),
-                AllGatherAlgo::AllPairsPort => Prepared::AgPort(Rc::new(
-                    AllPairsAllGatherPort::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllGatherAlgo::HierLl if shrunken => Prepared::AgHierShrunk(Rc::new(
-                    ShrunkenHierAllGather::prepare(&mut setup, &world, inputs, outputs, cap, 1)?,
-                )),
-                AllGatherAlgo::HierHb if shrunken => Prepared::AgHierShrunk(Rc::new(
-                    ShrunkenHierAllGather::prepare(&mut setup, &world, inputs, outputs, cap, tl)?,
-                )),
-                AllGatherAlgo::HierLl => Prepared::AgHier(Rc::new(HierAllGather::prepare(
+                )?),
+                AllGatherAlgo::AllPairsPort => Prepared::AgPort(AllPairsAllGatherPort::prepare(
+                    &mut setup, &world, inputs, outputs, tl,
+                )?),
+                AllGatherAlgo::HierLl if shrunken => Prepared::AgHierShrunk(
+                    ShrunkenHierAllGather::prepare(&mut setup, &world, inputs, outputs, 1)?,
+                ),
+                AllGatherAlgo::HierHb if shrunken => Prepared::AgHierShrunk(
+                    ShrunkenHierAllGather::prepare(&mut setup, &world, inputs, outputs, tl)?,
+                ),
+                AllGatherAlgo::HierLl => Prepared::AgHier(HierAllGather::prepare(
                     &mut setup,
                     inputs,
                     outputs,
-                    cap,
                     1,
                     Protocol::LL,
-                )?)),
-                AllGatherAlgo::HierHb => Prepared::AgHier(Rc::new(HierAllGather::prepare(
+                )?),
+                AllGatherAlgo::HierHb => Prepared::AgHier(HierAllGather::prepare(
                     &mut setup,
                     inputs,
                     outputs,
-                    cap,
                     tl,
                     Protocol::HB,
-                )?)),
+                )?),
             },
-            Key::Rs(algo, _, _) => {
-                let proto = match algo {
-                    ReduceScatterAlgo::AllPairsLl => Protocol::LL,
-                    ReduceScatterAlgo::AllPairsHb => Protocol::HB,
+            Coll::ReduceScatter(algo) => {
+                let (proto, tbs) = match algo {
+                    ReduceScatterAlgo::AllPairsLl => (Protocol::LL, ts),
+                    ReduceScatterAlgo::AllPairsHb => (Protocol::HB, tl),
                 };
-                let tbs = match algo {
-                    ReduceScatterAlgo::AllPairsLl => ts,
-                    ReduceScatterAlgo::AllPairsHb => tl,
-                };
-                Prepared::RsAp(Rc::new(AllPairsReduceScatter::prepare(
+                Prepared::RsAp(AllPairsReduceScatter::prepare(
                     &mut setup, &world, inputs, outputs, cap, tbs, proto,
-                )?))
+                )?)
             }
-            Key::A2a(algo, _, _) => {
+            Coll::AllToAll(algo) => {
                 let (proto, tbs) = match algo {
                     AllToAllAlgo::AllPairsLl => (Protocol::LL, ts),
                     AllToAllAlgo::AllPairsHb => (Protocol::HB, tl),
                 };
-                Prepared::A2aAp(Rc::new(AllPairsAllToAll::prepare(
-                    &mut setup, &world, inputs, outputs, cap, tbs, proto,
-                )?))
+                Prepared::A2aAp(AllPairsAllToAll::prepare(
+                    &mut setup, &world, inputs, outputs, tbs, proto,
+                )?)
             }
-            Key::Bc(algo, _, _, _) => match algo {
-                BroadcastAlgo::Direct => Prepared::BcAp(Rc::new(AllPairsBroadcast::prepare(
-                    &mut setup, &world, root, inputs, outputs, cap, tl,
-                )?)),
-                BroadcastAlgo::Switch => Prepared::BcSwitch(Rc::new(SwitchBroadcast::prepare(
-                    &mut setup, &world, root, inputs, outputs, cap, tl,
-                )?)),
+            Coll::Broadcast(algo, root) => match algo {
+                BroadcastAlgo::Direct => Prepared::BcAp(AllPairsBroadcast::prepare(
+                    &mut setup, &world, root, inputs, outputs, tl,
+                )?),
+                BroadcastAlgo::Switch => Prepared::BcSwitch(SwitchBroadcast::prepare(
+                    &mut setup, &world, root, inputs, outputs, tl,
+                )?),
             },
         };
         self.prepared.borrow_mut().insert(
@@ -1459,7 +1235,7 @@ impl CollComm {
                 // was in flight is lost.
                 break (RecoveryOutcome::Unrecoverable, survivors);
             }
-            match self.replay(engine, &interrupted, &survivors, &mut failover_root) {
+            match self.replay(engine, interrupted.as_ref(), &survivors, &mut failover_root) {
                 Ok(outcome) => break (outcome, survivors),
                 Err(_) => {
                     // The replay launch itself failed. Clear the record
@@ -1498,100 +1274,47 @@ impl CollComm {
     fn replay(
         &self,
         engine: &mut Engine<Machine>,
-        interrupted: &Option<LaunchRecord>,
+        interrupted: Option<&Launch>,
         survivors: &[Rank],
         failover_root: &mut Option<Rank>,
     ) -> Result<RecoveryOutcome> {
-        let in_place = |inputs: &[BufferId], outputs: &[BufferId]| {
-            survivors.iter().any(|r| inputs[r.0] == outputs[r.0])
+        let Some(launch) = interrupted else {
+            return Ok(RecoveryOutcome::Replayed);
         };
-        match interrupted {
-            None => Ok(RecoveryOutcome::Replayed),
-            Some(LaunchRecord::AllReduce {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-                op,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.all_reduce_with(engine, inputs, outputs, *count, *dtype, *op, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
+        let Key {
+            coll,
+            inputs,
+            outputs,
+        } = &launch.key;
+        let in_place = survivors.iter().any(|r| inputs[r.0] == outputs[r.0]);
+        let discard = match *coll {
+            // Root died mid-broadcast: nobody holds the source any more.
+            // Fail over to the lowest survivor — the caller refills its
+            // input and reissues from there.
+            Coll::Broadcast(_, root) if !survivors.contains(&root) => {
+                *failover_root = survivors.first().copied();
+                true
             }
-            Some(LaunchRecord::AllGather {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.all_gather_with(engine, inputs, outputs, *count, *dtype, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
-            }
-            Some(LaunchRecord::ReduceScatter {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-                op,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                // Shards grow when the group shrinks (count / k versus
-                // count / world elements): a replay only fits when every
-                // survivor's output can hold its renumbered shard.
-                let shard_bytes = count.div_ceil(survivors.len()) * dtype.size();
-                if survivors
+            // The root's input is intact even for an in-place broadcast,
+            // and the replay overwrites every survivor's output in full —
+            // always safe to re-run.
+            Coll::Broadcast(..) => false,
+            _ if in_place => true,
+            // Shards grow when the group shrinks (count / k versus
+            // count / world elements): a replay only fits when every
+            // survivor's output can hold its renumbered shard.
+            Coll::ReduceScatter(_) => {
+                let shard_bytes = launch.count.div_ceil(survivors.len()) * launch.dtype.size();
+                survivors
                     .iter()
                     .any(|r| engine.world().pool().len(outputs[r.0]) < shard_bytes)
-                {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.reduce_scatter_with(engine, inputs, outputs, *count, *dtype, *op, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
             }
-            Some(LaunchRecord::Broadcast {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-                root,
-            }) => {
-                if !survivors.contains(root) {
-                    // Root died mid-broadcast: nobody holds the source
-                    // any more. Fail over to the lowest survivor — the
-                    // caller refills its input and reissues from there.
-                    *failover_root = survivors.first().copied();
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                // The root's input is intact even for an in-place
-                // broadcast, and the replay overwrites every survivor's
-                // output in full — always safe to re-run.
-                self.broadcast_with(engine, inputs, outputs, *count, *dtype, *root, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
-            }
-            Some(LaunchRecord::AllToAll {
-                algo,
-                inputs,
-                outputs,
-                count,
-                dtype,
-            }) => {
-                if in_place(inputs, outputs) {
-                    return Ok(RecoveryOutcome::PartialDiscarded);
-                }
-                self.all_to_all_with(engine, inputs, outputs, *count, *dtype, *algo)?;
-                Ok(RecoveryOutcome::Replayed)
-            }
+            _ => false,
+        };
+        if discard {
+            return Ok(RecoveryOutcome::PartialDiscarded);
         }
+        self.launch(engine, launch.clone())?;
+        Ok(RecoveryOutcome::Replayed)
     }
 }

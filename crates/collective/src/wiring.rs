@@ -141,16 +141,6 @@ pub(crate) fn isect(a0: usize, al: usize, b0: usize, bl: usize) -> (usize, usize
     }
 }
 
-/// Splits `total` into `parts` nearly-equal ranges; returns `(start, len)`
-/// of range `idx`.
-pub(crate) fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    let start = idx * base + idx.min(rem);
-    let len = base + usize::from(idx < rem);
-    (start, len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,20 +165,5 @@ mod tests {
         // A whole dead node disappears from the partition.
         let ones: Vec<Rank> = (8..16).map(Rank).collect();
         assert_eq!(node_groups(&topo, &ones).len(), 1);
-    }
-
-    #[test]
-    fn split_range_covers_everything_without_overlap() {
-        for total in [0usize, 1, 7, 64, 1000] {
-            for parts in [1usize, 3, 8] {
-                let mut covered = 0;
-                for i in 0..parts {
-                    let (s, l) = split_range(total, parts, i);
-                    assert_eq!(s, covered, "ranges must be contiguous");
-                    covered += l;
-                }
-                assert_eq!(covered, total);
-            }
-        }
     }
 }

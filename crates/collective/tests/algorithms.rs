@@ -3,8 +3,8 @@
 //! selection logic depends on.
 
 use collective::{
-    AllGatherAlgo, AllReduceAlgo, BroadcastAlgo, CollComm, PeerOrder, ReduceScatterAlgo,
-    ScratchReuse,
+    AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BroadcastAlgo, CollComm, PeerOrder,
+    ReduceScatterAlgo, ScratchReuse,
 };
 use hw::{DataType, EnvKind, Machine, Rank, ReduceOp};
 use sim::Engine;
@@ -725,4 +725,185 @@ fn allgather_port_dma_correct_and_faster_than_thread_copy() {
     // The edge should be near the 263/227 link-rate ratio.
     let gain = thread / dma - 1.0;
     assert!((0.03..0.25).contains(&gain), "gain {gain:.3}");
+}
+
+/// One collective with a fixed explicit algorithm, for driving the
+/// planned, unverified and verified launch paths alike.
+#[derive(Debug, Clone, Copy)]
+enum Launch {
+    AllReduce,
+    AllGather,
+    ReduceScatter,
+    Broadcast,
+    AllToAll,
+}
+
+impl Launch {
+    const ALL: [Launch; 5] = [
+        Launch::AllReduce,
+        Launch::AllGather,
+        Launch::ReduceScatter,
+        Launch::Broadcast,
+        Launch::AllToAll,
+    ];
+    const RANKS: usize = 8;
+    const ROOT: Rank = Rank(3);
+    const AR: AllReduceAlgo = AllReduceAlgo::TwoPhaseLl {
+        reuse: ScratchReuse::Rotate,
+        order: PeerOrder::Staggered,
+    };
+    const AG: AllGatherAlgo = AllGatherAlgo::AllPairsLl;
+    const RS: ReduceScatterAlgo = ReduceScatterAlgo::AllPairsLl;
+    const BC: BroadcastAlgo = BroadcastAlgo::Direct;
+    const A2A: AllToAllAlgo = AllToAllAlgo::AllPairsLl;
+
+    /// Per-rank (input, output) f32 elements for a launch of `count`.
+    fn elems(self, count: usize) -> (usize, usize) {
+        let n = Launch::RANKS;
+        match self {
+            Launch::AllReduce | Launch::Broadcast => (count, count),
+            Launch::AllGather => (count, count * n),
+            Launch::ReduceScatter => (count, count.div_ceil(n)),
+            Launch::AllToAll => (count * n, count * n),
+        }
+    }
+
+    fn run(
+        self,
+        comm: &CollComm,
+        e: &mut Engine<Machine>,
+        ins: &[hw::BufferId],
+        outs: &[hw::BufferId],
+        count: usize,
+    ) -> mscclpp::KernelTiming {
+        let (dt, sum, root) = (DataType::F32, ReduceOp::Sum, Launch::ROOT);
+        match self {
+            Launch::AllReduce => comm.all_reduce_with(e, ins, outs, count, dt, sum, Launch::AR),
+            Launch::AllGather => comm.all_gather_with(e, ins, outs, count, dt, Launch::AG),
+            Launch::ReduceScatter => {
+                comm.reduce_scatter_with(e, ins, outs, count, dt, sum, Launch::RS)
+            }
+            Launch::Broadcast => comm.broadcast_with(e, ins, outs, count, dt, root, Launch::BC),
+            Launch::AllToAll => comm.all_to_all_with(e, ins, outs, count, dt, Launch::A2A),
+        }
+        .unwrap_or_else(|err| panic!("{self:?} x{count}: {err}"))
+    }
+
+    fn plan(
+        self,
+        comm: &CollComm,
+        e: &mut Engine<Machine>,
+        ins: &[hw::BufferId],
+        outs: &[hw::BufferId],
+        count: usize,
+    ) {
+        let (dt, sum, root) = (DataType::F32, ReduceOp::Sum, Launch::ROOT);
+        match self {
+            Launch::AllReduce => {
+                comm.plan_all_reduce_with(e, ins, outs, count, dt, sum, Launch::AR)
+            }
+            Launch::AllGather => comm.plan_all_gather_with(e, ins, outs, count, dt, Launch::AG),
+            Launch::ReduceScatter => {
+                comm.plan_reduce_scatter_with(e, ins, outs, count, dt, sum, Launch::RS)
+            }
+            Launch::Broadcast => {
+                comm.plan_broadcast_with(e, ins, outs, count, dt, root, Launch::BC)
+            }
+            Launch::AllToAll => comm.plan_all_to_all_with(e, ins, outs, count, dt, Launch::A2A),
+        }
+        .unwrap_or_else(|err| panic!("plan {self:?} x{count}: {err}"));
+    }
+
+    /// What every rank's output must start with, from the inputs.
+    fn expected(self, inputs: &[Vec<f32>], count: usize) -> Vec<Vec<f32>> {
+        let n = Launch::RANKS;
+        let sum_at = |i: usize| (0..n).map(|s| inputs[s][i]).sum::<f32>();
+        (0..n)
+            .map(|r| match self {
+                Launch::AllReduce => (0..count).map(sum_at).collect(),
+                Launch::AllGather => (0..n)
+                    .flat_map(|s| inputs[s][..count].iter().copied())
+                    .collect(),
+                Launch::ReduceScatter => {
+                    let (start, len) = mscclpp::split_range(count, n, r);
+                    (start..start + len).map(sum_at).collect()
+                }
+                Launch::Broadcast => inputs[Launch::ROOT.0][..count].to_vec(),
+                Launch::AllToAll => (0..n)
+                    .flat_map(|s| inputs[s][r * count..(r + 1) * count].iter().copied())
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// Fills every rank's input for one round with small dyadic values, so
+/// sums are exact whatever the reduction order, and different rounds
+/// never share an output.
+fn fill_round(e: &mut Engine<Machine>, bufs: &[hw::BufferId], round: usize) -> Vec<Vec<f32>> {
+    bufs.iter()
+        .enumerate()
+        .map(|(r, &b)| {
+            let val =
+                move |i: usize| (r + 1) as f32 * 0.25 + ((i + round) % 7) as f32 + round as f32;
+            e.world_mut().pool_mut().fill_with(b, DataType::F32, val);
+            e.world().pool().to_f32_vec(b, DataType::F32)
+        })
+        .collect()
+}
+
+fn output_bytes(e: &Engine<Machine>, outs: &[hw::BufferId]) -> Vec<Vec<u8>> {
+    let pool = e.world().pool();
+    outs.iter()
+        .map(|&b| pool.bytes(b, 0, pool.len(b)).to_vec())
+        .collect()
+}
+
+/// Pins the contract every collective's launch path keeps: planning
+/// first and then launching unverified is the same launch as one
+/// verified launch, and one communicator stays exact across a grow
+/// (re-prepare) and a shrink back (cached-batch rebuild).
+#[test]
+fn planned_launch_matches_verified_launch_and_resizes_stay_exact() {
+    let (a, b) = (1000usize, 3000usize);
+    for launch in Launch::ALL {
+        let setup = |count: usize| {
+            let mut e = engine(EnvKind::A100_40G, 1);
+            let (ie, oe) = launch.elems(count);
+            let ins = alloc_all(&mut e, ie * 4);
+            let outs = alloc_all(&mut e, oe * 4);
+            fill_round(&mut e, &ins, 0);
+            (e, ins, outs)
+        };
+
+        let (mut e, ins, outs) = setup(a);
+        let verified = launch.run(&CollComm::new(), &mut e, &ins, &outs, a);
+        let verified_run = (verified, e.events_processed(), output_bytes(&e, &outs));
+
+        let (mut e, ins, outs) = setup(a);
+        let mut comm = CollComm::new();
+        launch.plan(&comm, &mut e, &ins, &outs, a);
+        comm.set_verify(false);
+        let split = launch.run(&comm, &mut e, &ins, &outs, a);
+        let split_run = (split, e.events_processed(), output_bytes(&e, &outs));
+        assert_eq!(
+            verified_run, split_run,
+            "{launch:?}: plan + unverified launch"
+        );
+
+        let (mut e, ins, outs) = setup(b);
+        let comm = CollComm::new();
+        for (round, count) in [a, b, a].into_iter().enumerate() {
+            let inputs = fill_round(&mut e, &ins, round + 1);
+            launch.run(&comm, &mut e, &ins, &outs, count);
+            for (r, want) in launch.expected(&inputs, count).iter().enumerate() {
+                let got = e.world().pool().to_f32_vec(outs[r], DataType::F32);
+                assert_eq!(
+                    &got[..want.len()],
+                    &want[..],
+                    "{launch:?} round {round} (x{count}) rank {r}"
+                );
+            }
+        }
+    }
 }

@@ -57,6 +57,5 @@ pub use rtrace::{
 };
 pub use scheduler::{ObserveConfig, ServeConfig, SloSpec, TelemetryConfig};
 pub use serve::{
-    serve_trace, serve_trace_observed, serve_trace_with, synthetic_trace, LatencyStats, Request,
-    ServeObservation, ServeReport,
+    serve_trace_observed, synthetic_trace, LatencyStats, Request, ServeObservation, ServeReport,
 };

@@ -123,8 +123,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// The legacy open-loop behavior: admit everything, no deadlines —
-    /// what [`crate::serve_trace`] runs.
+    /// The legacy open-loop behavior for
+    /// [`crate::serve_trace_observed`]: admit everything, no deadlines.
     pub fn permissive(max_batch: usize) -> ServeConfig {
         ServeConfig {
             max_batch,

@@ -7,11 +7,11 @@
 //! The serving loop itself lives in [`crate::scheduler`]: a vLLM-style
 //! continuous-batching scheduler with SLO-aware admission
 //! ([`crate::admission`]) and a block-granular paged KV cache
-//! ([`crate::kv`]). This module holds the trace/report types and two
-//! entry points: [`serve_trace`] (the legacy permissive configuration —
-//! admit everything, no deadlines) and [`serve_trace_with`] (full
-//! [`ServeConfig`] control: SLOs, admission policy, KV pool shape,
-//! timeouts).
+//! ([`crate::kv`]). This module holds the trace/report types and the one
+//! entry point, [`serve_trace_observed`], which runs a trace under a
+//! [`ServeConfig`]: SLOs, admission policy, KV pool shape, timeouts and
+//! observability. [`ServeConfig::permissive`] is the legacy open-loop
+//! configuration (admit everything, no deadlines).
 
 use crate::backend::CommBackend;
 use crate::engine::ServingEngine;
@@ -180,50 +180,6 @@ pub struct ServeReport {
     pub worst_misses: Vec<SloMiss>,
 }
 
-/// Serves `trace` with continuous batching on `engine` and returns the
-/// aggregate metrics, using the permissive legacy configuration: every
-/// request is admitted, no SLO deadlines, KV pool derived from the
-/// engine's HBM capacity model.
-///
-/// The loop subscribes to the backend's communicator epoch: when a step
-/// fails because a rank died, [`ServingEngine::recover`] shrinks the
-/// backend to the surviving tensor-parallel degree, that rank's KV
-/// shards are lost (in-flight requests re-prefill their context or
-/// restore from a host spill copy), and decoding continues.
-/// Detection-to-ready latency lands in
-/// [`ServeReport::recovery_latency_us`].
-///
-/// # Errors
-///
-/// Propagates kernel deadlocks from the communication stack when no
-/// recovery is possible (no rank died, or the backend cannot shrink),
-/// and [`mscclpp::Error::EpochChanged`] if the communicator epoch
-/// advanced without the loop observing it.
-pub fn serve_trace(
-    engine: &mut ServingEngine,
-    backend: &dyn CommBackend,
-    trace: &[Request],
-    max_batch: usize,
-) -> Result<ServeReport> {
-    scheduler::run(engine, backend, trace, &ServeConfig::permissive(max_batch)).map(|(r, _)| r)
-}
-
-/// Serves `trace` under full [`ServeConfig`] control: latency SLOs,
-/// admission policy, KV pool shape, and per-request timeouts.
-///
-/// # Errors
-///
-/// As [`serve_trace`]. Overload never errors — it produces typed
-/// shed/reject/timeout/evicted outcomes in the report.
-pub fn serve_trace_with(
-    engine: &mut ServingEngine,
-    backend: &dyn CommBackend,
-    trace: &[Request],
-    cfg: &ServeConfig,
-) -> Result<ServeReport> {
-    scheduler::run(engine, backend, trace, cfg).map(|(r, _)| r)
-}
-
 /// Everything a serving run observed beyond the aggregate report: the
 /// per-request causal timelines and the telemetry time series
 /// (DESIGN.md §17). Returned by [`serve_trace_observed`].
@@ -256,12 +212,26 @@ impl ServeObservation {
     }
 }
 
-/// As [`serve_trace_with`], but also returns the request timelines and
-/// telemetry series recorded per [`ServeConfig::observe`].
+/// Serves `trace` with continuous batching on `engine` under `cfg`
+/// (latency SLOs, admission policy, KV pool shape, per-request timeouts)
+/// and returns the aggregate report together with the request timelines
+/// and telemetry series recorded per [`ServeConfig::observe`].
+///
+/// The loop subscribes to the backend's communicator epoch: when a step
+/// fails because a rank died, [`ServingEngine::recover`] shrinks the
+/// backend to the surviving tensor-parallel degree, that rank's KV
+/// shards are lost (in-flight requests re-prefill their context or
+/// restore from a host spill copy), and decoding continues.
+/// Detection-to-ready latency lands in
+/// [`ServeReport::recovery_latency_us`].
 ///
 /// # Errors
 ///
-/// As [`serve_trace`].
+/// Propagates kernel deadlocks from the communication stack when no
+/// recovery is possible (no rank died, or the backend cannot shrink),
+/// and [`mscclpp::Error::EpochChanged`] if the communicator epoch
+/// advanced without the loop observing it. Overload never errors — it
+/// produces typed shed/reject/timeout/evicted outcomes in the report.
 pub fn serve_trace_observed(
     engine: &mut ServingEngine,
     backend: &dyn CommBackend,
@@ -293,7 +263,9 @@ mod tests {
             ServingEngine::new(EnvKind::A100_80G, ModelConfig::llama2_13b(), 16 * 1024);
         let backend = MscclppBackend::new();
         let trace = synthetic_trace(6, 128, 24, 5_000.0, 3);
-        let report = serve_trace(&mut engine, &backend, &trace, 8).unwrap();
+        let (report, _) =
+            serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(8))
+                .unwrap();
         assert_eq!(report.completed, 6);
         assert!(report.makespan_us > 0.0);
         assert!(report.decode_throughput > 0.0);
@@ -349,7 +321,9 @@ mod tests {
                     prefix: None,
                 })
                 .collect();
-            let report = serve_trace(&mut engine, &backend, &trace, 8).unwrap();
+            let (report, _) =
+                serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(8))
+                    .unwrap();
             let billed = engine
                 .engine_mut()
                 .metrics()
@@ -379,7 +353,9 @@ mod tests {
         );
         let backend = MscclppBackend::new();
         let trace = synthetic_trace(6, 128, 24, 5_000.0, 3);
-        let report = serve_trace(&mut engine, &backend, &trace, 8).unwrap();
+        let (report, _) =
+            serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(8))
+                .unwrap();
         // Every request still completes, at the shrunken TP degree.
         assert_eq!(report.completed, 6);
         assert_eq!(report.recoveries, 1);
@@ -424,7 +400,9 @@ mod tests {
         assert_eq!(engine.tp(), 16);
         let backend = MscclppBackend::new();
         let trace = synthetic_trace(4, 128, 12, 5_000.0, 3);
-        let report = serve_trace(&mut engine, &backend, &trace, 8).unwrap();
+        let (report, _) =
+            serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(8))
+                .unwrap();
         // Every request completes on the surviving node at TP 8.
         assert_eq!(report.completed, 4);
         assert_eq!(report.recoveries, 1);
@@ -458,7 +436,9 @@ mod tests {
         );
         let backend = MscclppBackend::new();
         let trace = synthetic_trace(4, 128, 12, 5_000.0, 3);
-        let report = serve_trace(&mut engine, &backend, &trace, 8).unwrap();
+        let (report, _) =
+            serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(8))
+                .unwrap();
         assert_eq!(report.completed, 4);
         assert_eq!(report.recoveries, 1);
         assert_eq!(report.final_tp, 15);
@@ -490,7 +470,9 @@ mod tests {
             } else {
                 vec![mk(0.0), mk(400_000.0)]
             };
-            let report = serve_trace(&mut engine, &backend, &trace, 8).unwrap();
+            let (report, _) =
+                serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(8))
+                    .unwrap();
             let billed = engine
                 .engine_mut()
                 .metrics()

@@ -38,8 +38,10 @@
 
 #![allow(clippy::needless_range_loop)] // conn grids are indexed by construction
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{run_kernels, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup};
-use ncclsim::{Conn, NcclConfig, Prims, Proto};
+use mscclpp::{
+    run_kernels, split_range, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup,
+};
+use ncclsim::{spec_members, verify_first_launch, Conn, NcclConfig, Prims, Proto};
 use sim::Engine;
 
 /// MSCCL stack configuration: the NCCL transport constants plus MSCCL's
@@ -73,13 +75,6 @@ pub enum MscclAlgo {
     TwoPhaseAllPairs,
     /// Two-phase hierarchical (multi-node).
     TwoPhaseHierarchical,
-}
-
-/// Splits `total` into `parts` nearly-equal ranges.
-fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    (idx * base + idx.min(rem), base + usize::from(idx < rem))
 }
 
 fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
@@ -155,44 +150,6 @@ impl MscclComm {
     /// Enables or disables plan verification (on by default).
     pub fn set_verify(&self, on: bool) {
         self.verify.set(on);
-    }
-
-    /// Runs the static verifier — transport checks plus the semantic
-    /// dataflow pass against `spec` — over the first kernel batch
-    /// launched on this communicator; later launches reuse staging FIFOs
-    /// with banked credits, where fresh-cell happens-before analysis is
-    /// unsound.
-    fn maybe_verify(
-        &self,
-        engine: &Engine<Machine>,
-        kernels: &[Kernel],
-        spec: &commverify::CollectiveSpec,
-    ) -> Result<()> {
-        if !self.verify.replace(false) {
-            return Ok(());
-        }
-        let checks = commverify::Checks {
-            semantics: true,
-            ..commverify::Checks::transport()
-        };
-        commverify::verify_collective(kernels, engine.world().pool(), &checks, spec)?;
-        Ok(())
-    }
-
-    /// Spec members for a full-world collective: rank `r` contributes
-    /// `inputs[r]` and receives into `outputs[r]`.
-    fn spec_members(
-        &self,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-    ) -> Vec<commverify::SpecMember> {
-        (0..self.topo.world_size())
-            .map(|r| commverify::SpecMember {
-                rank: Rank(r),
-                input: inputs[r],
-                output: outputs[r],
-            })
-            .collect()
     }
 
     /// MSCCL's size-based algorithm selection (mirrors the MSCCL
@@ -563,9 +520,11 @@ impl MscclComm {
             }
         };
         mscclpp::record_launch_mix(engine, "msccl", &kernels);
-        let spec =
-            commverify::CollectiveSpec::all_reduce(self.spec_members(inputs, outputs), bytes);
-        self.maybe_verify(engine, &kernels, &spec)?;
+        let spec = commverify::CollectiveSpec::all_reduce(
+            spec_members(&self.topo, inputs, outputs),
+            bytes,
+        );
+        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
         run_kernels(engine, &kernels, &self.ov)
     }
 
@@ -591,9 +550,11 @@ impl MscclComm {
         });
         let kernels = self.all_gather_kernels(inputs, outputs, bytes, dtype, proto, nch);
         mscclpp::record_launch_mix(engine, "msccl", &kernels);
-        let spec =
-            commverify::CollectiveSpec::all_gather(self.spec_members(inputs, outputs), bytes);
-        self.maybe_verify(engine, &kernels, &spec)?;
+        let spec = commverify::CollectiveSpec::all_gather(
+            spec_members(&self.topo, inputs, outputs),
+            bytes,
+        );
+        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
         run_kernels(engine, &kernels, &self.ov)
     }
 }

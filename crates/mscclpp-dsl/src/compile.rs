@@ -21,8 +21,8 @@ use std::collections::HashMap;
 
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
 use mscclpp::{
-    run_kernels, Kernel, KernelBuilder, KernelTiming, MemoryChannel, Overheads, PortChannel,
-    Protocol, Semaphore, Setup, SwitchChannel,
+    run_kernels, split_range, Kernel, KernelBuilder, KernelTiming, MemoryChannel, Overheads,
+    PortChannel, Protocol, Semaphore, Setup, SwitchChannel,
 };
 use sim::Engine;
 
@@ -55,13 +55,6 @@ impl Default for CompileOptions {
             verify: true,
         }
     }
-}
-
-/// Splits `total` into `parts` nearly-equal ranges.
-fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    (idx * base + idx.min(rem), base + usize::from(idx < rem))
 }
 
 /// Chunk provenance for synchronization inference (per thread block).

@@ -854,6 +854,16 @@ impl BlockBuilder<'_> {
     }
 }
 
+/// Splits `total` into `parts` nearly-equal contiguous ranges and returns
+/// the `(start, len)` of range `idx`; the first `total % parts` ranges are
+/// one longer. Kernels use it to carve a message across thread blocks,
+/// shards or channels.
+pub fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
+    let base = total / parts;
+    let rem = total % parts;
+    (idx * base + idx.min(rem), base + usize::from(idx < rem))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -871,5 +881,20 @@ mod tests {
         assert_eq!(k.instr_count(), 2);
         assert_eq!(k.rank, Rank(3));
         assert_eq!(k.regs_per_thread, 32);
+    }
+
+    #[test]
+    fn split_range_covers_everything_without_overlap() {
+        for total in [0usize, 1, 7, 64, 1000] {
+            for parts in [1usize, 3, 8] {
+                let mut covered = 0;
+                for i in 0..parts {
+                    let (s, l) = split_range(total, parts, i);
+                    assert_eq!(s, covered, "ranges must be contiguous");
+                    covered += l;
+                }
+                assert_eq!(covered, total);
+            }
+        }
     }
 }

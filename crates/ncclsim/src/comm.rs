@@ -1,8 +1,13 @@
 //! The NCCL communicator: connection setup and collective kernels
 //! (ring and tree), mirroring the architecture of §2.2.1.
 
+use std::cell::Cell;
+
+use commverify::{CollectiveSpec, SpecMember};
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{run_kernels, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup};
+use mscclpp::{
+    run_kernels, split_range, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup,
+};
 use sim::Engine;
 
 use crate::config::{Algo, Choice, NcclConfig, Proto};
@@ -17,14 +22,44 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// Splits `total` into `parts` nearly-equal ranges; returns the
-/// `(start, len)` of range `idx`.
-pub(crate) fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
-    let base = total / parts;
-    let rem = total % parts;
-    let start = idx * base + idx.min(rem);
-    let len = base + usize::from(idx < rem);
-    (start, len)
+/// Runs the static verifier — transport checks plus the semantic
+/// dataflow pass against `spec` — over the first kernel batch a baseline
+/// communicator launches, then disarms `armed`. Later launches reuse the
+/// staging FIFOs with banked credits (each launch leaves `slots` spare
+/// credits per connection), so fresh-cell happens-before analysis is
+/// only sound for the first one.
+///
+/// # Errors
+///
+/// Returns [`mscclpp::Error::Verification`] when the verifier reports a
+/// finding.
+pub fn verify_first_launch(
+    armed: &Cell<bool>,
+    engine: &Engine<Machine>,
+    kernels: &[Kernel],
+    spec: &CollectiveSpec,
+) -> Result<()> {
+    if !armed.replace(false) {
+        return Ok(());
+    }
+    let checks = commverify::Checks {
+        semantics: true,
+        ..commverify::Checks::transport()
+    };
+    commverify::verify_collective(kernels, engine.world().pool(), &checks, spec)?;
+    Ok(())
+}
+
+/// Spec members for a full-world collective: rank `r` contributes
+/// `inputs[r]` and receives into `outputs[r]`.
+pub fn spec_members(topo: &Topology, inputs: &[BufferId], outputs: &[BufferId]) -> Vec<SpecMember> {
+    (0..topo.world_size())
+        .map(|r| SpecMember {
+            rank: Rank(r),
+            input: inputs[r],
+            output: outputs[r],
+        })
+        .collect()
 }
 
 /// Per-channel connection sets.
@@ -62,7 +97,7 @@ pub struct NcclComm {
     topo: Topology,
     channels: Vec<Channel>,
     ov: Overheads,
-    verify: std::cell::Cell<bool>,
+    verify: Cell<bool>,
 }
 
 /// Parent of `rank` in the node-aware tree for a channel whose local
@@ -162,7 +197,7 @@ impl NcclComm {
             topo,
             channels,
             ov,
-            verify: std::cell::Cell::new(true),
+            verify: Cell::new(true),
         }
     }
 
@@ -174,41 +209,6 @@ impl NcclComm {
     /// Enables or disables plan verification (on by default).
     pub fn set_verify(&self, on: bool) {
         self.verify.set(on);
-    }
-
-    /// Runs the static verifier — transport checks plus the semantic
-    /// dataflow pass against `spec` — over the first kernel batch
-    /// launched on this communicator. Later launches reuse the staging
-    /// FIFOs with banked credits (each launch leaves `slots` spare
-    /// credits per connection), so fresh-cell happens-before analysis is
-    /// only sound for the first one.
-    fn maybe_verify(
-        &self,
-        engine: &Engine<Machine>,
-        kernels: &[Kernel],
-        spec: &commverify::CollectiveSpec,
-    ) -> Result<()> {
-        if !self.verify.replace(false) {
-            return Ok(());
-        }
-        let checks = commverify::Checks {
-            semantics: true,
-            ..commverify::Checks::transport()
-        };
-        commverify::verify_collective(kernels, engine.world().pool(), &checks, spec)?;
-        Ok(())
-    }
-
-    /// Spec members for a full-world collective: rank `r` contributes
-    /// `input[r]` and receives into `output[r]`.
-    fn spec_members(&self, input: &[BufferId], output: &[BufferId]) -> Vec<commverify::SpecMember> {
-        (0..self.topo.world_size())
-            .map(|r| commverify::SpecMember {
-                rank: Rank(r),
-                input: input[r],
-                output: output[r],
-            })
-            .collect()
     }
 
     /// Compiles ring-AllReduce kernels (Figure 1's ReduceScatter followed
@@ -578,11 +578,11 @@ impl NcclComm {
             Algo::Tree => self.tree_all_reduce(input, output, count, dtype, op, choice.proto, nch),
         };
         mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = commverify::CollectiveSpec::all_reduce(
-            self.spec_members(input, output),
+        let spec = CollectiveSpec::all_reduce(
+            spec_members(&self.topo, input, output),
             count * dtype.size(),
         );
-        self.maybe_verify(engine, &kernels, &spec)?;
+        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
         run_kernels(engine, &kernels, &self.ov)
     }
 
@@ -604,11 +604,11 @@ impl NcclComm {
         let nch = choice.channels.min(self.cfg.max_channels);
         let kernels = self.ring_all_gather(input, output, count, dtype, choice.proto, nch);
         mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = commverify::CollectiveSpec::all_gather(
-            self.spec_members(input, output),
+        let spec = CollectiveSpec::all_gather(
+            spec_members(&self.topo, input, output),
             count * dtype.size(),
         );
-        self.maybe_verify(engine, &kernels, &spec)?;
+        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
         run_kernels(engine, &kernels, &self.ov)
     }
 
@@ -633,12 +633,12 @@ impl NcclComm {
         mscclpp::record_launch_mix(engine, "nccl", &kernels);
         let n = self.topo.world_size();
         let shard = count * dtype.size();
-        let spec = commverify::CollectiveSpec::reduce_scatter(
-            self.spec_members(input, output),
+        let spec = CollectiveSpec::reduce_scatter(
+            spec_members(&self.topo, input, output),
             n * shard,
             (0..n).map(|i| (i * shard, shard)).collect(),
         );
-        self.maybe_verify(engine, &kernels, &spec)?;
+        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
         run_kernels(engine, &kernels, &self.ov)
     }
 
@@ -661,12 +661,12 @@ impl NcclComm {
         let nch = choice.channels.min(self.cfg.max_channels);
         let kernels = self.ring_broadcast(input, output, count, dtype, root, choice.proto, nch);
         mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = commverify::CollectiveSpec::broadcast(
-            self.spec_members(input, output),
+        let spec = CollectiveSpec::broadcast(
+            spec_members(&self.topo, input, output),
             count * dtype.size(),
             root.0,
         );
-        self.maybe_verify(engine, &kernels, &spec)?;
+        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
         run_kernels(engine, &kernels, &self.ov)
     }
 }

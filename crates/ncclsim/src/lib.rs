@@ -53,7 +53,7 @@ mod config;
 mod conn;
 mod prims;
 
-pub use comm::NcclComm;
+pub use comm::{spec_members, verify_first_launch, NcclComm};
 pub use config::{tune, tuning_candidates, Algo, Choice, NcclConfig, Proto};
 pub use conn::Conn;
 pub use prims::Prims;

@@ -6,8 +6,8 @@
 
 use hw::EnvKind;
 use inference::{
-    serve_trace, synthetic_trace, CommBackend, ModelConfig, MscclppBackend, NcclBackend,
-    ServingEngine,
+    serve_trace_observed, synthetic_trace, CommBackend, ModelConfig, MscclppBackend, NcclBackend,
+    ServeConfig, ServingEngine,
 };
 
 fn main() {
@@ -24,7 +24,9 @@ fn main() {
             "NCCL" => Box::new(NcclBackend::new(engine.engine_mut())),
             _ => Box::new(MscclppBackend::new()),
         };
-        let r = serve_trace(&mut engine, backend.as_ref(), &trace, 32).expect("serve");
+        let cfg = ServeConfig::permissive(32);
+        let (r, _) =
+            serve_trace_observed(&mut engine, backend.as_ref(), &trace, &cfg).expect("serve");
         println!(
             "{name:>8}: makespan {:.1} ms | {:.0} tok/s decode | mean latency {:.1} ms | p95 {:.1} ms | p99 TTFT {:.1} ms | decode fraction {:.0}%",
             r.makespan_us / 1e3,

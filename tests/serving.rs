@@ -16,8 +16,8 @@ use std::cell::Cell;
 
 use hw::{BufferId, DataType, EnvKind, Machine, Rank};
 use inference::{
-    serve_trace_with, synthetic_trace, CommBackend, KvConfig, ModelConfig, MscclppBackend, Request,
-    ServeConfig, ServingEngine, SloSpec,
+    serve_trace_observed, synthetic_trace, CommBackend, KvConfig, ModelConfig, MscclppBackend,
+    Request, ServeConfig, ServingEngine, SloSpec,
 };
 use mscclpp::KernelTiming;
 use sim::Engine;
@@ -48,7 +48,7 @@ fn every_request_reaches_exactly_one_terminal_state() {
         };
         cfg.timeout_us = 400_000.0;
         cfg.seed = seed;
-        let r = serve_trace_with(&mut engine, &backend, &trace, &cfg).unwrap();
+        let (r, _) = serve_trace_observed(&mut engine, &backend, &trace, &cfg).unwrap();
         assert_eq!(
             r.completed + r.shed + r.rejected + r.timed_out + r.evicted,
             trace.len(),
@@ -74,7 +74,9 @@ fn admission_holds_goodput_within_10pct_at_twice_the_knee() {
         // TTFT budget; the rest is rejected or shed at the door.
         cfg.admission.max_queue_depth = 5;
         cfg.seed = 9;
-        serve_trace_with(&mut engine, &backend, &trace, &cfg).unwrap()
+        serve_trace_observed(&mut engine, &backend, &trace, &cfg)
+            .unwrap()
+            .0
     };
     // This engine serves ~77 req/s at batch 8 (~12.5 ms per request:
     // decode throughput ≈ 920 tok/s over ~12-token generations), so
@@ -108,7 +110,9 @@ fn without_admission_p99_ttft_grows_with_trace_length() {
         let backend = MscclppBackend::new();
         let trace = synthetic_trace(requests, 96, 12, 2_500.0, 13);
         let cfg = ServeConfig::permissive(8);
-        serve_trace_with(&mut engine, &backend, &trace, &cfg).unwrap()
+        serve_trace_observed(&mut engine, &backend, &trace, &cfg)
+            .unwrap()
+            .0
     };
     let short = run(16);
     let long = run(32);
@@ -174,7 +178,7 @@ fn unobserved_epoch_change_is_a_typed_error() {
         arrival_us: 0.0,
         prefix: None,
     }];
-    let err = serve_trace_with(&mut engine, &backend, &trace, &ServeConfig::permissive(4))
+    let err = serve_trace_observed(&mut engine, &backend, &trace, &ServeConfig::permissive(4))
         .expect_err("epoch changed unobserved: the run must not report success");
     match err {
         mscclpp::Error::EpochChanged { observed, current } => {
