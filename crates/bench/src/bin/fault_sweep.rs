@@ -16,13 +16,11 @@
 //!    the default selection re-plans onto the ring fallback whose
 //!    Hamiltonian ordering routes around the dead link.
 
-use bench::report::{
-    observe_mscclpp_faulted, runs_to_json_with_fault, write_results_json, StackRun,
-};
+use bench::report::{observe_mscclpp_faulted, runs_to_json, write_results_json, StackRun};
 use bench::{fmt_bytes, Target};
 use collective::AllReduceAlgo;
 use hw::EnvKind;
-use sim::{FaultPlan, Time};
+use sim::{json, FaultPlan, Time};
 
 fn us(x: u64) -> Time {
     Time::from_ps(x * 1_000_000)
@@ -68,7 +66,7 @@ fn main() {
         Some(AllReduceAlgo::TwoPhasePort),
     );
     print_run("healthy", &healthy, healthy.latency_us);
-    scenarios.push(runs_to_json_with_fault(
+    scenarios.push(runs_to_json(
         "flap sweep: healthy baseline",
         t,
         Some(&healthy_plan),
@@ -92,7 +90,7 @@ fn main() {
             assert_eq!(run.counters, again.counters, "nondeterministic counters");
             println!("{:>24}: identical latency and counters on rerun", "replay");
         }
-        scenarios.push(runs_to_json_with_fault(
+        scenarios.push(runs_to_json(
             &format!("flap sweep: {flap_us} us"),
             t,
             Some(&plan),
@@ -112,7 +110,7 @@ fn main() {
     );
     let healthy = observe_mscclpp_faulted(t, bytes, FaultPlan::new(7), None);
     print_run("healthy (switch)", &healthy, healthy.latency_us);
-    scenarios.push(runs_to_json_with_fault(
+    scenarios.push(runs_to_json(
         "multimem death: healthy baseline",
         t,
         None,
@@ -123,7 +121,7 @@ fn main() {
     print_run("multimem dead (hb)", &run, healthy.latency_us);
     assert!(run.counter("fault.replans") > 0, "no re-plan recorded");
     assert_eq!(run.counter("instr.switch_reduce"), 0);
-    scenarios.push(runs_to_json_with_fault(
+    scenarios.push(runs_to_json(
         "multimem death: degraded",
         t,
         Some(&plan),
@@ -142,7 +140,7 @@ fn main() {
     );
     let healthy = observe_mscclpp_faulted(t, bytes, FaultPlan::new(7), None);
     print_run("healthy (all-pairs)", &healthy, healthy.latency_us);
-    scenarios.push(runs_to_json_with_fault(
+    scenarios.push(runs_to_json(
         "dead link: healthy baseline",
         t,
         None,
@@ -156,25 +154,19 @@ fn main() {
         run.latency_us > healthy.latency_us,
         "ring fallback should be measurably slower than healthy all-pairs"
     );
-    scenarios.push(runs_to_json_with_fault(
+    scenarios.push(runs_to_json(
         "dead link: ring fallback",
         t,
         Some(&plan),
         &[run],
     ));
 
-    let mut json = format!(
-        "{{\"title\":\"fault_sweep\",\"schema_version\":{},\"scenarios\":[",
-        bench::report::SCHEMA_VERSION
+    let doc = format!(
+        "{{\"title\":\"fault_sweep\",\"schema_version\":{},\"scenarios\":[{}]}}\n",
+        bench::report::SCHEMA_VERSION,
+        json::join(scenarios.iter().map(|s| s.trim_end()))
     );
-    for (i, s) in scenarios.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(s.trim_end());
-    }
-    json.push_str("]}\n");
-    match write_results_json("fault_sweep.json", &json) {
+    match write_results_json("fault_sweep.json", &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
             eprintln!("could not write results: {e}");

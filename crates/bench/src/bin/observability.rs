@@ -42,7 +42,7 @@ fn main() {
         all.extend(runs);
     }
 
-    let json = runs_to_json("allreduce observability sweep", t, &all);
+    let json = runs_to_json("allreduce observability sweep", t, None, &all);
     match write_results_json("observability_allreduce.json", &json) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {

@@ -20,7 +20,7 @@ use collective::{
     AllReduceAlgo, CollComm, PeerOrder, RecoveryOutcome, ScratchReuse, StragglerPolicy,
 };
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
-use sim::{Duration, Engine, FaultPlan, Time};
+use sim::{json, Duration, Engine, FaultPlan, Time};
 
 const VICTIM: usize = 3;
 const BYTES: usize = 4 << 20;
@@ -306,32 +306,28 @@ fn main() {
     );
     points.push(p);
 
-    let mut json = format!(
-        "{{\"title\":\"recovery_sweep\",\"schema_version\":{},\"points\":[",
-        bench::report::SCHEMA_VERSION
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"algo\":\"{}\",\"env\":\"{:?}\",\"class\":\"{}\",\"kill_us\":{},\
-             \"outcome\":\"{}\",\
+    let points = points.iter().map(|p| {
+        format!(
+            "{{\"algo\":{},\"env\":{},\"class\":{},\"kill_us\":{},\"outcome\":{},\
              \"recovery_us\":{:.3},\"drained_requests\":{},\"survivors\":{},\
              \"semantics_verified\":{}}}",
-            p.algo,
-            p.env,
-            p.class,
+            json::quote(p.algo),
+            json::quote(&format!("{:?}", p.env)),
+            json::quote(p.class),
             p.kill_us,
-            p.outcome,
+            json::quote(&p.outcome),
             p.recovery_us,
             p.drained,
             p.survivors,
             p.semantics_verified
-        ));
-    }
-    json.push_str("]}\n");
-    match write_results_json("recovery_sweep.json", &json) {
+        )
+    });
+    let doc = format!(
+        "{{\"title\":\"recovery_sweep\",\"schema_version\":{},\"points\":[{}]}}\n",
+        bench::report::SCHEMA_VERSION,
+        json::join(points)
+    );
+    match write_results_json("recovery_sweep.json", &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => {
             eprintln!("could not write results: {e}");

@@ -21,8 +21,9 @@ use bench::report::write_results_json;
 use hw::EnvKind;
 use inference::{
     serve_trace_observed, synthetic_trace, ModelConfig, MscclppBackend, ServeConfig, ServeReport,
-    ServingEngine, SloSpec, TelemetryConfig,
+    ServingEngine, SloMiss, SloSpec, TelemetryConfig,
 };
+use sim::json;
 
 const REQUESTS: usize = 48;
 const PROMPT: usize = 96;
@@ -116,18 +117,9 @@ fn main() {
         knee.report.slo_met
     );
 
-    let mut json = format!(
-        "{{\"title\":\"serving_sweep\",\"schema_version\":{},\
-         \"model\":\"llama2-13b\",\"env\":\"A100_80G\",\"requests\":{REQUESTS},\
-         \"prompt\":{PROMPT},\"generate\":{GENERATE},\"seed\":{SEED},\"points\":[",
-        bench::report::SCHEMA_VERSION
-    );
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
+    let rows = points.iter().map(|p| {
         let r = &p.report;
-        json.push_str(&format!(
+        format!(
             "{{\"offered_per_s\":{:.3},\"interarrival_us\":{:.1},\"admission\":{},\
              \"goodput_per_s\":{:.3},\"slo_met\":{},\"completed\":{},\"shed\":{},\
              \"rejected\":{},\"timed_out\":{},\"evicted\":{},\
@@ -155,10 +147,16 @@ fn main() {
             r.kv.spilled,
             r.kv.peak_used,
             r.kv.prefix_hits,
-        ));
-    }
-    json.push_str("]}\n");
-    match write_results_json("serving_sweep.json", &json) {
+        )
+    });
+    let doc = format!(
+        "{{\"title\":\"serving_sweep\",\"schema_version\":{},\
+         \"model\":\"llama2-13b\",\"env\":\"A100_80G\",\"requests\":{REQUESTS},\
+         \"prompt\":{PROMPT},\"generate\":{GENERATE},\"seed\":{SEED},\"points\":[{}]}}\n",
+        bench::report::SCHEMA_VERSION,
+        json::join(rows)
+    );
+    match write_results_json("serving_sweep.json", &doc) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("could not write results: {e}");
@@ -190,24 +188,18 @@ fn main() {
             worst.blame.dominant().name()
         );
     }
-    let mut tj = format!(
+    let doc = format!(
         "{{\"title\":\"serve_telemetry\",\"schema_version\":{},\
          \"model\":\"llama2-13b\",\"env\":\"A100_80G\",\"requests\":{REQUESTS},\
          \"prompt\":{PROMPT},\"generate\":{GENERATE},\"interarrival_us\":{KNEE2X_US:.1},\
-         \"admission\":false,\"seed\":{SEED},\"slo_missed\":{},\"worst_misses\":[",
+         \"admission\":false,\"seed\":{SEED},\"slo_missed\":{},\"worst_misses\":[{}],\
+         \"telemetry\":{}}}\n",
         bench::report::SCHEMA_VERSION,
-        report.slo_missed
+        report.slo_missed,
+        json::join(report.worst_misses.iter().map(SloMiss::to_json)),
+        obs.telemetry_json().expect("sampler configured")
     );
-    for (i, m) in report.worst_misses.iter().enumerate() {
-        if i > 0 {
-            tj.push(',');
-        }
-        tj.push_str(&m.to_json());
-    }
-    tj.push_str("],\"telemetry\":");
-    tj.push_str(obs.telemetry_json().expect("sampler configured").trim_end());
-    tj.push_str("}\n");
-    match write_results_json("serve_telemetry.json", &tj) {
+    match write_results_json("serve_telemetry.json", &doc) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => {
             eprintln!("could not write results: {e}");

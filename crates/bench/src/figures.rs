@@ -591,7 +591,7 @@ pub fn utilization_report(full: bool) {
         env: EnvKind::A100_40G,
         nodes: 1,
     };
-    let json = crate::report::runs_to_json("utilization", target, &runs);
+    let json = crate::report::runs_to_json("utilization", target, None, &runs);
     match crate::report::write_results_json("utilization.json", &json) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results/utilization.json: {e}"),

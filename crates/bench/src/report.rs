@@ -9,7 +9,7 @@ use std::path::Path;
 
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
 use mscclpp::Setup;
-use sim::Engine;
+use sim::{json, Engine};
 
 use crate::{alloc_filled, fresh_engine, size_filtered_candidates, verify_allreduce, Target};
 
@@ -221,84 +221,61 @@ pub fn observe_mscclpp_faulted(
 /// meaning, and add a row to `results/README.md`.
 pub const SCHEMA_VERSION: u32 = 5;
 
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn push_run(out: &mut String, run: &StackRun) {
-    out.push_str(&format!(
-        "{{\"stack\":\"{}\",\"bytes\":{},\"latency_us\":{:.3},\"verified\":{},\"semantics_verified\":{},",
-        esc(&run.stack),
-        run.bytes,
-        run.latency_us,
-        run.verified,
-        run.semantics_verified
-    ));
-    out.push_str("\"counters\":{");
-    for (i, (k, v)) in run.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{v}", esc(k)));
-    }
-    out.push_str("},\"links\":[");
-    for (i, l) in run.links.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"label\":\"{}\",\"busy_us\":{:.3},\"bytes\":{},\"acquires\":{},\"queue_delay_us\":{:.3},\"utilization\":{:.4}}}",
-            esc(&l.label),
+fn run_json(run: &StackRun) -> String {
+    let counters = run
+        .counters
+        .iter()
+        .map(|(k, v)| format!("{}:{v}", json::quote(k)));
+    let links = run.links.iter().map(|l| {
+        format!(
+            "{{\"label\":{},\"busy_us\":{:.3},\"bytes\":{},\"acquires\":{},\"queue_delay_us\":{:.3},\"utilization\":{:.4}}}",
+            json::quote(&l.label),
             l.busy_us,
             l.bytes,
             l.acquires,
             l.queue_delay_us,
             l.utilization
-        ));
-    }
-    out.push_str("]}");
+        )
+    });
+    format!(
+        "{{\"stack\":{},\"bytes\":{},\"latency_us\":{:.3},\"verified\":{},\"semantics_verified\":{},\"counters\":{{{}}},\"links\":[{}]}}",
+        json::quote(&run.stack),
+        run.bytes,
+        run.latency_us,
+        run.verified,
+        run.semantics_verified,
+        json::join(counters),
+        json::join(links)
+    )
 }
 
-/// Serializes a set of observed runs as one JSON document.
-pub fn runs_to_json(title: &str, t: Target, runs: &[StackRun]) -> String {
-    runs_to_json_with_fault(title, t, None, runs)
-}
-
-/// Like [`runs_to_json`] but records the fault plan the runs executed
-/// under: the header carries `"fault"` — `null` for a healthy run, or
-/// `{"seed":…,"summary":"…"}` so a report is reproducible from its JSON
-/// alone (same seed + same plan ⇒ bit-identical timings and counters).
-pub fn runs_to_json_with_fault(
+/// Serializes a set of observed runs as one JSON document. The header
+/// records the fault plan the runs executed under: `"fault"` is `null`
+/// for a healthy run, or `{"seed":…,"summary":"…"}` so a report is
+/// reproducible from its JSON alone (same seed + same plan ⇒
+/// bit-identical timings and counters).
+pub fn runs_to_json(
     title: &str,
     t: Target,
     fault: Option<&sim::FaultPlan>,
     runs: &[StackRun],
 ) -> String {
-    let mut out = String::new();
-    let fault_json = match fault {
-        None => "null".to_owned(),
-        Some(p) => format!(
-            "{{\"seed\":{},\"summary\":\"{}\"}}",
+    let fault = fault.map(|p| {
+        format!(
+            "{{\"seed\":{},\"summary\":{}}}",
             p.seed,
-            esc(&p.summary())
-        ),
-    };
-    out.push_str(&format!(
-        "{{\"title\":\"{}\",\"schema_version\":{SCHEMA_VERSION},\"environment\":\"{}\",\"nodes\":{},\"world\":{},\"fault\":{},\"runs\":[",
-        esc(title),
-        esc(&t.env.spec(t.nodes).name),
+            json::quote(&p.summary())
+        )
+    });
+    format!(
+        "{{\"title\":{},\"schema_version\":{SCHEMA_VERSION},\"environment\":{},\"nodes\":{},\"world\":{},\"fault\":{},\"runs\":[{}]}}\n",
+        json::quote(title),
+        json::quote(&t.env.spec(t.nodes).name),
         t.nodes,
         t.world(),
-        fault_json
-    ));
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_run(&mut out, run);
-    }
-    out.push_str("]}\n");
-    out
+        json::or_null(fault),
+        json::join(runs.iter().map(run_json))
+    )
 }
 
 /// The directory benchmark artifacts are written to: `$RESULTS_DIR` when
@@ -365,7 +342,7 @@ mod tests {
             nodes: 1,
         };
         let runs = observe_allreduce(t, 1024);
-        let json = runs_to_json("smoke", t, &runs);
+        let json = runs_to_json("smoke", t, None, &runs);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches("\"stack\":").count(), 3);
         assert_eq!(json.matches("\"verified\":true").count(), 3);
@@ -403,7 +380,7 @@ mod tests {
             "flap never hit a proxy: {:?}",
             run.counters
         );
-        let json = runs_to_json_with_fault("chaos", t, Some(&plan), &[run]);
+        let json = runs_to_json("chaos", t, Some(&plan), &[run]);
         assert!(json.contains("\"fault\":{\"seed\":11,"), "{json}");
         assert!(json.contains("link 0<->1 down"), "{json}");
     }

@@ -9,7 +9,7 @@
 //! kernel model), as in the paper's setup.
 
 use hw::{BufferId, DataType, EnvKind, Machine, Rank};
-use mscclpp::{run_kernels, KernelBuilder, Overheads, Result};
+use mscclpp::{run_kernels, Error, KernelBuilder, Overheads, Result};
 use sim::{Duration, Engine};
 
 use crate::backend::CommBackend;
@@ -324,10 +324,12 @@ impl ServingEngine {
         batch: usize,
     ) -> Result<StepReport> {
         let count = tokens * self.model.hidden; // fp16 elements
-        assert!(
-            count * 2 <= self.act_cap,
-            "step of {tokens} tokens exceeds engine capacity"
-        );
+        if count * 2 > self.act_cap {
+            return Err(Error::InvalidArgument(format!(
+                "step of {tokens} tokens exceeds the engine's activation capacity of {} tokens",
+                self.act_cap / (2 * self.model.hidden)
+            )));
+        }
         let t_layer = layer_time(&self.model, self.perf, self.tp, tokens, context, batch);
         // Attention and MLP each take roughly half the layer compute
         // (plus the non-GEMM auxiliary kernels) and each end in a
@@ -353,7 +355,9 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel deadlocks from the communication stack.
+    /// [`Error::InvalidArgument`] when the batch exceeds the activation
+    /// capacity the engine was built with; otherwise propagates kernel
+    /// deadlocks from the communication stack.
     pub fn decode_step(
         &mut self,
         backend: &dyn CommBackend,
@@ -366,7 +370,7 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel deadlocks from the communication stack.
+    /// As [`ServingEngine::prefill_tokens`].
     pub fn prefill(&mut self, backend: &dyn CommBackend, batch: BatchConfig) -> Result<StepReport> {
         self.prefill_tokens(backend, batch.bsz * batch.seqlen, batch.bsz)
     }
@@ -380,7 +384,9 @@ impl ServingEngine {
     ///
     /// # Errors
     ///
-    /// Propagates kernel deadlocks from the communication stack.
+    /// [`Error::InvalidArgument`] when a prefill chunk exceeds the
+    /// activation capacity the engine was built with; otherwise
+    /// propagates kernel deadlocks from the communication stack.
     pub fn prefill_tokens(
         &mut self,
         backend: &dyn CommBackend,
@@ -468,6 +474,24 @@ mod tests {
             s_prefill < 0.08,
             "prefill speedup should be ≤6%: {s_prefill:.3}"
         );
+    }
+
+    #[test]
+    fn over_capacity_step_is_a_typed_error_not_a_panic() {
+        // Activations sized for 1024 tokens; a 4096-token prefill is
+        // chunked at 8192, so its one chunk does not fit.
+        let mut engine = ServingEngine::new(EnvKind::A100_80G, ModelConfig::llama2_13b(), 1024);
+        let err = engine
+            .prefill_tokens(&MscclppBackend::new(), 4096, 1)
+            .expect_err("over-capacity prefill must fail");
+        assert!(
+            matches!(&err, Error::InvalidArgument(m) if m.contains("4096 tokens")),
+            "{err}"
+        );
+        // The engine is still usable at its capacity.
+        engine
+            .prefill_tokens(&MscclppBackend::new(), 1024, 1)
+            .expect("in-capacity prefill");
     }
 }
 

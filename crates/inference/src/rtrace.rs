@@ -28,6 +28,8 @@
 //! `round(us × 1e6)`, which is monotone, so charges never run
 //! backwards.
 
+use sim::json;
+
 /// Blame buckets a request's lifetime is tiled into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -236,53 +238,31 @@ impl RequestTimeline {
     /// Serializes the timeline as one JSON object (ps values are exact
     /// integers; see `results/README.md` for the schema).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"arrival_ps\":{},\"end_ps\":{},\"first_token_ps\":",
-            self.id, self.arrival_ps, self.end_ps
-        );
-        match self.first_token_ps {
-            Some(ps) => {
-                let _ = write!(out, "{ps}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"terminal\":\"{}\",\"blame_ps\":{{",
-            self.terminal.name()
-        );
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", p.name(), self.blame.get(*p));
-        }
-        out.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"from_ps\":{},\"to_ps\":{}",
-                e.phase.name(),
-                e.from_ps,
-                e.to_ps
-            );
-            if let Some(l) = e.link {
-                let _ = write!(
-                    out,
+        let blame = Phase::ALL.map(|p| format!("{}:{}", json::quote(p.name()), self.blame.get(p)));
+        let events = self.events.iter().map(|e| {
+            let link = e.link.map_or(String::new(), |l| {
+                format!(
                     ",\"step\":{},\"engine_from_ps\":{},\"engine_to_ps\":{}",
                     l.step, l.engine_from_ps, l.engine_to_ps
-                );
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+                )
+            });
+            format!(
+                "{{\"phase\":{},\"from_ps\":{},\"to_ps\":{}{link}}}",
+                json::quote(e.phase.name()),
+                e.from_ps,
+                e.to_ps
+            )
+        });
+        format!(
+            "{{\"id\":{},\"arrival_ps\":{},\"end_ps\":{},\"first_token_ps\":{},\"terminal\":{},\"blame_ps\":{{{}}},\"events\":[{}]}}",
+            self.id,
+            self.arrival_ps,
+            self.end_ps,
+            json::or_null(self.first_token_ps),
+            json::quote(self.terminal.name()),
+            json::join(blame),
+            json::join(events)
+        )
     }
 }
 
@@ -315,107 +295,47 @@ impl SloMiss {
     /// Serializes the exemplar as one JSON object. `blame_ps` is an
     /// array in [`Phase::ALL`] order.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"arrival_us\":{:.3},\"e2e_us\":{:.3},\"ttft_us\":",
-            self.id, self.arrival_us, self.e2e_us
-        );
-        match self.ttft_us {
-            Some(v) => {
-                let _ = write!(out, "{v:.3}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"tpot_us\":");
-        match self.tpot_us {
-            Some(v) => {
-                let _ = write!(out, "{v:.3}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"missed_ttft\":{},\"missed_tpot\":{},\"terminal\":\"{}\",\"blame_ps\":[",
+        format!(
+            "{{\"id\":{},\"arrival_us\":{:.3},\"e2e_us\":{:.3},\"ttft_us\":{:.3},\"tpot_us\":{:.3},\"missed_ttft\":{},\"missed_tpot\":{},\"terminal\":{},\"blame_ps\":[{}]}}",
+            self.id,
+            self.arrival_us,
+            self.e2e_us,
+            json::or_null(self.ttft_us),
+            json::or_null(self.tpot_us),
             self.missed_ttft,
             self.missed_tpot,
-            self.terminal.name()
-        );
-        for (i, v) in self.blame.ps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{v}");
-        }
-        out.push_str("]}");
-        out
+            json::quote(self.terminal.name()),
+            json::join(self.blame.ps)
+        )
     }
 
     /// Parses one object produced by [`SloMiss::to_json`] (exact
     /// round-trip for the integer fields; µs fields round-trip at the
     /// serialized 1e-3 precision).
-    pub fn parse(json: &str) -> Option<SloMiss> {
-        let num = |key: &str| -> Option<f64> {
-            let pat = format!("\"{key}\":");
-            let at = json.find(&pat)? + pat.len();
-            let rest = &json[at..];
-            let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-            let tok = rest[..end].trim();
-            if tok == "null" {
-                return None;
-            }
-            tok.parse().ok()
+    pub fn parse(obj: &str) -> Option<SloMiss> {
+        let terminal = match json::unquote(json::field(obj, "terminal")?)?.as_str() {
+            "completed" => Terminal::Completed,
+            "shed" => Terminal::Shed,
+            "rejected" => Terminal::Rejected,
+            "timed_out" => Terminal::TimedOut,
+            "evicted" => Terminal::Evicted,
+            _ => return None,
         };
-        let flag = |key: &str| -> Option<bool> {
-            let pat = format!("\"{key}\":");
-            let at = json.find(&pat)? + pat.len();
-            json[at..]
-                .starts_with("true")
-                .then_some(true)
-                .or_else(|| json[at..].starts_with("false").then_some(false))
-        };
-        let terminal = {
-            let pat = "\"terminal\":\"";
-            let at = json.find(pat)? + pat.len();
-            let end = json[at..].find('"')? + at;
-            match &json[at..end] {
-                "completed" => Terminal::Completed,
-                "shed" => Terminal::Shed,
-                "rejected" => Terminal::Rejected,
-                "timed_out" => Terminal::TimedOut,
-                "evicted" => Terminal::Evicted,
-                _ => return None,
-            }
-        };
-        let blame = {
-            let pat = "\"blame_ps\":[";
-            let at = json.find(pat)? + pat.len();
-            let end = json[at..].find(']')? + at;
-            let mut ps = [0u64; PHASES];
-            let mut n = 0;
-            for tok in json[at..end].split(',') {
-                if n >= PHASES {
-                    return None;
-                }
-                ps[n] = tok.trim().parse().ok()?;
-                n += 1;
-            }
-            if n != PHASES {
-                return None;
-            }
-            Blame { ps }
-        };
+        let blame: Vec<u64> = json::items(json::field(obj, "blame_ps")?)
+            .map(|v| v.parse().ok())
+            .collect::<Option<_>>()?;
         Some(SloMiss {
-            id: num("id")? as u64,
-            arrival_us: num("arrival_us")?,
-            e2e_us: num("e2e_us")?,
-            ttft_us: num("ttft_us"),
-            tpot_us: num("tpot_us"),
-            missed_ttft: flag("missed_ttft")?,
-            missed_tpot: flag("missed_tpot")?,
+            id: json::get(obj, "id")?,
+            arrival_us: json::get(obj, "arrival_us")?,
+            e2e_us: json::get(obj, "e2e_us")?,
+            ttft_us: json::get(obj, "ttft_us"),
+            tpot_us: json::get(obj, "tpot_us"),
+            missed_ttft: json::get(obj, "missed_ttft")?,
+            missed_tpot: json::get(obj, "missed_tpot")?,
             terminal,
-            blame,
+            blame: Blame {
+                ps: blame.try_into().ok()?,
+            },
         })
     }
 }
@@ -573,65 +493,6 @@ impl RequestTracer {
     }
 }
 
-/// Serializes a slice of timelines as a JSON array (one
-/// [`RequestTimeline::to_json`] object per request).
-pub fn timelines_to_json(tls: &[RequestTimeline]) -> String {
-    let mut out = String::from("[");
-    for (i, tl) in tls.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&tl.to_json());
-    }
-    out.push(']');
-    out
-}
-
-/// Serializes timelines as Chrome trace-event JSON: one named track per
-/// request (`pid` 2, `tid` = request id) with a duration slice per
-/// phase window, loadable beside the engine trace in
-/// <https://ui.perfetto.dev>.
-pub fn timelines_to_chrome_json(tls: &[RequestTimeline]) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("[");
-    let _ = write!(
-        out,
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"args\":{{\"name\":\"requests\"}}}}"
-    );
-    for tl in tls {
-        let _ = write!(
-            out,
-            ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{},\"args\":{{\"name\":\"req {} ({})\"}}}}",
-            tl.id,
-            tl.id,
-            tl.terminal.name()
-        );
-        for e in &tl.events {
-            let name = e.phase.name();
-            let args = match e.link {
-                Some(l) => format!(
-                    "{{\"step\":{},\"engine_from_us\":{:.3},\"engine_to_us\":{:.3}}}",
-                    l.step,
-                    l.engine_from_ps as f64 / 1e6,
-                    l.engine_to_ps as f64 / 1e6
-                ),
-                None => "{}".to_owned(),
-            };
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"B\",\"ts\":{:.3},\"pid\":2,\"tid\":{},\"args\":{args}}}\
-                 ,{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"E\",\"ts\":{:.3},\"pid\":2,\"tid\":{}}}",
-                e.from_ps as f64 / 1e6,
-                tl.id,
-                e.to_ps as f64 / 1e6,
-                tl.id
-            );
-        }
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,13 +599,16 @@ mod tests {
         );
         rt.first_token(0, 3_000_000);
         rt.finish(0, Terminal::Completed, 3_000_000);
-        let tls = rt.into_timelines();
-        let json = timelines_to_json(&tls);
+        let obs = crate::ServeObservation {
+            timelines: rt.into_timelines(),
+            telemetry: None,
+        };
+        let json = obs.timelines_json();
         assert!(json.contains("\"terminal\":\"completed\""), "{json}");
         assert!(json.contains("\"first_token_ps\":3000000"), "{json}");
         assert!(json.contains("\"engine_to_ps\":2000000"), "{json}");
         assert!(json.contains("\"decode_compute\""), "{json}");
-        let chrome = timelines_to_chrome_json(&tls);
+        let chrome = obs.timelines_chrome_json();
         assert!(
             chrome.contains("\"name\":\"req 0 (completed)\""),
             "{chrome}"

@@ -16,9 +16,10 @@
 use crate::backend::CommBackend;
 use crate::engine::ServingEngine;
 use crate::kv::KvStats;
-use crate::rtrace::{timelines_to_chrome_json, timelines_to_json, RequestTimeline, SloMiss};
+use crate::rtrace::{RequestTimeline, SloMiss};
 use crate::scheduler::{self, ServeConfig};
 use mscclpp::Result;
+use sim::json;
 
 /// One inference request of a serving trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,16 +195,52 @@ pub struct ServeObservation {
 }
 
 impl ServeObservation {
-    /// Per-request timelines as a JSON array (exact integer
+    /// Per-request timelines as a JSON array, one
+    /// [`RequestTimeline::to_json`] object per request (exact integer
     /// picoseconds; see `results/README.md`).
     pub fn timelines_json(&self) -> String {
-        timelines_to_json(&self.timelines)
+        format!(
+            "[{}]",
+            json::join(self.timelines.iter().map(RequestTimeline::to_json))
+        )
     }
 
-    /// Per-request timelines as Chrome trace-event JSON — one named
-    /// Perfetto track per request, loadable beside the engine trace.
+    /// Per-request timelines as Chrome trace-event JSON: one named track
+    /// per request (`tid` = request id) under [`json::Pid::Requests`]
+    /// with a duration slice per phase window, loadable beside the engine
+    /// trace in <https://ui.perfetto.dev>.
     pub fn timelines_chrome_json(&self) -> String {
-        timelines_to_chrome_json(&self.timelines)
+        let pid = json::Pid::Requests;
+        let tracks = self.timelines.iter().flat_map(|tl| {
+            let id = tl.id;
+            let track = format!("req {id} ({})", tl.terminal.name());
+            let head = format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{id},\"args\":{{\"name\":{}}}}}",
+                json::quote(&track)
+            );
+            let slices = tl.events.iter().map(move |e| {
+                let name = json::quote(e.phase.name());
+                let args = e.link.map_or("{}".to_owned(), |l| {
+                    format!(
+                        "{{\"step\":{},\"engine_from_us\":{:.3},\"engine_to_us\":{:.3}}}",
+                        l.step,
+                        l.engine_from_ps as f64 / 1e6,
+                        l.engine_to_ps as f64 / 1e6
+                    )
+                });
+                format!(
+                    "{{\"name\":{name},\"cat\":\"request\",\"ph\":\"B\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{id},\"args\":{args}}}\
+                     ,{{\"name\":{name},\"cat\":\"request\",\"ph\":\"E\",\"ts\":{:.3},\"pid\":{pid},\"tid\":{id}}}",
+                    e.from_ps as f64 / 1e6,
+                    e.to_ps as f64 / 1e6
+                )
+            });
+            std::iter::once(head).chain(slices)
+        });
+        format!(
+            "[{}]",
+            json::join(std::iter::once(pid.process_name()).chain(tracks))
+        )
     }
 
     /// The telemetry time series as JSON (`None` when no sampler ran).

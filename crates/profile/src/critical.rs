@@ -126,7 +126,7 @@ impl CriticalPathReport {
     }
 
     /// The path as highlight segments for
-    /// [`sim::Trace::to_chrome_json_with_counters`].
+    /// [`sim::Trace::to_chrome_json`].
     pub fn highlight(&self, g: &DepGraph) -> Vec<HighlightSegment> {
         self.path
             .iter()

@@ -18,7 +18,7 @@
 //!    used by the serving simulator and the perf-regression harness.
 //!
 //! The Perfetto bridge ([`CriticalPathReport::highlight`] +
-//! [`sim::Trace::to_chrome_json_with_counters`]) renders the extracted
+//! [`sim::Trace::to_chrome_json`]) renders the extracted
 //! path as a dedicated track with flow arrows through the process
 //! timeline.
 

@@ -1490,7 +1490,7 @@ mod tests {
         // Post-mortem trace is balanced: every SpanBegin has a SpanEnd.
         let trace = e.take_trace().expect("tracing enabled");
         assert_eq!(trace.unmatched_begins(), 0);
-        let json = trace.to_chrome_json();
+        let json = trace.to_chrome_json(&[]);
         assert_eq!(json.matches("\"ph\":\"b\"").count(), 2);
         assert_eq!(json.matches("\"ph\":\"e\"").count(), 2);
         // Busy time past the abort instant is refunded: nothing beyond

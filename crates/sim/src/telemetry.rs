@@ -23,6 +23,7 @@
 //! tracks, loadable beside an engine trace).
 
 use crate::engine::ResourceId;
+use crate::json::{self, Pid};
 use crate::metrics::{CounterId, Metrics};
 use crate::time::{Duration, Time};
 
@@ -240,119 +241,69 @@ impl Sampler {
         self.taken
     }
 
-    /// Serializes the series as a JSON time-series document: schema
-    /// arrays once, then one compact row per sample. `utilization` is
-    /// the busy delta divided by the inter-sample gap (clamped to the
-    /// period for the first sample).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"period_us\":{:.3},\"dropped\":{},\"counters\":[",
-            self.period.as_us(),
-            self.dropped
-        );
-        push_names(&mut out, &self.counter_names);
-        out.push_str("],\"gauges\":[");
-        push_names(&mut out, &self.gauge_names);
-        out.push_str("],\"resources\":[");
-        push_names(&mut out, &self.resource_labels);
-        out.push_str("],\"samples\":[");
+    /// Samples oldest first, each with the per-resource utilization of
+    /// its interval: the busy delta divided by the gap since the previous
+    /// sample (the period for the first sample), capped at 1.
+    fn rows(&self) -> impl Iterator<Item = (&Sample, Vec<f64>)> {
         let mut prev_at = None;
-        for (i, s) in self.samples().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let gap = match prev_at {
-                Some(p) => s.at - p,
-                None => self.period,
-            };
+        self.samples().map(move |s| {
+            let gap = prev_at.map_or(self.period, |p| s.at - p);
             prev_at = Some(s.at);
             let gap_us = gap.as_us().max(1e-9);
-            let _ = write!(out, "{{\"t_us\":{:.3},\"counters\":[", s.at.as_us());
-            for (j, v) in s.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("],\"gauges\":[");
-            for (j, v) in s.gauges.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("],\"utilization\":[");
-            for (j, b) in s.busy.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{:.4}", (b.as_us() / gap_us).min(1.0));
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+            let util = s.busy.iter().map(|b| (b.as_us() / gap_us).min(1.0));
+            (s, util.collect())
+        })
+    }
+
+    /// Serializes the series as a JSON time-series document: schema
+    /// arrays once, then one compact row per sample with the counter
+    /// deltas, the gauges and each resource's utilization.
+    pub fn to_json(&self) -> String {
+        let names = |v: &[String]| json::join(v.iter().map(|n| json::quote(n)));
+        let rows = self.rows().map(|(s, util)| {
+            format!(
+                "{{\"t_us\":{:.3},\"counters\":[{}],\"gauges\":[{}],\"utilization\":[{}]}}",
+                s.at.as_us(),
+                json::join(&s.counters),
+                json::join(&s.gauges),
+                json::join(util.iter().map(|u| format!("{u:.4}")))
+            )
+        });
+        format!(
+            "{{\"period_us\":{:.3},\"dropped\":{},\"counters\":[{}],\"gauges\":[{}],\"resources\":[{}],\"samples\":[{}]}}",
+            self.period.as_us(),
+            self.dropped,
+            names(&self.counter_names),
+            names(&self.gauge_names),
+            names(&self.resource_labels),
+            json::join(rows)
+        )
     }
 
     /// Serializes the series as Chrome trace-event JSON counter tracks
-    /// (`ph:"C"`, one track per counter/gauge/resource), on `pid` so the
-    /// document can be concatenated with an engine trace without track
-    /// collisions. Load in <https://ui.perfetto.dev>.
-    pub fn to_chrome_json(&self, pid: u32) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("[");
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"telemetry\"}}}}"
-        );
-        let mut prev_at = None;
-        for s in self.samples() {
+    /// (`ph:"C"`, one track per counter, gauge and resource) under
+    /// [`Pid::Telemetry`], so the document loads beside an engine trace
+    /// without track collisions. Load in <https://ui.perfetto.dev>.
+    pub fn to_chrome_json(&self) -> String {
+        let pid = Pid::Telemetry;
+        let mut events = vec![pid.process_name()];
+        for (s, util) in self.rows() {
             let ts = s.at.as_us();
-            let gap_us = match prev_at {
-                Some(p) => (s.at - p).as_us(),
-                None => self.period.as_us(),
+            let mut track = |name: &str, value: &dyn std::fmt::Display| {
+                let name = json::quote(name);
+                events.push(format!(
+                    "{{\"name\":{name},\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}"
+                ));
+            };
+            let named = self.counter_names.iter().zip(&s.counters);
+            for (name, v) in named.chain(self.gauge_names.iter().zip(&s.gauges)) {
+                track(name, v);
             }
-            .max(1e-9);
-            prev_at = Some(s.at);
-            for (name, v) in self.counter_names.iter().zip(&s.counters) {
-                let _ = write!(
-                    out,
-                    ",{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{v}}}}}",
-                    name.replace('"', "'")
-                );
-            }
-            for (name, v) in self.gauge_names.iter().zip(&s.gauges) {
-                let _ = write!(
-                    out,
-                    ",{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{v}}}}}",
-                    name.replace('"', "'")
-                );
-            }
-            for (label, b) in self.resource_labels.iter().zip(&s.busy) {
-                let util = (b.as_us() / gap_us).min(1.0);
-                let _ = write!(
-                    out,
-                    ",{{\"name\":\"util {}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{util:.4}}}}}",
-                    label.replace('"', "'")
-                );
+            for (label, u) in self.resource_labels.iter().zip(util) {
+                track(&format!("util {label}"), &format_args!("{u:.4}"));
             }
         }
-        out.push(']');
-        out
-    }
-}
-
-fn push_names(out: &mut String, names: &[String]) {
-    for (i, n) in names.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&n.replace('"', "'"));
-        out.push('"');
+        format!("[{}]", json::join(events))
     }
 }
 
@@ -448,7 +399,7 @@ mod tests {
         assert!(json.contains("\"resources\":[\"egress r0\"]"), "{json}");
         // 5us busy over a 10us period: utilization 0.5.
         assert!(json.contains("\"utilization\":[0.5000]"), "{json}");
-        let chrome = s.to_chrome_json(2);
+        let chrome = s.to_chrome_json();
         assert!(chrome.starts_with('[') && chrome.ends_with(']'));
         assert!(chrome.contains("\"name\":\"serve.completed\",\"ph\":\"C\""));
         assert!(chrome.contains("\"name\":\"util egress r0\""));

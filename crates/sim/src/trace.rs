@@ -7,6 +7,7 @@
 //! Labels are interned once (at process spawn or first span use) and
 //! events store a small index, so recording does not allocate per step.
 
+use crate::json::{self, Pid};
 use crate::time::Time;
 
 /// What a [`TraceEvent`] marks.
@@ -108,138 +109,83 @@ impl Trace {
         open.values().map(|&v| v.unsigned_abs() as usize).sum()
     }
 
-    /// Serializes the timeline as Chrome trace-event JSON: one track per
-    /// process, duration (`B`/`E`) events for steps, async (`b`/`e`)
-    /// events for explicit spans. Process/thread name metadata events
-    /// label every track with its process label (rank/proxy names, not
-    /// bare ids). Load the output in <https://ui.perfetto.dev> or
-    /// `chrome://tracing`.
-    pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        self.push_metadata_json(&mut out);
-        self.push_events_json(&mut out);
-        out.push(']');
-        out
-    }
-
-    /// Emits `ph:"M"` process/thread name metadata so Perfetto renders
-    /// named tracks: pid 0 is "engine", and each process's track carries
-    /// the label the process registered at spawn (first step event wins).
-    fn push_metadata_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        if self.events.is_empty() {
-            return;
-        }
+    /// Serializes the timeline as Chrome trace-event JSON, loadable in
+    /// <https://ui.perfetto.dev> or `chrome://tracing`. Every process is
+    /// one track under [`Pid::Engine`], named after the label it
+    /// registered at spawn (rank/proxy names, not bare ids), with
+    /// duration (`B`/`E`) events for steps, async (`b`/`e`) events for
+    /// explicit spans and counter tracks for
+    /// [`TraceEventKind::Counter`] samples. A non-empty `highlight` adds
+    /// a critical-path track under [`Pid::CriticalPath`]: one duration
+    /// slice per segment, chained across the process tracks it runs
+    /// through with flow (`s`/`t`/`f`) arrows.
+    pub fn to_chrome_json(&self, highlight: &[HighlightSegment]) -> String {
+        let engine = Pid::Engine;
         let mut names: std::collections::BTreeMap<usize, u32> = Default::default();
         for e in &self.events {
             if matches!(e.kind, TraceEventKind::StepBegin | TraceEventKind::StepEnd) {
                 names.entry(e.proc_index).or_insert(e.label);
             }
         }
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{{\"name\":\"engine\"}}}}"
-        );
-        for (tid, label) in names {
-            let name = self.label(label).replace('"', "'");
-            let _ = write!(
-                out,
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"args\":{{\"name\":\"{name}\"}}}}"
-            );
-        }
-        out.push(',');
+        let threads = names.into_iter().map(|(tid, label)| {
+            let name = json::quote(self.label(label));
+            format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{engine},\"tid\":{tid},\"args\":{{\"name\":{name}}}}}"
+            )
+        });
+        let path = highlight.iter().enumerate().map(|(i, seg)| {
+            let cp = Pid::CriticalPath;
+            let name = json::quote(&seg.name);
+            let (b, e, tid) = (seg.from.as_us(), seg.to.as_us(), seg.proc_index);
+            let flow = match i {
+                0 => "\"s\"",
+                _ if i + 1 == highlight.len() => "\"f\",\"bp\":\"e\"",
+                _ => "\"t\"",
+            };
+            format!(
+                "{{\"name\":{name},\"cat\":\"critical-path\",\"ph\":\"B\",\"ts\":{b:.3},\"pid\":{cp},\"tid\":0}}\
+                 ,{{\"name\":{name},\"cat\":\"critical-path\",\"ph\":\"E\",\"ts\":{e:.3},\"pid\":{cp},\"tid\":0}}\
+                 ,{{\"name\":\"critical-path\",\"cat\":\"flow\",\"id\":1,\"ph\":{flow},\"ts\":{b:.3},\"pid\":{engine},\"tid\":{tid}}}"
+            )
+        });
+        let head = |pid: Pid, any: bool| any.then(|| pid.process_name());
+        let all = head(engine, !self.events.is_empty())
+            .into_iter()
+            .chain(threads)
+            .chain(self.events.iter().map(|e| self.event_json(e)))
+            .chain(head(Pid::CriticalPath, !highlight.is_empty()))
+            .chain(path);
+        format!("[{}]", json::join(all))
     }
 
-    fn push_events_json(&self, out: &mut String) {
-        use std::fmt::Write;
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let name = self.label(e.label).replace('"', "'");
-            let ts = e.at.as_us();
-            let tid = e.proc_index;
-            let _ = match e.kind {
-                TraceEventKind::StepBegin => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"B\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::StepEnd => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::SpanBegin => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"id\":{tid},\"ph\":\"b\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::SpanEnd => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"id\":{tid},\"ph\":\"e\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid}}}"
-                ),
-                TraceEventKind::Instant => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"ts\":{ts:.3},\"pid\":0,\"tid\":{tid},\"s\":\"t\"}}"
-                ),
-                TraceEventKind::Counter(v) => write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":0,\"args\":{{\"value\":{v}}}}}"
-                ),
-            };
+    fn event_json(&self, e: &TraceEvent) -> String {
+        let name = json::quote(self.label(e.label));
+        let (ts, pid, tid) = (e.at.as_us(), Pid::Engine, e.proc_index);
+        match e.kind {
+            TraceEventKind::StepBegin => format!(
+                "{{\"name\":{name},\"ph\":\"B\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid}}}"
+            ),
+            TraceEventKind::StepEnd => format!(
+                "{{\"name\":{name},\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid}}}"
+            ),
+            TraceEventKind::SpanBegin => format!(
+                "{{\"name\":{name},\"cat\":\"span\",\"id\":{tid},\"ph\":\"b\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid}}}"
+            ),
+            TraceEventKind::SpanEnd => format!(
+                "{{\"name\":{name},\"cat\":\"span\",\"id\":{tid},\"ph\":\"e\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid}}}"
+            ),
+            TraceEventKind::Instant => format!(
+                "{{\"name\":{name},\"ph\":\"i\",\"ts\":{ts:.3},\"pid\":{pid},\"tid\":{tid},\"s\":\"t\"}}"
+            ),
+            TraceEventKind::Counter(v) => format!(
+                "{{\"name\":{name},\"ph\":\"C\",\"ts\":{ts:.3},\"pid\":{pid},\"args\":{{\"value\":{v}}}}}"
+            ),
         }
-    }
-
-    /// Serializes the timeline like [`Trace::to_chrome_json`], but also
-    /// renders [`TraceEventKind::Counter`] samples as Perfetto counter
-    /// tracks and overlays `highlight` as a dedicated *critical-path*
-    /// track (`pid` 1): one duration slice per segment, chained across
-    /// the contributing process tracks with flow (`s`/`t`/`f`) arrows so
-    /// the path is visually traceable through the timeline.
-    pub fn to_chrome_json_with_counters(&self, highlight: &[HighlightSegment]) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("[");
-        self.push_metadata_json(&mut out);
-        self.push_events_json(&mut out);
-        if !self.events.is_empty() && !highlight.is_empty() {
-            out.push(',');
-        }
-        if !highlight.is_empty() {
-            let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{{\"name\":\"critical-path\"}}}}"
-            );
-        }
-        for (i, seg) in highlight.iter().enumerate() {
-            let name = seg.name.replace('"', "'");
-            let b = seg.from.as_us();
-            let e = seg.to.as_us();
-            let _ = write!(
-                out,
-                ",{{\"name\":\"{name}\",\"cat\":\"critical-path\",\"ph\":\"B\",\"ts\":{b:.3},\"pid\":1,\"tid\":0}}\
-                 ,{{\"name\":\"{name}\",\"cat\":\"critical-path\",\"ph\":\"E\",\"ts\":{e:.3},\"pid\":1,\"tid\":0}}"
-            );
-            // Flow arrows stitch the path across the process tracks it
-            // runs through.
-            let ph = if i == 0 {
-                "s"
-            } else if i + 1 == highlight.len() {
-                "f"
-            } else {
-                "t"
-            };
-            let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-            let tid = seg.proc_index;
-            let _ = write!(
-                out,
-                ",{{\"name\":\"critical-path\",\"cat\":\"flow\",\"id\":1,\"ph\":\"{ph}\"{bp},\"ts\":{b:.3},\"pid\":0,\"tid\":{tid}}}"
-            );
-        }
-        out.push(']');
-        out
     }
 }
 
-/// One segment of a critical path, for
-/// [`Trace::to_chrome_json_with_counters`]'s highlight track.
+/// One segment of a critical path, for [`Trace::to_chrome_json`]'s
+/// highlight track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HighlightSegment {
     /// Slice name (e.g. the blame bucket and the resource or process it
@@ -314,7 +260,7 @@ mod tests {
         e.enable_tracing();
         e.spawn(Ticker(1));
         e.run().unwrap();
-        let json = e.take_trace().unwrap().to_chrome_json();
+        let json = e.take_trace().unwrap().to_chrome_json(&[]);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"name\":\"ticker\""));
         assert!(json.contains("\"ph\":\"B\""));
@@ -328,28 +274,23 @@ mod tests {
         e.spawn(Ticker(1));
         e.spawn(Ticker(1));
         e.run().unwrap();
-        let trace = e.take_trace().unwrap();
-        for json in [
-            trace.to_chrome_json(),
-            trace.to_chrome_json_with_counters(&[]),
-        ] {
-            assert!(
-                json.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0"),
-                "{json}"
-            );
-            assert!(
-                json.contains(
-                    "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"ticker\"}"
-                ),
-                "{json}"
-            );
-            assert!(
-                json.contains("\"tid\":1,\"args\":{\"name\":\"ticker\"}"),
-                "{json}"
-            );
-        }
+        let json = e.take_trace().unwrap().to_chrome_json(&[]);
+        assert!(
+            json.contains("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0"),
+            "{json}"
+        );
+        assert!(
+            json.contains(
+                "\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"ticker\"}"
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"tid\":1,\"args\":{\"name\":\"ticker\"}"),
+            "{json}"
+        );
         // An empty trace emits no orphan metadata (still valid JSON).
-        assert_eq!(Trace::default().to_chrome_json(), "[]");
+        assert_eq!(Trace::default().to_chrome_json(&[]), "[]");
     }
 
     #[test]
@@ -379,7 +320,7 @@ mod tests {
         e.run().unwrap();
         let trace = e.take_trace().unwrap();
         assert_eq!(trace.unmatched_begins(), 0);
-        let json = trace.to_chrome_json();
+        let json = trace.to_chrome_json(&[]);
         assert!(json.contains("\"name\":\"phase.copy\",\"cat\":\"span\""));
         assert!(json.contains("\"ph\":\"b\""));
         assert!(json.contains("\"ph\":\"e\""));

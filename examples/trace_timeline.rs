@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", report.render());
 
     let highlight = report.highlight(&graph);
-    let json = trace.to_chrome_json_with_counters(&highlight);
+    let json = trace.to_chrome_json(&highlight);
     let dir = std::env::var("RESULTS_DIR").unwrap_or_else(|_| "results".to_owned());
     std::fs::create_dir_all(&dir)?;
     let path = format!("{dir}/allreduce_trace.json");

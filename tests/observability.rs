@@ -88,7 +88,7 @@ fn collective_trace_spans_all_pair_up() {
     let trace = e.take_trace().expect("tracing was enabled");
     assert!(!trace.is_empty());
     assert_eq!(trace.unmatched_begins(), 0, "span begin without end");
-    let json = trace.to_chrome_json();
+    let json = trace.to_chrome_json(&[]);
     assert!(json.contains("\"wait."), "wait spans missing from export");
 }
 
@@ -120,7 +120,7 @@ fn port_channel_trace_carries_fifo_depth_counters() {
         })
         .count();
     assert!(depth_samples > 0, "no fifo.depth counter samples recorded");
-    let json = trace.to_chrome_json_with_counters(&[]);
+    let json = trace.to_chrome_json(&[]);
     assert!(json.contains("\"ph\":\"C\""), "counter events missing");
     assert!(json.contains("fifo.depth rank"));
 }
@@ -411,7 +411,7 @@ fn serving_gauges_land_in_the_engine_trace_as_counter_tracks() {
         samples > 0,
         "no serve.* counter samples in the engine trace"
     );
-    let json = t.to_chrome_json_with_counters(&[]);
+    let json = t.to_chrome_json(&[]);
     for name in ["serve.queue_depth", "serve.running", "serve.kv_used_blocks"] {
         assert!(json.contains(name), "{name} counter track missing");
     }
@@ -449,4 +449,161 @@ fn disabling_observability_does_not_perturb_serving() {
     assert!(!on.worst_misses.is_empty());
     on.worst_misses.clear();
     assert_eq!(on, off, "observability changed the simulation");
+}
+
+// ---- One JSON policy for every artifact (DESIGN.md §7) ----
+
+/// Every string a JSON reader can find in `v`, decoded, in order.
+fn json_strings(v: &str) -> Vec<String> {
+    match v.trim_start().as_bytes().first() {
+        Some(b'"') => vec![sim::json::unquote(v.trim()).expect("well-formed string")],
+        Some(b'[' | b'{') => sim::json::items(v).flat_map(json_strings).collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The process names of a Chrome-trace document by pid, after checking
+/// that every event sits on a named process.
+fn perfetto_processes(doc: &str) -> std::collections::BTreeMap<u32, String> {
+    use sim::json;
+    let events: Vec<&str> = json::items(doc).collect();
+    let named: std::collections::BTreeMap<u32, String> = events
+        .iter()
+        .filter(|ev| json::field(ev, "name") == Some("\"process_name\""))
+        .map(|ev| {
+            let args = json::field(ev, "args").expect("metadata args");
+            let name = json::unquote(json::field(args, "name").expect("process name"));
+            (json::get(ev, "pid").expect("pid"), name.expect("string"))
+        })
+        .collect();
+    for ev in &events {
+        let pid: u32 = json::get(ev, "pid").expect("every event has a pid");
+        assert!(named.contains_key(&pid), "event on an unnamed pid: {ev}");
+    }
+    named
+}
+
+/// Labels carrying `"`, `\`, a newline and U+0001 (a process label, a
+/// counter, a gauge and a resource label) come out of the engine trace,
+/// both telemetry exports and the bench report escaped, with no raw
+/// control byte, and read back exactly. Each Perfetto document sits on
+/// its own pid: engine 0 and critical path 1, requests 2, telemetry 3.
+#[test]
+fn hostile_labels_export_as_valid_json_on_fixed_pids() {
+    use sim::{Ctx, Duration, HighlightSegment, Process, ResourceId, Step, Time};
+    use sim::{Sampler, SamplerConfig};
+
+    let name = |kind: &str| format!("{kind} rank \"0\"\\\nproxy\u{1}");
+    struct Hostile {
+        link: ResourceId,
+        label: String,
+        counter: String,
+        left: u32,
+    }
+    impl Process<()> for Hostile {
+        fn step(&mut self, ctx: &mut Ctx<'_, ()>) -> Step {
+            if self.left == 0 {
+                return Step::Done;
+            }
+            self.left -= 1;
+            ctx.acquire(self.link, Duration::from_us(5.0));
+            ctx.count(&self.counter, 1);
+            ctx.trace_counter(&self.counter, 1);
+            Step::Yield(Duration::from_us(10.0))
+        }
+        fn label(&self) -> String {
+            self.label.clone()
+        }
+    }
+    let mut e = Engine::new(());
+    e.enable_tracing();
+    let link = e.alloc_resource();
+    e.label_resource(link, &name("link"));
+    let mut sampler = Sampler::new(SamplerConfig::new(10.0, 4), &[name("gauge").as_str()]);
+    sampler.track_counter(e.metrics_mut(), &name("counter"));
+    sampler.track_resources(e.metrics());
+    e.spawn(Hostile {
+        link,
+        label: name("process"),
+        counter: name("counter"),
+        left: 1,
+    });
+    e.run().unwrap();
+    sampler.sample(e.now(), e.metrics(), &[7]);
+    assert_eq!(sampler.len(), 1);
+
+    let highlight = [HighlightSegment {
+        name: name("path"),
+        from: Time::ZERO,
+        to: e.now(),
+        proc_index: 0,
+    }];
+    let trace = e
+        .take_trace()
+        .expect("tracing enabled")
+        .to_chrome_json(&highlight);
+    let run = bench::report::StackRun {
+        stack: name("stack"),
+        bytes: 1,
+        latency_us: 1.0,
+        verified: true,
+        semantics_verified: true,
+        counters: vec![(name("counter"), 1)],
+        links: vec![bench::report::LinkStat {
+            label: name("link"),
+            busy_us: 0.5,
+            bytes: 1,
+            acquires: 1,
+            queue_delay_us: 0.0,
+            utilization: 0.5,
+        }],
+    };
+    let target = bench::Target {
+        env: EnvKind::A100_40G,
+        nodes: 1,
+    };
+    let report = bench::report::runs_to_json(&name("title"), target, None, &[run]);
+    let docs = [
+        (&trace, vec!["process", "counter", "path"]),
+        (&sampler.to_json(), vec!["counter", "gauge", "link"]),
+        (
+            &sampler.to_chrome_json(),
+            vec!["counter", "gauge", "util link"],
+        ),
+        (&report, vec!["title", "stack", "counter", "link"]),
+    ];
+    for (doc, labels) in docs {
+        assert!(
+            !doc.trim_end().bytes().any(|b| b < 0x20),
+            "raw control byte in {doc}"
+        );
+        let strings = json_strings(doc);
+        for kind in labels {
+            assert!(
+                strings.contains(&name(kind)),
+                "{kind} label did not round-trip: {strings:?}"
+            );
+        }
+    }
+
+    let processes = |doc: &str| perfetto_processes(doc).into_iter().collect::<Vec<_>>();
+    let named = |pid: u32, name: &str| (pid, name.to_owned());
+    assert_eq!(
+        processes(&trace),
+        [named(0, "engine"), named(1, "critical-path")]
+    );
+    assert_eq!(
+        processes(&sampler.to_chrome_json()),
+        [named(3, "telemetry")]
+    );
+    let mut tracer = inference::RequestTracer::new(1, true);
+    tracer.turn_away(0, 0, 1_000, inference::Terminal::Shed);
+    let obs = inference::ServeObservation {
+        timelines: tracer.into_timelines(),
+        telemetry: None,
+    };
+    assert_eq!(
+        processes(&obs.timelines_chrome_json()),
+        [named(2, "requests")]
+    );
 }
