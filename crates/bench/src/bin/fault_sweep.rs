@@ -16,8 +16,8 @@
 //!    the default selection re-plans onto the ring fallback whose
 //!    Hamiltonian ordering routes around the dead link.
 
-use bench::report::{observe_mscclpp_faulted, runs_to_json, write_results_json, StackRun};
-use bench::{fmt_bytes, Target};
+use bench::report::{observe, runs_to_json, write_results_json, StackRun};
+use bench::{fmt_bytes, Pick, Stack, Target};
 use collective::AllReduceAlgo;
 use hw::EnvKind;
 use sim::{json, FaultPlan, Time};
@@ -59,12 +59,8 @@ fn main() {
         fmt_bytes(bytes)
     );
     let healthy_plan = FaultPlan::new(7);
-    let healthy = observe_mscclpp_faulted(
-        t,
-        bytes,
-        healthy_plan.clone(),
-        Some(AllReduceAlgo::TwoPhasePort),
-    );
+    let port = Pick::AllReduce(AllReduceAlgo::TwoPhasePort);
+    let healthy = observe(Stack::Mscclpp, t, bytes, port, Some(&healthy_plan));
     print_run("healthy", &healthy, healthy.latency_us);
     scenarios.push(runs_to_json(
         "flap sweep: healthy baseline",
@@ -74,8 +70,7 @@ fn main() {
     ));
     for (i, flap_us) in [20u64, 100, 500, 2000].into_iter().enumerate() {
         let plan = flap_gpu0(FaultPlan::new(7), t.world(), us(2), us(2 + flap_us));
-        let run =
-            observe_mscclpp_faulted(t, bytes, plan.clone(), Some(AllReduceAlgo::TwoPhasePort));
+        let run = observe(Stack::Mscclpp, t, bytes, port, Some(&plan));
         print_run(&format!("flap {flap_us} us"), &run, healthy.latency_us);
         assert!(
             run.counter("retry.attempts") > 0,
@@ -84,8 +79,7 @@ fn main() {
         if i == 0 {
             // Determinism: the same seed + plan must reproduce the run
             // bit-exactly — timings and every counter.
-            let again =
-                observe_mscclpp_faulted(t, bytes, plan.clone(), Some(AllReduceAlgo::TwoPhasePort));
+            let again = observe(Stack::Mscclpp, t, bytes, port, Some(&plan));
             assert_eq!(run.latency_us, again.latency_us, "nondeterministic latency");
             assert_eq!(run.counters, again.counters, "nondeterministic counters");
             println!("{:>24}: identical latency and counters on rerun", "replay");
@@ -108,7 +102,7 @@ fn main() {
         "\n==== multimem death (H100, {}): TwoPhaseSwitch -> TwoPhaseHb ====",
         fmt_bytes(bytes)
     );
-    let healthy = observe_mscclpp_faulted(t, bytes, FaultPlan::new(7), None);
+    let healthy = observe(Stack::Mscclpp, t, bytes, Pick::Default, Some(&healthy_plan));
     print_run("healthy (switch)", &healthy, healthy.latency_us);
     scenarios.push(runs_to_json(
         "multimem death: healthy baseline",
@@ -117,7 +111,7 @@ fn main() {
         std::slice::from_ref(&healthy),
     ));
     let plan = FaultPlan::new(7).multimem_down_forever(Time::ZERO);
-    let run = observe_mscclpp_faulted(t, bytes, plan.clone(), None);
+    let run = observe(Stack::Mscclpp, t, bytes, Pick::Default, Some(&plan));
     print_run("multimem dead (hb)", &run, healthy.latency_us);
     assert!(run.counter("fault.replans") > 0, "no re-plan recorded");
     assert_eq!(run.counter("instr.switch_reduce"), 0);
@@ -138,7 +132,7 @@ fn main() {
         "\n==== dead mesh link (MI300X, {}): all-pairs -> ring ====",
         fmt_bytes(bytes)
     );
-    let healthy = observe_mscclpp_faulted(t, bytes, FaultPlan::new(7), None);
+    let healthy = observe(Stack::Mscclpp, t, bytes, Pick::Default, Some(&healthy_plan));
     print_run("healthy (all-pairs)", &healthy, healthy.latency_us);
     scenarios.push(runs_to_json(
         "dead link: healthy baseline",
@@ -147,7 +141,7 @@ fn main() {
         std::slice::from_ref(&healthy),
     ));
     let plan = FaultPlan::new(7).link_down_forever(2, 3, Time::ZERO);
-    let run = observe_mscclpp_faulted(t, bytes, plan.clone(), None);
+    let run = observe(Stack::Mscclpp, t, bytes, Pick::Default, Some(&plan));
     print_run("link 2<->3 dead (ring)", &run, healthy.latency_us);
     assert!(run.counter("fault.replans") > 0, "no re-plan recorded");
     assert!(

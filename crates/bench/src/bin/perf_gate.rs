@@ -10,7 +10,7 @@
 //! Environment:
 //!   RESULTS_DIR         output directory (default `results`)
 //!   PERF_GATE_TOL       fractional tolerance band on p50 (default 0.10)
-//!   PERF_GATE_WALL_TOL  tolerance for wall-clock `engine/` cases
+//!   PERF_GATE_WALL_TOL  tolerance for wall-clock cases
 //!                       (default 0.60 — CI runners are noisy)
 //!   PERF_GATE_ITERS     iterations per collective case (default 3)
 //!   PERF_GATE_THREADS   worker threads for simulated-latency cases
@@ -47,9 +47,8 @@ fn main() {
         wall_tol * 100.0
     );
     // Simulated-latency cases are deterministic, so they can fan out
-    // across threads; wall-clock (engine-throughput) cases run serially
-    // afterwards so nothing competes with them for the machine. Results
-    // are re-emitted in pinned-suite order either way.
+    // across threads; wall-clock cases run serially afterwards so nothing
+    // competes with them for the machine. Results keep that order.
     let (sim_cases, wall_cases): (Vec<&gate::Case>, Vec<&gate::Case>) =
         suite.iter().partition(|c| !c.is_wall_clock());
     let mut results: Vec<gate::CaseResult> =
@@ -57,23 +56,18 @@ fn main() {
     for case in &wall_cases {
         results.push(gate::run_case(case, iters));
     }
-    for r in &results {
-        if r.name.starts_with("serving-observability/") {
-            println!(
-                "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {:>8.2}% overhead",
-                r.name, r.p50_us, r.p95_us, r.p99_us, r.eps
-            );
-        } else if r.eps > 0.0 {
-            println!(
-                "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {:>10.0} ev/s",
-                r.name, r.p50_us, r.p95_us, r.p99_us, r.eps
-            );
-        } else {
-            println!(
-                "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  max {:>10.1}us",
-                r.name, r.p50_us, r.p95_us, r.p99_us, r.max_us
-            );
-        }
+    for (case, r) in sim_cases.iter().chain(&wall_cases).zip(&results) {
+        let clock = if case.is_wall_clock() { "host" } else { "sim" };
+        let aux = match case {
+            gate::Case::EngineThroughput { .. } => format!("{:>10.0} ev/s", r.eps),
+            gate::Case::ServingGoodput => format!("{:>10.1} req/s goodput", r.eps),
+            gate::Case::ServingObservability => format!("{:>8.2}% overhead", r.eps),
+            _ => format!("max {:>10.1}us", r.max_us),
+        };
+        println!(
+            "  {:<48} {clock:<4} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {aux}",
+            r.name, r.p50_us, r.p95_us, r.p99_us
+        );
     }
 
     let date = std::env::var("BENCH_DATE").unwrap_or_else(|_| today_utc());

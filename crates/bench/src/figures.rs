@@ -6,12 +6,13 @@
 //! roughly what factor, and where the crossovers fall — is the
 //! reproduction target (see EXPERIMENTS.md at the repository root).
 
+use collective::{AllReduceAlgo, PeerOrder, ScratchReuse};
 use hw::EnvKind;
 use inference::{BatchConfig, ModelConfig, MscclppBackend, NcclBackend, ServingEngine};
 
+use crate::report::{runs_to_json, snapshot, write_results_json, StackRun};
 use crate::{
-    fmt_bytes, large_sizes, msccl_allgather, msccl_allreduce, mscclpp_allgather, mscclpp_allreduce,
-    nccl_allgather, nccl_allreduce, print_sweep, small_sizes, Target,
+    fmt_bytes, large_sizes, measure, print_sweep, small_sizes, Coll, Pick, Point, Stack, Target,
 };
 
 /// Table 1: the evaluation environments.
@@ -52,34 +53,41 @@ pub fn table1() {
     }
 }
 
-/// One AllReduce sweep (small: latency µs; large: AlgoBW GB/s).
-fn allreduce_sweep(t: Target, max_large: usize, env_name: &str) {
+/// One verified, healthy point: `bytes` per rank in, reported over the
+/// message each rank ends up holding.
+fn point(stack: Stack, coll: Coll, t: Target, bytes: usize, pick: Pick) -> Point {
+    Point {
+        bytes: coll.out_bytes(bytes, t.world()),
+        latency_us: measure(stack, coll, t, bytes, pick, None).0,
+    }
+}
+
+/// One sweep of `coll` (small: latency µs; large: AlgoBW GB/s). Sizes
+/// are the message each rank ends up holding (the gathered total for
+/// AllGather).
+fn sweep(coll: Coll, t: Target, max_large: usize, env_name: &str) {
+    let per_rank = |b: usize| b / coll.out_bytes(1, t.world());
+    let row = |b: usize, metric: fn(&Point) -> f64| {
+        let [n, m, p] = Stack::ALL.map(|s| metric(&point(s, coll, t, per_rank(b), Pick::Default)));
+        (b, n, m, p)
+    };
     let small: Vec<_> = small_sizes()
         .into_iter()
-        .map(|b| {
-            let n = nccl_allreduce(t, b);
-            let m = msccl_allreduce(t, b);
-            let p = mscclpp_allreduce(t, b, None);
-            (b, n.latency_us, m.latency_us, p.latency_us)
-        })
+        .filter(|&b| per_rank(b) >= 16)
+        .map(|b| row(b, |p| p.latency_us))
         .collect();
     print_sweep(
-        &format!("AllReduce {env_name} {} small (latency)", t.label()),
+        &format!("{coll:?} {env_name} {} small (latency)", t.label()),
         "us",
         &small,
         |r| (r.1 / r.3, r.2 / r.3),
     );
     let large: Vec<_> = large_sizes(max_large)
         .into_iter()
-        .map(|b| {
-            let n = nccl_allreduce(t, b);
-            let m = msccl_allreduce(t, b);
-            let p = mscclpp_allreduce(t, b, None);
-            (b, n.algbw_gbps(), m.algbw_gbps(), p.algbw_gbps())
-        })
+        .map(|b| row(b, Point::algbw_gbps))
         .collect();
     print_sweep(
-        &format!("AllReduce {env_name} {} large (AlgoBW)", t.label()),
+        &format!("{coll:?} {env_name} {} large (AlgoBW)", t.label()),
         "GB/s",
         &large,
         |r| (r.3 / r.1, r.3 / r.2),
@@ -98,7 +106,8 @@ pub fn fig8(full: bool) {
         [(1usize, 16 << 20), (2, 4 << 20), (4, 1 << 20)]
     };
     for (nodes, cap) in caps {
-        allreduce_sweep(
+        sweep(
+            Coll::AllReduce,
             Target {
                 env: EnvKind::A100_40G,
                 nodes,
@@ -107,44 +116,6 @@ pub fn fig8(full: bool) {
             "A100-40G",
         );
     }
-}
-
-/// One AllGather sweep; `bytes` in tables is the gathered total.
-fn allgather_sweep(t: Target, max_large_total: usize, env_name: &str) {
-    let w = t.world();
-    let small: Vec<_> = small_sizes()
-        .into_iter()
-        .filter(|b| b / w >= 16)
-        .map(|b| {
-            let per = b / w;
-            let n = nccl_allgather(t, per);
-            let m = msccl_allgather(t, per);
-            let p = mscclpp_allgather(t, per);
-            (b, n.latency_us, m.latency_us, p.latency_us)
-        })
-        .collect();
-    print_sweep(
-        &format!("AllGather {env_name} {} small (latency)", t.label()),
-        "us",
-        &small,
-        |r| (r.1 / r.3, r.2 / r.3),
-    );
-    let large: Vec<_> = large_sizes(max_large_total)
-        .into_iter()
-        .map(|b| {
-            let per = b / w;
-            let n = nccl_allgather(t, per);
-            let m = msccl_allgather(t, per);
-            let p = mscclpp_allgather(t, per);
-            (b, n.algbw_gbps(), m.algbw_gbps(), p.algbw_gbps())
-        })
-        .collect();
-    print_sweep(
-        &format!("AllGather {env_name} {} large (AlgoBW)", t.label()),
-        "GB/s",
-        &large,
-        |r| (r.3 / r.1, r.3 / r.2),
-    );
 }
 
 /// Figure 9: AllGather on A100-40G across 1, 2, and 4 nodes.
@@ -156,7 +127,8 @@ pub fn fig9(full: bool) {
         [(1usize, 16 << 20), (2, 4 << 20), (4, 1 << 20)]
     };
     for (nodes, cap) in caps {
-        allgather_sweep(
+        sweep(
+            Coll::AllGather,
             Target {
                 env: EnvKind::A100_40G,
                 nodes,
@@ -235,17 +207,15 @@ pub fn fig11(full: bool) {
         env: EnvKind::H100,
         nodes: 1,
     };
-    allreduce_sweep(t, if full { 256 << 20 } else { 16 << 20 }, "H100");
-
     let bytes = if full { 256 << 20 } else { 16 << 20 };
-    let switch = mscclpp_allreduce(t, bytes, Some(collective::AllReduceAlgo::TwoPhaseSwitch));
-    let mem = mscclpp_allreduce(
-        t,
-        bytes,
-        Some(collective::AllReduceAlgo::TwoPhaseHb {
-            order: collective::PeerOrder::Staggered,
-        }),
-    );
+    sweep(Coll::AllReduce, t, bytes, "H100");
+
+    let staggered = AllReduceAlgo::TwoPhaseHb {
+        order: PeerOrder::Staggered,
+    };
+    let [switch, mem] = [AllReduceAlgo::TwoPhaseSwitch, staggered]
+        .map(Pick::AllReduce)
+        .map(|pick| point(Stack::Mscclpp, Coll::AllReduce, t, bytes, pick));
     println!(
         "\nSwitchChannel vs equivalent MemoryChannel at {}: {:.0} vs {:.0} GB/s (+{:.0}%)  [paper: +56%]",
         fmt_bytes(bytes),
@@ -258,7 +228,8 @@ pub fn fig11(full: bool) {
 /// Figure 12: AllReduce on MI300x (single node) vs RCCL/MSCCL.
 pub fn fig12(full: bool) {
     println!("\n==== Figure 12: AllReduce, MI300x, single node (RCCL baseline) ====");
-    allreduce_sweep(
+    sweep(
+        Coll::AllReduce,
         Target {
             env: EnvKind::MI300X,
             nodes: 1,
@@ -276,9 +247,7 @@ pub fn gain_breakdown(full: bool) {
         env: EnvKind::A100_40G,
         nodes: 1,
     };
-    let n = nccl_allreduce(t, 1 << 10);
-    let m = msccl_allreduce(t, 1 << 10);
-    let p = mscclpp_allreduce(t, 1 << 10, None);
+    let [n, m, p] = Stack::ALL.map(|s| point(s, Coll::AllReduce, t, 1 << 10, Pick::Default));
     println!(
         "1KB AllReduce latency: NCCL {:.1}us, MSCCL {:.1}us, MSCCL++ {:.1}us \
          (MSCCL->MSCCL++ cut {:.0}%)  [paper: 9.5us -> 5.0us, 47%]",
@@ -288,14 +257,12 @@ pub fn gain_breakdown(full: bool) {
         (1.0 - p.latency_us / m.latency_us) * 100.0
     );
     let bytes = if full { 256 << 20 } else { 16 << 20 };
-    let port = mscclpp_allreduce(t, bytes, Some(collective::AllReduceAlgo::TwoPhasePort));
-    let mem = mscclpp_allreduce(
-        t,
-        bytes,
-        Some(collective::AllReduceAlgo::TwoPhaseHb {
-            order: collective::PeerOrder::Staggered,
-        }),
-    );
+    let staggered = AllReduceAlgo::TwoPhaseHb {
+        order: PeerOrder::Staggered,
+    };
+    let [port, mem] = [AllReduceAlgo::TwoPhasePort, staggered]
+        .map(Pick::AllReduce)
+        .map(|pick| point(Stack::Mscclpp, Coll::AllReduce, t, bytes, pick));
     println!(
         "PortChannel vs MemoryChannel AllReduce at {}: {:.0} vs {:.0} GB/s (+{:.1}%)  \
          [paper: +6.2% at 1GB; 256MB is this reproduction's memory cap]",
@@ -451,22 +418,13 @@ pub fn ablation_rotation() {
         nodes: 1,
     };
     for bytes in [32 << 10, 256 << 10, 1 << 20] {
-        let rot = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseLl {
-                reuse: collective::ScratchReuse::Rotate,
-                order: collective::PeerOrder::Staggered,
-            }),
-        );
-        let bar = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseLl {
-                reuse: collective::ScratchReuse::Barrier,
-                order: collective::PeerOrder::Staggered,
-            }),
-        );
+        let [rot, bar] = [ScratchReuse::Rotate, ScratchReuse::Barrier].map(|reuse| {
+            let pick = Pick::AllReduce(AllReduceAlgo::TwoPhaseLl {
+                reuse,
+                order: PeerOrder::Staggered,
+            });
+            point(Stack::Mscclpp, Coll::AllReduce, t, bytes, pick)
+        });
         println!(
             "{:>8}: rotate {:.2}us, barrier {:.2}us (rotation saves {:.1}%)",
             fmt_bytes(bytes),
@@ -489,20 +447,10 @@ pub fn ablation_loop_order(full: bool) {
     } else {
         vec![1 << 20, 16 << 20]
     } {
-        let stag = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseHb {
-                order: collective::PeerOrder::Staggered,
-            }),
-        );
-        let seq = mscclpp_allreduce(
-            t,
-            bytes,
-            Some(collective::AllReduceAlgo::TwoPhaseHb {
-                order: collective::PeerOrder::Sequential,
-            }),
-        );
+        let [stag, seq] = [PeerOrder::Staggered, PeerOrder::Sequential].map(|order| {
+            let pick = Pick::AllReduce(AllReduceAlgo::TwoPhaseHb { order });
+            point(Stack::Mscclpp, Coll::AllReduce, t, bytes, pick)
+        });
         println!(
             "{:>8}: all-peers-at-once {:.0} GB/s, one-peer-at-a-time {:.0} GB/s ({:.2}x)",
             fmt_bytes(bytes),
@@ -517,82 +465,37 @@ pub fn ablation_loop_order(full: bool) {
 /// ports during a large AllReduce (the mechanism behind every bandwidth
 /// figure). MSCCL++'s zero-copy all-pairs keeps ports busy nearly the
 /// whole collective; NCCL's ring pays staging and synchronization gaps.
+/// NCCL runs at its size-based tuner's pick; both outputs are verified.
 pub fn utilization_report(full: bool) {
-    use hw::{DataType, Machine, Rank, ReduceOp};
-    use mscclpp::Setup;
-    use sim::Engine;
-
     println!("\n==== Link utilization during a large AllReduce (A100-40G, 8 GPUs) ====");
-    let bytes = if full { 64 << 20 } else { 16 << 20 };
-    let count = bytes / 2;
-
-    let mut runs: Vec<crate::report::StackRun> = Vec::new();
-    let mut report = |name: &str, stack: &str, run: &mut dyn FnMut() -> (Engine<Machine>, f64)| {
-        let (engine, elapsed_us) = run();
-        runs.push(crate::report::snapshot(stack, bytes, elapsed_us, &engine));
-        let util = hw::port_utilization(&engine);
-        let avg_egress: f64 = util
-            .iter()
-            .map(|u| u.egress_busy.as_us() / elapsed_us)
-            .sum::<f64>()
-            / util.len() as f64;
-        let avg_ingress: f64 = util
-            .iter()
-            .map(|u| u.ingress_busy.as_us() / elapsed_us)
-            .sum::<f64>()
-            / util.len() as f64;
-        println!(
-            "{name:>8}: {elapsed_us:>9.1} us | egress ports {:>5.1}% busy | ingress ports {:>5.1}% busy",
-            avg_egress * 100.0,
-            avg_ingress * 100.0
-        );
-    };
-
-    report("NCCL", "nccl", &mut || {
-        let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(1)));
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let bufs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-            .collect();
-        let t = comm
-            .all_reduce(
-                &mut e,
-                &bufs,
-                &bufs,
-                count,
-                DataType::F16,
-                ReduceOp::Sum,
-                ncclsim::tune(bytes, 1),
-            )
-            .unwrap()
-            .elapsed()
-            .as_us();
-        (e, t)
-    });
-    report("MSCCL++", "mscclpp", &mut || {
-        let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(1)));
-        hw::wire(&mut e);
-        let bufs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-            .collect();
-        let comm = collective::CollComm::new();
-        let t = comm
-            .all_reduce(&mut e, &bufs, &bufs, count, DataType::F16, ReduceOp::Sum)
-            .unwrap()
-            .elapsed()
-            .as_us();
-        (e, t)
-    });
-
-    let target = crate::Target {
+    let t = Target {
         env: EnvKind::A100_40G,
         nodes: 1,
     };
-    let json = crate::report::runs_to_json("utilization", target, None, &runs);
-    match crate::report::write_results_json("utilization.json", &json) {
+    let bytes = if full { 64 << 20 } else { 16 << 20 };
+    let stacks = [
+        ("NCCL", Stack::Nccl, Pick::Nccl(ncclsim::tune(bytes, 1))),
+        ("MSCCL++", Stack::Mscclpp, Pick::Default),
+    ];
+    let runs: Vec<StackRun> = stacks
+        .into_iter()
+        .map(|(name, stack, pick)| {
+            let (elapsed_us, engine) = measure(stack, Coll::AllReduce, t, bytes, pick, None);
+            let util = hw::port_utilization(&engine);
+            let avg_busy = |busy: fn(&hw::PortUtilization) -> sim::Duration| {
+                util.iter().map(|u| busy(u).as_us() / elapsed_us).sum::<f64>() / util.len() as f64
+            };
+            println!(
+                "{name:>8}: {elapsed_us:>9.1} us | egress ports {:>5.1}% busy | ingress ports {:>5.1}% busy",
+                avg_busy(|u| u.egress_busy) * 100.0,
+                avg_busy(|u| u.ingress_busy) * 100.0
+            );
+            snapshot(stack, bytes, elapsed_us, &engine)
+        })
+        .collect();
+
+    let json = runs_to_json("utilization", t, None, &runs);
+    match write_results_json("utilization.json", &json) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results/utilization.json: {e}"),
     }

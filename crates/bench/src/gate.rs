@@ -12,38 +12,8 @@ use profile::Histogram;
 use sim::json;
 
 use crate::report::SCHEMA_VERSION;
-use crate::Target;
-use hw::EnvKind;
-
-/// Which collective a [`Case`] measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Coll {
-    /// AllReduce over the full world.
-    AllReduce,
-    /// AllGather over the full world (`bytes` is the per-rank chunk).
-    AllGather,
-}
-
-/// Which stack runs the collective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// The NCCL model (ring/tree, tuner-pinned choice).
-    Nccl,
-    /// MSCCL over the NCCL transport.
-    Msccl,
-    /// MSCCL++ (default algorithm selection).
-    Mscclpp,
-}
-
-impl Stack {
-    fn name(self) -> &'static str {
-        match self {
-            Stack::Nccl => "nccl",
-            Stack::Msccl => "msccl",
-            Stack::Mscclpp => "mscclpp",
-        }
-    }
-}
+use crate::{Bench, Coll, Pick, Stack, Target};
+use hw::{DataType, EnvKind, ReduceOp};
 
 /// One pinned suite entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -493,42 +463,35 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
 /// covered by the `recovery_sweep` artifact; this case pins the
 /// *post-recovery* epoch's launch latency.
 fn iterate_shrunken_allreduce(target: Target, bytes: usize, iters: usize) -> Vec<f64> {
-    use hw::{BufferId, DataType, Rank, ReduceOp};
     use sim::{Duration, FaultPlan, Time};
-    let world = target.world();
-    let count = bytes / 2;
-    let mut e = sim::Engine::new(hw::Machine::new(target.env.spec(target.nodes)));
     // The detection timeout must exceed the shrunken leader-relay plan's
     // longest legitimate wait, or healthy post-recovery launches read as
     // further deaths.
-    e.set_fault_plan(
-        FaultPlan::new(7)
-            .rank_down(3, Time::from_ps(20_000_000))
-            .with_wait_timeout(Duration::from_us(2_000.0)),
-    );
-    hw::wire(&mut e);
-    let ins = crate::alloc_filled(&mut e, world, bytes);
-    let outs: Vec<BufferId> = (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
+    let plan = FaultPlan::new(7)
+        .rank_down(3, Time::from_ps(20_000_000))
+        .with_wait_timeout(Duration::from_us(2_000.0));
+    let mut b = Bench::new(Stack::Mscclpp, target, Some(plan));
+    let ins = b.inputs(bytes);
+    let outs = b.outputs(Coll::AllReduce, bytes);
+    let (e, count) = (&mut b.engine, bytes / 2);
     let comm = collective::CollComm::new();
-    comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
+    comm.all_reduce(e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
         .expect_err("the scheduled death must interrupt the collective");
-    let recovery = comm.shrink(&mut e, &[]).expect("shrink");
+    let recovery = comm.shrink(e, &[]).expect("shrink");
     assert_eq!(
         recovery.outcome,
         collective::RecoveryOutcome::Replayed,
         "shrunken-allreduce gate case"
     );
-    assert_eq!(recovery.group.len(), world - 1);
-    let mut lat = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let timing = comm
-            .all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-            .expect("shrunken steady-state launch");
-        lat.push(timing.elapsed().as_us());
-    }
-    lat
+    assert_eq!(recovery.group.len(), target.world() - 1);
+    (0..iters)
+        .map(|_| {
+            comm.all_reduce(e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
+                .expect("shrunken steady-state launch")
+                .elapsed()
+                .as_us()
+        })
+        .collect()
 }
 
 /// Times the full static verifier — happens-before graph, race scan,
@@ -537,21 +500,15 @@ fn iterate_shrunken_allreduce(target: Target, bytes: usize, iters: usize) -> Vec
 /// one cold verification (the verifier keeps no cross-run state), so the
 /// histogram is pure prover wall-clock.
 fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram {
-    use hw::{BufferId, DataType, Rank, ReduceOp};
-    let world = target.world();
-    let count = bytes / 2;
-    let mut e = crate::fresh_engine(target);
-    let ins = crate::alloc_filled(&mut e, world, bytes);
-    let outs: Vec<BufferId> = (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
-    let comm = collective::CollComm::new();
-    let (kernels, spec) = comm
+    let mut b = Bench::new(Stack::Mscclpp, target, None);
+    let ins = b.inputs(bytes);
+    let outs = b.outputs(Coll::AllReduce, bytes);
+    let (kernels, spec) = collective::CollComm::new()
         .plan_all_reduce_with(
-            &mut e,
+            &mut b.engine,
             &ins,
             &outs,
-            count,
+            bytes / 2,
             DataType::F16,
             ReduceOp::Sum,
             collective::AllReduceAlgo::HierHb,
@@ -561,7 +518,8 @@ fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram 
     let mut h = Histogram::new();
     for _ in 0..iters {
         let t0 = std::time::Instant::now();
-        let report = commverify::analyze_collective(&kernels, e.world().pool(), &checks, &spec);
+        let report =
+            commverify::analyze_collective(&kernels, b.engine.world().pool(), &checks, &spec);
         h.record(t0.elapsed().as_nanos() as u64);
         assert!(
             report.is_clean(),
@@ -582,36 +540,33 @@ fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram 
 /// only launch + simulation cost. An untimed warmup launch prepares and
 /// verifies the plan and absorbs first-touch allocation.
 fn run_engine_throughput(target: Target, bytes: usize, iters: usize) -> (Histogram, f64) {
-    use hw::{BufferId, DataType, Rank, ReduceOp};
-    let world = target.world();
-    let count = bytes / 2;
-    let mut e = crate::fresh_engine(target);
-    let outs: Vec<BufferId> = (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
-    let comm = collective::CollComm::new();
+    let mut b = Bench::new(Stack::Mscclpp, target, None);
+    let outs = b.outputs(Coll::AllReduce, bytes);
+    let ins = b.inputs(bytes);
+    let launch = |b: &mut Bench| {
+        b.launch(Coll::AllReduce, &ins, &outs, Pick::Default)
+            .expect("engine throughput case");
+    };
+    launch(&mut b);
     let mut h = Histogram::new();
-    let ins = crate::alloc_filled(&mut e, world, bytes);
-    comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-        .expect("engine throughput warmup");
-    let ev0 = e.events_processed();
+    let ev0 = b.engine.events_processed();
     let t0 = std::time::Instant::now();
     for _ in 0..iters {
         let it0 = std::time::Instant::now();
-        comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-            .expect("engine throughput case");
+        launch(&mut b);
         h.record(it0.elapsed().as_nanos() as u64);
     }
     let wall = t0.elapsed().as_secs_f64();
-    let events = e.events_processed() - ev0;
-    crate::verify_allreduce(&e, &outs, bytes, world, "engine");
+    let events = b.engine.events_processed() - ev0;
+    b.verify(Coll::AllReduce, &outs, bytes);
     (h, events as f64 / wall.max(1e-9))
 }
 
-/// Runs a collective `iters` times on one warm engine, returning each
-/// iteration's latency in µs. Output correctness is verified on the
-/// final iteration (earlier iterations reduce in place over already
-/// reduced data, so only timing is meaningful there).
+/// Runs a collective `iters` times on one warm communicator, returning
+/// each iteration's latency in µs. Every iteration fills fresh inputs
+/// and writes the same outputs, which are verified after the last one.
+/// NCCL runs at its tuner's pick, not fine-tuned: the case pins one
+/// plan's latency.
 fn iterate_collective(
     coll: Coll,
     stack: Stack,
@@ -619,116 +574,19 @@ fn iterate_collective(
     bytes: usize,
     iters: usize,
 ) -> Vec<f64> {
-    use hw::{BufferId, DataType, Rank, ReduceOp};
-    let count = bytes / 2;
-    let world = target.world();
-    let mut e = crate::fresh_engine(target);
-    let out_len = match coll {
-        Coll::AllReduce => bytes,
-        Coll::AllGather => bytes * world,
-    };
-    let outs: Vec<BufferId> = (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), out_len))
+    let mut b = Bench::new(stack, target, None);
+    let outs = b.outputs(coll, bytes);
+    let lat = (0..iters)
+        .map(|_| {
+            let ins = b.inputs(bytes);
+            b.launch(coll, &ins, &outs, Pick::Default)
+                .unwrap_or_else(|err| panic!("{} gate case: {err}", stack.name()))
+                .elapsed()
+                .as_us()
+        })
         .collect();
-    let mut lat = Vec::with_capacity(iters);
-
-    match stack {
-        Stack::Mscclpp => {
-            let comm = collective::CollComm::new();
-            for it in 0..iters {
-                let ins = crate::alloc_filled(&mut e, world, bytes);
-                let timing = match coll {
-                    Coll::AllReduce => {
-                        comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-                    }
-                    Coll::AllGather => comm.all_gather(&mut e, &ins, &outs, count, DataType::F16),
-                }
-                .expect("mscclpp gate case");
-                lat.push(timing.elapsed().as_us());
-                if it + 1 == iters {
-                    verify(&e, coll, &outs, bytes, world, "mscclpp");
-                }
-            }
-        }
-        Stack::Nccl => {
-            let comm = {
-                let mut setup = mscclpp::Setup::new(&mut e);
-                ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-            };
-            let choice = ncclsim::tune(
-                match coll {
-                    Coll::AllReduce => bytes,
-                    Coll::AllGather => bytes * world,
-                },
-                target.nodes,
-            );
-            for it in 0..iters {
-                let ins = crate::alloc_filled(&mut e, world, bytes);
-                let timing = match coll {
-                    Coll::AllReduce => comm.all_reduce(
-                        &mut e,
-                        &ins,
-                        &outs,
-                        count,
-                        DataType::F16,
-                        ReduceOp::Sum,
-                        choice,
-                    ),
-                    Coll::AllGather => {
-                        comm.all_gather(&mut e, &ins, &outs, count, DataType::F16, choice)
-                    }
-                }
-                .expect("nccl gate case");
-                lat.push(timing.elapsed().as_us());
-                if it + 1 == iters {
-                    verify(&e, coll, &outs, bytes, world, "nccl");
-                }
-            }
-        }
-        Stack::Msccl => {
-            let comm = {
-                let mut setup = mscclpp::Setup::new(&mut e);
-                msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-            };
-            for it in 0..iters {
-                let ins = crate::alloc_filled(&mut e, world, bytes);
-                let timing = match coll {
-                    Coll::AllReduce => comm.all_reduce(
-                        &mut e,
-                        &ins,
-                        &outs,
-                        count,
-                        DataType::F16,
-                        ReduceOp::Sum,
-                        None,
-                    ),
-                    Coll::AllGather => {
-                        comm.all_gather(&mut e, &ins, &outs, count, DataType::F16, None)
-                    }
-                }
-                .expect("msccl gate case");
-                lat.push(timing.elapsed().as_us());
-                if it + 1 == iters {
-                    verify(&e, coll, &outs, bytes, world, "msccl");
-                }
-            }
-        }
-    }
+    b.verify(coll, &outs, bytes);
     lat
-}
-
-fn verify(
-    e: &sim::Engine<hw::Machine>,
-    coll: Coll,
-    outs: &[hw::BufferId],
-    bytes: usize,
-    world: usize,
-    tag: &str,
-) {
-    match coll {
-        Coll::AllReduce => crate::verify_allreduce(e, outs, bytes, world, tag),
-        Coll::AllGather => crate::verify_allgather(e, outs, bytes, world, tag),
-    }
 }
 
 /// Serializes gate results as the `BENCH_<date>.json` artifact.
@@ -809,8 +667,8 @@ pub enum Verdict {
 /// (fractional, e.g. 0.10) plus a small absolute slack absorbing
 /// histogram bucket granularity on microsecond-scale cases.
 ///
-/// Wall-clock cases (`engine/...`) use the default wall tolerance; see
-/// [`compare_with`] to set it explicitly.
+/// Wall-clock cases ([`Case::is_wall_clock`]) use the default wall
+/// tolerance; see [`compare_with`] to set it explicitly.
 pub fn compare(
     results: &[CaseResult],
     baseline: &[CaseResult],
@@ -824,10 +682,11 @@ pub fn compare(
 /// regression that halves throughput still trips it.
 pub const DEFAULT_WALL_TOL: f64 = 0.60;
 
-/// [`compare`] with an explicit tolerance for wall-clock (`engine/...`)
-/// cases. Simulated-latency cases are deterministic and keep the tight
-/// `tol` band; wall-clock medians jitter with the host and get
-/// `wall_tol` instead.
+/// [`compare`] with an explicit tolerance for wall-clock cases. A result
+/// is wall-clock when the pinned-suite case of its name
+/// [`is_wall_clock`](Case::is_wall_clock). Simulated-latency cases are
+/// deterministic and keep the tight `tol` band; wall-clock medians
+/// jitter with the host and get `wall_tol` instead.
 pub fn compare_with(
     results: &[CaseResult],
     baseline: &[CaseResult],
@@ -835,13 +694,15 @@ pub fn compare_with(
     wall_tol: f64,
 ) -> Vec<(String, Verdict)> {
     const ABS_SLACK_US: f64 = 0.5;
+    let wall: Vec<String> = pinned_suite()
+        .iter()
+        .filter(|c| c.is_wall_clock())
+        .map(Case::name)
+        .collect();
     results
         .iter()
         .map(|r| {
-            let tol = if r.name.starts_with("engine/")
-                || r.name.starts_with("commverify/")
-                || r.name.starts_with("serving-observability/")
-            {
+            let tol = if wall.contains(&r.name) {
                 wall_tol
             } else {
                 tol
@@ -985,25 +846,21 @@ mod tests {
 
     #[test]
     fn wall_clock_cases_get_the_wide_band() {
-        let base = vec![case("engine/allreduce/A100_40G/1n8g/1024B", 100.0)];
-        // +40% host jitter on a wall-clock case: inside the 60% band.
-        let jittery = vec![case("engine/allreduce/A100_40G/1n8g/1024B", 140.0)];
-        let v = compare(&jittery, &base, 0.10);
-        assert_eq!(v[0].1, Verdict::Ok);
-        // A 2x slowdown still trips the gate.
-        let slow = vec![case("engine/allreduce/A100_40G/1n8g/1024B", 200.0)];
-        let v = compare(&slow, &base, 0.10);
-        assert!(matches!(v[0].1, Verdict::Regression { .. }));
-        // The observability-overhead case is wall-clock too: host jitter
-        // on its absolute runtime gets the wide band (the ≤5% overhead
-        // pin is asserted inside the case itself, not via the baseline).
-        let name = "serving-observability/mscclpp/A100_80G/llama2-13b/2x-knee";
-        let v = compare(&[case(name, 140.0)], &[case(name, 100.0)], 0.10);
-        assert_eq!(v[0].1, Verdict::Ok);
-        // Simulated-latency cases keep the tight band.
-        let base = vec![case("allreduce/nccl/A100_40G/1n8g/32768B", 100.0)];
-        let new = vec![case("allreduce/nccl/A100_40G/1n8g/32768B", 140.0)];
-        let v = compare(&new, &base, 0.10);
+        // Every pinned case gets the band its predicate implies: +40%
+        // host jitter passes on a wall-clock case and regresses on a
+        // simulated-latency one.
+        for c in pinned_suite() {
+            let name = c.name();
+            let v = compare(&[case(&name, 140.0)], &[case(&name, 100.0)], 0.10);
+            if c.is_wall_clock() {
+                assert_eq!(v[0].1, Verdict::Ok, "{name}");
+            } else {
+                assert!(matches!(v[0].1, Verdict::Regression { .. }), "{name}");
+            }
+        }
+        // A 2x slowdown still trips the wide band.
+        let name = "engine/allreduce/A100_40G/1n8g/1024B";
+        let v = compare(&[case(name, 200.0)], &[case(name, 100.0)], 0.10);
         assert!(matches!(v[0].1, Verdict::Regression { .. }));
     }
 }

@@ -1,9 +1,9 @@
 //! Benchmark harness utilities: verified collective timing across the
 //! three stacks (NCCL, MSCCL, MSCCL++) on any Table-1 environment.
 //!
-//! Every measurement in this crate follows the same discipline:
+//! Every measured collective in this crate runs through one `Bench`:
 //!
-//! 1. build a fresh simulated cluster for the point;
+//! 1. build a fresh simulated cluster and the stack's communicator;
 //! 2. fill the input buffers with deterministic values chosen so FP16
 //!    reductions are exact;
 //! 3. run the collective **and verify the output** (fully up to 16 MB,
@@ -11,8 +11,9 @@
 //! 4. report latency (µs) and algorithm bandwidth
 //!    (`message bytes / latency`, the paper's AlgoBW).
 //!
-//! Baselines are *fine-tuned* per point as in §5.1: NCCL/MSCCL timings
-//! take the best over the stack's tuning candidates.
+//! NCCL is *fine-tuned* per point as in §5.1: [`measure`] takes the best
+//! over its tuning candidates. MSCCL runs its internal tuner once and
+//! MSCCL++ its default algorithm selection.
 
 pub mod figures;
 pub mod gate;
@@ -20,8 +21,8 @@ pub mod report;
 pub mod sweep;
 
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
-use mscclpp::Setup;
-use sim::Engine;
+use mscclpp::{KernelTiming, Setup};
+use sim::{Engine, FaultPlan};
 
 /// Deterministic input element: values 0..7 so that 8-, 16- and 32-rank
 /// FP16 sums stay exact.
@@ -66,242 +67,270 @@ impl Target {
     }
 }
 
-fn fresh_engine(t: Target) -> Engine<Machine> {
-    let mut e = Engine::new(Machine::new(t.env.spec(t.nodes)));
-    hw::wire(&mut e);
-    e
+/// Which collective a measurement runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Coll {
+    /// AllReduce over the full world.
+    AllReduce,
+    /// AllGather over the full world (`bytes` is the per-rank chunk).
+    AllGather,
 }
 
-fn alloc_filled(e: &mut Engine<Machine>, world: usize, bytes: usize) -> Vec<BufferId> {
-    (0..world)
-        .map(|r| {
-            let b = e.world_mut().pool_mut().alloc(Rank(r), bytes);
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F16, move |i| input_val(r, i));
-            b
-        })
-        .collect()
-}
-
-/// Verification sampling threshold: fully verify up to this size.
-const FULL_VERIFY_BYTES: usize = 16 << 20;
-
-fn verify_allreduce(e: &Engine<Machine>, outs: &[BufferId], bytes: usize, world: usize, tag: &str) {
-    let count = bytes / 2;
-    let idxs: Vec<usize> = if bytes <= FULL_VERIFY_BYTES {
-        (0..count).collect()
-    } else {
-        (0..4096).map(|k| k * (count / 4096)).collect()
-    };
-    for (r, &out) in outs.iter().enumerate() {
-        let data = e.world().pool().bytes(out, 0, bytes);
-        for &i in &idxs {
-            let got = DataType::F16.decode(data, i * 2);
-            let want: f32 = (0..world).map(|s| input_val(s, i)).sum();
-            assert_eq!(got, want, "{tag}: allreduce rank {r} elem {i}");
+impl Coll {
+    /// Bytes each rank holds after the collective when it contributes
+    /// `bytes`: the output buffer size, and the message size NCCL's
+    /// tuner sees.
+    pub fn out_bytes(self, bytes: usize, world: usize) -> usize {
+        match self {
+            Coll::AllReduce => bytes,
+            Coll::AllGather => bytes * world,
         }
     }
 }
 
-fn verify_allgather(
-    e: &Engine<Machine>,
-    outs: &[BufferId],
-    chunk_bytes: usize,
-    world: usize,
-    tag: &str,
-) {
-    let chunk_elems = chunk_bytes / 2;
-    let idxs: Vec<usize> = if chunk_bytes <= FULL_VERIFY_BYTES / 8 {
-        (0..chunk_elems).collect()
-    } else {
-        (0..512).map(|k| k * (chunk_elems / 512)).collect()
-    };
-    for (r, &out) in outs.iter().enumerate() {
-        let data = e.world().pool().bytes(out, 0, chunk_bytes * world);
-        for src in 0..world {
-            for &i in &idxs {
-                let got = DataType::F16.decode(data, (src * chunk_elems + i) * 2);
-                assert_eq!(
-                    got,
-                    input_val(src, i),
-                    "{tag}: allgather rank {r} chunk {src}"
-                );
+/// Which stack runs the collective.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stack {
+    /// The NCCL model (ring/tree over staging FIFOs).
+    Nccl,
+    /// MSCCL over the NCCL transport.
+    Msccl,
+    /// MSCCL++.
+    Mscclpp,
+}
+
+impl Stack {
+    /// Every stack, in the figures' column order.
+    pub const ALL: [Stack; 3] = [Stack::Nccl, Stack::Msccl, Stack::Mscclpp];
+
+    /// Lower-case name, as used in case names and artifacts.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stack::Nccl => "nccl",
+            Stack::Msccl => "msccl",
+            Stack::Mscclpp => "mscclpp",
+        }
+    }
+}
+
+/// How one launch picks its algorithm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pick {
+    /// The stack's own choice: NCCL's size-based tuner (which [`measure`]
+    /// widens to every tuning candidate), MSCCL's internal tuner,
+    /// MSCCL++'s default selection.
+    Default,
+    /// A pinned NCCL tuner choice.
+    Nccl(ncclsim::Choice),
+    /// A forced MSCCL++ AllReduce algorithm.
+    AllReduce(collective::AllReduceAlgo),
+}
+
+enum Comm {
+    Nccl(ncclsim::NcclComm),
+    Msccl(msccl::MscclComm),
+    Mscclpp(collective::CollComm),
+}
+
+/// Verification sampling threshold: fully verify outputs up to this size.
+const FULL_VERIFY_BYTES: usize = 16 << 20;
+
+/// One stack's communicator on a fresh simulated cluster.
+pub(crate) struct Bench {
+    /// The cluster the communicator runs on.
+    pub(crate) engine: Engine<Machine>,
+    target: Target,
+    comm: Comm,
+}
+
+impl Bench {
+    /// Builds a wired cluster for `target` and `stack`'s communicator on
+    /// it. `fault` is installed before any communicator state is built,
+    /// so proxy retry jitter derives from the plan seed.
+    pub(crate) fn new(stack: Stack, target: Target, fault: Option<FaultPlan>) -> Bench {
+        let mut engine = Engine::new(Machine::new(target.env.spec(target.nodes)));
+        if let Some(plan) = fault {
+            engine.set_fault_plan(plan);
+        }
+        hw::wire(&mut engine);
+        let comm = match stack {
+            Stack::Nccl => Comm::Nccl(ncclsim::NcclComm::new(
+                &mut Setup::new(&mut engine),
+                ncclsim::NcclConfig::nccl(),
+            )),
+            Stack::Msccl => Comm::Msccl(msccl::MscclComm::new(
+                &mut Setup::new(&mut engine),
+                msccl::MscclConfig::default(),
+            )),
+            Stack::Mscclpp => Comm::Mscclpp(collective::CollComm::new()),
+        };
+        Bench {
+            engine,
+            target,
+            comm,
+        }
+    }
+
+    /// Allocates one `bytes` input per rank, filled with [`input_val`].
+    pub(crate) fn inputs(&mut self, bytes: usize) -> Vec<BufferId> {
+        let pool = self.engine.world_mut().pool_mut();
+        (0..self.target.world())
+            .map(|r| {
+                let b = pool.alloc(Rank(r), bytes);
+                pool.fill_with(b, DataType::F16, move |i| input_val(r, i));
+                b
+            })
+            .collect()
+    }
+
+    /// Allocates one output per rank for `coll` over `bytes` inputs.
+    pub(crate) fn outputs(&mut self, coll: Coll, bytes: usize) -> Vec<BufferId> {
+        let world = self.target.world();
+        let pool = self.engine.world_mut().pool_mut();
+        (0..world)
+            .map(|r| pool.alloc(Rank(r), coll.out_bytes(bytes, world)))
+            .collect()
+    }
+
+    /// Launches `coll` over the F16 inputs `ins` (one per rank, all the
+    /// same size, which sets the element count) into `outs`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the stack's launch returns: a deadlock, a fault the
+    /// collective could not survive, or a verifier finding.
+    ///
+    /// # Panics
+    ///
+    /// If `pick` does not apply to this stack and collective.
+    pub(crate) fn launch(
+        &mut self,
+        coll: Coll,
+        ins: &[BufferId],
+        outs: &[BufferId],
+        pick: Pick,
+    ) -> mscclpp::Result<KernelTiming> {
+        let e = &mut self.engine;
+        let bytes = e.world().pool().len(ins[0]);
+        let (n, f16, sum) = (bytes / 2, DataType::F16, ReduceOp::Sum);
+        let pick = match (&self.comm, pick) {
+            (Comm::Nccl(_), Pick::Default) => Pick::Nccl(ncclsim::tune(
+                coll.out_bytes(bytes, self.target.world()),
+                self.target.nodes,
+            )),
+            _ => pick,
+        };
+        match (&self.comm, coll, pick) {
+            (Comm::Nccl(c), Coll::AllReduce, Pick::Nccl(ch)) => {
+                c.all_reduce(e, ins, outs, n, f16, sum, ch)
+            }
+            (Comm::Nccl(c), Coll::AllGather, Pick::Nccl(ch)) => {
+                c.all_gather(e, ins, outs, n, f16, ch)
+            }
+            (Comm::Msccl(c), Coll::AllReduce, Pick::Default) => {
+                c.all_reduce(e, ins, outs, n, f16, sum, None)
+            }
+            (Comm::Msccl(c), Coll::AllGather, Pick::Default) => {
+                c.all_gather(e, ins, outs, n, f16, None)
+            }
+            (Comm::Mscclpp(c), Coll::AllReduce, Pick::Default) => {
+                c.all_reduce(e, ins, outs, n, f16, sum)
+            }
+            (Comm::Mscclpp(c), Coll::AllReduce, Pick::AllReduce(a)) => {
+                c.all_reduce_with(e, ins, outs, n, f16, sum, a)
+            }
+            (Comm::Mscclpp(c), Coll::AllGather, Pick::Default) => {
+                c.all_gather(e, ins, outs, n, f16)
+            }
+            _ => panic!("{pick:?} does not apply to {coll:?} on this stack"),
+        }
+    }
+
+    /// Checks `outs` against the reference result of `coll` over
+    /// [`Bench::inputs`] of `bytes`: every element of outputs up to
+    /// 16 MB, 4096 evenly spaced elements per input-sized chunk above.
+    ///
+    /// # Panics
+    ///
+    /// On the first wrong element.
+    pub(crate) fn verify(&self, coll: Coll, outs: &[BufferId], bytes: usize) {
+        let world = self.target.world();
+        let elems = bytes / 2;
+        let out_bytes = coll.out_bytes(bytes, world);
+        let idxs: Vec<usize> = if out_bytes <= FULL_VERIFY_BYTES {
+            (0..elems).collect()
+        } else {
+            (0..4096).map(|k| k * (elems / 4096)).collect()
+        };
+        for (r, &out) in outs.iter().enumerate() {
+            let data = self.engine.world().pool().bytes(out, 0, out_bytes);
+            for chunk in 0..out_bytes / bytes {
+                for &i in &idxs {
+                    let got = DataType::F16.decode(data, (chunk * elems + i) * 2);
+                    let want = match coll {
+                        Coll::AllReduce => (0..world).map(|s| input_val(s, i)).sum(),
+                        Coll::AllGather => input_val(chunk, i),
+                    };
+                    assert_eq!(got, want, "{coll:?} rank {r} chunk {chunk} elem {i}");
+                }
             }
         }
     }
 }
 
-/// NCCL AllReduce, fine-tuned: best over the tuner candidates.
-pub fn nccl_allreduce(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut best = f64::MAX;
-    for choice in size_filtered_candidates(t.nodes, bytes) {
-        let mut e = fresh_engine(t);
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let ins = alloc_filled(&mut e, t.world(), bytes);
-        let outs: Vec<BufferId> = (0..t.world())
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-            .collect();
-        let timing = comm
-            .all_reduce(
-                &mut e,
-                &ins,
-                &outs,
-                count,
-                DataType::F16,
-                ReduceOp::Sum,
-                choice,
-            )
-            .expect("nccl allreduce");
-        verify_allreduce(&e, &outs, bytes, t.world(), "nccl");
-        best = best.min(timing.elapsed().as_us());
-    }
-    Point {
-        bytes,
-        latency_us: best,
-    }
-}
-
-/// Keeps the candidate set tractable for very large messages (the LL
-/// protocol is never competitive there and costs the most to simulate).
-fn size_filtered_candidates(nodes: usize, bytes: usize) -> Vec<ncclsim::Choice> {
-    ncclsim::tuning_candidates(nodes)
+/// NCCL's tuning candidates for one point, cut to keep very large
+/// messages tractable (the LL protocol is never competitive there and
+/// costs the most to simulate); AllGather only runs on the ring.
+fn nccl_candidates(coll: Coll, target: Target, bytes: usize) -> Vec<ncclsim::Choice> {
+    let msg = coll.out_bytes(bytes, target.world());
+    ncclsim::tuning_candidates(target.nodes)
         .into_iter()
-        .filter(|c| bytes <= (8 << 20) || c.proto == ncclsim::Proto::Simple)
-        .filter(|c| bytes >= (64 << 10) || c.channels == 1)
+        .filter(|c| msg <= (8 << 20) || c.proto == ncclsim::Proto::Simple)
+        .filter(|c| msg >= (64 << 10) || c.channels == 1)
+        .filter(|c| coll == Coll::AllReduce || c.algo == ncclsim::Algo::Ring)
         .collect()
 }
 
-/// MSCCL AllReduce with its internal tuner.
-pub fn msccl_allreduce(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = {
-        let mut setup = Setup::new(&mut e);
-        msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-    };
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
-    let timing = comm
-        .all_reduce(
-            &mut e,
-            &ins,
-            &outs,
-            count,
-            DataType::F16,
-            ReduceOp::Sum,
-            None,
-        )
-        .expect("msccl allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "msccl");
-    Point {
-        bytes,
-        latency_us: timing.elapsed().as_us(),
-    }
-}
-
-/// MSCCL++ AllReduce with the default algorithm selection; `algo`
-/// overrides it for ablations.
-pub fn mscclpp_allreduce(
-    t: Target,
+/// Measures one verified `coll` with `bytes` per rank on `stack`, each
+/// launch on a fresh cluster under `fault`: one launch per NCCL tuning
+/// candidate when NCCL is left its [`Pick::Default`], one launch
+/// otherwise. Returns the fastest latency (µs) — the first on a tie —
+/// with the engine that ran it.
+///
+/// # Panics
+///
+/// If a launch fails or its output is wrong.
+pub fn measure(
+    stack: Stack,
+    coll: Coll,
+    target: Target,
     bytes: usize,
-    algo: Option<collective::AllReduceAlgo>,
-) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect();
-    let timing = match algo {
-        None => comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum),
-        Some(a) => {
-            comm.all_reduce_with(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum, a)
-        }
-    }
-    .expect("mscclpp allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "mscclpp");
-    Point {
-        bytes,
-        latency_us: timing.elapsed().as_us(),
-    }
-}
-
-/// NCCL AllGather (ring), fine-tuned. `bytes` is the per-rank chunk.
-pub fn nccl_allgather(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut best = f64::MAX;
-    for choice in size_filtered_candidates(t.nodes, bytes * t.world()) {
-        if choice.algo != ncclsim::Algo::Ring {
-            continue;
-        }
-        let mut e = fresh_engine(t);
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let ins = alloc_filled(&mut e, t.world(), bytes);
-        let outs: Vec<BufferId> = (0..t.world())
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes * t.world()))
-            .collect();
-        let timing = comm
-            .all_gather(&mut e, &ins, &outs, count, DataType::F16, choice)
-            .expect("nccl allgather");
-        verify_allgather(&e, &outs, bytes, t.world(), "nccl");
-        best = best.min(timing.elapsed().as_us());
-    }
-    Point {
-        bytes: bytes * t.world(),
-        latency_us: best,
-    }
-}
-
-/// MSCCL AllGather (all-pairs / hierarchical over the NCCL transport).
-pub fn msccl_allgather(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = {
-        let mut setup = Setup::new(&mut e);
-        msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
+    pick: Pick,
+    fault: Option<&FaultPlan>,
+) -> (f64, Engine<Machine>) {
+    let picks = match (stack, pick) {
+        (Stack::Nccl, Pick::Default) => nccl_candidates(coll, target, bytes)
+            .into_iter()
+            .map(Pick::Nccl)
+            .collect(),
+        _ => vec![pick],
     };
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes * t.world()))
-        .collect();
-    let timing = comm
-        .all_gather(&mut e, &ins, &outs, count, DataType::F16, None)
-        .expect("msccl allgather");
-    verify_allgather(&e, &outs, bytes, t.world(), "msccl");
-    Point {
-        bytes: bytes * t.world(),
-        latency_us: timing.elapsed().as_us(),
+    let mut best: Option<(f64, Engine<Machine>)> = None;
+    for pick in picks {
+        let mut b = Bench::new(stack, target, fault.cloned());
+        let ins = b.inputs(bytes);
+        let outs = b.outputs(coll, bytes);
+        let us = b
+            .launch(coll, &ins, &outs, pick)
+            .unwrap_or_else(|err| panic!("{} {coll:?} {pick:?}: {err}", stack.name()))
+            .elapsed()
+            .as_us();
+        b.verify(coll, &outs, bytes);
+        if best.as_ref().is_none_or(|(fastest, _)| us < *fastest) {
+            best = Some((us, b.engine));
+        }
     }
-}
-
-/// MSCCL++ AllGather with default selection.
-pub fn mscclpp_allgather(t: Target, bytes: usize) -> Point {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs: Vec<BufferId> = (0..t.world())
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes * t.world()))
-        .collect();
-    let timing = comm
-        .all_gather(&mut e, &ins, &outs, count, DataType::F16)
-        .expect("mscclpp allgather");
-    verify_allgather(&e, &outs, bytes, t.world(), "mscclpp");
-    Point {
-        bytes: bytes * t.world(),
-        latency_us: timing.elapsed().as_us(),
-    }
+    best.expect("at least one NCCL tuning candidate")
 }
 
 /// Formats a byte count like the paper's axis labels.
@@ -401,7 +430,14 @@ mod tests {
             env: EnvKind::A100_40G,
             nodes: 1,
         };
-        let p = mscclpp_allreduce(t, 4096, None);
-        assert!(p.latency_us > 1.0 && p.latency_us < 100.0);
+        let (us, _) = measure(
+            Stack::Mscclpp,
+            Coll::AllReduce,
+            t,
+            4096,
+            Pick::Default,
+            None,
+        );
+        assert!(us > 1.0 && us < 100.0);
     }
 }

@@ -7,11 +7,10 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
-use mscclpp::Setup;
-use sim::{json, Engine};
+use hw::Machine;
+use sim::{json, Engine, FaultPlan};
 
-use crate::{alloc_filled, fresh_engine, size_filtered_candidates, verify_allreduce, Target};
+use crate::{measure, Coll, Pick, Stack, Target};
 
 /// One link/engine resource snapshot in a [`StackRun`].
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +68,7 @@ impl StackRun {
 
 /// Snapshots an engine's metrics after a timed run.
 pub(crate) fn snapshot(
-    stack: &str,
+    stack: Stack,
     bytes: usize,
     latency_us: f64,
     engine: &Engine<Machine>,
@@ -87,7 +86,7 @@ pub(crate) fn snapshot(
         })
         .collect();
     StackRun {
-        stack: stack.to_owned(),
+        stack: stack.name().to_owned(),
         bytes,
         latency_us,
         verified: true,
@@ -101,119 +100,28 @@ pub(crate) fn snapshot(
     }
 }
 
-/// Runs a verified AllReduce of `bytes` on each stack and returns one
-/// [`StackRun`] per stack (NCCL uses its best tuning candidate; the
-/// metrics come from that best run's engine).
-pub fn observe_allreduce(t: Target, bytes: usize) -> Vec<StackRun> {
-    vec![
-        observe_nccl_allreduce(t, bytes),
-        observe_msccl_allreduce(t, bytes),
-        observe_mscclpp_allreduce(t, bytes),
-    ]
-}
-
-fn out_bufs(e: &mut Engine<Machine>, world: usize, bytes: usize) -> Vec<BufferId> {
-    (0..world)
-        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), bytes))
-        .collect()
-}
-
-fn observe_nccl_allreduce(t: Target, bytes: usize) -> StackRun {
-    let count = bytes / 2;
-    let mut best: Option<StackRun> = None;
-    for choice in size_filtered_candidates(t.nodes, bytes) {
-        let mut e = fresh_engine(t);
-        let comm = {
-            let mut setup = Setup::new(&mut e);
-            ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl())
-        };
-        let ins = alloc_filled(&mut e, t.world(), bytes);
-        let outs = out_bufs(&mut e, t.world(), bytes);
-        let timing = comm
-            .all_reduce(
-                &mut e,
-                &ins,
-                &outs,
-                count,
-                DataType::F16,
-                ReduceOp::Sum,
-                choice,
-            )
-            .expect("nccl allreduce");
-        verify_allreduce(&e, &outs, bytes, t.world(), "nccl");
-        let run = snapshot("nccl", bytes, timing.elapsed().as_us(), &e);
-        if best.as_ref().is_none_or(|b| run.latency_us < b.latency_us) {
-            best = Some(run);
-        }
-    }
-    best.expect("no nccl tuning candidate")
-}
-
-fn observe_msccl_allreduce(t: Target, bytes: usize) -> StackRun {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = {
-        let mut setup = Setup::new(&mut e);
-        msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default())
-    };
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs = out_bufs(&mut e, t.world(), bytes);
-    let timing = comm
-        .all_reduce(
-            &mut e,
-            &ins,
-            &outs,
-            count,
-            DataType::F16,
-            ReduceOp::Sum,
-            None,
-        )
-        .expect("msccl allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "msccl");
-    snapshot("msccl", bytes, timing.elapsed().as_us(), &e)
-}
-
-fn observe_mscclpp_allreduce(t: Target, bytes: usize) -> StackRun {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs = out_bufs(&mut e, t.world(), bytes);
-    let timing = comm
-        .all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum)
-        .expect("mscclpp allreduce");
-    verify_allreduce(&e, &outs, bytes, t.world(), "mscclpp");
-    snapshot("mscclpp", bytes, timing.elapsed().as_us(), &e)
-}
-
-/// Runs a **verified** MSCCL++ AllReduce under an active fault plan and
-/// snapshots the engine. The plan is installed before any communicator
-/// state is built so that proxy retry jitter derives from the plan seed.
-/// `algo` forces a specific algorithm (bypassing degradation re-planning);
-/// `None` uses the default selection, which re-plans around permanent
-/// faults. The output is verified — a latency is only reported when the
-/// collective survived the faults with a correct result.
-pub fn observe_mscclpp_faulted(
+/// Runs a verified AllReduce of `bytes` on `stack` through [`measure`]
+/// and snapshots the engine of the fastest run (NCCL's best tuning
+/// candidate under [`Pick::Default`]). A `fault` plan is installed
+/// before any communicator state is built; a latency is only reported
+/// when the collective survived the faults with a correct result.
+pub fn observe(
+    stack: Stack,
     t: Target,
     bytes: usize,
-    plan: sim::FaultPlan,
-    algo: Option<collective::AllReduceAlgo>,
+    pick: Pick,
+    fault: Option<&FaultPlan>,
 ) -> StackRun {
-    let count = bytes / 2;
-    let mut e = fresh_engine(t);
-    e.set_fault_plan(plan);
-    let comm = collective::CollComm::new();
-    let ins = alloc_filled(&mut e, t.world(), bytes);
-    let outs = out_bufs(&mut e, t.world(), bytes);
-    let timing = match algo {
-        None => comm.all_reduce(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum),
-        Some(a) => {
-            comm.all_reduce_with(&mut e, &ins, &outs, count, DataType::F16, ReduceOp::Sum, a)
-        }
-    }
-    .expect("mscclpp allreduce under faults");
-    verify_allreduce(&e, &outs, bytes, t.world(), "mscclpp+faults");
-    snapshot("mscclpp", bytes, timing.elapsed().as_us(), &e)
+    let (latency_us, engine) = measure(stack, Coll::AllReduce, t, bytes, pick, fault);
+    snapshot(stack, bytes, latency_us, &engine)
+}
+
+/// [`observe`]s a healthy AllReduce of `bytes` on every stack.
+pub fn observe_allreduce(t: Target, bytes: usize) -> Vec<StackRun> {
+    Stack::ALL
+        .iter()
+        .map(|&s| observe(s, t, bytes, Pick::Default, None))
+        .collect()
 }
 
 /// Version stamped into every JSON artifact this crate writes
@@ -257,7 +165,7 @@ fn run_json(run: &StackRun) -> String {
 pub fn runs_to_json(
     title: &str,
     t: Target,
-    fault: Option<&sim::FaultPlan>,
+    fault: Option<&FaultPlan>,
     runs: &[StackRun],
 ) -> String {
     let fault = fault.map(|p| {
@@ -369,11 +277,12 @@ mod tests {
                 sim::Time::from_ps(22_000_000),
             );
         }
-        let run = observe_mscclpp_faulted(
+        let run = observe(
+            Stack::Mscclpp,
             t,
             1 << 20,
-            plan.clone(),
-            Some(collective::AllReduceAlgo::TwoPhasePort),
+            Pick::AllReduce(collective::AllReduceAlgo::TwoPhasePort),
+            Some(&plan),
         );
         assert!(
             run.counter("retry.attempts") > 0,

@@ -93,6 +93,7 @@ pub struct MscclComm {
     /// `cross[tb][local][na][nb]` carries (na, local) → (nb, local).
     cross: Vec<Vec<Vec<Vec<Option<Conn>>>>>,
     ov: Overheads,
+    /// Armed until the first launch is verified ([`verify_first_launch`]).
     verify: std::cell::Cell<bool>,
 }
 
@@ -145,11 +146,6 @@ impl MscclComm {
             ov,
             verify: std::cell::Cell::new(true),
         }
-    }
-
-    /// Enables or disables plan verification (on by default).
-    pub fn set_verify(&self, on: bool) {
-        self.verify.set(on);
     }
 
     /// MSCCL's size-based algorithm selection (mirrors the MSCCL

@@ -97,6 +97,7 @@ pub struct NcclComm {
     topo: Topology,
     channels: Vec<Channel>,
     ov: Overheads,
+    /// Armed until the first launch is verified ([`verify_first_launch`]).
     verify: Cell<bool>,
 }
 
@@ -204,11 +205,6 @@ impl NcclComm {
     /// The stack configuration.
     pub fn config(&self) -> &NcclConfig {
         &self.cfg
-    }
-
-    /// Enables or disables plan verification (on by default).
-    pub fn set_verify(&self, on: bool) {
-        self.verify.set(on);
     }
 
     /// Compiles ring-AllReduce kernels (Figure 1's ReduceScatter followed

@@ -76,60 +76,6 @@ enum EventKind {
 /// A queued event: raw-picosecond time, global sequence, payload.
 type Ev = Entry<EventKind>;
 
-/// The pending-event store. The calendar queue is the production path;
-/// the legacy binary heap is kept only behind the `ab-legacy-queue`
-/// feature so differential tests can replay identical programs through
-/// both and assert bit-identical results.
-enum EventQueue {
-    Calendar(CalendarQueue<EventKind>),
-    #[cfg(feature = "ab-legacy-queue")]
-    Legacy(std::collections::BinaryHeap<std::cmp::Reverse<LegacyEv>>),
-}
-
-#[cfg(feature = "ab-legacy-queue")]
-#[derive(PartialEq, Eq)]
-struct LegacyEv(Ev);
-
-#[cfg(feature = "ab-legacy-queue")]
-impl Ord for LegacyEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.time, self.0.seq).cmp(&(other.0.time, other.0.seq))
-    }
-}
-
-#[cfg(feature = "ab-legacy-queue")]
-impl PartialOrd for LegacyEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl EventQueue {
-    fn push(&mut self, ev: Ev) {
-        match self {
-            EventQueue::Calendar(q) => q.push(ev),
-            #[cfg(feature = "ab-legacy-queue")]
-            EventQueue::Legacy(q) => q.push(std::cmp::Reverse(LegacyEv(ev))),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Ev> {
-        match self {
-            EventQueue::Calendar(q) => q.pop(),
-            #[cfg(feature = "ab-legacy-queue")]
-            EventQueue::Legacy(q) => q.pop().map(|std::cmp::Reverse(LegacyEv(e))| e),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Calendar(q) => q.clear(),
-            #[cfg(feature = "ab-legacy-queue")]
-            EventQueue::Legacy(q) => q.clear(),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ProcState {
     /// Has a pending wake event in the queue.
@@ -232,7 +178,7 @@ impl WaiterArena {
 struct Core {
     now: Time,
     seq: u64,
-    queue: EventQueue,
+    queue: CalendarQueue<EventKind>,
     cells: Vec<CellSlot>,
     waiters: WaiterArena,
     /// Per-resource busy-until horizon.
@@ -724,7 +670,7 @@ impl<W> Engine<W> {
             core: Core {
                 now: Time::ZERO,
                 seq: 0,
-                queue: EventQueue::Calendar(CalendarQueue::default()),
+                queue: CalendarQueue::default(),
                 cells: Vec::new(),
                 waiters: WaiterArena::default(),
                 resources: Vec::new(),
@@ -741,19 +687,6 @@ impl<W> Engine<W> {
             processes: Vec::new(),
             free_slots: Vec::new(),
         }
-    }
-
-    /// Replays all pending events through the legacy `BinaryHeap` queue
-    /// instead of the calendar queue. Exists solely so differential tests
-    /// can assert the two scheduler implementations produce bit-identical
-    /// executions; never use it for real workloads.
-    #[cfg(feature = "ab-legacy-queue")]
-    pub fn use_legacy_binary_heap_queue(&mut self) {
-        let mut heap = std::collections::BinaryHeap::new();
-        while let Some(ev) = self.core.queue.pop() {
-            heap.push(std::cmp::Reverse(LegacyEv(ev)));
-        }
-        self.core.queue = EventQueue::Legacy(heap);
     }
 
     /// Starts recording an execution [`Trace`] (paired begin/end events
