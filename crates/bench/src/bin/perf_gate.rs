@@ -97,6 +97,8 @@ fn main() {
     };
 
     let mut regressions = 0usize;
+    // The bands the regressions were judged against, in whole percent.
+    let mut bands = std::collections::BTreeSet::new();
     for (name, verdict) in gate::compare_with(&results, &baseline, tol, wall_tol) {
         match verdict {
             Verdict::Ok => {}
@@ -110,16 +112,22 @@ fn main() {
             Verdict::Regression {
                 base_p50_us,
                 new_p50_us,
+                band,
             } => {
                 regressions += 1;
-                println!("  REGRESSION  {name}: p50 {base_p50_us:.1}us -> {new_p50_us:.1}us");
+                let band = (band * 100.0).round() as u32;
+                bands.insert(band);
+                println!(
+                    "  REGRESSION  {name}: p50 {base_p50_us:.1}us -> {new_p50_us:.1}us, beyond its {band}% band"
+                );
             }
         }
     }
     if regressions > 0 {
+        let bands: Vec<String> = bands.iter().map(|b| format!("{b}%")).collect();
         println!(
-            "perf_gate: FAIL ({regressions} regression(s) beyond {:.0}% tolerance)",
-            tol * 100.0
+            "perf_gate: FAIL ({regressions} regression(s) beyond {} tolerance)",
+            bands.join(" / ")
         );
         std::process::exit(1);
     }

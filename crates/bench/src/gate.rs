@@ -377,8 +377,10 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
 /// overhead fraction (negative when the instrumented median came out
 /// faster, i.e. within host noise). Panics if the instrumented median
 /// exceeds the bare median by more than 5 % plus 200 µs of absolute
-/// timer slack (each run takes about a second of host time on a 2-vCPU
-/// machine, almost all of it f16 byte copies), if instrumentation
+/// timer slack (each run takes about 15 ms of host time on a 2-vCPU
+/// machine: the serving engine is timing-only, so the budget weighs
+/// request tracing and the sampler against the scheduler and the
+/// collectives' control plane, not byte copies), if instrumentation
 /// perturbs the simulation, or if any recorded timeline's blame buckets
 /// fail to tile its end-to-end latency exactly.
 fn run_serving_observability(iters: usize) -> (Histogram, f64) {
@@ -649,6 +651,9 @@ pub enum Verdict {
         base_p50_us: f64,
         /// Measured median (µs).
         new_p50_us: f64,
+        /// The fractional tolerance band the case was judged against:
+        /// `tol`, or `wall_tol` for a wall-clock case.
+        band: f64,
     },
     /// Faster than baseline beyond tolerance — passes, but the baseline
     /// deserves a refresh.
@@ -716,6 +721,7 @@ pub fn compare_with(
                         Verdict::Regression {
                             base_p50_us: b.p50_us,
                             new_p50_us: r.p50_us,
+                            band: tol,
                         }
                     } else if r.p50_us < lo {
                         Verdict::Improvement {
@@ -848,19 +854,36 @@ mod tests {
     fn wall_clock_cases_get_the_wide_band() {
         // Every pinned case gets the band its predicate implies: +40%
         // host jitter passes on a wall-clock case and regresses on a
-        // simulated-latency one.
+        // simulated-latency one, which reports the 10% band it failed.
+        // A 2x slowdown trips the wide band too, and reports it.
         for c in pinned_suite() {
             let name = c.name();
             let v = compare(&[case(&name, 140.0)], &[case(&name, 100.0)], 0.10);
-            if c.is_wall_clock() {
+            let doubled = compare(&[case(&name, 200.0)], &[case(&name, 100.0)], 0.10);
+            let band = if c.is_wall_clock() {
                 assert_eq!(v[0].1, Verdict::Ok, "{name}");
+                DEFAULT_WALL_TOL
             } else {
-                assert!(matches!(v[0].1, Verdict::Regression { .. }), "{name}");
-            }
+                assert!(
+                    matches!(v[0].1, Verdict::Regression { band, .. } if band == 0.10),
+                    "{name}: {:?}",
+                    v[0].1
+                );
+                0.10
+            };
+            assert_eq!(
+                doubled[0].1,
+                Verdict::Regression {
+                    base_p50_us: 100.0,
+                    new_p50_us: 200.0,
+                    band,
+                },
+                "{name}"
+            );
         }
-        // A 2x slowdown still trips the wide band.
+        // An explicit wall band is the one reported.
         let name = "engine/allreduce/A100_40G/1n8g/1024B";
-        let v = compare(&[case(name, 200.0)], &[case(name, 100.0)], 0.10);
-        assert!(matches!(v[0].1, Verdict::Regression { .. }));
+        let v = compare_with(&[case(name, 200.0)], &[case(name, 100.0)], 0.10, 0.25);
+        assert!(matches!(v[0].1, Verdict::Regression { band, .. } if band == 0.25));
     }
 }

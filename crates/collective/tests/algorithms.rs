@@ -907,3 +907,142 @@ fn planned_launch_matches_verified_launch_and_resizes_stay_exact() {
         }
     }
 }
+
+/// What one payload-mode A/B case runs.
+#[derive(Debug, Clone, Copy)]
+enum AbRun {
+    /// Two in-place AllReduces with a fixed algorithm; the second reuses
+    /// the cached plan, as serving does.
+    AllReduce(AllReduceAlgo),
+    /// An AllGather with the default selection.
+    AllGather,
+    /// A default out-of-place AllReduce that a rank death interrupts,
+    /// the `shrink` that replays it on the survivors, and one more
+    /// AllReduce on the shrunken epoch.
+    Shrink,
+}
+
+/// Everything a timing-only run must reproduce from a bytes run.
+struct AbRecord {
+    launches: Vec<Result<mscclpp::KernelTiming, String>>,
+    recovery: Option<String>,
+    now: sim::Time,
+    events: u64,
+    moved_bytes: u64,
+    counters: Vec<(String, u64)>,
+    resources: Vec<sim::ResourceStat>,
+}
+
+/// Runs `run` over f16 buffers of `bytes` per rank on a bytes machine
+/// with filled inputs, or on a timing-only machine with none.
+fn run_ab(kind: EnvKind, nodes: usize, bytes: usize, run: AbRun, timing_only: bool) -> AbRecord {
+    let spec = kind.spec(nodes);
+    let mut e = Engine::new(if timing_only {
+        Machine::timing_only(spec)
+    } else {
+        Machine::new(spec)
+    });
+    if matches!(run, AbRun::Shrink) {
+        e.set_fault_plan(
+            sim::FaultPlan::new(7)
+                .rank_down(3, sim::Time::from_ps(1_000_000))
+                .with_wait_timeout(sim::Duration::from_us(300.0)),
+        );
+    }
+    hw::wire(&mut e);
+    let (f16, sum, count) = (DataType::F16, ReduceOp::Sum, bytes / 2);
+    let bufs = alloc_all(&mut e, bytes);
+    if !timing_only {
+        for (r, &b) in bufs.iter().enumerate() {
+            e.world_mut()
+                .pool_mut()
+                .fill_with(b, f16, move |i| input_val(r, i));
+        }
+    }
+    let comm = CollComm::new();
+    let mut launches = Vec::new();
+    let mut recovery = None;
+    match run {
+        AbRun::AllReduce(algo) => {
+            for _ in 0..2 {
+                launches.push(comm.all_reduce_with(&mut e, &bufs, &bufs, count, f16, sum, algo));
+            }
+        }
+        AbRun::AllGather => {
+            let outputs = alloc_all(&mut e, bytes * nodes * 8);
+            launches.push(comm.all_gather(&mut e, &bufs, &outputs, count, f16));
+        }
+        AbRun::Shrink => {
+            let outputs = alloc_all(&mut e, bytes);
+            let interrupted = comm.all_reduce(&mut e, &bufs, &outputs, count, f16, sum);
+            assert!(interrupted.is_err(), "the rank death must interrupt it");
+            launches.push(interrupted);
+            let r = comm.shrink(&mut e, &[]).expect("shrink after a rank death");
+            assert_eq!(r.outcome, collective::RecoveryOutcome::Replayed);
+            recovery = Some(format!("{r:?}"));
+            launches.push(comm.all_reduce(&mut e, &bufs, &outputs, count, f16, sum));
+        }
+    }
+    AbRecord {
+        launches: launches
+            .into_iter()
+            .map(|l| l.map_err(|err| err.to_string()))
+            .collect(),
+        recovery,
+        now: e.now(),
+        events: e.events_processed(),
+        moved_bytes: e.world().pool().moved_bytes(),
+        counters: e
+            .metrics()
+            .counters()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+        resources: e.metrics().resources(),
+    }
+}
+
+/// The payload mode is inert for every plan the serving loop can reach:
+/// each AllReduce algorithm a selector or shrink can return, the default
+/// AllGather and a shrink replay take the same virtual time, events,
+/// data-plane traffic, counters and link occupancy on a timing-only
+/// machine as on a bytes machine.
+#[test]
+fn timing_only_machine_matches_bytes_machine() {
+    let two_ll = |reuse| AllReduceAlgo::TwoPhaseLl {
+        reuse,
+        order: PeerOrder::Staggered,
+    };
+    let hb = AllReduceAlgo::TwoPhaseHb {
+        order: PeerOrder::Staggered,
+    };
+    use AllReduceAlgo::{HierHb, HierLl, OnePhaseLl, Ring, TwoPhasePort, TwoPhaseSwitch};
+    let (a100, ar) = (EnvKind::A100_40G, AbRun::AllReduce);
+    let cases = [
+        (a100, 1, 8 << 10, ar(OnePhaseLl)),
+        (a100, 1, 80 << 10, ar(two_ll(ScratchReuse::Rotate))),
+        (a100, 1, 80 << 10, ar(two_ll(ScratchReuse::Barrier))),
+        (a100, 1, 1 << 20, ar(hb)),
+        (a100, 1, 1 << 20, ar(TwoPhasePort)),
+        (EnvKind::H100, 1, 1 << 20, ar(TwoPhaseSwitch)),
+        (a100, 1, 256 << 10, ar(Ring)),
+        (a100, 2, 64 << 10, ar(HierLl)),
+        (a100, 2, 1 << 20, ar(HierHb)),
+        (a100, 1, 32 << 10, AbRun::AllGather),
+        (a100, 1, 80 << 10, AbRun::Shrink),
+    ];
+    for (kind, nodes, bytes, run) in cases {
+        let label = format!("{run:?} on {kind:?} x{nodes}, {bytes} B per rank");
+        let want = run_ab(kind, nodes, bytes, run, false);
+        assert!(want.moved_bytes > 0, "{label}: no traffic");
+        let last = want.launches.last().expect("a launch");
+        assert!(last.is_ok(), "{label}: {last:?}");
+        let got = run_ab(kind, nodes, bytes, run, true);
+        assert_eq!(got.launches, want.launches, "{label}: timings");
+        assert_eq!(got.recovery, want.recovery, "{label}: recovery");
+        assert_eq!(got.now, want.now, "{label}: clock");
+        assert_eq!(got.events, want.events, "{label}: events");
+        assert_eq!(got.moved_bytes, want.moved_bytes, "{label}: moved_bytes");
+        assert_eq!(got.counters, want.counters, "{label}: counters");
+        assert_eq!(got.resources, want.resources, "{label}: link occupancy");
+    }
+}

@@ -9,16 +9,19 @@
 //! The central type is [`Machine`], which serves as the *world* of a
 //! [`sim::Engine`]. It owns:
 //!
-//! * real byte buffers for every GPU memory allocation ([`MemoryPool`]) —
-//!   collectives actually move and reduce data, so correctness is checked,
-//!   not assumed;
+//! * the GPU memory allocations ([`MemoryPool`]). On a [`Machine::new`]
+//!   they are real byte buffers: collectives actually move and reduce
+//!   data, so correctness is checked, not assumed. On a
+//!   [`Machine::timing_only`] they keep their length and no bytes, for
+//!   runs that only need virtual time;
 //! * the cluster [`Topology`] and per-link performance characteristics;
 //! * the serializing link resources (egress/ingress ports, per-pair mesh
 //!   links, DMA engines, NICs) that model bandwidth contention.
 //!
 //! Communication libraries (`mscclpp`, `ncclsim`) call the transfer helpers
 //! on [`Machine`] to obtain *completion times* for data movement, and the
-//! [`MemoryPool`] methods to perform the actual byte movement.
+//! [`MemoryPool`] methods to perform the byte movement (or, in a
+//! timing-only pool, only its checks and accounting).
 //!
 //! # Example
 //!

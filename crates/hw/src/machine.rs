@@ -44,8 +44,9 @@ struct Resources {
 /// The simulated cluster: specification, GPU memories, and link resources.
 ///
 /// `Machine` is used as the world type of a [`sim::Engine`]. Construct it
-/// with [`Machine::new`] and then call [`wire`] on the engine to allocate
-/// the link resources before running any processes.
+/// with [`Machine::new`] (GPU memory holds real bytes) or
+/// [`Machine::timing_only`] (it holds none), and then call [`wire`] on the
+/// engine to allocate the link resources before running any processes.
 #[derive(Debug)]
 pub struct Machine {
     spec: EnvSpec,
@@ -61,6 +62,17 @@ impl Machine {
             spec,
             pool: MemoryPool::new(),
             res: None,
+        }
+    }
+
+    /// Like [`Machine::new`], but GPU memory is a timing-only
+    /// [`MemoryPool`]: collectives take the same virtual time and move no
+    /// bytes, and reading a buffer panics. For runs that never read their
+    /// outputs.
+    pub fn timing_only(spec: EnvSpec) -> Machine {
+        Machine {
+            pool: MemoryPool::timing_only(),
+            ..Machine::new(spec)
         }
     }
 

@@ -4,7 +4,9 @@
 //! Each decoder layer runs its per-GPU compute (roofline-timed, identical
 //! across communication backends) followed by the two tensor-parallel
 //! AllReduces (attention output projection and MLP down projection),
-//! executed for real on the simulated communication stack. Decode uses
+//! executed on the simulated communication stack with their real plans
+//! and timing. The cluster's memory is timing-only, so no activation
+//! bytes are copied or reduced: nothing reads them. Decode uses
 //! CUDA-graph semantics (no extra launch gaps between layers beyond the
 //! kernel model), as in the paper's setup.
 
@@ -124,7 +126,8 @@ pub struct ServingEngine {
     /// Ranks currently serving: all GPUs until a rank death shrinks the
     /// tensor-parallel group to the survivors.
     group: Vec<Rank>,
-    /// Activation buffers (one per rank), sized for the largest step.
+    /// Activation buffers (one per rank), sized for the largest step;
+    /// timing-only, so they hold no payload.
     act: Vec<BufferId>,
     act_cap: usize,
     ov: Overheads,
@@ -164,6 +167,14 @@ impl ServingEngine {
     /// tensor parallelism: TP spans all GPUs of `nodes` nodes, so the
     /// per-layer AllReduces cross the inter-node fabric and a whole node
     /// can fail.
+    ///
+    /// Every constructor builds the cluster with
+    /// [`Machine::timing_only`]: serving reads step times, never
+    /// activation values, so the AllReduces keep their virtual time,
+    /// events and counters but copy and reduce no bytes, and the
+    /// activation, scratch and staging buffers hold no payload. The
+    /// `commverify` semantic pass still proves every plan shape computes
+    /// its collective before its first launch.
     pub fn with_cluster(
         env: EnvKind,
         nodes: usize,
@@ -171,7 +182,7 @@ impl ServingEngine {
         max_tokens: usize,
         plan: Option<sim::FaultPlan>,
     ) -> ServingEngine {
-        let mut engine = Engine::new(Machine::new(env.spec(nodes)));
+        let mut engine = Engine::new(Machine::timing_only(env.spec(nodes)));
         if let Some(plan) = plan {
             engine.set_fault_plan(plan);
         }
@@ -194,7 +205,8 @@ impl ServingEngine {
         }
     }
 
-    /// The simulated machine (e.g. to inspect memory).
+    /// The simulated machine (e.g. to inspect buffer sizes or
+    /// `moved_bytes`; its timing-only buffers hold no bytes to read).
     pub fn machine(&self) -> &Machine {
         self.engine.world()
     }
@@ -416,6 +428,23 @@ impl ServingEngine {
 mod tests {
     use super::*;
     use crate::backend::{MscclppBackend, NcclBackend};
+
+    #[test]
+    fn activations_are_timing_only() {
+        let mut e = ServingEngine::new(EnvKind::A100_80G, ModelConfig::llama2_13b(), 16 * 1024);
+        let backend = MscclppBackend::new();
+        let batch = BatchConfig {
+            bsz: 8,
+            seqlen: 128,
+        };
+        e.decode_step(&backend, batch).unwrap();
+        // Full-size activations, real data-plane traffic, and no bytes.
+        let pool = e.machine().pool();
+        assert_eq!(pool.len(e.act[0]), e.act_cap);
+        assert!(pool.moved_bytes() > 0);
+        let read = std::panic::catch_unwind(|| pool.bytes(e.act[0], 0, 2).to_vec());
+        assert!(read.is_err(), "a serving engine's activations hold bytes");
+    }
 
     #[test]
     fn decode_speedup_in_paper_band() {
