@@ -1,6 +1,9 @@
-//! Perf-regression gate: runs the pinned suite (see `bench::gate`),
-//! writes `BENCH_<date>.json` into the results directory, and compares
-//! medians against the committed baseline.
+//! Perf-regression gate for host time: runs the pinned suite's four
+//! host-clock cases (see `bench::gate`) one after another, writes
+//! `BENCH_<date>.json` into the results directory, and compares each
+//! median against the committed baseline within one band
+//! (`gate::BAND`). Virtual time is not gated here: it is deterministic,
+//! and the golden and serving tests pin it exactly.
 //!
 //! Usage:
 //!   perf_gate                  run suite, compare vs baseline, exit 1 on
@@ -9,63 +12,38 @@
 //!
 //! Environment:
 //!   RESULTS_DIR         output directory (default `results`)
-//!   PERF_GATE_TOL       fractional tolerance band on p50 (default 0.10)
-//!   PERF_GATE_WALL_TOL  tolerance for wall-clock cases
-//!                       (default 0.60 — CI runners are noisy)
-//!   PERF_GATE_ITERS     iterations per collective case (default 3)
-//!   PERF_GATE_THREADS   worker threads for simulated-latency cases
-//!                       (default 1; wall-clock cases always run serial,
-//!                       alone on the machine, after the others)
+//!   PERF_GATE_ITERS     timed iterations per case (default 3)
 //!   BENCH_DATE          override the date stamp (e.g. `2026-08-06`)
 
 use bench::gate::{self, Verdict};
 use bench::report::results_dir;
-use bench::sweep;
 
 fn main() {
     let write_baseline = std::env::args().any(|a| a == "--write-baseline");
-    let tol: f64 = std::env::var("PERF_GATE_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.10);
-    let wall_tol: f64 = std::env::var("PERF_GATE_WALL_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(gate::DEFAULT_WALL_TOL);
     let iters: usize = std::env::var("PERF_GATE_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
         .max(1);
-    let threads = sweep::threads_from_env("PERF_GATE_THREADS");
+    let band = (gate::BAND * 100.0).round() as u32;
 
     let suite = gate::pinned_suite();
     println!(
-        "perf_gate: {} cases, {iters} iters each, tol {:.0}% (wall {:.0}%), {threads} thread(s)",
-        suite.len(),
-        tol * 100.0,
-        wall_tol * 100.0
+        "perf_gate: {} host-clock cases, {iters} iters each, {band}% band",
+        suite.len()
     );
-    // Simulated-latency cases are deterministic, so they can fan out
-    // across threads; wall-clock cases run serially afterwards so nothing
-    // competes with them for the machine. Results keep that order.
-    let (sim_cases, wall_cases): (Vec<&gate::Case>, Vec<&gate::Case>) =
-        suite.iter().partition(|c| !c.is_wall_clock());
-    let mut results: Vec<gate::CaseResult> =
-        sweep::parallel_map(&sim_cases, threads, |case| gate::run_case(case, iters));
-    for case in &wall_cases {
-        results.push(gate::run_case(case, iters));
-    }
-    for (case, r) in sim_cases.iter().chain(&wall_cases).zip(&results) {
-        let clock = if case.is_wall_clock() { "host" } else { "sim" };
+    let results: Vec<gate::CaseResult> = suite
+        .iter()
+        .map(|case| gate::run_case(case, iters))
+        .collect();
+    for (case, r) in suite.iter().zip(&results) {
         let aux = match case {
             gate::Case::EngineThroughput { .. } => format!("{:>10.0} ev/s", r.eps),
-            gate::Case::ServingGoodput => format!("{:>10.1} req/s goodput", r.eps),
             gate::Case::ServingObservability => format!("{:>8.2}% overhead", r.eps),
-            _ => format!("max {:>10.1}us", r.max_us),
+            gate::Case::SemanticVerify { .. } => format!("max {:>10.1}us", r.max_us),
         };
         println!(
-            "  {:<48} {clock:<4} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {aux}",
+            "  {:<48} p50 {:>10.1}us  p95 {:>10.1}us  p99 {:>10.1}us  {aux}",
             r.name, r.p50_us, r.p95_us, r.p99_us
         );
     }
@@ -97,9 +75,7 @@ fn main() {
     };
 
     let mut regressions = 0usize;
-    // The bands the regressions were judged against, in whole percent.
-    let mut bands = std::collections::BTreeSet::new();
-    for (name, verdict) in gate::compare_with(&results, &baseline, tol, wall_tol) {
+    for (name, verdict) in gate::compare(&results, &baseline) {
         match verdict {
             Verdict::Ok => {}
             Verdict::New => println!("  NEW         {name} (no baseline entry)"),
@@ -112,11 +88,8 @@ fn main() {
             Verdict::Regression {
                 base_p50_us,
                 new_p50_us,
-                band,
             } => {
                 regressions += 1;
-                let band = (band * 100.0).round() as u32;
-                bands.insert(band);
                 println!(
                     "  REGRESSION  {name}: p50 {base_p50_us:.1}us -> {new_p50_us:.1}us, beyond its {band}% band"
                 );
@@ -124,11 +97,7 @@ fn main() {
         }
     }
     if regressions > 0 {
-        let bands: Vec<String> = bands.iter().map(|b| format!("{b}%")).collect();
-        println!(
-            "perf_gate: FAIL ({regressions} regression(s) beyond {} tolerance)",
-            bands.join(" / ")
-        );
+        println!("perf_gate: FAIL ({regressions} regression(s) beyond {band}% tolerance)");
         std::process::exit(1);
     }
     println!("perf_gate: PASS ({} cases within tolerance)", results.len());

@@ -104,7 +104,8 @@ fn main() {
     }
 
     // The knee: best goodput over the admission-enabled points. The
-    // gate's pinned 2×-knee case asserts goodput stays near this.
+    // serving tests pin the 2×-knee run and assert its goodput stays
+    // near this.
     let knee = points
         .iter()
         .filter(|p| p.admission)

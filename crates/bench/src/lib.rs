@@ -18,7 +18,6 @@
 pub mod figures;
 pub mod gate;
 pub mod report;
-pub mod sweep;
 
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
 use mscclpp::{KernelTiming, Setup};
@@ -331,6 +330,37 @@ pub fn measure(
         }
     }
     best.expect("at least one NCCL tuning candidate")
+}
+
+/// Runs `coll` `iters` times on one warm `stack` communicator, returning
+/// each iteration's latency (µs) with the engine that ran them. Every
+/// iteration fills fresh inputs and writes the same outputs, which are
+/// verified after the last one. NCCL runs at its tuner's pick, not
+/// fine-tuned: the latencies are one plan's, first launch then warm.
+///
+/// # Panics
+///
+/// If a launch fails or the output is wrong.
+pub fn iterate(
+    stack: Stack,
+    coll: Coll,
+    target: Target,
+    bytes: usize,
+    iters: usize,
+) -> (Vec<f64>, Engine<Machine>) {
+    let mut b = Bench::new(stack, target, None);
+    let outs = b.outputs(coll, bytes);
+    let lat = (0..iters)
+        .map(|_| {
+            let ins = b.inputs(bytes);
+            b.launch(coll, &ins, &outs, Pick::Default)
+                .unwrap_or_else(|err| panic!("{} {coll:?}: {err}", stack.name()))
+                .elapsed()
+                .as_us()
+        })
+        .collect();
+    b.verify(coll, &outs, bytes);
+    (lat, b.engine)
 }
 
 /// Formats a byte count like the paper's axis labels.

@@ -337,6 +337,14 @@ mod tests {
         assert!(report.ttft.max_us > 0.0);
         assert!(report.ttft.p50_us <= report.request_latency.max_us);
         assert!(report.tpot.max_us > 0.0);
+        // The exact report, pinned: every latency, percentile and count
+        // is virtual time, so any model change moves this digest.
+        assert_eq!(engine.engine_mut().clamped_past_events(), 0);
+        assert_eq!(
+            sim::fnv1a(format!("{report:?}").as_bytes()),
+            0xa97d_0b1e_14b6_b13d,
+            "serving report moved: {report:?}"
+        );
     }
 
     /// The prefill mis-billing regression: a batch pairing a 1-token and

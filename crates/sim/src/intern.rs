@@ -40,13 +40,13 @@ impl Hasher for IdentityHasher {
 
 pub(crate) type IdentityMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
 
-/// FNV-1a over the string's bytes. Deterministic across runs and
-/// platforms (unlike the std `RandomState`), and fast on the short
-/// labels the simulator uses.
+/// 64-bit FNV-1a over `bytes`. Deterministic across runs and platforms
+/// (unlike the std `RandomState`), and fast on the short labels the
+/// simulator interns; it is also the hash behind every golden digest.
 #[inline]
-pub(crate) fn fnv1a(s: &str) -> u64 {
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -72,7 +72,7 @@ impl Interner {
     /// Returns the id for `s`, interning it first if unseen. Allocates
     /// only on the first occurrence of a distinct string.
     pub(crate) fn get_or_intern(&mut self, s: &str) -> u32 {
-        let h = fnv1a(s);
+        let h = fnv1a(s.as_bytes());
         if let Some(bucket) = self.buckets.get_mut(&h) {
             match bucket {
                 Bucket::One(id) => {
@@ -102,7 +102,7 @@ impl Interner {
 
     /// The id for `s` if it is already interned (no mutation).
     pub(crate) fn get(&self, s: &str) -> Option<u32> {
-        match self.buckets.get(&fnv1a(s))? {
+        match self.buckets.get(&fnv1a(s.as_bytes()))? {
             Bucket::One(id) => (self.strings[*id as usize] == s).then_some(*id),
             Bucket::Many(ids) => ids
                 .iter()

@@ -57,6 +57,7 @@ pub use engine::{
     TimeoutError,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget, PathState, SimRng};
+pub use intern::fnv1a;
 pub use metrics::{CounterId, Metrics, ResourceStat};
 pub use process::{Process, Step};
 pub use telemetry::{Sample, Sampler, SamplerConfig};

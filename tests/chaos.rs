@@ -15,7 +15,7 @@ use collective::{AllReduceAlgo, CollComm, PeerOrder, RecoveryOutcome};
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
 use mscclpp::Setup;
 use proptest::prelude::*;
-use sim::{Duration, Engine, FaultPlan, Time};
+use sim::{fnv1a, Duration, Engine, FaultPlan, Time};
 
 fn reference_allreduce(n: usize, count: usize, f: impl Fn(usize, usize) -> f32) -> Vec<f32> {
     (0..count).map(|i| (0..n).map(|r| f(r, i)).sum()).collect()
@@ -54,13 +54,6 @@ fn flap_gpu0(mut plan: FaultPlan, world: usize, start: Time, end: Time) -> Fault
 
 fn us(x: u64) -> Time {
     Time::from_ps(x * 1_000_000)
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 proptest! {

@@ -20,7 +20,7 @@ use inference::{
     Request, ServeConfig, ServingEngine, SloSpec,
 };
 use mscclpp::KernelTiming;
-use sim::Engine;
+use sim::{fnv1a, Engine};
 
 fn engine() -> ServingEngine {
     ServingEngine::new(EnvKind::A100_80G, ModelConfig::llama2_13b(), 16 * 1024)
@@ -74,9 +74,16 @@ fn admission_holds_goodput_within_10pct_at_twice_the_knee() {
         // TTFT budget; the rest is rejected or shed at the door.
         cfg.admission.max_queue_depth = 5;
         cfg.seed = 9;
-        serve_trace_observed(&mut engine, &backend, &trace, &cfg)
-            .unwrap()
-            .0
+        let (r, _) = serve_trace_observed(&mut engine, &backend, &trace, &cfg).unwrap();
+        assert_eq!(
+            r.completed + r.shed + r.rejected + r.timed_out + r.evicted,
+            trace.len(),
+            "conservation violated at {interarrival_us} us: {r:?}"
+        );
+        assert!(r.goodput > 0.0, "no goodput at {interarrival_us} us: {r:?}");
+        assert!(r.kv.balances(), "KV accounting out of balance: {:?}", r.kv);
+        assert_eq!(engine.engine_mut().clamped_past_events(), 0);
+        r
     };
     // This engine serves ~77 req/s at batch 8 (~12.5 ms per request:
     // decode throughput ≈ 920 tok/s over ~12-token generations), so
@@ -84,10 +91,7 @@ fn admission_holds_goodput_within_10pct_at_twice_the_knee() {
     // curve; 7 ms is 2× that arrival rate — solidly overloaded.
     let knee = run(14_000.0);
     let overload = run(7_000.0);
-    assert!(
-        knee.goodput > 0.0 && knee.slo_met > 0,
-        "knee run must produce goodput: {knee:?}"
-    );
+    assert!(knee.slo_met > 0, "knee run must meet SLOs: {knee:?}");
     assert!(
         overload.shed + overload.rejected > 0,
         "2x-knee arrivals must trigger load shedding: {overload:?}"
@@ -97,6 +101,14 @@ fn admission_holds_goodput_within_10pct_at_twice_the_knee() {
         "goodput collapsed under overload: knee {:.1}/s vs 2x {:.1}/s",
         knee.goodput,
         overload.goodput
+    );
+    // The exact 2x-knee report, pinned: TTFT percentiles, goodput and
+    // every terminal count are virtual time, so any model change moves
+    // this digest.
+    assert_eq!(
+        fnv1a(format!("{overload:?}").as_bytes()),
+        0x9d8d_8183_4a03_4fb3,
+        "2x-knee report moved: {overload:?}"
     );
 }
 
