@@ -4,78 +4,38 @@ use std::error::Error as StdError;
 use std::fmt;
 
 use hw::{BufferId, Rank};
+use mscclpp::Site;
 
-/// The site of one instruction: which rank, thread block, and program
-/// counter it occupies in the kernel batch under analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Site {
-    /// Issuing rank.
-    pub rank: Rank,
-    /// Thread block index within the rank's kernel.
-    pub tb: usize,
-    /// Instruction index within the block's stream.
-    pub pc: usize,
-}
-
-impl fmt::Display for Site {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/tb{}/pc{}", self.rank, self.tb, self.pc)
-    }
-}
-
-/// Which checks to run. All are on by default; presets exist for
-/// instruction styles where a check is structurally inapplicable.
+/// Which checks to run: every check ([`Checks::all`]) or every check
+/// but orphan signals ([`Checks::transport`]).
+///
+/// Bounds, sync (signal/wait imbalances and happens-before cycles),
+/// races and unflushed port puts always run. The semantic dataflow pass
+/// runs whenever the caller supplies a [`crate::CollectiveSpec`] (see
+/// [`crate::analyze_collective`]) and the plan is race-free (provenance
+/// is only well-defined then).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checks {
-    /// Buffer accesses within registered memory sizes.
-    pub bounds: bool,
-    /// Signal/wait imbalances and happens-before cycles (static deadlock).
-    pub sync: bool,
-    /// Unsynchronized conflicting accesses to overlapping ranges.
-    pub races: bool,
-    /// Explicit signals whose semaphore is never waited on.
-    pub orphan_signals: bool,
-    /// Port puts with no completion guarantee before kernel exit.
-    pub unflushed_puts: bool,
-    /// Semantic dataflow: the final provenance of every output range
-    /// matches the declared [`crate::CollectiveSpec`]. Only runs when the
-    /// caller supplies a spec (see [`crate::analyze_collective`]) and the
-    /// plan is race-free (provenance is only well-defined then).
-    pub semantics: bool,
-}
-
-impl Default for Checks {
-    fn default() -> Checks {
-        Checks {
-            bounds: true,
-            sync: true,
-            races: true,
-            orphan_signals: true,
-            unflushed_puts: true,
-            semantics: true,
-        }
-    }
+    /// Report explicit signals whose semaphore is never waited on.
+    pub(crate) orphan_signals: bool,
 }
 
 impl Checks {
-    /// Every check enabled (the default).
+    /// Every check.
     pub fn all() -> Checks {
-        Checks::default()
+        Checks {
+            orphan_signals: true,
+        }
     }
 
-    /// Preset for NCCL-style transports (`ncclsim`, `msccl`): orphan
-    /// signals are expected there, because rendezvous *credit* semaphores
-    /// are signalled on every receive but only waited on once the sender
-    /// wraps the staging FIFO — a short transfer legitimately leaves them
-    /// dangling. Semantics is off by default here because carried-over
-    /// FIFO credits on re-launches make later batches' dataflow depend on
-    /// state this pass cannot see; transports that verify their *first*
-    /// launch opt back in with `Checks { semantics: true, ..Checks::transport() }`.
+    /// Preset for NCCL-style transports (`ncclsim`, `msccl`): every check
+    /// but orphan signals. Those are expected there, because rendezvous
+    /// *credit* semaphores are signalled on every receive but only waited
+    /// on once the sender wraps the staging FIFO — a short transfer
+    /// legitimately leaves them dangling.
     pub fn transport() -> Checks {
         Checks {
             orphan_signals: false,
-            semantics: false,
-            ..Checks::default()
         }
     }
 }
@@ -440,13 +400,12 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether no *enabled* check fired. The families a clean report
-    /// covers are exactly the [`Checks`] that produced it: bounds,
-    /// sync (imbalance + deadlock cycles), races, orphan signals,
-    /// unflushed port puts, and — when a [`crate::CollectiveSpec`] was
-    /// supplied — semantic dataflow (missing/duplicate/misplaced/stale
-    /// output ranges). A clean report from a spec-less analysis says
-    /// nothing about semantic correctness.
+    /// Whether no check fired. A clean report always covers bounds,
+    /// sync (imbalance + deadlock cycles), races and unflushed port puts;
+    /// orphan signals under [`Checks::all`] only; and semantic dataflow
+    /// (missing/duplicate/misplaced/stale output ranges) only when a
+    /// [`crate::CollectiveSpec`] was supplied. A clean report from a
+    /// spec-less analysis says nothing about semantic correctness.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }

@@ -9,31 +9,28 @@
 use std::collections::{HashMap, HashSet};
 
 use hw::MemoryPool;
+use mscclpp::Site;
 use sim::{CellId, VClock};
 
-use crate::error::{Checks, Site, VerifyError};
-use crate::model::{Access, Kind, Model};
+use crate::error::{Checks, VerifyError};
+use crate::model::{Kind, Model};
 use crate::semantics::{self, CollectiveSpec};
 
-/// Runs all enabled checks over an extracted model.
+/// Runs every check `checks` selects over an extracted model, and the
+/// semantic pass when a spec is supplied.
 pub(crate) fn analyze(
-    model: &Model,
+    model: &Model<'_>,
     pool: &MemoryPool,
     checks: &Checks,
     spec: Option<&CollectiveSpec>,
 ) -> Vec<VerifyError> {
     let mut findings = Vec::new();
-    let graph = Graph::build(model, checks, &mut findings);
-
-    if checks.bounds {
-        check_bounds(model, pool, &mut findings);
-    }
+    let graph = Graph::build(model, &mut findings);
+    check_bounds(model, pool, &mut findings);
 
     match graph.topo_order() {
         Ok(order) => {
-            if checks.races {
-                check_races(model, &graph, &order, &mut findings);
-            }
+            check_races(model, &graph, &order, &mut findings);
             // The provenance pass replays one linearization; that final
             // state only speaks for *every* linearization when
             // conflicting accesses are ordered, so a racy plan skips
@@ -41,30 +38,22 @@ pub(crate) fn analyze(
             let racy = findings
                 .iter()
                 .any(|f| matches!(f, VerifyError::Race { .. }));
-            if checks.semantics && !racy {
-                if let Some(spec) = spec {
-                    let located: Vec<(usize, usize)> =
-                        order.iter().map(|&id| graph.locate(id)).collect();
-                    semantics::check(model, &located, spec, &mut findings);
-                }
+            if let (Some(spec), false) = (spec, racy) {
+                let located: Vec<(usize, usize)> =
+                    order.iter().map(|&id| graph.locate(id)).collect();
+                semantics::check(model, &located, spec, &mut findings);
             }
         }
-        Err(cycle) => {
-            if checks.sync {
-                findings.push(VerifyError::DeadlockCycle {
-                    path: cycle.iter().map(|&id| graph.site(model, id)).collect(),
-                });
-            }
-        }
+        Err(cycle) => findings.push(VerifyError::DeadlockCycle {
+            path: cycle.iter().map(|&id| graph.site(model, id)).collect(),
+        }),
     }
 
     if checks.orphan_signals {
         check_orphans(model, &mut findings);
     }
-    if checks.unflushed_puts {
-        for &site in &model.unflushed {
-            findings.push(VerifyError::UnflushedPortPut { site });
-        }
+    for &site in &model.unflushed {
+        findings.push(VerifyError::UnflushedPortPut { site });
     }
     findings
 }
@@ -87,7 +76,7 @@ impl Graph {
         (t, id - self.offsets[t])
     }
 
-    fn site(&self, model: &Model, id: usize) -> Site {
+    fn site(&self, model: &Model<'_>, id: usize) -> Site {
         let (t, i) = self.locate(id);
         model.threads[t].events[i].site
     }
@@ -105,9 +94,8 @@ impl Graph {
     }
 
     /// Builds every edge class; imbalance findings fall out of wait
-    /// matching and are appended to `findings` directly (gated on
-    /// `checks.sync`).
-    fn build(model: &Model, checks: &Checks, findings: &mut Vec<VerifyError>) -> Graph {
+    /// matching and are appended to `findings` directly.
+    fn build(model: &Model<'_>, findings: &mut Vec<VerifyError>) -> Graph {
         let mut offsets = Vec::with_capacity(model.threads.len() + 1);
         let mut total = 0;
         for t in &model.threads {
@@ -140,7 +128,7 @@ impl Graph {
         let mut incs: HashMap<CellId, HashMap<usize, Vec<usize>>> = HashMap::new();
         for (t, th) in model.threads.iter().enumerate() {
             for (i, ev) in th.events.iter().enumerate() {
-                for &cell in &ev.incs {
+                for cell in ev.incs() {
                     incs.entry(cell)
                         .or_default()
                         .entry(t)
@@ -163,14 +151,12 @@ impl Graph {
                 let per_thread = incs.get(&w.cell).unwrap_or(&empty);
                 let total_incs: u64 = per_thread.values().map(|v| v.len() as u64).sum();
                 if w.needed > total_incs {
-                    if checks.sync {
-                        findings.push(VerifyError::SignalWaitImbalance {
-                            wait: ev.site,
-                            cell: model.cell_name(w.cell),
-                            needed: w.needed,
-                            available: total_incs,
-                        });
-                    }
+                    findings.push(VerifyError::SignalWaitImbalance {
+                        wait: ev.site,
+                        cell: model.cell_name(w.cell),
+                        needed: w.needed,
+                        available: total_incs,
+                    });
                     continue;
                 }
                 let wait_id = g.id(t, i);
@@ -210,20 +196,18 @@ impl Graph {
             let parties = *model.barriers.get(cell).unwrap_or(&0);
             let rounds: HashSet<usize> = per_thread.values().map(Vec::len).collect();
             if per_thread.len() != parties || rounds.len() != 1 {
-                if checks.sync {
-                    let first = per_thread
-                        .values()
-                        .filter_map(|v| v.first())
-                        .min()
-                        .copied()
-                        .unwrap_or(0);
-                    findings.push(VerifyError::SignalWaitImbalance {
-                        wait: g.site(model, first),
-                        cell: model.cell_name(*cell),
-                        needed: parties as u64,
-                        available: per_thread.len() as u64,
-                    });
-                }
+                let first = per_thread
+                    .values()
+                    .filter_map(|v| v.first())
+                    .min()
+                    .copied()
+                    .unwrap_or(0);
+                findings.push(VerifyError::SignalWaitImbalance {
+                    wait: g.site(model, first),
+                    cell: model.cell_name(*cell),
+                    needed: parties as u64,
+                    available: per_thread.len() as u64,
+                });
                 continue;
             }
             // Round k exits only once every party's round-k arrival has
@@ -292,11 +276,11 @@ impl Graph {
     }
 }
 
-fn check_bounds(model: &Model, pool: &MemoryPool, findings: &mut Vec<VerifyError>) {
+fn check_bounds(model: &Model<'_>, pool: &MemoryPool, findings: &mut Vec<VerifyError>) {
     let mut seen = HashSet::new();
     for th in &model.threads {
         for ev in &th.events {
-            for a in &ev.accesses {
+            for a in ev.accesses() {
                 let len = pool.len(a.buf);
                 if a.end > len && seen.insert((ev.site, a.buf, a.start, a.end)) {
                     findings.push(VerifyError::OutOfBounds {
@@ -311,7 +295,7 @@ fn check_bounds(model: &Model, pool: &MemoryPool, findings: &mut Vec<VerifyError
     }
 }
 
-fn check_orphans(model: &Model, findings: &mut Vec<VerifyError>) {
+fn check_orphans(model: &Model<'_>, findings: &mut Vec<VerifyError>) {
     let waited: HashSet<CellId> = model
         .threads
         .iter()
@@ -332,7 +316,7 @@ fn check_orphans(model: &Model, findings: &mut Vec<VerifyError>) {
     }
 }
 
-fn check_races(model: &Model, g: &Graph, order: &[usize], findings: &mut Vec<VerifyError>) {
+fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec<VerifyError>) {
     // Vector clock per event, own component = index-in-thread + 1:
     // event (u, i) happens before (v, j) iff clock[(v, j)][u] >= i + 1.
     let mut clocks: Vec<VClock> = vec![VClock::new(); g.total()];
@@ -346,36 +330,39 @@ fn check_races(model: &Model, g: &Graph, order: &[usize], findings: &mut Vec<Ver
         clocks[id] = c;
     }
 
-    struct Rec<'a> {
+    struct Rec {
         id: usize,
         thread: usize,
         idx: usize,
-        site: Site,
-        acc: &'a Access,
+        start: usize,
+        end: usize,
+        write: bool,
     }
-    let mut by_buf: HashMap<hw::BufferId, Vec<Rec<'_>>> = HashMap::new();
+    let mut by_buf: HashMap<hw::BufferId, Vec<Rec>> = HashMap::new();
     for (t, th) in model.threads.iter().enumerate() {
         for (i, ev) in th.events.iter().enumerate() {
-            for a in &ev.accesses {
+            for a in ev.accesses() {
                 by_buf.entry(a.buf).or_default().push(Rec {
                     id: g.id(t, i),
                     thread: t,
                     idx: i,
-                    site: ev.site,
-                    acc: a,
+                    start: a.start,
+                    end: a.end,
+                    write: a.write,
                 });
             }
         }
     }
 
+    let site = |r: &Rec| model.threads[r.thread].events[r.idx].site;
     let mut reported = HashSet::new();
     for (buf, recs) in &by_buf {
         for (n, a) in recs.iter().enumerate() {
             for b in &recs[n + 1..] {
                 if a.thread == b.thread
-                    || (!a.acc.write && !b.acc.write)
-                    || a.acc.end <= b.acc.start
-                    || b.acc.end <= a.acc.start
+                    || (!a.write && !b.write)
+                    || a.end <= b.start
+                    || b.end <= a.start
                 {
                     continue;
                 }
@@ -384,15 +371,15 @@ fn check_races(model: &Model, g: &Graph, order: &[usize], findings: &mut Vec<Ver
                 if a_before_b || b_before_a {
                     continue;
                 }
-                let (x, y) = if a.site <= b.site { (a, b) } else { (b, a) };
-                if reported.insert((x.site, y.site, *buf)) {
+                let (x, y) = if site(a) <= site(b) { (a, b) } else { (b, a) };
+                if reported.insert((site(x), site(y), *buf)) {
                     findings.push(VerifyError::Race {
-                        first: x.site,
-                        first_range: (x.acc.start, x.acc.end),
-                        first_write: x.acc.write,
-                        second: y.site,
-                        second_range: (y.acc.start, y.acc.end),
-                        second_write: y.acc.write,
+                        first: site(x),
+                        first_range: (x.start, x.end),
+                        first_write: x.write,
+                        second: site(y),
+                        second_range: (y.start, y.end),
+                        second_write: y.write,
                         buf: *buf,
                     });
                 }

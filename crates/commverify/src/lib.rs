@@ -30,13 +30,16 @@
 //! rule keeps only guaranteed edges, so extra races may be reported but
 //! ordered pairs are never misclassified as racing. Callers that reuse
 //! channel state across launches (NCCL-style FIFO credits) should verify
-//! the first launch only — see [`Checks::transport`].
+//! the first launch only, with [`Checks::transport`].
 //!
 //! The dynamic counterpart lives in the `mscclpp` crate
 //! ([`mscclpp::run_kernels_sanitized`]): a vector-clock sanitizer over a
-//! concrete simulated execution. The static verifier and the sanitizer
-//! agree on instruction sites, so a static race finding can be
-//! cross-checked against a dynamic one.
+//! concrete simulated execution. Both read each instruction's footprint
+//! from one definition ([`mscclpp::Instr::dataflow`] and
+//! [`mscclpp::Instr::increments`]), both run a port channel's proxy as a
+//! thread of its own per pushing block, and both name findings by the
+//! same [`Site`], so a static race finding can be cross-checked against
+//! a dynamic one.
 
 mod error;
 mod hb;
@@ -44,7 +47,8 @@ mod model;
 pub mod mutate;
 mod semantics;
 
-pub use error::{Checks, Report, Site, VerifyError};
+pub use error::{Checks, Report, VerifyError};
+pub use mscclpp::Site;
 pub use semantics::{CollectiveKind, CollectiveSpec, SpecMember};
 
 use hw::MemoryPool;
@@ -64,10 +68,18 @@ fn analyze_inner(
     report
 }
 
-/// Analyzes a kernel batch with an explicit check selection and returns
+/// The first (highest-priority) finding of a report, as an error.
+// The Err is a rich diagnostic carrying both instruction sites; it is
+// constructed once per aborted launch, never on the success path.
+#[allow(clippy::result_large_err)]
+fn first_finding(report: Report) -> Result<(), VerifyError> {
+    report.findings.into_iter().next().map_or(Ok(()), Err)
+}
+
+/// Analyzes a kernel batch with an explicit check preset and returns
 /// every finding. Without a [`CollectiveSpec`] the semantic dataflow
-/// pass has nothing to check against and is skipped even when
-/// [`Checks::semantics`] is set — use [`analyze_collective`] to run it.
+/// pass has nothing to check against and is skipped — use
+/// [`analyze_collective`] to run it.
 pub fn analyze_with(kernels: &[Kernel], pool: &MemoryPool, checks: &Checks) -> Report {
     analyze_inner(kernels, pool, checks, None)
 }
@@ -77,33 +89,17 @@ pub fn analyze_kernels(kernels: &[Kernel], pool: &MemoryPool) -> Report {
     analyze_with(kernels, pool, &Checks::all())
 }
 
-/// Verifies a kernel batch with an explicit check selection, returning
-/// the first (highest-priority) finding as an error.
-// The Err is a rich diagnostic carrying both instruction sites; it is
-// constructed once per aborted launch, never on the success path.
-#[allow(clippy::result_large_err)]
-pub fn verify_kernels_with(
-    kernels: &[Kernel],
-    pool: &MemoryPool,
-    checks: &Checks,
-) -> Result<(), VerifyError> {
-    let report = analyze_with(kernels, pool, checks);
-    match report.findings.into_iter().next() {
-        None => Ok(()),
-        Some(f) => Err(f),
-    }
-}
-
-/// Verifies a kernel batch with all checks enabled.
+/// Verifies a kernel batch with all checks enabled, returning the first
+/// (highest-priority) finding as an error.
 #[allow(clippy::result_large_err)]
 pub fn verify_kernels(kernels: &[Kernel], pool: &MemoryPool) -> Result<(), VerifyError> {
-    verify_kernels_with(kernels, pool, &Checks::all())
+    first_finding(analyze_kernels(kernels, pool))
 }
 
 /// Analyzes a kernel batch against a declared collective: all the checks
 /// of [`analyze_with`], plus the semantic dataflow pass proving every
 /// member's output range holds exactly the contributions `spec` demands
-/// (gated on [`Checks::semantics`] and on the plan being race-free).
+/// (run when the plan is race-free).
 pub fn analyze_collective(
     kernels: &[Kernel],
     pool: &MemoryPool,
@@ -122,9 +118,5 @@ pub fn verify_collective(
     checks: &Checks,
     spec: &CollectiveSpec,
 ) -> Result<(), VerifyError> {
-    let report = analyze_collective(kernels, pool, checks, spec);
-    match report.findings.into_iter().next() {
-        None => Ok(()),
-        Some(f) => Err(f),
-    }
+    first_finding(analyze_collective(kernels, pool, checks, spec))
 }

@@ -3,26 +3,15 @@
 //! Each thread block becomes one *thread* of events; each proxied port
 //! channel endpoint contributes a *virtual proxy thread* whose events
 //! carry the CPU proxy's copies, linked to the pushing block by explicit
-//! cross edges. Every event records the byte ranges it touches, the
-//! synchronization cells it increments, and (for waits) the cell and
-//! threshold it blocks on.
+//! cross edges. Every event carries its instruction's footprint
+//! ([`Instr::dataflow`], [`Instr::increments`]): the byte ranges it
+//! touches and the synchronization cells it increments. Waits also
+//! record the cell and threshold they block on.
 
 use std::collections::HashMap;
 
-use hw::BufferId;
-use mscclpp::{Instr, Kernel};
+use mscclpp::{Access, Dataflow, Instr, Kernel, Site};
 use sim::CellId;
-
-use crate::error::Site;
-
-/// One byte-range access, half-open `[start, end)`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Access {
-    pub buf: BufferId,
-    pub start: usize,
-    pub end: usize,
-    pub write: bool,
-}
 
 /// A counted wait: blocks until `cell >= needed`.
 #[derive(Debug, Clone, Copy)]
@@ -44,81 +33,51 @@ pub(crate) enum Kind {
     BarrierExit(CellId),
 }
 
-/// Semantic dataflow effect of one event — how it transforms symbolic
-/// byte-range provenance. Extracted alongside the accesses so the
-/// `semantics` pass can replay the plan in happens-before order without
-/// re-decoding instructions. `None` on events that move no data
-/// (waits, signals, barriers).
-#[derive(Debug, Clone)]
-pub(crate) enum SemOp {
-    /// Fresh overwrite: `dst[..bytes] = src[..bytes]`
-    /// (`Copy`/`MemPut`/`PortPut`/`RawPut`).
-    Move {
-        src: (BufferId, usize),
-        dst: (BufferId, usize),
-        bytes: usize,
-    },
-    /// Accumulate: `dst = op(dst, src)` — provenance multiset union
-    /// (`Reduce`, `MemReadReduce`).
-    Accum {
-        src: (BufferId, usize),
-        dst: (BufferId, usize),
-        bytes: usize,
-    },
-    /// Three-address reduce: `dst = op(a, b)` — union of both operands,
-    /// fresh overwrite of `dst` (`ReduceInto`, `RawReducePut`).
-    Reduce2 {
-        a: (BufferId, usize),
-        b: (BufferId, usize),
-        dst: (BufferId, usize),
-        bytes: usize,
-    },
-    /// Multimem load-reduce over every member buffer (`SwitchReduce`).
-    ReduceAll {
-        srcs: Vec<(BufferId, usize)>,
-        dst: (BufferId, usize),
-        bytes: usize,
-    },
-    /// Multimem store into every member buffer (`SwitchBroadcast`).
-    Replicate {
-        src: (BufferId, usize),
-        dsts: Vec<(BufferId, usize)>,
-        bytes: usize,
-    },
-}
-
 #[derive(Debug)]
-pub(crate) struct Event {
+pub(crate) struct Event<'k> {
     pub site: Site,
-    pub accesses: Vec<Access>,
-    pub incs: Vec<CellId>,
+    /// The instruction whose footprint the event carries: `None` on a
+    /// port push (the proxy thread carries it) and a barrier exit.
+    footprint: Option<&'k Instr>,
     pub wait: Option<WaitOn>,
     pub kind: Kind,
-    pub sem: Option<SemOp>,
 }
 
-impl Event {
-    fn plain(site: Site) -> Event {
+impl<'k> Event<'k> {
+    fn new(site: Site, footprint: Option<&'k Instr>) -> Event<'k> {
         Event {
             site,
-            accesses: Vec::new(),
-            incs: Vec::new(),
+            footprint,
             wait: None,
             kind: Kind::Plain,
-            sem: None,
         }
+    }
+
+    /// How the event transforms bytes (`None`: it moves no data).
+    pub(crate) fn flow(&self) -> Option<Dataflow<'k>> {
+        self.footprint.and_then(Instr::dataflow)
+    }
+
+    /// Byte-range accesses: reads in operand order, then writes.
+    pub(crate) fn accesses(&self) -> impl Iterator<Item = Access> + 'k {
+        self.flow().into_iter().flat_map(Dataflow::accesses)
+    }
+
+    /// Synchronization cells the event increments.
+    pub(crate) fn incs(&self) -> impl Iterator<Item = CellId> + 'k {
+        self.footprint.into_iter().flat_map(Instr::increments)
     }
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct Thread {
-    pub events: Vec<Event>,
+pub(crate) struct Thread<'k> {
+    pub events: Vec<Event<'k>>,
 }
 
 /// The extracted model of one kernel batch.
 #[derive(Debug, Default)]
-pub(crate) struct Model {
-    pub threads: Vec<Thread>,
+pub(crate) struct Model<'k> {
+    pub threads: Vec<Thread<'k>>,
     /// Cross-thread happens-before edges beyond program order and wait
     /// matching: FIFO push → proxy processing, as `(from, to)` pairs of
     /// `(thread, event index)`.
@@ -131,7 +90,7 @@ pub(crate) struct Model {
     pub unflushed: Vec<Site>,
 }
 
-impl Model {
+impl Model<'_> {
     fn name_cell(&mut self, cell: CellId, name: impl FnOnce() -> String) {
         self.cell_names.entry(cell).or_insert_with(name);
     }
@@ -157,7 +116,7 @@ struct PortState {
 }
 
 /// Extracts the analysis model from a kernel batch.
-pub(crate) fn extract(kernels: &[Kernel]) -> Model {
+pub(crate) fn extract(kernels: &[Kernel]) -> Model<'_> {
     let mut m = Model::default();
     for k in kernels {
         for (tb, prog) in k.blocks.iter().enumerate() {
@@ -175,92 +134,30 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
                     tb,
                     pc,
                 };
-                let mut ev = Event::plain(site);
+                let mut ev = Event::new(site, Some(instr));
                 match instr {
                     Instr::MemPut {
-                        ch,
-                        src_off,
-                        dst_off,
-                        bytes,
-                        with_signal,
+                        ch, with_signal, ..
                     } => {
                         m.name_cell(ch.peer_arrival, || format!("mem_arrival@{}", ch.peer_rank));
-                        ev.accesses.push(Access {
-                            buf: ch.local_buf,
-                            start: *src_off,
-                            end: src_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: ch.remote_buf,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        ev.incs.push(ch.peer_arrival);
                         if *with_signal {
                             m.name_cell(ch.peer_sem, || format!("mem_sem@{}", ch.peer_rank));
-                            ev.incs.push(ch.peer_sem);
                         }
-                        ev.sem = Some(SemOp::Move {
-                            src: (ch.local_buf, *src_off),
-                            dst: (ch.remote_buf, *dst_off),
-                            bytes: *bytes,
-                        });
                     }
                     Instr::MemSignal { ch } => {
                         m.name_cell(ch.peer_sem, || format!("mem_sem@{}", ch.peer_rank));
-                        ev.incs.push(ch.peer_sem);
                         ev.kind = Kind::Signal(ch.peer_sem);
                     }
                     Instr::MemWait { ch } => {
                         m.name_cell(ch.my_sem, || format!("mem_sem@{}", ch.local_rank));
-                        let n = bump(&mut wait_counts, ch.my_sem);
-                        ev.wait = Some(WaitOn {
-                            cell: ch.my_sem,
-                            needed: n,
-                        });
+                        ev.wait = Some(nth_wait(&mut wait_counts, ch.my_sem));
                     }
                     Instr::MemWaitData { ch } => {
                         m.name_cell(ch.my_arrival, || format!("mem_arrival@{}", ch.local_rank));
-                        let n = bump(&mut wait_counts, ch.my_arrival);
-                        ev.wait = Some(WaitOn {
-                            cell: ch.my_arrival,
-                            needed: n,
-                        });
-                    }
-                    Instr::MemReadReduce {
-                        ch,
-                        remote_off,
-                        local_buf,
-                        local_off,
-                        bytes,
-                        ..
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: ch.remote_buf,
-                            start: *remote_off,
-                            end: remote_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *local_buf,
-                            start: *local_off,
-                            end: local_off + bytes,
-                            write: true,
-                        });
-                        ev.sem = Some(SemOp::Accum {
-                            src: (ch.remote_buf, *remote_off),
-                            dst: (*local_buf, *local_off),
-                            bytes: *bytes,
-                        });
+                        ev.wait = Some(nth_wait(&mut wait_counts, ch.my_arrival));
                     }
                     Instr::PortPut {
-                        ch,
-                        src_off,
-                        dst_off,
-                        bytes,
-                        with_signal,
+                        ch, with_signal, ..
                     } => {
                         m.name_cell(ch.completed_cell, || {
                             format!("port_completed@{}", ch.local_rank)
@@ -269,6 +166,7 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
                         let state = ports.entry(ch.pushed_cell).or_default();
                         state.pushed += 1;
                         if *with_signal {
+                            m.name_cell(ch.peer_sem, || format!("port_sem@{}", ch.peer_rank));
                             state.dirty.clear();
                         } else {
                             state.dirty.push(site);
@@ -278,32 +176,7 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
                         // pusher's later instructions are NOT ordered
                         // after it, which is what catches source-buffer
                         // reuse before a flush.
-                        let mut proxy_ev = Event::plain(site);
-                        proxy_ev.accesses.push(Access {
-                            buf: ch.local_buf,
-                            start: *src_off,
-                            end: src_off + bytes,
-                            write: false,
-                        });
-                        proxy_ev.accesses.push(Access {
-                            buf: ch.remote_buf,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        proxy_ev.incs.push(ch.completed_cell);
-                        proxy_ev.incs.push(ch.peer_arrival);
-                        if *with_signal {
-                            m.name_cell(ch.peer_sem, || format!("port_sem@{}", ch.peer_rank));
-                            proxy_ev.incs.push(ch.peer_sem);
-                        }
-                        proxy_ev.sem = Some(SemOp::Move {
-                            src: (ch.local_buf, *src_off),
-                            dst: (ch.remote_buf, *dst_off),
-                            bytes: *bytes,
-                        });
-                        let push_idx = m.threads[t].events.len();
-                        push_proxy(&mut m, state, t, push_idx, proxy_ev);
+                        ev = push_proxy(&mut m, state, t, ev);
                     }
                     Instr::PortSignal { ch } => {
                         m.name_cell(ch.completed_cell, || {
@@ -315,12 +188,8 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
                         // FIFO order: a signal behind earlier puts reaches
                         // the peer only after they complete.
                         state.dirty.clear();
-                        let mut proxy_ev = Event::plain(site);
-                        proxy_ev.incs.push(ch.completed_cell);
-                        proxy_ev.incs.push(ch.peer_sem);
-                        proxy_ev.kind = Kind::Signal(ch.peer_sem);
-                        let push_idx = m.threads[t].events.len();
-                        push_proxy(&mut m, state, t, push_idx, proxy_ev);
+                        ev.kind = Kind::Signal(ch.peer_sem);
+                        ev = push_proxy(&mut m, state, t, ev);
                     }
                     Instr::PortFlush { ch, .. } => {
                         let state = ports.entry(ch.pushed_cell).or_default();
@@ -337,235 +206,19 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
                     }
                     Instr::PortWait { ch } => {
                         m.name_cell(ch.my_sem, || format!("port_sem@{}", ch.local_rank));
-                        let n = bump(&mut wait_counts, ch.my_sem);
-                        ev.wait = Some(WaitOn {
-                            cell: ch.my_sem,
-                            needed: n,
-                        });
+                        ev.wait = Some(nth_wait(&mut wait_counts, ch.my_sem));
                     }
-                    Instr::SwitchReduce {
-                        ch,
-                        src_off,
-                        dst_buf,
-                        dst_off,
-                        bytes,
-                        ..
-                    } => {
-                        for &(_, b) in ch.members.iter() {
-                            ev.accesses.push(Access {
-                                buf: b,
-                                start: *src_off,
-                                end: src_off + bytes,
-                                write: false,
-                            });
-                        }
-                        ev.accesses.push(Access {
-                            buf: *dst_buf,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        ev.sem = Some(SemOp::ReduceAll {
-                            srcs: ch.members.iter().map(|&(_, b)| (b, *src_off)).collect(),
-                            dst: (*dst_buf, *dst_off),
-                            bytes: *bytes,
-                        });
-                    }
-                    Instr::SwitchBroadcast {
-                        ch,
-                        src_buf,
-                        src_off,
-                        dst_off,
-                        bytes,
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: *src_buf,
-                            start: *src_off,
-                            end: src_off + bytes,
-                            write: false,
-                        });
-                        for &(_, b) in ch.members.iter() {
-                            ev.accesses.push(Access {
-                                buf: b,
-                                start: *dst_off,
-                                end: dst_off + bytes,
-                                write: true,
-                            });
-                        }
-                        ev.sem = Some(SemOp::Replicate {
-                            src: (*src_buf, *src_off),
-                            dsts: ch.members.iter().map(|&(_, b)| (b, *dst_off)).collect(),
-                            bytes: *bytes,
-                        });
-                    }
-                    Instr::Copy {
-                        src,
-                        src_off,
-                        dst,
-                        dst_off,
-                        bytes,
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: *src,
-                            start: *src_off,
-                            end: src_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *dst,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        ev.sem = Some(SemOp::Move {
-                            src: (*src, *src_off),
-                            dst: (*dst, *dst_off),
-                            bytes: *bytes,
-                        });
-                    }
-                    Instr::Reduce {
-                        src,
-                        src_off,
-                        dst,
-                        dst_off,
-                        bytes,
-                        ..
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: *src,
-                            start: *src_off,
-                            end: src_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *dst,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        ev.sem = Some(SemOp::Accum {
-                            src: (*src, *src_off),
-                            dst: (*dst, *dst_off),
-                            bytes: *bytes,
-                        });
-                    }
-                    Instr::RawPut {
-                        src,
-                        src_off,
-                        dst,
-                        dst_off,
-                        bytes,
-                        notify,
-                        ..
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: *src,
-                            start: *src_off,
-                            end: src_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *dst,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
+                    Instr::RawPut { notify, .. } | Instr::RawReducePut { notify, .. } => {
                         if let Some(sem) = notify {
                             m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
-                            ev.incs.push(sem.cell);
                         }
-                        ev.sem = Some(SemOp::Move {
-                            src: (*src, *src_off),
-                            dst: (*dst, *dst_off),
-                            bytes: *bytes,
-                        });
-                    }
-                    Instr::RawReducePut {
-                        a,
-                        a_off,
-                        b,
-                        b_off,
-                        dst,
-                        dst_off,
-                        bytes,
-                        notify,
-                        ..
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: *a,
-                            start: *a_off,
-                            end: a_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *b,
-                            start: *b_off,
-                            end: b_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *dst,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        if let Some(sem) = notify {
-                            m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
-                            ev.incs.push(sem.cell);
-                        }
-                        ev.sem = Some(SemOp::Reduce2 {
-                            a: (*a, *a_off),
-                            b: (*b, *b_off),
-                            dst: (*dst, *dst_off),
-                            bytes: *bytes,
-                        });
-                    }
-                    Instr::ReduceInto {
-                        a,
-                        a_off,
-                        b,
-                        b_off,
-                        dst,
-                        dst_off,
-                        bytes,
-                        ..
-                    } => {
-                        ev.accesses.push(Access {
-                            buf: *a,
-                            start: *a_off,
-                            end: a_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *b,
-                            start: *b_off,
-                            end: b_off + bytes,
-                            write: false,
-                        });
-                        ev.accesses.push(Access {
-                            buf: *dst,
-                            start: *dst_off,
-                            end: dst_off + bytes,
-                            write: true,
-                        });
-                        ev.sem = Some(SemOp::Reduce2 {
-                            a: (*a, *a_off),
-                            b: (*b, *b_off),
-                            dst: (*dst, *dst_off),
-                            bytes: *bytes,
-                        });
                     }
                     Instr::SemWait { sem } => {
                         m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
-                        let n = bump(&mut wait_counts, sem.cell);
-                        ev.wait = Some(WaitOn {
-                            cell: sem.cell,
-                            needed: n,
-                        });
+                        ev.wait = Some(nth_wait(&mut wait_counts, sem.cell));
                     }
                     Instr::SemSignal { sem } => {
                         m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
-                        ev.incs.push(sem.cell);
                         ev.kind = Kind::Signal(sem.cell);
                     }
                     Instr::Barrier { barrier } => {
@@ -575,14 +228,17 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
                         // event: all-arrive-before-any-exit edges then
                         // never form spurious two-cycles through a single
                         // node.
-                        ev.incs.push(barrier.cell);
                         ev.kind = Kind::BarrierArrive(barrier.cell);
                         m.threads[t].events.push(ev);
-                        let mut exit = Event::plain(site);
-                        exit.kind = Kind::BarrierExit(barrier.cell);
-                        m.threads[t].events.push(exit);
-                        continue;
+                        ev = Event::new(site, None);
+                        ev.kind = Kind::BarrierExit(barrier.cell);
                     }
+                    Instr::MemReadReduce { .. }
+                    | Instr::SwitchReduce { .. }
+                    | Instr::SwitchBroadcast { .. }
+                    | Instr::Copy { .. }
+                    | Instr::Reduce { .. }
+                    | Instr::ReduceInto { .. } => {}
                     Instr::Compute { .. } => continue,
                 }
                 m.threads[t].events.push(ev);
@@ -596,20 +252,30 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model {
     m
 }
 
-fn bump(counts: &mut HashMap<CellId, u64>, cell: CellId) -> u64 {
+/// The wait a thread's next wait on `cell` stands for: its n-th wait on
+/// the cell needs n increments.
+fn nth_wait(counts: &mut HashMap<CellId, u64>, cell: CellId) -> WaitOn {
     let n = counts.entry(cell).or_insert(0);
     *n += 1;
-    *n
+    WaitOn { cell, needed: *n }
 }
 
-/// Appends a proxy event to the endpoint's virtual thread (creating it on
-/// first use) and records the push → proxy cross edge.
-fn push_proxy(m: &mut Model, state: &mut PortState, block_t: usize, push_idx: usize, ev: Event) {
+/// Moves a port push's footprint onto the endpoint's virtual proxy
+/// thread (creating it on first use), records the push → proxy cross
+/// edge, and returns the bare event left on the pushing block.
+fn push_proxy<'k>(
+    m: &mut Model<'k>,
+    state: &mut PortState,
+    block_t: usize,
+    ev: Event<'k>,
+) -> Event<'k> {
     let pt = *state.proxy.get_or_insert_with(|| {
         m.threads.push(Thread::default());
         m.threads.len() - 1
     });
-    let pidx = m.threads[pt].events.len();
+    let push = (block_t, m.threads[block_t].events.len());
+    let site = ev.site;
+    m.extra_edges.push((push, (pt, m.threads[pt].events.len())));
     m.threads[pt].events.push(ev);
-    m.extra_edges.push(((block_t, push_idx), (pt, pidx)));
+    Event::new(site, None)
 }

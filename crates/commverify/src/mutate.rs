@@ -86,22 +86,6 @@ fn is_data_put(ins: &Instr) -> bool {
     )
 }
 
-fn is_data_op(ins: &Instr) -> bool {
-    matches!(
-        ins,
-        Instr::MemPut { .. }
-            | Instr::PortPut { .. }
-            | Instr::RawPut { .. }
-            | Instr::MemReadReduce { .. }
-            | Instr::SwitchReduce { .. }
-            | Instr::SwitchBroadcast { .. }
-            | Instr::Copy { .. }
-            | Instr::Reduce { .. }
-            | Instr::RawReducePut { .. }
-            | Instr::ReduceInto { .. }
-    )
-}
-
 fn loc_name(kernels: &[Kernel], (k, b, i): Loc) -> String {
     format!(
         "rank {} tb {} pc {} ({})",
@@ -266,8 +250,13 @@ fn skip_tail_slice(kernels: &[Kernel], seed: &mut u64) -> Option<Mutant> {
     let mut cands: Vec<Loc> = Vec::new();
     for (k, kn) in kernels.iter().enumerate() {
         for (b, blk) in kn.blocks.iter().enumerate() {
-            if let Some(i) = blk.iter().rposition(is_data_op) {
-                if instr_bytes(&blk[i]) >= 8 {
+            let last = blk
+                .iter()
+                .enumerate()
+                .rev()
+                .find_map(|(i, ins)| ins.dataflow().map(|flow| (i, flow.bytes())));
+            if let Some((i, bytes)) = last {
+                if bytes >= 8 {
                     cands.push((k, b, i));
                 }
             }
@@ -285,22 +274,6 @@ fn skip_tail_slice(kernels: &[Kernel], seed: &mut u64) -> Option<Mutant> {
         name,
         kernels,
     })
-}
-
-fn instr_bytes(ins: &Instr) -> usize {
-    match ins {
-        Instr::MemPut { bytes, .. }
-        | Instr::PortPut { bytes, .. }
-        | Instr::RawPut { bytes, .. }
-        | Instr::MemReadReduce { bytes, .. }
-        | Instr::SwitchReduce { bytes, .. }
-        | Instr::SwitchBroadcast { bytes, .. }
-        | Instr::Copy { bytes, .. }
-        | Instr::Reduce { bytes, .. }
-        | Instr::RawReducePut { bytes, .. }
-        | Instr::ReduceInto { bytes, .. } => *bytes,
-        _ => 0,
-    }
 }
 
 fn halve_bytes(ins: &mut Instr) {

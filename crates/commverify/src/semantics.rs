@@ -5,7 +5,7 @@
 //! linearization, tracking **symbolic provenance** per byte range: every
 //! range of every touched buffer holds an abstract multiset of
 //! `(source member, source byte offset)` contribution terms. Data-moving
-//! ops transform the state —
+//! ops ([`mscclpp::Instr::dataflow`]) transform the state —
 //!
 //! * `Move` (Copy/MemPut/PortPut/RawPut) overwrites the destination with
 //!   the source's terms, shifted to the new offset;
@@ -37,9 +37,10 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use hw::{BufferId, Rank};
+use mscclpp::{Dataflow, Site};
 
-use crate::error::{Site, VerifyError};
-use crate::model::{Model, SemOp};
+use crate::error::VerifyError;
+use crate::model::Model;
 
 /// One participating rank of a [`CollectiveSpec`]: its rank id and the
 /// buffers the collective's contract is stated over. Member *position*
@@ -212,13 +213,9 @@ struct Seg {
     val: SegVal,
 }
 
-/// Per-buffer interval maps plus reused scratch, sized once and carried
-/// across every op so the hot loop is allocation-lean even on
-/// 64–128-rank worlds.
+/// Per-buffer interval maps.
 struct State {
     bufs: HashMap<BufferId, Vec<Seg>>,
-    /// Scratch for the union of two piece lists.
-    merged: Vec<Seg>,
 }
 
 impl State {
@@ -241,10 +238,7 @@ impl State {
                 })),
             });
         }
-        State {
-            bufs,
-            merged: Vec::new(),
-        }
+        State { bufs }
     }
 
     /// Copies the pieces covering `[off, off+len)` of `buf` into `out`,
@@ -289,6 +283,29 @@ impl State {
                 val: SegVal::Stale { origin: None },
             });
         }
+    }
+
+    /// Reads `[off, off+len)` of `buf` into `out` as pieces bound for
+    /// offset `to`: shifted by `to - off` and stamped with `site` as
+    /// their writer.
+    fn read_moved(
+        &self,
+        (buf, off): (BufferId, usize),
+        len: usize,
+        to: usize,
+        site: Site,
+        scratch: &mut Vec<Seg>,
+        out: &mut Vec<Seg>,
+    ) {
+        self.read_into(buf, off, len, scratch);
+        let shift = to as i64 - off as i64;
+        out.clear();
+        out.extend(scratch.iter().map(|p| Seg {
+            start: p.start,
+            end: p.end,
+            writer: Some(site),
+            val: moved_piece(p, shift, site),
+        }));
     }
 
     /// Replaces `[off, off+len)` of `buf` with `pieces` (relative
@@ -447,141 +464,48 @@ fn union_pieces(a: &[Seg], b: &[Seg], len: usize, site: Site, out: &mut Vec<Seg>
 /// `(thread, event)` pairs) and checks every member's output against the
 /// spec, appending at most one finding per member.
 pub(crate) fn check(
-    model: &Model,
+    model: &Model<'_>,
     order: &[(usize, usize)],
     spec: &CollectiveSpec,
     findings: &mut Vec<VerifyError>,
 ) {
     let mut st = State::new(spec);
-    let mut spieces: Vec<Seg> = Vec::new();
+    // Piece lists reused across every op: the raw read, one shifted
+    // operand, the value being built and the union being merged into it.
+    let (mut scratch, mut pieces, mut value, mut merged) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for &(t, i) in order {
         let ev = &model.threads[t].events[i];
-        let Some(op) = &ev.sem else { continue };
+        let Some(flow) = ev.flow() else { continue };
         let site = ev.site;
-        match op {
-            SemOp::Move {
-                src: (sb, so),
-                dst: (db, doff),
-                bytes,
-            } => {
-                st.read_into(*sb, *so, *bytes, &mut spieces);
-                let shift = *doff as i64 - *so as i64;
-                let moved: Vec<Seg> = spieces
-                    .iter()
-                    .map(|p| Seg {
-                        start: p.start,
-                        end: p.end,
-                        writer: Some(site),
-                        val: moved_piece(p, shift, site),
-                    })
-                    .collect();
-                st.write(*db, *doff, *bytes, &moved);
+        let bytes = flow.bytes();
+        // Every shape writes the union of its operands, each shifted to
+        // the destination offset; an accumulator also folds in what its
+        // destination already holds.
+        let (to, accumulator) = match flow {
+            Dataflow::Move { dst, .. }
+            | Dataflow::Reduce2 { dst, .. }
+            | Dataflow::ReduceAll { dst, .. } => (dst.1, None),
+            Dataflow::Accum { dst, .. } => (dst.1, Some(dst)),
+            Dataflow::Replicate { dst_off, .. } => (dst_off, None),
+        };
+        value.clear();
+        for (k, operand) in flow.reads().enumerate() {
+            if k == 0 {
+                st.read_moved(operand, bytes, to, site, &mut scratch, &mut value);
+            } else {
+                st.read_moved(operand, bytes, to, site, &mut scratch, &mut pieces);
+                union_pieces(&value, &pieces, bytes, site, &mut merged);
+                std::mem::swap(&mut value, &mut merged);
             }
-            SemOp::Accum {
-                src: (sb, so),
-                dst: (db, doff),
-                bytes,
-            } => {
-                st.read_into(*sb, *so, *bytes, &mut spieces);
-                let shift = *doff as i64 - *so as i64;
-                let incoming: Vec<Seg> = spieces
-                    .iter()
-                    .map(|p| Seg {
-                        start: p.start,
-                        end: p.end,
-                        writer: Some(site),
-                        val: moved_piece(p, shift, site),
-                    })
-                    .collect();
-                st.read_into(*db, *doff, *bytes, &mut spieces);
-                let mut merged = std::mem::take(&mut st.merged);
-                union_pieces(&incoming, &spieces, *bytes, site, &mut merged);
-                st.write(*db, *doff, *bytes, &merged);
-                st.merged = merged;
-            }
-            SemOp::Reduce2 {
-                a: (ab, ao),
-                b: (bb, bo),
-                dst: (db, doff),
-                bytes,
-            } => {
-                st.read_into(*ab, *ao, *bytes, &mut spieces);
-                let shift_a = *doff as i64 - *ao as i64;
-                let ap: Vec<Seg> = spieces
-                    .iter()
-                    .map(|p| Seg {
-                        start: p.start,
-                        end: p.end,
-                        writer: Some(site),
-                        val: moved_piece(p, shift_a, site),
-                    })
-                    .collect();
-                st.read_into(*bb, *bo, *bytes, &mut spieces);
-                let shift_b = *doff as i64 - *bo as i64;
-                let bp: Vec<Seg> = spieces
-                    .iter()
-                    .map(|p| Seg {
-                        start: p.start,
-                        end: p.end,
-                        writer: Some(site),
-                        val: moved_piece(p, shift_b, site),
-                    })
-                    .collect();
-                let mut merged = std::mem::take(&mut st.merged);
-                union_pieces(&ap, &bp, *bytes, site, &mut merged);
-                st.write(*db, *doff, *bytes, &merged);
-                st.merged = merged;
-            }
-            SemOp::ReduceAll {
-                srcs,
-                dst: (db, doff),
-                bytes,
-            } => {
-                let mut acc: Vec<Seg> = Vec::new();
-                for (k, (sb, so)) in srcs.iter().enumerate() {
-                    st.read_into(*sb, *so, *bytes, &mut spieces);
-                    let shift = *doff as i64 - *so as i64;
-                    let p: Vec<Seg> = spieces
-                        .iter()
-                        .map(|p| Seg {
-                            start: p.start,
-                            end: p.end,
-                            writer: Some(site),
-                            val: moved_piece(p, shift, site),
-                        })
-                        .collect();
-                    if k == 0 {
-                        acc = p;
-                    } else {
-                        let mut merged = std::mem::take(&mut st.merged);
-                        union_pieces(&acc, &p, *bytes, site, &mut merged);
-                        acc.clone_from(&merged);
-                        st.merged = merged;
-                    }
-                }
-                st.write(*db, *doff, *bytes, &acc);
-            }
-            SemOp::Replicate {
-                src: (sb, so),
-                dsts,
-                bytes,
-            } => {
-                st.read_into(*sb, *so, *bytes, &mut spieces);
-                let src_pieces = spieces.clone();
-                for (db, doff) in dsts {
-                    let shift = *doff as i64 - *so as i64;
-                    let moved: Vec<Seg> = src_pieces
-                        .iter()
-                        .map(|p| Seg {
-                            start: p.start,
-                            end: p.end,
-                            writer: Some(site),
-                            val: moved_piece(p, shift, site),
-                        })
-                        .collect();
-                    st.write(*db, *doff, *bytes, &moved);
-                }
-            }
+        }
+        if let Some((buf, off)) = accumulator {
+            st.read_into(buf, off, bytes, &mut scratch);
+            union_pieces(&value, &scratch, bytes, site, &mut merged);
+            std::mem::swap(&mut value, &mut merged);
+        }
+        for (buf, off) in flow.writes() {
+            st.write(buf, off, bytes, &value);
         }
     }
     check_outputs(&st, spec, findings);

@@ -4,7 +4,7 @@
 //! GPU KV memory is carved into fixed-size blocks of `block_tokens`
 //! tokens each, requests hold [`Reservation`]s sized for their
 //! *worst-case* decode length (so an admitted request can always grow to
-//! completion without an out-of-memory surprise), and a [`PrefixCache`]
+//! completion without an out-of-memory surprise), and a `PrefixCache`
 //! pins the blocks of shared prompt prefixes so repeat prefixes skip
 //! prefill work.
 //!

@@ -9,13 +9,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hw::{BufferId, CopyMode, LinkFault, Machine, Rank};
+use hw::{CopyMode, LinkFault, Machine, Rank};
 use sim::{CellId, Ctx, Duration, Engine, Process, SpanLabelId, Step, Time};
 
 use crate::error::Result;
-use crate::kernel::{Instr, Kernel};
+use crate::kernel::{Instr, Kernel, Site};
 use crate::overheads::Overheads;
-use crate::sanitizer::{SanHook, SanReport, SanSite, SanState};
+use crate::sanitizer::{SanHook, SanReport, SanState};
 
 /// Size in bytes of the semaphore word written by a remote signal.
 const SIGNAL_BYTES: u64 = 8;
@@ -223,17 +223,20 @@ impl TbProc {
         self.signals += instr.signals();
     }
 
-    /// Records a sanitized byte-range access (no-op on the normal path).
-    fn san_access(&self, site: SanSite, buf: BufferId, off: usize, bytes: usize, write: bool) {
+    /// Records `instr`'s footprint with the sanitizer: its accesses,
+    /// then a release into the cells it increments (no-op on the normal
+    /// path, which never evaluates the footprint).
+    fn san_footprint(&self, site: Site, instr: &Instr) {
         if let Some(san) = &self.san {
-            san.access(site, buf, off, bytes, write);
+            san.footprint(site, instr);
         }
     }
 
-    /// Publishes this block's clock into `cells` (release semantics).
-    fn san_release(&self, cells: &[CellId]) {
+    /// Hands a port request to the sanitizer's proxy thread for this
+    /// block and the endpoint `pushed_cell` (no-op on the normal path).
+    fn san_push(&self, site: Site, instr: &Instr, pushed_cell: CellId) {
         if let Some(san) = &self.san {
-            san.release(cells);
+            san.push(site, instr, pushed_cell);
         }
     }
 
@@ -314,7 +317,7 @@ impl Process<Machine> for TbProc {
         // `&mut self` uses inside the match arms.
         let kernels = Rc::clone(&self.kernels);
         let instr = &kernels[self.ki].blocks[self.tb][self.pc];
-        let site = SanSite {
+        let site = Site {
             rank: self.rank,
             tb: self.tb,
             pc: self.pc,
@@ -343,13 +346,7 @@ impl Process<Machine> for TbProc {
                 ctx.world
                     .pool_mut()
                     .copy(ch.local_buf, src_off, ch.remote_buf, dst_off, bytes);
-                self.san_access(site, ch.local_buf, src_off, bytes, false);
-                self.san_access(site, ch.remote_buf, dst_off, bytes, true);
-                if with_signal {
-                    self.san_release(&[ch.peer_arrival, ch.peer_sem]);
-                } else {
-                    self.san_release(&[ch.peer_arrival]);
-                }
+                self.san_footprint(site, instr);
                 ctx.cell_add_at(ch.peer_arrival, 1, xfer.arrival);
                 if with_signal {
                     ctx.cell_add_at(ch.peer_sem, 1, xfer.arrival + self.ov.signal_fence);
@@ -370,7 +367,7 @@ impl Process<Machine> for TbProc {
                     SIGNAL_BYTES,
                     CopyMode::Thread,
                 );
-                self.san_release(&[ch.peer_sem]);
+                self.san_footprint(site, instr);
                 ctx.cell_add_at(ch.peer_sem, 1, xfer.arrival + self.ov.signal_fence);
                 self.pc += 1;
                 self.quick(ctx, self.ov.signal_issue)
@@ -428,8 +425,7 @@ impl Process<Machine> for TbProc {
                     dtype,
                     op,
                 );
-                self.san_access(site, ch.remote_buf, remote_off, bytes, false);
-                self.san_access(site, local_buf, local_off, bytes, true);
+                self.san_footprint(site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, xfer.arrival, self.ov.mem_put_issue)
             }
@@ -477,16 +473,10 @@ impl Process<Machine> for TbProc {
                         depth,
                     );
                 }
-                // The proxy's copy is attributed to the pushing block at
-                // push time: FIFO order plus completion-before-signal make
-                // the pusher's clock a sound stand-in for the proxy's.
-                self.san_access(site, ch.local_buf, src_off, bytes, false);
-                self.san_access(site, ch.remote_buf, dst_off, bytes, true);
-                if with_signal {
-                    self.san_release(&[ch.completed_cell, ch.peer_arrival, ch.peer_sem]);
-                } else {
-                    self.san_release(&[ch.completed_cell, ch.peer_arrival]);
-                }
+                // The proxy copies on a thread of its own: it inherits the
+                // block's clock at the push, and the block sees the copy
+                // only through a flush.
+                self.san_push(site, instr, ch.pushed_cell);
                 ctx.cell_add(ch.pushed_cell, 1);
                 self.pc += 1;
                 self.quick(ctx, self.ov.port_push)
@@ -504,7 +494,7 @@ impl Process<Machine> for TbProc {
                         depth,
                     );
                 }
-                self.san_release(&[ch.completed_cell, ch.peer_sem]);
+                self.san_push(site, instr, ch.pushed_cell);
                 ctx.cell_add(ch.pushed_cell, 1);
                 self.pc += 1;
                 self.quick(ctx, self.ov.port_push)
@@ -555,10 +545,7 @@ impl Process<Machine> for TbProc {
                 ctx.world
                     .pool_mut()
                     .multimem_reduce(&srcs, dst_buf, dst_off, count, dtype, op);
-                for &(b, off) in &srcs {
-                    self.san_access(site, b, off, bytes, false);
-                }
-                self.san_access(site, dst_buf, dst_off, bytes, true);
+                self.san_footprint(site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, done, self.ov.switch_issue)
             }
@@ -577,10 +564,7 @@ impl Process<Machine> for TbProc {
                 ctx.world
                     .pool_mut()
                     .multimem_broadcast(src_buf, src_off, &dsts, bytes);
-                self.san_access(site, src_buf, src_off, bytes, false);
-                for &(b, off) in &dsts {
-                    self.san_access(site, b, off, bytes, true);
-                }
+                self.san_footprint(site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, xfer.sender_free, self.ov.switch_issue)
             }
@@ -593,8 +577,7 @@ impl Process<Machine> for TbProc {
             } => {
                 let done = hw::local_copy_time(ctx, self.rank, bytes as u64);
                 ctx.world.pool_mut().copy(src, src_off, dst, dst_off, bytes);
-                self.san_access(site, src, src_off, bytes, false);
-                self.san_access(site, dst, dst_off, bytes, true);
+                self.san_footprint(site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, done, Duration::ZERO)
             }
@@ -612,8 +595,7 @@ impl Process<Machine> for TbProc {
                 ctx.world
                     .pool_mut()
                     .reduce(src, src_off, dst, dst_off, count, dtype, op);
-                self.san_access(site, src, src_off, bytes, false);
-                self.san_access(site, dst, dst_off, bytes, true);
+                self.san_footprint(site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, done, Duration::ZERO)
             }
@@ -647,10 +629,8 @@ impl Process<Machine> for TbProc {
                     (staged, xfer.arrival + proxy)
                 };
                 ctx.world.pool_mut().copy(src, src_off, dst, dst_off, bytes);
-                self.san_access(site, src, src_off, bytes, false);
-                self.san_access(site, dst, dst_off, bytes, true);
+                self.san_footprint(site, instr);
                 if let Some(sem) = notify {
-                    self.san_release(&[sem.cell]);
                     ctx.cell_add_at(sem.cell, 1, arrival);
                 }
                 self.pc += 1;
@@ -689,11 +669,8 @@ impl Process<Machine> for TbProc {
                 ctx.world
                     .pool_mut()
                     .reduce_into(a, a_off, b, b_off, dst, dst_off, count, dtype, op);
-                self.san_access(site, a, a_off, bytes, false);
-                self.san_access(site, b, b_off, bytes, false);
-                self.san_access(site, dst, dst_off, bytes, true);
+                self.san_footprint(site, instr);
                 if let Some(sem) = notify {
-                    self.san_release(&[sem.cell]);
                     ctx.cell_add_at(sem.cell, 1, arrival);
                 }
                 self.pc += 1;
@@ -715,9 +692,7 @@ impl Process<Machine> for TbProc {
                 ctx.world
                     .pool_mut()
                     .reduce_into(a, a_off, b, b_off, dst, dst_off, count, dtype, op);
-                self.san_access(site, a, a_off, bytes, false);
-                self.san_access(site, b, b_off, bytes, false);
-                self.san_access(site, dst, dst_off, bytes, true);
+                self.san_footprint(site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, done, Duration::ZERO)
             }
@@ -747,7 +722,7 @@ impl Process<Machine> for TbProc {
                     let xfer = hw::net_time(ctx, self.rank, sem.owner, SIGNAL_BYTES);
                     xfer.arrival + self.ov.signal_fence
                 };
-                self.san_release(&[sem.cell]);
+                self.san_footprint(site, instr);
                 ctx.cell_add_at(sem.cell, 1, arrival);
                 self.pc += 1;
                 self.quick(ctx, self.ov.signal_issue)
@@ -755,7 +730,7 @@ impl Process<Machine> for TbProc {
             Instr::Barrier { ref barrier } => {
                 let round = barrier.round.get() + 1;
                 barrier.round.set(round);
-                self.san_release(&[barrier.cell]);
+                self.san_footprint(site, instr);
                 ctx.cell_add_at(barrier.cell, 1, now + self.ov.barrier_arrive + barrier.prop);
                 self.pending = Pending::Advance;
                 self.san_wait(barrier.cell);
@@ -783,21 +758,6 @@ impl Process<Machine> for TbProc {
     }
 }
 
-/// Launches `kernels` (one per participating rank), runs the simulation to
-/// quiescence, and returns the batch timing.
-///
-/// Kernel launch overhead (from the machine's [`hw::GpuSpec`]) is charged
-/// once per thread block before its first instruction.
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Deadlock`] if the kernels synchronize
-/// incorrectly (a `wait` whose `signal` never happens), or
-/// [`crate::Error::Timeout`] if a wait with a deadline (an explicit
-/// `port_flush_deadline`, or any wait under an active fault plan's
-/// watchdog) expires first. On either error the engine is aborted —
-/// outstanding waits are torn down but the clock, buffers and metrics
-/// survive, so the caller can re-plan and launch again.
 /// Records the *emitted* instruction mix of a kernel batch under
 /// stack-prefixed counters (`{stack}.{mnemonic}`), so per-stack primitive
 /// usage can be compared even though every stack executes through the same
@@ -818,6 +778,21 @@ pub fn record_launch_mix(engine: &mut Engine<Machine>, stack: &str, kernels: &[K
     }
 }
 
+/// Launches `kernels` (one per participating rank), runs the simulation to
+/// quiescence, and returns the batch timing.
+///
+/// Kernel launch overhead (from the machine's [`hw::GpuSpec`]) is charged
+/// once per thread block before its first instruction.
+///
+/// # Errors
+///
+/// Returns [`crate::Error::Deadlock`] if the kernels synchronize
+/// incorrectly (a `wait` whose `signal` never happens), or
+/// [`crate::Error::Timeout`] if a wait with a deadline (an explicit
+/// `port_flush_deadline`, or any wait under an active fault plan's
+/// watchdog) expires first. On either error the engine is aborted —
+/// outstanding waits are torn down but the clock, buffers and metrics
+/// survive, so the caller can re-plan and launch again.
 pub fn run_kernels(
     engine: &mut Engine<Machine>,
     kernels: &[Kernel],
@@ -911,11 +886,9 @@ fn run_kernels_inner(
         puts: 0,
     }));
     let sids = SpanIds::resolve(engine);
-    let mut tid = 0;
     for (ki, k) in kernels.iter().enumerate() {
         for tb in 0..k.blocks.len() {
-            let hook = san.map(|s| SanHook::new(s.clone(), tid));
-            tid += 1;
+            let hook = san.map(|s| SanHook::new(Rc::clone(s)));
             engine.spawn(TbProc {
                 rank: k.rank,
                 ki,

@@ -24,8 +24,10 @@
 //! # }
 //! ```
 
+use std::fmt;
+
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use sim::Duration;
+use sim::{CellId, Duration};
 
 use crate::channel::{DeviceBarrier, MemoryChannel, PortChannel, Semaphore, SwitchChannel};
 
@@ -384,6 +386,353 @@ impl Instr {
             }
             _ => 0,
         }
+    }
+
+    /// The bytes this instruction reads and writes, or `None` when it
+    /// moves no data (waits, signals, flushes, barriers, compute). The
+    /// static verifier, the dynamic sanitizer and the mutation harness
+    /// all read an instruction's data footprint from here.
+    #[inline]
+    pub fn dataflow(&self) -> Option<Dataflow<'_>> {
+        Some(match *self {
+            Instr::MemPut {
+                ref ch,
+                src_off,
+                dst_off,
+                bytes,
+                ..
+            } => Dataflow::Move {
+                src: (ch.local_buf, src_off),
+                dst: (ch.remote_buf, dst_off),
+                bytes,
+            },
+            Instr::PortPut {
+                ref ch,
+                src_off,
+                dst_off,
+                bytes,
+                ..
+            } => Dataflow::Move {
+                src: (ch.local_buf, src_off),
+                dst: (ch.remote_buf, dst_off),
+                bytes,
+            },
+            Instr::Copy {
+                src,
+                src_off,
+                dst,
+                dst_off,
+                bytes,
+            }
+            | Instr::RawPut {
+                src,
+                src_off,
+                dst,
+                dst_off,
+                bytes,
+                ..
+            } => Dataflow::Move {
+                src: (src, src_off),
+                dst: (dst, dst_off),
+                bytes,
+            },
+            Instr::MemReadReduce {
+                ref ch,
+                remote_off,
+                local_buf,
+                local_off,
+                bytes,
+                ..
+            } => Dataflow::Accum {
+                src: (ch.remote_buf, remote_off),
+                dst: (local_buf, local_off),
+                bytes,
+            },
+            Instr::Reduce {
+                src,
+                src_off,
+                dst,
+                dst_off,
+                bytes,
+                ..
+            } => Dataflow::Accum {
+                src: (src, src_off),
+                dst: (dst, dst_off),
+                bytes,
+            },
+            Instr::ReduceInto {
+                a,
+                a_off,
+                b,
+                b_off,
+                dst,
+                dst_off,
+                bytes,
+                ..
+            }
+            | Instr::RawReducePut {
+                a,
+                a_off,
+                b,
+                b_off,
+                dst,
+                dst_off,
+                bytes,
+                ..
+            } => Dataflow::Reduce2 {
+                a: (a, a_off),
+                b: (b, b_off),
+                dst: (dst, dst_off),
+                bytes,
+            },
+            Instr::SwitchReduce {
+                ref ch,
+                src_off,
+                dst_buf,
+                dst_off,
+                bytes,
+                ..
+            } => Dataflow::ReduceAll {
+                members: &ch.members,
+                src_off,
+                dst: (dst_buf, dst_off),
+                bytes,
+            },
+            Instr::SwitchBroadcast {
+                ref ch,
+                src_buf,
+                src_off,
+                dst_off,
+                bytes,
+            } => Dataflow::Replicate {
+                src: (src_buf, src_off),
+                members: &ch.members,
+                dst_off,
+                bytes,
+            },
+            Instr::MemSignal { .. }
+            | Instr::MemWait { .. }
+            | Instr::MemWaitData { .. }
+            | Instr::PortSignal { .. }
+            | Instr::PortFlush { .. }
+            | Instr::PortWait { .. }
+            | Instr::SemWait { .. }
+            | Instr::SemSignal { .. }
+            | Instr::Barrier { .. }
+            | Instr::Compute { .. } => return None,
+        })
+    }
+
+    /// The synchronization cells this instruction increments: arrival
+    /// counters and semaphores of puts and signals, a barrier's arrival
+    /// cell. A port put or signal increments its cells from the channel's
+    /// proxy, after the request's transfer.
+    #[inline]
+    pub fn increments(&self) -> impl Iterator<Item = CellId> {
+        let cells: [Option<CellId>; 3] = match self {
+            Instr::MemPut {
+                ch, with_signal, ..
+            } => [
+                Some(ch.peer_arrival),
+                with_signal.then_some(ch.peer_sem),
+                None,
+            ],
+            Instr::MemSignal { ch } => [Some(ch.peer_sem), None, None],
+            Instr::PortPut {
+                ch, with_signal, ..
+            } => [
+                Some(ch.completed_cell),
+                Some(ch.peer_arrival),
+                with_signal.then_some(ch.peer_sem),
+            ],
+            Instr::PortSignal { ch } => [Some(ch.completed_cell), Some(ch.peer_sem), None],
+            Instr::RawPut { notify, .. } | Instr::RawReducePut { notify, .. } => {
+                [notify.as_ref().map(|sem| sem.cell), None, None]
+            }
+            Instr::SemSignal { sem } => [Some(sem.cell), None, None],
+            Instr::Barrier { barrier } => [Some(barrier.cell), None, None],
+            Instr::MemWait { .. }
+            | Instr::MemWaitData { .. }
+            | Instr::MemReadReduce { .. }
+            | Instr::PortFlush { .. }
+            | Instr::PortWait { .. }
+            | Instr::SwitchReduce { .. }
+            | Instr::SwitchBroadcast { .. }
+            | Instr::Copy { .. }
+            | Instr::Reduce { .. }
+            | Instr::ReduceInto { .. }
+            | Instr::SemWait { .. }
+            | Instr::Compute { .. } => [None; 3],
+        };
+        cells.into_iter().flatten()
+    }
+}
+
+/// One byte-range access of an instruction, half-open `[start, end)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The buffer accessed.
+    pub buf: BufferId,
+    /// First byte.
+    pub start: usize,
+    /// One past the last byte.
+    pub end: usize,
+    /// Whether the access writes.
+    pub write: bool,
+}
+
+/// The data footprint of one instruction ([`Instr::dataflow`]): which
+/// `(buffer, offset)` operands it reads and writes, `bytes` long each,
+/// and how the written bytes derive from the read ones.
+#[derive(Debug, Clone, Copy)]
+pub enum Dataflow<'a> {
+    /// Fresh overwrite `dst = src` (`Copy`, `MemPut`, `PortPut`, `RawPut`).
+    Move {
+        /// Source operand.
+        src: (BufferId, usize),
+        /// Destination operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+    /// Accumulate `dst = op(dst, src)` (`Reduce`, `MemReadReduce`).
+    Accum {
+        /// Source operand.
+        src: (BufferId, usize),
+        /// Destination and accumulator operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+    /// Three-address reduce `dst = op(a, b)` (`ReduceInto`,
+    /// `RawReducePut`).
+    Reduce2 {
+        /// First operand.
+        a: (BufferId, usize),
+        /// Second operand.
+        b: (BufferId, usize),
+        /// Destination operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+    /// Multimem load-reduce of every member buffer at `src_off` into
+    /// `dst` (`SwitchReduce`).
+    ReduceAll {
+        /// The switch channel's members.
+        members: &'a [(Rank, BufferId)],
+        /// Offset into every member buffer.
+        src_off: usize,
+        /// Destination operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+    /// Multimem store of `src` into every member buffer at `dst_off`
+    /// (`SwitchBroadcast`).
+    Replicate {
+        /// Source operand.
+        src: (BufferId, usize),
+        /// The switch channel's members.
+        members: &'a [(Rank, BufferId)],
+        /// Offset into every member buffer.
+        dst_off: usize,
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+}
+
+impl<'a> Dataflow<'a> {
+    /// Size in bytes of every operand.
+    #[inline]
+    pub fn bytes(self) -> usize {
+        match self {
+            Dataflow::Move { bytes, .. }
+            | Dataflow::Accum { bytes, .. }
+            | Dataflow::Reduce2 { bytes, .. }
+            | Dataflow::ReduceAll { bytes, .. }
+            | Dataflow::Replicate { bytes, .. } => bytes,
+        }
+    }
+
+    /// The operands read, in operand order. An `Accum` also reads its
+    /// destination, which is not listed here.
+    #[inline]
+    pub fn reads(self) -> impl Iterator<Item = (BufferId, usize)> + 'a {
+        match self {
+            Dataflow::Move { src, .. }
+            | Dataflow::Accum { src, .. }
+            | Dataflow::Replicate { src, .. } => operands([Some(src), None], None),
+            Dataflow::Reduce2 { a, b, .. } => operands([Some(a), Some(b)], None),
+            Dataflow::ReduceAll {
+                members, src_off, ..
+            } => operands([None; 2], Some((members, src_off))),
+        }
+    }
+
+    /// The operands written.
+    #[inline]
+    pub fn writes(self) -> impl Iterator<Item = (BufferId, usize)> + 'a {
+        match self {
+            Dataflow::Move { dst, .. }
+            | Dataflow::Accum { dst, .. }
+            | Dataflow::Reduce2 { dst, .. }
+            | Dataflow::ReduceAll { dst, .. } => operands([Some(dst), None], None),
+            Dataflow::Replicate {
+                members, dst_off, ..
+            } => operands([None; 2], Some((members, dst_off))),
+        }
+    }
+
+    /// Every byte-range access: the reads in operand order, then the
+    /// writes.
+    #[inline]
+    pub fn accesses(self) -> impl Iterator<Item = Access> + 'a {
+        let bytes = self.bytes();
+        let at = move |write| {
+            move |(buf, start): (BufferId, usize)| Access {
+                buf,
+                start,
+                end: start + bytes,
+                write,
+            }
+        };
+        self.reads()
+            .map(at(false))
+            .chain(self.writes().map(at(true)))
+    }
+}
+
+/// Up to two fixed operands followed by every member buffer at one
+/// offset.
+#[inline]
+fn operands<'a>(
+    fixed: [Option<(BufferId, usize)>; 2],
+    members: Option<(&'a [(Rank, BufferId)], usize)>,
+) -> impl Iterator<Item = (BufferId, usize)> + 'a {
+    fixed.into_iter().flatten().chain(
+        members
+            .into_iter()
+            .flat_map(|(ms, off)| ms.iter().map(move |&(_, buf)| (buf, off))),
+    )
+}
+
+/// The site of one instruction: which rank, thread block, and program
+/// counter it occupies in a kernel batch. The static verifier and the
+/// dynamic sanitizer both name findings by site.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Site {
+    /// Issuing rank.
+    pub rank: Rank,
+    /// Thread block index within the rank's kernel.
+    pub tb: usize,
+    /// Instruction index within the block's stream.
+    pub pc: usize,
+}
+
+impl fmt::Display for Site {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/tb{}/pc{}", self.rank, self.tb, self.pc)
     }
 }
 

@@ -75,6 +75,6 @@ pub use exec::{
     record_launch_mix, run_kernels, run_kernels_sanitized, run_kernels_sanitized_shared,
     run_kernels_shared, KernelTiming,
 };
-pub use kernel::{split_range, BlockBuilder, Instr, Kernel, KernelBuilder};
+pub use kernel::{split_range, Access, BlockBuilder, Dataflow, Instr, Kernel, KernelBuilder, Site};
 pub use overheads::Overheads;
-pub use sanitizer::{SanRace, SanReport, SanSite};
+pub use sanitizer::{SanRace, SanReport};

@@ -11,48 +11,35 @@
 //! this execution's synchronization structure* — exactly the property the
 //! static verifier (`commverify`) proves over all executions.
 //!
-//! Port-channel puts are attributed to the pushing block at push time
-//! (the CPU proxy preserves FIFO order and completes before raising the
-//! peer's semaphore), mirroring the static model so that a static race
-//! finding and a dynamic one name the same instruction pair.
+//! A port channel's CPU proxy is a thread of its own, one per (pushing
+//! block, port endpoint) pair, mirroring the static model so that a
+//! static race finding and a dynamic one name the same instruction pair.
+//! A push hands the block's clock to the proxy, which performs the
+//! request's accesses and raises its cells; the pusher sees the proxy's
+//! work only through `port_flush`, so reusing a put's source before the
+//! flush is a race here as it is in the static model.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use hw::{BufferId, Rank};
+use hw::BufferId;
 use sim::{CellId, VClock};
 
-/// The site of one instruction: which rank, thread block, and program
-/// counter issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SanSite {
-    /// Issuing rank.
-    pub rank: Rank,
-    /// Thread block index within the rank's kernel.
-    pub tb: usize,
-    /// Instruction index within the block's stream.
-    pub pc: usize,
-}
-
-impl fmt::Display for SanSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/tb{}/pc{}", self.rank, self.tb, self.pc)
-    }
-}
+use crate::kernel::{Access, Instr, Site};
 
 /// One unordered conflicting access pair observed at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SanRace {
     /// The access recorded first (program order of the simulation run).
-    pub first: SanSite,
+    pub first: Site,
     /// Byte range of the first access.
     pub first_range: (usize, usize),
     /// Whether the first access wrote.
     pub first_write: bool,
     /// The conflicting later access.
-    pub second: SanSite,
+    pub second: Site,
     /// Byte range of the second access.
     pub second_range: (usize, usize),
     /// Whether the second access wrote.
@@ -99,16 +86,17 @@ impl SanReport {
 struct Rec {
     tid: usize,
     epoch: u64,
-    start: usize,
-    end: usize,
-    write: bool,
-    site: SanSite,
+    site: Site,
+    acc: Access,
 }
 
 #[derive(Debug, Default)]
 pub(crate) struct SanState {
     clocks: Vec<VClock>,
     cell_clocks: HashMap<CellId, VClock>,
+    /// Proxy thread of each (pushing block, port endpoint) pair, the
+    /// endpoint keyed by its `pushed_cell`.
+    proxies: HashMap<(usize, CellId), usize>,
     shadow: HashMap<BufferId, Vec<Rec>>,
     races: Vec<SanRace>,
     checked: u64,
@@ -121,6 +109,69 @@ impl SanState {
             accesses_checked: self.checked,
         }
     }
+
+    /// Starts a new thread whose clock has only its own first epoch.
+    fn thread(&mut self) -> usize {
+        let tid = self.clocks.len();
+        let mut c = VClock::new();
+        c.bump(tid);
+        self.clocks.push(c);
+        tid
+    }
+
+    /// Records `instr`'s footprint on thread `tid`: every byte-range
+    /// access, then a release into every cell it increments.
+    fn record(&mut self, tid: usize, site: Site, instr: &Instr) {
+        if let Some(flow) = instr.dataflow() {
+            for a in flow.accesses() {
+                self.access(tid, site, a);
+            }
+        }
+        let mut cells = instr.increments().peekable();
+        if cells.peek().is_some() {
+            // Release: publish the clock into each cell, then advance the
+            // thread's own epoch so later accesses are not covered.
+            let clock = self.clocks[tid].clone();
+            for cell in cells {
+                self.cell_clocks.entry(cell).or_default().join(&clock);
+            }
+            self.clocks[tid].bump(tid);
+        }
+    }
+
+    /// Records a byte-range access and checks it against the shadow
+    /// history of its buffer for unordered conflicting overlaps.
+    fn access(&mut self, tid: usize, site: Site, a: Access) {
+        self.checked += 1;
+        let epoch = self.clocks[tid].get(tid);
+        let my_clock = &self.clocks[tid];
+        let recs = self.shadow.entry(a.buf).or_default();
+        for rec in recs.iter() {
+            let r = rec.acc;
+            if rec.tid == tid || (!r.write && !a.write) || r.end <= a.start || a.end <= r.start {
+                continue;
+            }
+            // The earlier access happens-before us iff our clock has
+            // caught up with its thread's epoch at access time.
+            if my_clock.get(rec.tid) < rec.epoch {
+                self.races.push(SanRace {
+                    first: rec.site,
+                    first_range: (r.start, r.end),
+                    first_write: r.write,
+                    second: site,
+                    second_range: (a.start, a.end),
+                    second_write: a.write,
+                    buf: a.buf,
+                });
+            }
+        }
+        recs.push(Rec {
+            tid,
+            epoch,
+            site,
+            acc: a,
+        });
+    }
 }
 
 /// Per-thread-block handle into the shared sanitizer state, carried by
@@ -132,78 +183,34 @@ pub(crate) struct SanHook {
 }
 
 impl SanHook {
-    pub(crate) fn new(state: Rc<RefCell<SanState>>, tid: usize) -> SanHook {
-        {
-            let mut s = state.borrow_mut();
-            while s.clocks.len() <= tid {
-                let next = s.clocks.len();
-                let mut c = VClock::new();
-                c.bump(next);
-                s.clocks.push(c);
-            }
-        }
+    /// Starts the sanitizer thread of one thread block.
+    pub(crate) fn new(state: Rc<RefCell<SanState>>) -> SanHook {
+        let tid = state.borrow_mut().thread();
         SanHook { state, tid }
     }
 
-    /// Records a byte-range access and checks it against the shadow
-    /// history of `buf` for unordered conflicting overlaps.
-    pub(crate) fn access(
-        &self,
-        site: SanSite,
-        buf: BufferId,
-        off: usize,
-        bytes: usize,
-        write: bool,
-    ) {
-        let mut s = self.state.borrow_mut();
-        s.checked += 1;
-        let epoch = s.clocks[self.tid].get(self.tid);
-        let my_clock = s.clocks[self.tid].clone();
-        let (start, end) = (off, off + bytes);
-        let mut found: Vec<SanRace> = Vec::new();
-        let recs = s.shadow.entry(buf).or_default();
-        for rec in recs.iter() {
-            if rec.tid == self.tid || (!rec.write && !write) {
-                continue;
-            }
-            if rec.end <= start || end <= rec.start {
-                continue;
-            }
-            // The earlier access happens-before us iff our clock has
-            // caught up with its thread's epoch at access time.
-            if my_clock.get(rec.tid) < rec.epoch {
-                found.push(SanRace {
-                    first: rec.site,
-                    first_range: (rec.start, rec.end),
-                    first_write: rec.write,
-                    second: site,
-                    second_range: (start, end),
-                    second_write: write,
-                    buf,
-                });
-            }
-        }
-        recs.push(Rec {
-            tid: self.tid,
-            epoch,
-            start,
-            end,
-            write,
-            site,
-        });
-        s.races.extend(found);
+    /// Records an instruction this block executes itself.
+    pub(crate) fn footprint(&self, site: Site, instr: &Instr) {
+        self.state.borrow_mut().record(self.tid, site, instr);
     }
 
-    /// Release: publish this block's clock into each cell, then advance
-    /// the block's own epoch so later accesses are not covered by this
-    /// release.
-    pub(crate) fn release(&self, cells: &[CellId]) {
+    /// Hands a port request to the proxy thread of this block and the
+    /// endpoint `pushed_cell`: the proxy joins the block's clock, the
+    /// block advances its epoch, and the proxy records the request.
+    pub(crate) fn push(&self, site: Site, instr: &Instr, pushed_cell: CellId) {
         let mut s = self.state.borrow_mut();
+        let proxy = match s.proxies.get(&(self.tid, pushed_cell)) {
+            Some(&p) => p,
+            None => {
+                let p = s.thread();
+                s.proxies.insert((self.tid, pushed_cell), p);
+                p
+            }
+        };
         let clock = s.clocks[self.tid].clone();
-        for &cell in cells {
-            s.cell_clocks.entry(cell).or_default().join(&clock);
-        }
+        s.clocks[proxy].join(&clock);
         s.clocks[self.tid].bump(self.tid);
+        s.record(proxy, site, instr);
     }
 
     /// Acquire: join the cell's published clock into this block's, called

@@ -42,11 +42,12 @@ pub fn verify_first_launch(
     if !armed.replace(false) {
         return Ok(());
     }
-    let checks = commverify::Checks {
-        semantics: true,
-        ..commverify::Checks::transport()
-    };
-    commverify::verify_collective(kernels, engine.world().pool(), &checks, spec)?;
+    commverify::verify_collective(
+        kernels,
+        engine.world().pool(),
+        &commverify::Checks::transport(),
+        spec,
+    )?;
     Ok(())
 }
 

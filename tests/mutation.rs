@@ -11,6 +11,11 @@
 //! the suite additionally asserts that the *semantic* classes
 //! (missing/duplicate/misplaced/stale) account for a healthy share, so
 //! the dataflow pass is doing work the transport checks cannot.
+//!
+//! It is also the verifier's exact oracle: the mutant count, the
+//! kill-class histogram and an FNV-1a digest of every mutant's full
+//! report are pinned, so a refactor of the model, the race pass or the
+//! semantic pass must leave every finding bit-identical.
 
 use collective::{
     AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BroadcastAlgo, CollComm, PeerOrder,
@@ -19,7 +24,7 @@ use collective::{
 use commverify::{Checks, CollectiveSpec, VerifyError};
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
 use mscclpp::Kernel;
-use sim::{Duration, Engine, FaultPlan, Time};
+use sim::{fnv1a, Duration, Engine, FaultPlan, Time};
 
 const N: usize = 8;
 const COUNT: usize = 4096;
@@ -37,12 +42,14 @@ fn alloc_n(e: &mut Engine<Machine>, n: usize, bytes: usize) -> Vec<BufferId> {
 }
 
 /// One mutant's fate: which plan it came from, which operator produced
-/// it, and the finding class that killed it (`None` = survivor).
+/// it, the finding class that killed it (`None` = survivor) and the
+/// verifier's full report.
 struct Outcome {
     plan: &'static str,
     operator: &'static str,
     mutant: String,
     killed_by: Option<&'static str>,
+    report: String,
 }
 
 fn class_name(f: &VerifyError) -> &'static str {
@@ -96,6 +103,7 @@ fn run_plan(
             operator: m.operator,
             mutant: m.name,
             killed_by: report.findings.first().map(class_name),
+            report: report.to_string(),
         });
     }
 }
@@ -370,10 +378,7 @@ fn mutation_harness_kills_every_mutant() {
         operators.len()
     );
 
-    assert!(
-        total >= 25,
-        "need at least 25 mutants for a meaningful kill rate, got {total}"
-    );
+    assert_eq!(total, 68, "the harness generates exactly 68 mutants");
     assert!(
         operators.len() >= 5,
         "need all 5 operator families to fire, got {operators:?}"
@@ -389,5 +394,32 @@ fn mutation_harness_kills_every_mutant() {
         "kill rate {killed}/{total}: surviving mutants (each is a plan \
          corruption the verifier waved through):\n  {}",
         survivors.join("\n  ")
+    );
+
+    // --- The exact oracle: every finding, pinned. A refactor of the
+    // model, the race pass or the semantic pass must leave each mutant's
+    // full report byte-identical, not merely still killed. ---
+    let histogram: Vec<(&str, usize)> = by_class.into_iter().collect();
+    assert_eq!(
+        histogram,
+        [
+            ("duplicate-contribution", 9),
+            ("missing-contribution", 4),
+            ("out-of-bounds", 2),
+            ("race", 15),
+            ("signal-imbalance", 16),
+            ("stale-output", 14),
+            ("wrong-placement", 8),
+        ],
+        "kill-class histogram moved"
+    );
+    let transcript: String = results
+        .iter()
+        .map(|o| format!("{} [{}] {}\n{}\n", o.plan, o.operator, o.mutant, o.report))
+        .collect();
+    assert_eq!(
+        (fnv1a(transcript.as_bytes()), transcript.len()),
+        (0x3696_28d5_2edd_0cd1, 35_620),
+        "a mutant's full verifier report changed:\n{transcript}"
     );
 }
