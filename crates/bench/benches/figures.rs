@@ -4,7 +4,7 @@
 //! complete ranges).
 
 fn main() {
-    // Criterion passes flags like `--bench`; this harness ignores them.
+    // `cargo bench` passes flags like `--bench`; this harness ignores them.
     bench::figures::table1();
     bench::figures::fig8(false);
     bench::figures::fig9(false);

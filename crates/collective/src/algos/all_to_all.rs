@@ -5,13 +5,9 @@
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
 use hw::{BufferId, Rank};
-use mscclpp::{split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{peers_staggered, split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
 
 use crate::wiring::{node_groups, MemMesh, PortMesh};
-
-fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
-    (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
-}
 
 /// All-pairs AllToAll over memory channels (intra-node) and RDMA port
 /// channels (cross-node).
@@ -102,7 +98,7 @@ impl AllPairsAllToAll {
             for t in 0..self.tbs {
                 let mut tb = kb.block(t);
                 let (ms, ml) = split_range(bytes, self.tbs, t);
-                let plist: Vec<usize> = peers(n, ig, t).collect();
+                let plist: Vec<usize> = peers_staggered(n, ig, t).collect();
                 for &p in &plist {
                     // My chunk p lands in p's output slot ig.
                     let src_off = p * bytes + ms;

@@ -2,31 +2,15 @@
 //! hierarchical for multi-node clusters (§5.1's AllGather evaluation).
 
 use hw::{BufferId, Rank};
-use mscclpp::{split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{
+    peers_staggered, split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup,
+};
 
-use crate::algos::allreduce::PeerOrder;
+use crate::algos::allreduce::{chunks, peer_iter, PeerOrder};
 use crate::wiring::{isect, node_groups, MemMesh, PortMesh};
 
 /// Chunk size for pipelined PortChannel transfers.
 const PORT_CHUNK: usize = 1 << 20;
-
-fn chunks(total: usize, chunk: usize) -> Vec<(usize, usize)> {
-    if total == 0 {
-        return vec![(0, 0)];
-    }
-    let mut out = Vec::with_capacity(total.div_ceil(chunk));
-    let mut off = 0;
-    while off < total {
-        let len = chunk.min(total - off);
-        out.push((off, len));
-        off += len;
-    }
-    out
-}
-
-fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
-    (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
-}
 
 /// All-pairs AllGather: every rank puts its chunk directly into every
 /// peer's output. One step; the natural MSCCL++ pattern for both small
@@ -73,10 +57,7 @@ impl AllPairsAllGather {
             for t in 0..self.tbs {
                 let mut tb = kb.block(t);
                 let (ms, ml) = split_range(bytes, self.tbs, t);
-                let plist: Vec<usize> = match self.order {
-                    PeerOrder::Staggered => peers(n, ig, t).collect(),
-                    PeerOrder::Sequential => peers(n, ig, 0).collect(),
-                };
+                let plist = peer_iter(self.order, n, ig, t);
                 for &p in &plist {
                     // My chunk lands at slot ig of the peer's output.
                     match self.protocol {
@@ -171,7 +152,7 @@ impl HierAllGather {
                 // Phase 1: cross-node exchange of my chunk with my
                 // corresponding GPUs; everything lands at global slots.
                 let cross = &self.cross[li];
-                for b in peers(self.nodes, node, t) {
+                for b in peers_staggered(self.nodes, node, t) {
                     tb.port_put_with_signal(cross.at(t, node, b), g.0 * bytes + ms, ms, ml);
                 }
                 tb.copy(
@@ -181,7 +162,7 @@ impl HierAllGather {
                     g.0 * bytes + ms,
                     ml,
                 );
-                for b in peers(self.nodes, node, t) {
+                for b in peers_staggered(self.nodes, node, t) {
                     tb.port_wait(cross.at(t, node, b));
                 }
                 // Phase 2: node-local distribution of the `nodes` chunks
@@ -189,7 +170,7 @@ impl HierAllGather {
                 let local = &self.local[node];
                 for b in 0..self.nodes {
                     let chunk_rank = b * self.gpn + li;
-                    for p in peers(self.gpn, li, t) {
+                    for p in peers_staggered(self.gpn, li, t) {
                         let off = chunk_rank * bytes + ms;
                         match self.protocol {
                             Protocol::LL => {
@@ -202,7 +183,7 @@ impl HierAllGather {
                     }
                 }
                 for _ in 0..self.nodes {
-                    for p in peers(self.gpn, li, t) {
+                    for p in peers_staggered(self.gpn, li, t) {
                         match self.protocol {
                             Protocol::LL => tb.wait_data(local.at(t, li, p)),
                             Protocol::HB => tb.wait(local.at(t, li, p)),
@@ -255,7 +236,7 @@ impl AllPairsAllGatherPort {
             for t in 0..self.tbs {
                 let mut tb = kb.block(t);
                 let (ms, ml) = split_range(bytes, self.tbs, t);
-                let plist: Vec<usize> = peers(n, ig, t).collect();
+                let plist: Vec<usize> = peers_staggered(n, ig, t).collect();
                 for &p in &plist {
                     for (coff, clen) in chunks(ml, PORT_CHUNK) {
                         tb.port_put_with_signal(
@@ -409,12 +390,12 @@ impl ShrunkenHierAllGather {
                     // Phase 2: exchange node-contiguous ranges among
                     // leaders (my node's range, clipped to my slice).
                     let (ns, nl) = isect(ts, tl, self.node_start[ni] * bytes, m * bytes);
-                    for lj in peers(nleads, ni, t) {
+                    for lj in peers_staggered(nleads, ni, t) {
                         if nl > 0 {
                             tb.port_put_with_signal(self.cross.at(t, ni, lj), ns, ns, nl);
                         }
                     }
-                    for lj in peers(nleads, ni, t) {
+                    for lj in peers_staggered(nleads, ni, t) {
                         let mj = self.node_members[lj].len();
                         if isect(ts, tl, self.node_start[lj] * bytes, mj * bytes).1 > 0 {
                             tb.port_wait(self.cross.at(t, ni, lj));

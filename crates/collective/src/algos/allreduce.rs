@@ -12,8 +12,8 @@ use std::cell::Cell;
 
 use hw::{BufferId, DataType, Rank, ReduceOp};
 use mscclpp::{
-    split_range, DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError, MemoryChannel,
-    Protocol, Result, Setup, SwitchChannel,
+    peers_staggered, split_range, DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError,
+    MemoryChannel, Protocol, Result, Setup, SwitchChannel,
 };
 
 use crate::wiring::{node_groups, MemMesh, PortMesh};
@@ -27,13 +27,6 @@ pub enum ScratchReuse {
     Rotate,
     /// One scratch set protected by a device-wide barrier per launch.
     Barrier,
-}
-
-/// Iterates peers of `me` (indices `0..n`, excluding `me`) staggered by
-/// thread block so concurrent blocks start on different peers — the
-/// MI300x mesh loop-order consideration of §5.3.
-fn peers_staggered(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
-    (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
 }
 
 /// Peers visited in a fixed order regardless of thread block — the
@@ -59,7 +52,7 @@ const SWITCH_CHUNK: usize = 512 << 10;
 
 /// Yields `(offset, len)` pieces of `total` bytes in `chunk`-sized steps
 /// (at least one piece, even for `total == 0`).
-fn chunks(total: usize, chunk: usize) -> Vec<(usize, usize)> {
+pub(crate) fn chunks(total: usize, chunk: usize) -> Vec<(usize, usize)> {
     if total == 0 {
         return vec![(0, 0)];
     }
@@ -73,7 +66,8 @@ fn chunks(total: usize, chunk: usize) -> Vec<(usize, usize)> {
     out
 }
 
-fn peer_iter(order: PeerOrder, n: usize, me: usize, tb: usize) -> Vec<usize> {
+/// The peers of `me` among `0..n` in `order`, for thread block `tb`.
+pub(crate) fn peer_iter(order: PeerOrder, n: usize, me: usize, tb: usize) -> Vec<usize> {
     match order {
         PeerOrder::Staggered => peers_staggered(n, me, tb).collect(),
         PeerOrder::Sequential => peers_sequential(n, me, tb).collect(),

@@ -3,13 +3,9 @@
 
 #![allow(clippy::needless_range_loop)] // channel grids are indexed by construction
 use hw::{BufferId, DataType, Rank, ReduceOp};
-use mscclpp::{split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
+use mscclpp::{peers_staggered, split_range, Kernel, KernelBuilder, Protocol, Result, Setup};
 
 use crate::wiring::{node_groups, MemMesh, PortMesh};
-
-fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
-    (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
-}
 
 /// All-pairs ReduceScatter: the member at group position `p` receives
 /// every peer's `p`-th shard into per-sender scratch slots and reduces
@@ -119,7 +115,7 @@ impl AllPairsReduceScatter {
             let mut kb = KernelBuilder::new(g);
             for t in 0..self.tbs {
                 let mut tb = kb.block(t);
-                let plist: Vec<usize> = peers(n, ig, t).collect();
+                let plist: Vec<usize> = peers_staggered(n, ig, t).collect();
                 for &p in &plist {
                     let (ps, pl) = shard(p);
                     let (sl, sll) = split_range(pl, self.tbs, t);

@@ -11,6 +11,11 @@
 //! MSCCL comes purely from the cheaper primitives. Comparing `msccl` and
 //! `collective` timings isolates the primitive-interface benefit.
 //!
+//! Kernels are emitted and launched through [`ncclsim::Driver`], the
+//! path NCCL's communicator uses, with MSCCL's 96 registers per thread.
+//! Two-phase all-pairs AllReduce is the hierarchical plan on one node,
+//! where its cross-node phase has no peers.
+//!
 //! # Example
 //!
 //! ```
@@ -38,10 +43,8 @@
 
 #![allow(clippy::needless_range_loop)] // conn grids are indexed by construction
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{
-    run_kernels, split_range, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup,
-};
-use ncclsim::{spec_members, verify_first_launch, Conn, NcclConfig, Prims, Proto};
+use mscclpp::{peers_staggered, split_range, Kernel, KernelTiming, Result, Setup};
+use ncclsim::{batch, batches, spec_members, Conn, Driver, NcclConfig, Proto};
 use sim::Engine;
 
 /// MSCCL stack configuration: the NCCL transport constants plus MSCCL's
@@ -71,30 +74,26 @@ impl Default for MscclConfig {
 pub enum MscclAlgo {
     /// One-phase all-pairs (small messages, single node).
     OnePhaseAllPairs,
-    /// Two-phase all-pairs (ReduceScatter + AllGather, single node).
+    /// Two-phase all-pairs (ReduceScatter + AllGather, single node):
+    /// the hierarchical plan on one node.
     TwoPhaseAllPairs,
     /// Two-phase hierarchical (multi-node).
     TwoPhaseHierarchical,
-}
-
-fn peers(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
-    (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
 }
 
 /// The MSCCL communicator: all-pairs and hierarchical connection meshes
 /// over the NCCL transport, plus compiled collective kernels.
 #[derive(Debug)]
 pub struct MscclComm {
-    cfg: MscclConfig,
     topo: Topology,
+    /// Thread blocks (channels) of bandwidth-bound kernels.
+    channels: usize,
     /// All-pairs connections: `mesh[tb][a][b]` carries a → b.
     mesh: Vec<Vec<Vec<Option<Conn>>>>,
     /// Cross-node connections among corresponding GPUs:
     /// `cross[tb][local][na][nb]` carries (na, local) → (nb, local).
     cross: Vec<Vec<Vec<Vec<Option<Conn>>>>>,
-    ov: Overheads,
-    /// Armed until the first launch is verified ([`verify_first_launch`]).
-    verify: std::cell::Cell<bool>,
+    driver: Driver,
 }
 
 impl MscclComm {
@@ -103,7 +102,6 @@ impl MscclComm {
     pub fn new(setup: &mut Setup<'_>, cfg: MscclConfig) -> MscclComm {
         let topo = setup.topology();
         let n = topo.world_size();
-        let ov = setup.overheads().clone();
         let mut mesh = Vec::with_capacity(cfg.channels);
         for _ in 0..cfg.channels {
             let mut grid: Vec<Vec<Option<Conn>>> = vec![vec![None; n]; n];
@@ -139,12 +137,11 @@ impl MscclComm {
             cross.push(per_local);
         }
         MscclComm {
-            cfg,
             topo,
+            channels: cfg.channels,
             mesh,
             cross,
-            ov,
-            verify: std::cell::Cell::new(true),
+            driver: Driver::new(setup, "msccl", cfg.regs_per_thread, cfg.transport),
         }
     }
 
@@ -156,11 +153,7 @@ impl MscclComm {
         } else {
             Proto::Simple
         };
-        let channels = if bytes <= 64 << 10 {
-            1
-        } else {
-            self.cfg.channels
-        };
+        let channels = if bytes <= 64 << 10 { 1 } else { self.channels };
         let algo = if self.topo.nodes() > 1 {
             MscclAlgo::TwoPhaseHierarchical
         } else if bytes <= 16 << 10 {
@@ -181,7 +174,8 @@ impl MscclComm {
             .expect("no cross-node conn")
     }
 
-    /// One-phase all-pairs AllReduce kernels over NCCL primitives.
+    /// One-phase all-pairs AllReduce kernels over NCCL primitives (one
+    /// thread block per rank).
     fn one_phase_kernels(
         &self,
         inputs: &[BufferId],
@@ -192,120 +186,26 @@ impl MscclComm {
         proto: Proto,
     ) -> Vec<Kernel> {
         let n = self.topo.world_size();
-        let slot = self.cfg.transport.slot_bytes(proto);
-        let nbatches = bytes.div_ceil(slot).max(1);
-        let mut out = Vec::with_capacity(n);
-        for g in 0..n {
-            let mut kb = KernelBuilder::new(Rank(g));
-            kb.regs_per_thread(self.cfg.regs_per_thread);
-            {
-                let mut tb = kb.block(0);
-                let mut p = Prims::new(&mut tb, &self.cfg.transport, proto, dtype, op);
-                for b in 0..nbatches {
-                    let lo = (b * slot).min(bytes);
-                    let hi = ((b + 1) * slot).min(bytes);
-                    let (off, len) = (lo, hi - lo);
-                    for q in peers(n, g, 0) {
-                        p.send(self.conn(0, g, q), inputs[g], off, len);
-                    }
-                    p.copy_local(inputs[g], off, outputs[g], off, len);
-                    for q in peers(n, g, 0) {
-                        p.recv_reduce_copy(
-                            self.conn(0, q, g),
-                            outputs[g],
-                            off,
-                            outputs[g],
-                            off,
-                            len,
-                        );
-                    }
+        let slot = self.driver.config().slot_bytes(proto);
+        self.driver.kernels(1, proto, dtype, op, |g, _, p| {
+            for b in 0..batches(bytes, slot) {
+                let (off, len) = batch(0, bytes, slot, b);
+                for q in peers_staggered(n, g, 0) {
+                    p.send(self.conn(0, g, q), inputs[g], off, len);
+                }
+                p.copy_local(inputs[g], off, outputs[g], off, len);
+                for q in peers_staggered(n, g, 0) {
+                    p.recv_reduce_copy(self.conn(0, q, g), outputs[g], off, outputs[g], off, len);
                 }
             }
-            out.push(kb.build());
-        }
-        out
-    }
-
-    /// Two-phase all-pairs AllReduce kernels over NCCL primitives.
-    #[allow(clippy::too_many_arguments)]
-    fn two_phase_kernels(
-        &self,
-        inputs: &[BufferId],
-        outputs: &[BufferId],
-        bytes: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        proto: Proto,
-        nch: usize,
-    ) -> Vec<Kernel> {
-        let n = self.topo.world_size();
-        let es = dtype.size();
-        let count = bytes / es;
-        let slot_elems = self.cfg.transport.slot_bytes(proto) / es;
-        let shard = |i: usize| split_range(count, n, i);
-        let mut out = Vec::with_capacity(n);
-        for g in 0..n {
-            let mut kb = KernelBuilder::new(Rank(g));
-            kb.regs_per_thread(self.cfg.regs_per_thread);
-            for t in 0..nch {
-                let mut tb = kb.block(t);
-                let mut p = Prims::new(&mut tb, &self.cfg.transport, proto, dtype, op);
-                // Slice of shard i handled by this channel.
-                let slice = |i: usize| {
-                    let (cs, cl) = shard(i);
-                    let (sl, sll) = split_range(cl, nch, t);
-                    ((cs + sl) * es, sll * es)
-                };
-                let (my_off, my_len) = slice(g);
-                let max_len = (0..n).map(|i| slice(i).1).max().unwrap_or(0);
-                let nbatches = max_len.div_ceil(slot_elems * es).max(1);
-                let batch = |off: usize, len: usize, b: usize| {
-                    let lo = (b * slot_elems * es).min(len);
-                    let hi = ((b + 1) * slot_elems * es).min(len);
-                    (off + lo, hi - lo)
-                };
-                // ReduceScatter phase, interleaving sends and receives per
-                // batch to stay within FIFO credit.
-                for b in 0..nbatches {
-                    for q in peers(n, g, t) {
-                        let (qoff, qlen) = slice(q);
-                        let (boff, blen) = batch(qoff, qlen, b);
-                        p.send(self.conn(t, g, q), inputs[g], boff, blen);
-                    }
-                    let (boff, blen) = batch(my_off, my_len, b);
-                    p.copy_local(inputs[g], boff, outputs[g], boff, blen);
-                    for q in peers(n, g, t) {
-                        p.recv_reduce_copy(
-                            self.conn(t, q, g),
-                            outputs[g],
-                            boff,
-                            outputs[g],
-                            boff,
-                            blen,
-                        );
-                    }
-                }
-                // AllGather phase.
-                for b in 0..nbatches {
-                    let (boff, blen) = batch(my_off, my_len, b);
-                    for q in peers(n, g, t) {
-                        p.send(self.conn(t, g, q), outputs[g], boff, blen);
-                    }
-                    for q in peers(n, g, t) {
-                        let (qoff, qlen) = slice(q);
-                        let (qboff, qblen) = batch(qoff, qlen, b);
-                        p.recv_copy(self.conn(t, q, g), outputs[g], qboff, qblen);
-                    }
-                }
-            }
-            out.push(kb.build());
-        }
-        out
+        })
     }
 
     /// Two-phase hierarchical AllReduce kernels over NCCL primitives:
     /// node-local all-pairs ReduceScatter, cross-node all-pairs exchange
-    /// among corresponding GPUs, node-local all-pairs AllGather.
+    /// among corresponding GPUs, node-local all-pairs AllGather. On one
+    /// node the cross-node phase has no peers, and this is the two-phase
+    /// all-pairs AllReduce.
     #[allow(clippy::too_many_arguments)]
     fn hierarchical_kernels(
         &self,
@@ -320,87 +220,64 @@ impl MscclComm {
         let (nodes, gpn) = (self.topo.nodes(), self.topo.gpus_per_node());
         let es = dtype.size();
         let count = bytes / es;
-        let slot_elems = self.cfg.transport.slot_bytes(proto) / es;
+        let slot = self.driver.config().slot_bytes(proto) / es * es;
         let shard = |i: usize| split_range(count, gpn, i);
-        let mut out = Vec::with_capacity(self.topo.world_size());
-        for g in 0..self.topo.world_size() {
+        self.driver.kernels(nch, proto, dtype, op, |g, t, p| {
             let node = g / gpn;
             let li = g % gpn;
             let lbase = node * gpn;
-            let mut kb = KernelBuilder::new(Rank(g));
-            kb.regs_per_thread(self.cfg.regs_per_thread);
-            for t in 0..nch {
-                let mut tb = kb.block(t);
-                let mut p = Prims::new(&mut tb, &self.cfg.transport, proto, dtype, op);
-                let slice = |i: usize| {
-                    let (cs, cl) = shard(i);
-                    let (sl, sll) = split_range(cl, nch, t);
-                    ((cs + sl) * es, sll * es)
-                };
-                let (my_off, my_len) = slice(li);
-                let max_len = (0..gpn).map(|i| slice(i).1).max().unwrap_or(0);
-                let nbatches = max_len.div_ceil(slot_elems * es).max(1);
-                let batch = |off: usize, len: usize, b: usize| {
-                    let lo = (b * slot_elems * es).min(len);
-                    let hi = ((b + 1) * slot_elems * es).min(len);
-                    (off + lo, hi - lo)
-                };
-                // Phase 1: node-local all-pairs ReduceScatter of shard li.
-                for b in 0..nbatches {
-                    for q in peers(gpn, li, t) {
-                        let (qoff, qlen) = slice(q);
-                        let (boff, blen) = batch(qoff, qlen, b);
-                        p.send(self.conn(t, g, lbase + q), inputs[g], boff, blen);
-                    }
-                    let (boff, blen) = batch(my_off, my_len, b);
-                    p.copy_local(inputs[g], boff, outputs[g], boff, blen);
-                    for q in peers(gpn, li, t) {
-                        p.recv_reduce_copy(
-                            self.conn(t, lbase + q, g),
-                            outputs[g],
-                            boff,
-                            outputs[g],
-                            boff,
-                            blen,
-                        );
-                    }
+            // Slice of local shard i handled by this channel, in bytes.
+            let slice = |i: usize| {
+                let (cs, cl) = shard(i);
+                let (sl, sll) = split_range(cl, nch, t);
+                ((cs + sl) * es, sll * es)
+            };
+            let (my_off, my_len) = slice(li);
+            let max_len = (0..gpn).map(|i| slice(i).1).max().unwrap_or(0);
+            let nb = batches(max_len, slot);
+            for b in 0..nb {
+                // Phase 1: node-local all-pairs ReduceScatter of shard li,
+                // interleaving sends and receives per batch to stay
+                // within FIFO credit.
+                for q in peers_staggered(gpn, li, t) {
+                    let (qoff, qlen) = slice(q);
+                    let (boff, blen) = batch(qoff, qlen, slot, b);
+                    p.send(self.conn(t, g, lbase + q), inputs[g], boff, blen);
                 }
-                // Phase 2: cross-node all-pairs exchange of my shard.
-                for b in 0..nbatches {
-                    let (boff, blen) = batch(my_off, my_len, b);
-                    for q in peers(nodes, node, t) {
-                        p.send(self.cross_conn(t, li, node, q), outputs[g], boff, blen);
-                    }
-                    for q in peers(nodes, node, t) {
-                        p.recv_reduce_copy(
-                            self.cross_conn(t, li, q, node),
-                            outputs[g],
-                            boff,
-                            outputs[g],
-                            boff,
-                            blen,
-                        );
-                    }
-                }
-                // Phase 3: node-local all-pairs AllGather.
-                for b in 0..nbatches {
-                    let (boff, blen) = batch(my_off, my_len, b);
-                    for q in peers(gpn, li, t) {
-                        p.send(self.conn(t, g, lbase + q), outputs[g], boff, blen);
-                    }
-                    for q in peers(gpn, li, t) {
-                        let (qoff, qlen) = slice(q);
-                        let (qboff, qblen) = batch(qoff, qlen, b);
-                        p.recv_copy(self.conn(t, lbase + q, g), outputs[g], qboff, qblen);
-                    }
+                let (boff, blen) = batch(my_off, my_len, slot, b);
+                p.copy_local(inputs[g], boff, outputs[g], boff, blen);
+                for q in peers_staggered(gpn, li, t) {
+                    let conn = self.conn(t, lbase + q, g);
+                    p.recv_reduce_copy(conn, outputs[g], boff, outputs[g], boff, blen);
                 }
             }
-            out.push(kb.build());
-        }
-        out
+            // Phase 2: cross-node all-pairs exchange of my shard.
+            for b in 0..nb {
+                let (boff, blen) = batch(my_off, my_len, slot, b);
+                for q in peers_staggered(nodes, node, t) {
+                    p.send(self.cross_conn(t, li, node, q), outputs[g], boff, blen);
+                }
+                for q in peers_staggered(nodes, node, t) {
+                    let conn = self.cross_conn(t, li, q, node);
+                    p.recv_reduce_copy(conn, outputs[g], boff, outputs[g], boff, blen);
+                }
+            }
+            // Phase 3: node-local all-pairs AllGather.
+            for b in 0..nb {
+                let (boff, blen) = batch(my_off, my_len, slot, b);
+                for q in peers_staggered(gpn, li, t) {
+                    p.send(self.conn(t, g, lbase + q), outputs[g], boff, blen);
+                }
+                for q in peers_staggered(gpn, li, t) {
+                    let (qoff, qlen) = slice(q);
+                    let (qboff, qblen) = batch(qoff, qlen, slot, b);
+                    p.recv_copy(self.conn(t, lbase + q, g), outputs[g], qboff, qblen);
+                }
+            }
+        })
     }
 
-    /// All-pairs AllGather kernels over NCCL primitives (`count` elements
+    /// All-pairs AllGather kernels over NCCL primitives (`bytes`
     /// contributed per rank; hierarchical across nodes).
     fn all_gather_kernels(
         &self,
@@ -411,79 +288,47 @@ impl MscclComm {
         proto: Proto,
         nch: usize,
     ) -> Vec<Kernel> {
-        let n = self.topo.world_size();
         let (nodes, gpn) = (self.topo.nodes(), self.topo.gpus_per_node());
-        let es = dtype.size();
-        let slot = self.cfg.transport.slot_bytes(proto);
-        let mut out = Vec::with_capacity(n);
-        let _ = es;
-        for g in 0..n {
+        let slot = self.driver.config().slot_bytes(proto);
+        // AllGather carries no reduction; op is irrelevant.
+        let op = ReduceOp::Sum;
+        self.driver.kernels(nch, proto, dtype, op, |g, t, p| {
             let node = g / gpn;
             let li = g % gpn;
             let lbase = node * gpn;
-            let mut kb = KernelBuilder::new(Rank(g));
-            kb.regs_per_thread(self.cfg.regs_per_thread);
-            for t in 0..nch {
-                let mut tb = kb.block(t);
-                let mut p = Prims::new(&mut tb, &self.cfg.transport, proto, dtype, ReduceOp::Sum);
-                let (ms, ml) = split_range(bytes, nch, t);
-                let nbatches = ml.div_ceil(slot).max(1);
-                let batch = |b: usize| {
-                    let lo = (b * slot).min(ml);
-                    let hi = ((b + 1) * slot).min(ml);
-                    (ms + lo, hi - lo)
-                };
-                for b in 0..nbatches {
-                    let (boff, blen) = batch(b);
-                    // Cross-node exchange among corresponding GPUs.
-                    for q in peers(nodes.max(1), node, t) {
-                        if nodes > 1 {
-                            p.send(self.cross_conn(t, li, node, q), inputs[g], boff, blen);
-                        }
+            let (ms, ml) = split_range(bytes, nch, t);
+            for b in 0..batches(ml, slot) {
+                let (boff, blen) = batch(ms, ml, slot, b);
+                // Cross-node exchange among corresponding GPUs.
+                for q in peers_staggered(nodes, node, t) {
+                    p.send(self.cross_conn(t, li, node, q), inputs[g], boff, blen);
+                }
+                p.copy_local(inputs[g], boff, outputs[g], g * bytes + boff, blen);
+                for q in peers_staggered(nodes, node, t) {
+                    let src_rank = q * gpn + li;
+                    let conn = self.cross_conn(t, li, q, node);
+                    p.recv_copy(conn, outputs[g], src_rank * bytes + boff, blen);
+                }
+                // Node-local distribution: I hold the chunks of every
+                // node's GPU at my local index; push them to all local
+                // peers, then collect theirs (matching the senders' chunk
+                // order).
+                for chunk_node in 0..nodes {
+                    let chunk_rank = chunk_node * gpn + li;
+                    for q in peers_staggered(gpn, li, t) {
+                        let conn = self.conn(t, g, lbase + q);
+                        p.send(conn, outputs[g], chunk_rank * bytes + boff, blen);
                     }
-                    p.copy_local(inputs[g], boff, outputs[g], g * bytes + boff, blen);
-                    if nodes > 1 {
-                        for q in peers(nodes, node, t) {
-                            let src_rank = q * gpn + li;
-                            p.recv_copy(
-                                self.cross_conn(t, li, q, node),
-                                outputs[g],
-                                src_rank * bytes + boff,
-                                blen,
-                            );
-                        }
-                    }
-                    // Node-local distribution: I hold the chunks of every
-                    // node's GPU at my local index; push them to all
-                    // local peers, then collect theirs (matching the
-                    // senders' chunk order).
-                    for chunk_node in 0..nodes {
-                        let chunk_rank = chunk_node * gpn + li;
-                        for q in peers(gpn, li, t) {
-                            p.send(
-                                self.conn(t, g, lbase + q),
-                                outputs[g],
-                                chunk_rank * bytes + boff,
-                                blen,
-                            );
-                        }
-                    }
-                    for chunk_node in 0..nodes {
-                        for q in peers(gpn, li, t) {
-                            let src_rank = chunk_node * gpn + q;
-                            p.recv_copy(
-                                self.conn(t, lbase + q, g),
-                                outputs[g],
-                                src_rank * bytes + boff,
-                                blen,
-                            );
-                        }
+                }
+                for chunk_node in 0..nodes {
+                    for q in peers_staggered(gpn, li, t) {
+                        let src_rank = chunk_node * gpn + q;
+                        let conn = self.conn(t, lbase + q, g);
+                        p.recv_copy(conn, outputs[g], src_rank * bytes + boff, blen);
                     }
                 }
             }
-            out.push(kb.build());
-        }
-        out
+        })
     }
 
     /// AllReduce over all ranks. `algo` overrides the tuner when given.
@@ -508,20 +353,13 @@ impl MscclComm {
             MscclAlgo::OnePhaseAllPairs => {
                 self.one_phase_kernels(inputs, outputs, bytes, dtype, op, proto)
             }
-            MscclAlgo::TwoPhaseAllPairs => {
-                self.two_phase_kernels(inputs, outputs, bytes, dtype, op, proto, nch)
-            }
-            MscclAlgo::TwoPhaseHierarchical => {
+            MscclAlgo::TwoPhaseAllPairs | MscclAlgo::TwoPhaseHierarchical => {
                 self.hierarchical_kernels(inputs, outputs, bytes, dtype, op, proto, nch)
             }
         };
-        mscclpp::record_launch_mix(engine, "msccl", &kernels);
-        let spec = commverify::CollectiveSpec::all_reduce(
-            spec_members(&self.topo, inputs, outputs),
-            bytes,
-        );
-        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        let members = spec_members(&self.topo, inputs, outputs);
+        let spec = commverify::CollectiveSpec::all_reduce(members, bytes);
+        self.driver.launch(engine, &kernels, &spec)
     }
 
     /// AllGather over all ranks (`count` elements contributed per rank).
@@ -545,12 +383,8 @@ impl MscclComm {
             (proto, nch)
         });
         let kernels = self.all_gather_kernels(inputs, outputs, bytes, dtype, proto, nch);
-        mscclpp::record_launch_mix(engine, "msccl", &kernels);
-        let spec = commverify::CollectiveSpec::all_gather(
-            spec_members(&self.topo, inputs, outputs),
-            bytes,
-        );
-        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        let members = spec_members(&self.topo, inputs, outputs);
+        let spec = commverify::CollectiveSpec::all_gather(members, bytes);
+        self.driver.launch(engine, &kernels, &spec)
     }
 }

@@ -1213,6 +1213,14 @@ pub fn split_range(total: usize, parts: usize, idx: usize) -> (usize, usize) {
     (idx * base + idx.min(rem), base + usize::from(idx < rem))
 }
 
+/// Iterates the peers of `me` among `0..n` (every index but `me`),
+/// rotated by thread block `tb` so concurrent blocks start on different
+/// peers: the mesh loop order of §5.3.
+#[inline]
+pub fn peers_staggered(n: usize, me: usize, tb: usize) -> impl Iterator<Item = usize> {
+    (0..n - 1).map(move |j| (me + 1 + (tb + j) % (n - 1)) % n)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,6 +75,9 @@ pub use exec::{
     record_launch_mix, run_kernels, run_kernels_sanitized, run_kernels_sanitized_shared,
     run_kernels_shared, KernelTiming,
 };
-pub use kernel::{split_range, Access, BlockBuilder, Dataflow, Instr, Kernel, KernelBuilder, Site};
+pub use kernel::{
+    peers_staggered, split_range, Access, BlockBuilder, Dataflow, Instr, Kernel, KernelBuilder,
+    Site,
+};
 pub use overheads::Overheads;
 pub use sanitizer::{SanRace, SanReport};

@@ -1,18 +1,14 @@
 //! The NCCL communicator: connection setup and collective kernels
 //! (ring and tree), mirroring the architecture of §2.2.1.
 
-use std::cell::Cell;
-
-use commverify::{CollectiveSpec, SpecMember};
+use commverify::CollectiveSpec;
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp, Topology};
-use mscclpp::{
-    run_kernels, split_range, Kernel, KernelBuilder, KernelTiming, Overheads, Result, Setup,
-};
+use mscclpp::{split_range, Kernel, KernelTiming, Result, Setup};
 use sim::Engine;
 
-use crate::config::{Algo, Choice, NcclConfig, Proto};
+use crate::config::{Algo, Choice, NcclConfig};
 use crate::conn::Conn;
-use crate::prims::Prims;
+use crate::driver::{batch, batches, spec_members, Driver};
 
 fn gcd(a: usize, b: usize) -> usize {
     if b == 0 {
@@ -20,47 +16,6 @@ fn gcd(a: usize, b: usize) -> usize {
     } else {
         gcd(b, a % b)
     }
-}
-
-/// Runs the static verifier — transport checks plus the semantic
-/// dataflow pass against `spec` — over the first kernel batch a baseline
-/// communicator launches, then disarms `armed`. Later launches reuse the
-/// staging FIFOs with banked credits (each launch leaves `slots` spare
-/// credits per connection), so fresh-cell happens-before analysis is
-/// only sound for the first one.
-///
-/// # Errors
-///
-/// Returns [`mscclpp::Error::Verification`] when the verifier reports a
-/// finding.
-pub fn verify_first_launch(
-    armed: &Cell<bool>,
-    engine: &Engine<Machine>,
-    kernels: &[Kernel],
-    spec: &CollectiveSpec,
-) -> Result<()> {
-    if !armed.replace(false) {
-        return Ok(());
-    }
-    commverify::verify_collective(
-        kernels,
-        engine.world().pool(),
-        &commverify::Checks::transport(),
-        spec,
-    )?;
-    Ok(())
-}
-
-/// Spec members for a full-world collective: rank `r` contributes
-/// `inputs[r]` and receives into `outputs[r]`.
-pub fn spec_members(topo: &Topology, inputs: &[BufferId], outputs: &[BufferId]) -> Vec<SpecMember> {
-    (0..topo.world_size())
-        .map(|r| SpecMember {
-            rank: Rank(r),
-            input: inputs[r],
-            output: outputs[r],
-        })
-        .collect()
 }
 
 /// Per-channel connection sets.
@@ -86,6 +41,19 @@ struct Channel {
     scratch: Vec<BufferId>,
 }
 
+impl Channel {
+    /// Rank `r`'s ring position, with its outgoing and incoming ring
+    /// connections.
+    fn ring(&self, r: usize) -> (usize, &Conn, &Conn) {
+        let (n, pos) = (self.order.len(), self.pos[r]);
+        (
+            pos,
+            &self.ring_next[pos],
+            &self.ring_next[(pos + n - 1) % n],
+        )
+    }
+}
+
 /// An NCCL communicator over all ranks of the machine.
 ///
 /// Owns the staging-FIFO connections for the ring and tree topologies
@@ -94,12 +62,9 @@ struct Channel {
 /// and node leaders form a binary tree across nodes.
 #[derive(Debug)]
 pub struct NcclComm {
-    cfg: NcclConfig,
     topo: Topology,
     channels: Vec<Channel>,
-    ov: Overheads,
-    /// Armed until the first launch is verified ([`verify_first_launch`]).
-    verify: Cell<bool>,
+    driver: Driver,
 }
 
 /// Parent of `rank` in the node-aware tree for a channel whose local
@@ -142,7 +107,6 @@ impl NcclComm {
     pub fn new(setup: &mut Setup<'_>, cfg: NcclConfig) -> NcclComm {
         let topo = setup.topology();
         let n = topo.world_size();
-        let ov = setup.overheads().clone();
         let g = topo.gpus_per_node();
         let mut channels = Vec::with_capacity(cfg.max_channels);
         for c in 0..cfg.max_channels {
@@ -195,23 +159,25 @@ impl NcclComm {
             });
         }
         NcclComm {
-            cfg,
             topo,
             channels,
-            ov,
-            verify: Cell::new(true),
+            driver: Driver::new(setup, "nccl", cfg.regs_per_thread, cfg),
         }
     }
 
-    /// The stack configuration.
-    pub fn config(&self) -> &NcclConfig {
-        &self.cfg
+    /// Channels a launch uses: `choice`'s, capped at `max_channels`.
+    fn nch(&self, choice: Choice) -> usize {
+        choice.channels.min(self.driver.config().max_channels)
+    }
+
+    /// FIFO slot size in bytes, rounded down to whole `dtype` elements.
+    fn slot(&self, choice: Choice, dtype: DataType) -> usize {
+        self.driver.config().slot_bytes(choice.proto) / dtype.size() * dtype.size()
     }
 
     /// Compiles ring-AllReduce kernels (Figure 1's ReduceScatter followed
     /// by an AllGather around the same ring), one thread block per
     /// channel.
-    #[allow(clippy::too_many_arguments)]
     fn ring_all_reduce(
         &self,
         input: &[BufferId],
@@ -219,75 +185,55 @@ impl NcclComm {
         count: usize,
         dtype: DataType,
         op: ReduceOp,
-        proto: Proto,
-        nch: usize,
+        choice: Choice,
     ) -> Vec<Kernel> {
         let n = self.topo.world_size();
-        let es = dtype.size();
-        let slot_elems = self.cfg.slot_bytes(proto) / es;
-        let mut builders: Vec<KernelBuilder> =
-            (0..n).map(|r| kernel_builder(Rank(r), &self.cfg)).collect();
-        for c in 0..nch {
+        let (proto, es) = (choice.proto, dtype.size());
+        let (nch, slot) = (self.nch(choice), self.slot(choice, dtype));
+        self.driver.kernels(nch, proto, dtype, op, |r, c, p| {
             let (stripe_start, stripe_len) = split_range(count, nch, c);
             // Per-rank chunk within the stripe.
             let chunk = |i: usize| split_range(stripe_len, n, i);
             let max_chunk = (0..n).map(|i| chunk(i).1).max().unwrap_or(0);
-            let nbatches = max_chunk.div_ceil(slot_elems).max(1);
-            for r in 0..n {
-                let mut kb = std::mem::replace(&mut builders[r], KernelBuilder::new(Rank(r)));
-                {
-                    let mut tb = kb.block(c);
-                    let mut p = Prims::new(&mut tb, &self.cfg, proto, dtype, op);
-                    let ch = &self.channels[c];
-                    let pos = ch.pos[r];
-                    let conn_out = &ch.ring_next[pos];
-                    let conn_in = &ch.ring_next[(pos + n - 1) % n];
-                    // Slice of chunk i covered by batch b, in bytes
-                    // relative to the stripe start. Chunks are indexed by
-                    // ring position (chunk identity is arbitrary for
-                    // AllReduce as long as it is globally consistent).
-                    let slice = |i: usize, b: usize| -> (usize, usize) {
-                        let (cs, cl) = chunk(i);
-                        let lo = (b * slot_elems).min(cl);
-                        let hi = ((b + 1) * slot_elems).min(cl);
-                        ((stripe_start + cs + lo) * es, (hi - lo) * es)
-                    };
-                    for b in 0..nbatches {
-                        // ReduceScatter phase: N-1 steps.
-                        let (off0, len0) = slice(pos, b);
-                        p.send(conn_out, input[r], off0, len0);
-                        for k in 1..n - 1 {
-                            let ci = (pos + n - k) % n;
-                            let (off, len) = slice(ci, b);
-                            p.recv_reduce_send(conn_in, input[r], off, conn_out, len);
-                        }
-                        // Final step: position completes chunk (pos+1) % N.
-                        let done = (pos + 1) % n;
-                        let (off, len) = slice(done, b);
-                        p.recv_reduce_copy(conn_in, input[r], off, output[r], off, len);
-                        // AllGather phase: N-1 steps forwarding completed
-                        // chunks around the ring.
-                        let (soff, slen) = slice(done, b);
-                        p.send(conn_out, output[r], soff, slen);
-                        for k in 0..n - 2 {
-                            let ci = (pos + n - k) % n;
-                            let (off, len) = slice(ci, b);
-                            p.recv_copy_send(conn_in, output[r], off, conn_out, len);
-                        }
-                        let ci = (pos + 2) % n;
-                        let (off, len) = slice(ci, b);
-                        p.recv_copy(conn_in, output[r], off, len);
-                    }
+            let (pos, conn_out, conn_in) = self.channels[c].ring(r);
+            // Slice of chunk i covered by batch b, in bytes. Chunks are
+            // indexed by ring position (chunk identity is arbitrary for
+            // AllReduce as long as it is globally consistent).
+            let slice = |i: usize, b: usize| {
+                let (cs, cl) = chunk(i);
+                batch((stripe_start + cs) * es, cl * es, slot, b)
+            };
+            for b in 0..batches(max_chunk * es, slot) {
+                // ReduceScatter phase: N-1 steps.
+                let (off0, len0) = slice(pos, b);
+                p.send(conn_out, input[r], off0, len0);
+                for k in 1..n - 1 {
+                    let ci = (pos + n - k) % n;
+                    let (off, len) = slice(ci, b);
+                    p.recv_reduce_send(conn_in, input[r], off, conn_out, len);
                 }
-                builders[r] = kb;
+                // Final step: position completes chunk (pos+1) % N.
+                let done = (pos + 1) % n;
+                let (off, len) = slice(done, b);
+                p.recv_reduce_copy(conn_in, input[r], off, output[r], off, len);
+                // AllGather phase: N-1 steps forwarding completed chunks
+                // around the ring.
+                let (soff, slen) = slice(done, b);
+                p.send(conn_out, output[r], soff, slen);
+                for k in 0..n - 2 {
+                    let ci = (pos + n - k) % n;
+                    let (off, len) = slice(ci, b);
+                    p.recv_copy_send(conn_in, output[r], off, conn_out, len);
+                }
+                let ci = (pos + 2) % n;
+                let (off, len) = slice(ci, b);
+                p.recv_copy(conn_in, output[r], off, len);
             }
-        }
-        builders.into_iter().map(KernelBuilder::build).collect()
+        })
     }
 
     /// Compiles tree-AllReduce kernels: reduce up the node-aware tree,
     /// then broadcast back down, pipelined in FIFO-slot batches.
-    #[allow(clippy::too_many_arguments)]
     fn tree_all_reduce(
         &self,
         input: &[BufferId],
@@ -295,260 +241,75 @@ impl NcclComm {
         count: usize,
         dtype: DataType,
         op: ReduceOp,
-        proto: Proto,
-        nch: usize,
+        choice: Choice,
     ) -> Vec<Kernel> {
-        let n = self.topo.world_size();
-        let es = dtype.size();
-        let slot_elems = self.cfg.slot_bytes(proto) / es;
-        let mut builders: Vec<KernelBuilder> =
-            (0..n).map(|r| kernel_builder(Rank(r), &self.cfg)).collect();
-        for c in 0..nch {
+        let (proto, es) = (choice.proto, dtype.size());
+        let (nch, slot) = (self.nch(choice), self.slot(choice, dtype));
+        self.driver.kernels(nch, proto, dtype, op, |r, c, p| {
             let (stripe_start, stripe_len) = split_range(count, nch, c);
-            let nbatches = stripe_len.div_ceil(slot_elems).max(1);
             let ch = &self.channels[c];
-            for r in 0..n {
-                let mut kb = std::mem::replace(&mut builders[r], KernelBuilder::new(Rank(r)));
-                {
-                    let mut tb = kb.block(c);
-                    let mut p = Prims::new(&mut tb, &self.cfg, proto, dtype, op);
-                    let children = tree_children(self.topo, Rank(r), c);
-                    let up = ch.tree_up[r].as_ref();
-                    let down = ch.tree_down[r].as_ref();
-                    for b in 0..nbatches {
-                        let lo = (b * slot_elems).min(stripe_len);
-                        let hi = ((b + 1) * slot_elems).min(stripe_len);
-                        let off = (stripe_start + lo) * es;
-                        let len = (hi - lo) * es;
-                        // Reduce phase.
-                        match (children.is_empty(), up) {
-                            (true, Some(up)) => {
-                                // Leaf: push my data up.
-                                p.send(up, input[r], off, len);
-                            }
-                            (false, up) => {
-                                // Interior or root: fold my input with the
-                                // first child, then remaining children.
-                                let acc = ch.scratch[r];
-                                let acc_off = 0;
-                                let first = ch.tree_up[children[0].0].as_ref().unwrap();
-                                let (dst, dst_off) = if up.is_none() && children.len() == 1 {
-                                    (output[r], off)
-                                } else {
-                                    (acc, acc_off)
-                                };
-                                p.recv_reduce_copy(first, input[r], off, dst, dst_off, len);
-                                for (i, &child) in children.iter().enumerate().skip(1) {
-                                    let conn = ch.tree_up[child.0].as_ref().unwrap();
-                                    let last = i == children.len() - 1;
-                                    let (d, doff) = if up.is_none() && last {
-                                        (output[r], off)
-                                    } else {
-                                        (acc, acc_off)
-                                    };
-                                    p.recv_reduce_copy(conn, dst, dst_off, d, doff, len);
-                                }
-                                if let Some(up) = up {
-                                    p.send(up, acc, acc_off, len);
-                                }
-                            }
-                            (true, None) => {
-                                // Single-rank world: allreduce is a copy.
-                                p.copy_local(input[r], off, output[r], off, len);
-                            }
-                        }
-                        // Broadcast phase.
-                        if let Some(down) = down {
-                            if children.is_empty() {
-                                p.recv_copy(down, output[r], off, len);
+            let children = tree_children(self.topo, Rank(r), c);
+            let up = ch.tree_up[r].as_ref();
+            let down = ch.tree_down[r].as_ref();
+            for b in 0..batches(stripe_len * es, slot) {
+                let (off, len) = batch(stripe_start * es, stripe_len * es, slot, b);
+                // Reduce phase.
+                match (children.is_empty(), up) {
+                    (true, Some(up)) => {
+                        // Leaf: push my data up.
+                        p.send(up, input[r], off, len);
+                    }
+                    (false, up) => {
+                        // Interior or root: fold my input with the first
+                        // child, then remaining children.
+                        let acc = ch.scratch[r];
+                        let acc_off = 0;
+                        let first = ch.tree_up[children[0].0].as_ref().unwrap();
+                        let (dst, dst_off) = if up.is_none() && children.len() == 1 {
+                            (output[r], off)
+                        } else {
+                            (acc, acc_off)
+                        };
+                        p.recv_reduce_copy(first, input[r], off, dst, dst_off, len);
+                        for (i, &child) in children.iter().enumerate().skip(1) {
+                            let conn = ch.tree_up[child.0].as_ref().unwrap();
+                            let last = i == children.len() - 1;
+                            let (d, doff) = if up.is_none() && last {
+                                (output[r], off)
                             } else {
-                                let first_child_down =
-                                    ch.tree_down[children[0].0].as_ref().unwrap();
-                                p.recv_copy_send(down, output[r], off, first_child_down, len);
-                                for &child in children.iter().skip(1) {
-                                    let conn = ch.tree_down[child.0].as_ref().unwrap();
-                                    p.send(conn, output[r], off, len);
-                                }
-                            }
-                        } else {
-                            for &child in &children {
-                                let conn = ch.tree_down[child.0].as_ref().unwrap();
-                                p.send(conn, output[r], off, len);
-                            }
+                                (acc, acc_off)
+                            };
+                            p.recv_reduce_copy(conn, dst, dst_off, d, doff, len);
+                        }
+                        if let Some(up) = up {
+                            p.send(up, acc, acc_off, len);
                         }
                     }
-                }
-                builders[r] = kb;
-            }
-        }
-        builders.into_iter().map(KernelBuilder::build).collect()
-    }
-
-    /// Compiles ring-AllGather kernels: each rank contributes `count`
-    /// elements (its own chunk of `input`), and every rank ends with all
-    /// `N * count` elements in `output`.
-    fn ring_all_gather(
-        &self,
-        input: &[BufferId],
-        output: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        proto: Proto,
-        nch: usize,
-    ) -> Vec<Kernel> {
-        let n = self.topo.world_size();
-        let es = dtype.size();
-        let slot_elems = self.cfg.slot_bytes(proto) / es;
-        let mut builders: Vec<KernelBuilder> =
-            (0..n).map(|r| kernel_builder(Rank(r), &self.cfg)).collect();
-        for c in 0..nch {
-            let (stripe_start, stripe_len) = split_range(count, nch, c);
-            let nbatches = stripe_len.div_ceil(slot_elems).max(1);
-            for r in 0..n {
-                let mut kb = std::mem::replace(&mut builders[r], KernelBuilder::new(Rank(r)));
-                {
-                    let mut tb = kb.block(c);
-                    // AllGather carries no reduction; op is irrelevant.
-                    let mut p = Prims::new(&mut tb, &self.cfg, proto, dtype, ReduceOp::Sum);
-                    let ch = &self.channels[c];
-                    let pos = ch.pos[r];
-                    let conn_out = &ch.ring_next[pos];
-                    let conn_in = &ch.ring_next[(pos + n - 1) % n];
-                    for b in 0..nbatches {
-                        let lo = (b * slot_elems).min(stripe_len);
-                        let hi = ((b + 1) * slot_elems).min(stripe_len);
-                        let boff = (stripe_start + lo) * es;
-                        let blen = (hi - lo) * es;
-                        // Own chunk into place, then N-1 forwarding steps.
-                        p.copy_local(input[r], boff, output[r], r * count * es + boff, blen);
-                        p.send(conn_out, input[r], boff, blen);
-                        for k in 0..n - 2 {
-                            let src = ch.order[(pos + n - 1 - k) % n].0;
-                            p.recv_copy_send(
-                                conn_in,
-                                output[r],
-                                src * count * es + boff,
-                                conn_out,
-                                blen,
-                            );
-                        }
-                        let src = ch.order[(pos + 1) % n].0;
-                        p.recv_copy(conn_in, output[r], src * count * es + boff, blen);
+                    (true, None) => {
+                        // Single-rank world: allreduce is a copy.
+                        p.copy_local(input[r], off, output[r], off, len);
                     }
                 }
-                builders[r] = kb;
-            }
-        }
-        builders.into_iter().map(KernelBuilder::build).collect()
-    }
-
-    /// Compiles ring-ReduceScatter kernels (Figure 1): each rank provides
-    /// `count * N` elements and receives its reduced chunk of `count`
-    /// elements in `output`.
-    #[allow(clippy::too_many_arguments)]
-    fn ring_reduce_scatter(
-        &self,
-        input: &[BufferId],
-        output: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-        proto: Proto,
-        nch: usize,
-    ) -> Vec<Kernel> {
-        let n = self.topo.world_size();
-        let es = dtype.size();
-        let slot_elems = self.cfg.slot_bytes(proto) / es;
-        let mut builders: Vec<KernelBuilder> =
-            (0..n).map(|r| kernel_builder(Rank(r), &self.cfg)).collect();
-        for c in 0..nch {
-            let (stripe_start, stripe_len) = split_range(count, nch, c);
-            let nbatches = stripe_len.div_ceil(slot_elems).max(1);
-            for r in 0..n {
-                let mut kb = std::mem::replace(&mut builders[r], KernelBuilder::new(Rank(r)));
-                {
-                    let mut tb = kb.block(c);
-                    let mut p = Prims::new(&mut tb, &self.cfg, proto, dtype, op);
-                    let ch = &self.channels[c];
-                    let pos = ch.pos[r];
-                    let conn_out = &ch.ring_next[pos];
-                    let conn_in = &ch.ring_next[(pos + n - 1) % n];
-                    for b in 0..nbatches {
-                        let lo = (b * slot_elems).min(stripe_len);
-                        let hi = ((b + 1) * slot_elems).min(stripe_len);
-                        let boff = (stripe_start + lo) * es;
-                        let blen = (hi - lo) * es;
-                        let chunk_off = |i: usize| i * count * es + boff;
-                        // The position starts by sending its predecessor's
-                        // chunk; each chunk travels N-1 hops, so after the
-                        // final step rank r completes its own chunk r.
-                        let c0 = ch.order[(pos + n - 1) % n].0;
-                        p.send(conn_out, input[r], chunk_off(c0), blen);
-                        for k in 1..n - 1 {
-                            let ci = ch.order[(pos + n - 1 - k) % n].0;
-                            p.recv_reduce_send(conn_in, input[r], chunk_off(ci), conn_out, blen);
-                        }
-                        p.recv_reduce_copy(conn_in, input[r], chunk_off(r), output[r], boff, blen);
-                    }
-                }
-                builders[r] = kb;
-            }
-        }
-        builders.into_iter().map(KernelBuilder::build).collect()
-    }
-
-    /// Compiles ring (chain) Broadcast kernels from `root`.
-    #[allow(clippy::too_many_arguments)]
-    fn ring_broadcast(
-        &self,
-        input: &[BufferId],
-        output: &[BufferId],
-        count: usize,
-        dtype: DataType,
-        root: Rank,
-        proto: Proto,
-        nch: usize,
-    ) -> Vec<Kernel> {
-        let n = self.topo.world_size();
-        let es = dtype.size();
-        let slot_elems = self.cfg.slot_bytes(proto) / es;
-        let mut builders: Vec<KernelBuilder> =
-            (0..n).map(|r| kernel_builder(Rank(r), &self.cfg)).collect();
-        for c in 0..nch {
-            let (stripe_start, stripe_len) = split_range(count, nch, c);
-            let nbatches = stripe_len.div_ceil(slot_elems).max(1);
-            for r in 0..n {
-                let mut kb = std::mem::replace(&mut builders[r], KernelBuilder::new(Rank(r)));
-                {
-                    let mut tb = kb.block(c);
-                    let mut p = Prims::new(&mut tb, &self.cfg, proto, dtype, ReduceOp::Sum);
-                    let ch = &self.channels[c];
-                    let rpos = ch.pos[r];
-                    let conn_out = &ch.ring_next[rpos];
-                    let conn_in = &ch.ring_next[(rpos + n - 1) % n];
-                    // Position along the chain starting at the root.
-                    let pos = (rpos + n - ch.pos[root.0]) % n;
-                    for b in 0..nbatches {
-                        let lo = (b * slot_elems).min(stripe_len);
-                        let hi = ((b + 1) * slot_elems).min(stripe_len);
-                        let boff = (stripe_start + lo) * es;
-                        let blen = (hi - lo) * es;
-                        if pos == 0 {
-                            p.copy_local(input[r], boff, output[r], boff, blen);
-                            if n > 1 {
-                                p.send(conn_out, input[r], boff, blen);
-                            }
-                        } else if pos == n - 1 {
-                            p.recv_copy(conn_in, output[r], boff, blen);
-                        } else {
-                            p.recv_copy_send(conn_in, output[r], boff, conn_out, blen);
+                // Broadcast phase.
+                if let Some(down) = down {
+                    if children.is_empty() {
+                        p.recv_copy(down, output[r], off, len);
+                    } else {
+                        let first_child_down = ch.tree_down[children[0].0].as_ref().unwrap();
+                        p.recv_copy_send(down, output[r], off, first_child_down, len);
+                        for &child in children.iter().skip(1) {
+                            let conn = ch.tree_down[child.0].as_ref().unwrap();
+                            p.send(conn, output[r], off, len);
                         }
                     }
+                } else {
+                    for &child in &children {
+                        let conn = ch.tree_down[child.0].as_ref().unwrap();
+                        p.send(conn, output[r], off, len);
+                    }
                 }
-                builders[r] = kb;
             }
-        }
-        builders.into_iter().map(KernelBuilder::build).collect()
+        })
     }
 
     /// AllReduce over all ranks with an explicit tuner [`Choice`],
@@ -569,26 +330,22 @@ impl NcclComm {
         op: ReduceOp,
         choice: Choice,
     ) -> Result<KernelTiming> {
-        let nch = choice.channels.min(self.cfg.max_channels);
         let kernels = match choice.algo {
-            Algo::Ring => self.ring_all_reduce(input, output, count, dtype, op, choice.proto, nch),
-            Algo::Tree => self.tree_all_reduce(input, output, count, dtype, op, choice.proto, nch),
+            Algo::Ring => self.ring_all_reduce(input, output, count, dtype, op, choice),
+            Algo::Tree => self.tree_all_reduce(input, output, count, dtype, op, choice),
         };
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = CollectiveSpec::all_reduce(
-            spec_members(&self.topo, input, output),
-            count * dtype.size(),
-        );
-        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        let members = spec_members(&self.topo, input, output);
+        let spec = CollectiveSpec::all_reduce(members, count * dtype.size());
+        self.driver.launch(engine, &kernels, &spec)
     }
 
-    /// AllGather with an explicit tuner [`Choice`] (always ring).
+    /// AllGather with an explicit tuner [`Choice`] (always ring): each
+    /// rank contributes `count` elements (its own chunk of `input`), and
+    /// every rank ends with all `N * count` elements in `output`.
     ///
     /// # Errors
     ///
     /// Propagates kernel deadlocks.
-    #[allow(clippy::too_many_arguments)]
     pub fn all_gather(
         &self,
         engine: &mut Engine<Machine>,
@@ -598,18 +355,35 @@ impl NcclComm {
         dtype: DataType,
         choice: Choice,
     ) -> Result<KernelTiming> {
-        let nch = choice.channels.min(self.cfg.max_channels);
-        let kernels = self.ring_all_gather(input, output, count, dtype, choice.proto, nch);
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = CollectiveSpec::all_gather(
-            spec_members(&self.topo, input, output),
-            count * dtype.size(),
-        );
-        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        let n = self.topo.world_size();
+        let (proto, es) = (choice.proto, dtype.size());
+        let (nch, slot) = (self.nch(choice), self.slot(choice, dtype));
+        // AllGather carries no reduction; op is irrelevant.
+        let op = ReduceOp::Sum;
+        let kernels = self.driver.kernels(nch, proto, dtype, op, |r, c, p| {
+            let (stripe_start, stripe_len) = split_range(count, nch, c);
+            let ch = &self.channels[c];
+            let (pos, conn_out, conn_in) = ch.ring(r);
+            for b in 0..batches(stripe_len * es, slot) {
+                let (boff, blen) = batch(stripe_start * es, stripe_len * es, slot, b);
+                // Own chunk into place, then N-1 forwarding steps.
+                p.copy_local(input[r], boff, output[r], r * count * es + boff, blen);
+                p.send(conn_out, input[r], boff, blen);
+                for k in 0..n - 2 {
+                    let src = ch.order[(pos + n - 1 - k) % n].0;
+                    p.recv_copy_send(conn_in, output[r], src * count * es + boff, conn_out, blen);
+                }
+                let src = ch.order[(pos + 1) % n].0;
+                p.recv_copy(conn_in, output[r], src * count * es + boff, blen);
+            }
+        });
+        let spec = CollectiveSpec::all_gather(spec_members(&self.topo, input, output), count * es);
+        self.driver.launch(engine, &kernels, &spec)
     }
 
-    /// ReduceScatter with an explicit tuner [`Choice`] (always ring).
+    /// ReduceScatter with an explicit tuner [`Choice`] (always ring, as in
+    /// Figure 1): each rank provides `count * N` elements and receives
+    /// its reduced chunk of `count` elements in `output`.
     ///
     /// # Errors
     ///
@@ -625,21 +399,39 @@ impl NcclComm {
         op: ReduceOp,
         choice: Choice,
     ) -> Result<KernelTiming> {
-        let nch = choice.channels.min(self.cfg.max_channels);
-        let kernels = self.ring_reduce_scatter(input, output, count, dtype, op, choice.proto, nch);
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
         let n = self.topo.world_size();
-        let shard = count * dtype.size();
+        let (proto, es) = (choice.proto, dtype.size());
+        let (nch, slot) = (self.nch(choice), self.slot(choice, dtype));
+        let kernels = self.driver.kernels(nch, proto, dtype, op, |r, c, p| {
+            let (stripe_start, stripe_len) = split_range(count, nch, c);
+            let ch = &self.channels[c];
+            let (pos, conn_out, conn_in) = ch.ring(r);
+            for b in 0..batches(stripe_len * es, slot) {
+                let (boff, blen) = batch(stripe_start * es, stripe_len * es, slot, b);
+                let chunk_off = |i: usize| i * count * es + boff;
+                // The position starts by sending its predecessor's chunk;
+                // each chunk travels N-1 hops, so after the final step
+                // rank r completes its own chunk r.
+                let c0 = ch.order[(pos + n - 1) % n].0;
+                p.send(conn_out, input[r], chunk_off(c0), blen);
+                for k in 1..n - 1 {
+                    let ci = ch.order[(pos + n - 1 - k) % n].0;
+                    p.recv_reduce_send(conn_in, input[r], chunk_off(ci), conn_out, blen);
+                }
+                p.recv_reduce_copy(conn_in, input[r], chunk_off(r), output[r], boff, blen);
+            }
+        });
+        let shard = count * es;
         let spec = CollectiveSpec::reduce_scatter(
             spec_members(&self.topo, input, output),
             n * shard,
             (0..n).map(|i| (i * shard, shard)).collect(),
         );
-        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        self.driver.launch(engine, &kernels, &spec)
     }
 
-    /// Broadcast from `root` with an explicit tuner [`Choice`].
+    /// Broadcast from `root` with an explicit tuner [`Choice`] (a ring
+    /// chain starting at the root).
     ///
     /// # Errors
     ///
@@ -655,21 +447,33 @@ impl NcclComm {
         root: Rank,
         choice: Choice,
     ) -> Result<KernelTiming> {
-        let nch = choice.channels.min(self.cfg.max_channels);
-        let kernels = self.ring_broadcast(input, output, count, dtype, root, choice.proto, nch);
-        mscclpp::record_launch_mix(engine, "nccl", &kernels);
-        let spec = CollectiveSpec::broadcast(
-            spec_members(&self.topo, input, output),
-            count * dtype.size(),
-            root.0,
-        );
-        verify_first_launch(&self.verify, engine, &kernels, &spec)?;
-        run_kernels(engine, &kernels, &self.ov)
+        let n = self.topo.world_size();
+        let (proto, es) = (choice.proto, dtype.size());
+        let (nch, slot) = (self.nch(choice), self.slot(choice, dtype));
+        // Broadcast carries no reduction; op is irrelevant.
+        let op = ReduceOp::Sum;
+        let kernels = self.driver.kernels(nch, proto, dtype, op, |r, c, p| {
+            let (stripe_start, stripe_len) = split_range(count, nch, c);
+            let ch = &self.channels[c];
+            let (rpos, conn_out, conn_in) = ch.ring(r);
+            // Position along the chain starting at the root.
+            let pos = (rpos + n - ch.pos[root.0]) % n;
+            for b in 0..batches(stripe_len * es, slot) {
+                let (boff, blen) = batch(stripe_start * es, stripe_len * es, slot, b);
+                if pos == 0 {
+                    p.copy_local(input[r], boff, output[r], boff, blen);
+                    if n > 1 {
+                        p.send(conn_out, input[r], boff, blen);
+                    }
+                } else if pos == n - 1 {
+                    p.recv_copy(conn_in, output[r], boff, blen);
+                } else {
+                    p.recv_copy_send(conn_in, output[r], boff, conn_out, blen);
+                }
+            }
+        });
+        let spec =
+            CollectiveSpec::broadcast(spec_members(&self.topo, input, output), count * es, root.0);
+        self.driver.launch(engine, &kernels, &spec)
     }
-}
-
-fn kernel_builder(rank: Rank, cfg: &NcclConfig) -> KernelBuilder {
-    let mut kb = KernelBuilder::new(rank);
-    kb.regs_per_thread(cfg.regs_per_thread);
-    kb
 }

@@ -72,24 +72,12 @@ impl NcclConfig {
         }
     }
 
-    /// RCCL defaults (same architecture; §2.2: "RCCL is designed based on
-    /// NCCL and shares the same limitations").
-    pub fn rccl() -> NcclConfig {
-        NcclConfig::nccl()
-    }
-
     /// Slot size for a protocol.
     pub fn slot_bytes(&self, proto: Proto) -> usize {
         match proto {
             Proto::Simple => self.slot_bytes_simple,
             Proto::LL => self.slot_bytes_ll,
         }
-    }
-}
-
-impl Default for NcclConfig {
-    fn default() -> NcclConfig {
-        NcclConfig::nccl()
     }
 }
 

@@ -80,11 +80,6 @@ impl Conn {
     pub fn sends(&self) -> usize {
         self.send_seq.get()
     }
-
-    /// Receives emitted so far (diagnostic).
-    pub fn recvs(&self) -> usize {
-        self.recv_seq.get()
-    }
 }
 
 #[cfg(test)]

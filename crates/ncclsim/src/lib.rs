@@ -14,11 +14,15 @@
 //!   "inflexible synchronization" are real simulated work here);
 //! * [`NcclComm`]: ring and node-aware tree collectives (AllReduce,
 //!   AllGather, ReduceScatter, Broadcast) with LL/Simple protocols and
-//!   NCCL's size-based tuner.
+//!   NCCL's size-based tuner;
+//! * [`Driver`]: the one emission and launch path, shared with the
+//!   `msccl` baseline. Every collective compiles as a body that writes
+//!   one (rank, channel) thread block through [`Prims`], moving data in
+//!   FIFO-slot [`batch`]es; every launch records its instruction mix,
+//!   verifies only the communicator's first launch, and runs.
 //!
-//! RCCL is this same stack on the MI300x topology ([`NcclConfig::rccl`]),
-//! reflecting the paper's observation that RCCL shares NCCL's design and
-//! limitations.
+//! RCCL is [`NcclConfig::nccl`] on the MI300x topology, reflecting the
+//! paper's observation that RCCL shares NCCL's design and limitations.
 //!
 //! # Example
 //!
@@ -51,9 +55,11 @@
 mod comm;
 mod config;
 mod conn;
+mod driver;
 mod prims;
 
-pub use comm::{spec_members, verify_first_launch, NcclComm};
+pub use comm::NcclComm;
 pub use config::{tune, tuning_candidates, Algo, Choice, NcclConfig, Proto};
 pub use conn::Conn;
+pub use driver::{batch, batches, spec_members, Driver};
 pub use prims::Prims;

@@ -17,6 +17,18 @@
 //!   A100-40G, and on NCCL and MSCCL++ at 1 MB on H100.
 //! - Post-recovery launches: exact latency bits of three AllReduces on a
 //!   shrunken two-node survivor group's rebuilt plan.
+//! - Baseline sequences: every kernel the NCCL and MSCCL compilers emit,
+//!   launch by launch, on one traced and profiled communicator per stack
+//!   and topology (1n8g and 2n16g) at a ragged F16 count, run twice so
+//!   the second round starts on wrapped FIFO cursors and banked credits.
+//!   NCCL runs ring and tree AllReduce, AllGather, ReduceScatter and a
+//!   rank-3 Broadcast; MSCCL its AllReduce plans (one- and two-phase
+//!   all-pairs on one node, hierarchical on two) and AllGather; each at
+//!   LL and Simple on one and four channels. Each pin holds every
+//!   launch's elapsed picoseconds, an FNV-1a over every launch's full
+//!   timing and the engine digest above, whose outputs fold each
+//!   launch's output bytes and whose metrics hold the `nccl.*`/`msccl.*`
+//!   instruction mix.
 //!
 //! Every pinned run also asserts that the engine clamped no event into
 //! its past. Re-record a value only for an intended change of virtual
@@ -25,6 +37,7 @@
 use bench::{input_val, iterate, measure, Coll, Pick, Stack, Target};
 use collective::{CollComm, RecoveryOutcome};
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
+use mscclpp::KernelTiming;
 use sim::{fnv1a, Duration, Engine, FaultPlan, Time};
 
 fn val(r: usize, i: usize) -> f32 {
@@ -484,4 +497,266 @@ fn shrunken_allreduce_matches_its_bits() {
     let bits: Vec<u64> = lat.iter().map(|us| us.to_bits()).collect();
     assert_eq!(bits, [0x4055_806e_a854_4780; 3], "{lat:?} µs");
     assert_eq!(e.clamped_past_events(), 0);
+}
+
+/// Elements per rank of every baseline-sequence launch: odd, so FIFO-slot
+/// batches and channel stripes end in partial tails.
+const RAGGED: usize = 24_577;
+
+/// What a baseline launch sequence leaves behind: each launch's elapsed
+/// picoseconds, an FNV-1a over every launch's full [`KernelTiming`]
+/// (start, end and per-rank ends), and the engine [`Digest`], whose
+/// `outputs` folds every launch's output bytes.
+#[derive(Debug, PartialEq, Eq)]
+struct Sequence {
+    elapsed_ps: Vec<u64>,
+    timings: u64,
+    digest: Digest,
+}
+
+/// A traced and profiled cluster with one F16 input of `in_elems`
+/// elements and one output of `world * RAGGED` per rank.
+struct Rig {
+    e: Engine<Machine>,
+    ins: Vec<BufferId>,
+    outs: Vec<BufferId>,
+    timings: Vec<KernelTiming>,
+    outputs: Vec<u8>,
+}
+
+impl Rig {
+    fn new(nodes: usize, in_elems: usize) -> Rig {
+        let world = nodes * 8;
+        let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(nodes)));
+        hw::wire(&mut e);
+        e.enable_tracing();
+        e.enable_profiling();
+        let pool = e.world_mut().pool_mut();
+        let ins = (0..world)
+            .map(|r| {
+                let b = pool.alloc(Rank(r), in_elems * 2);
+                pool.fill_with(b, DataType::F16, move |i| input_val(r, i));
+                b
+            })
+            .collect();
+        let outs = (0..world)
+            .map(|r| pool.alloc(Rank(r), world * RAGGED * 2))
+            .collect();
+        Rig {
+            e,
+            ins,
+            outs,
+            timings: Vec::new(),
+            outputs: Vec::new(),
+        }
+    }
+
+    /// Runs one launch and folds the first `out_elems` elements of every
+    /// rank's output into the outputs digest.
+    fn launch(
+        &mut self,
+        out_elems: usize,
+        f: impl FnOnce(&mut Engine<Machine>, &[BufferId], &[BufferId]) -> mscclpp::Result<KernelTiming>,
+    ) {
+        let t = f(&mut self.e, &self.ins, &self.outs).expect("baseline launch");
+        self.timings.push(t);
+        for &b in &self.outs {
+            let h = fnv1a(self.e.world().pool().bytes(b, 0, out_elems * 2));
+            self.outputs.extend(h.to_le_bytes());
+        }
+    }
+
+    fn finish(mut self) -> Sequence {
+        assert_eq!(self.e.clamped_past_events(), 0);
+        let metrics = format!(
+            "{:?}{:?}",
+            self.e.metrics().counters().collect::<Vec<_>>(),
+            self.e.metrics().resources()
+        );
+        let trace = self.e.take_trace();
+        let graph = self.e.take_dep_graph();
+        Sequence {
+            elapsed_ps: self.timings.iter().map(|t| t.elapsed().as_ps()).collect(),
+            timings: fnv1a(format!("{:?}", self.timings).as_bytes()),
+            digest: Digest {
+                outputs: fnv1a(&self.outputs),
+                now_ps: self.e.now().as_ps(),
+                events: self.e.events_processed(),
+                metrics: fnv1a(metrics.as_bytes()),
+                trace: fnv1a(format!("{trace:?}").as_bytes()),
+                graph: fnv1a(format!("{graph:?}").as_bytes()),
+            },
+        }
+    }
+}
+
+/// Both rounds of NCCL's sequence on one communicator: ring and tree
+/// AllReduce, AllGather, ReduceScatter and Broadcast from rank 3, each
+/// at LL and Simple on one and four channels. The second round runs on
+/// wrapped FIFO cursors and banked credits.
+fn nccl_sequence(nodes: usize) -> Sequence {
+    use ncclsim::{Algo, Choice, NcclComm, NcclConfig, Proto};
+    let world = nodes * 8;
+    let mut rig = Rig::new(nodes, world * RAGGED);
+    let comm = NcclComm::new(&mut mscclpp::Setup::new(&mut rig.e), NcclConfig::nccl());
+    let (n, f16, sum) = (RAGGED, DataType::F16, ReduceOp::Sum);
+    for _round in 0..2 {
+        for proto in [Proto::LL, Proto::Simple] {
+            for channels in [1, 4] {
+                let ring = Choice {
+                    algo: Algo::Ring,
+                    proto,
+                    channels,
+                };
+                let tree = Choice {
+                    algo: Algo::Tree,
+                    ..ring
+                };
+                rig.launch(n, |e, i, o| comm.all_reduce(e, i, o, n, f16, sum, ring));
+                rig.launch(n, |e, i, o| comm.all_reduce(e, i, o, n, f16, sum, tree));
+                rig.launch(world * n, |e, i, o| comm.all_gather(e, i, o, n, f16, ring));
+                rig.launch(n, |e, i, o| comm.reduce_scatter(e, i, o, n, f16, sum, ring));
+                rig.launch(n, |e, i, o| comm.broadcast(e, i, o, n, f16, Rank(3), ring));
+            }
+        }
+    }
+    rig.finish()
+}
+
+/// Both rounds of MSCCL's sequence on one communicator: its AllReduce
+/// plans (one- and two-phase all-pairs on one node, hierarchical on
+/// two) and AllGather, each at LL and Simple on one and four channels.
+fn msccl_sequence(nodes: usize) -> Sequence {
+    use msccl::{MscclAlgo, MscclComm, MscclConfig};
+    use ncclsim::Proto;
+    let mut rig = Rig::new(nodes, RAGGED);
+    let world = nodes * 8;
+    let comm = MscclComm::new(&mut mscclpp::Setup::new(&mut rig.e), MscclConfig::default());
+    let algos: &[MscclAlgo] = if nodes == 1 {
+        &[MscclAlgo::OnePhaseAllPairs, MscclAlgo::TwoPhaseAllPairs]
+    } else {
+        &[MscclAlgo::TwoPhaseHierarchical]
+    };
+    let (n, f16, sum) = (RAGGED, DataType::F16, ReduceOp::Sum);
+    for _round in 0..2 {
+        for proto in [Proto::LL, Proto::Simple] {
+            for channels in [1, 4] {
+                for &algo in algos {
+                    let pick = Some((algo, proto, channels));
+                    rig.launch(n, |e, i, o| comm.all_reduce(e, i, o, n, f16, sum, pick));
+                }
+                let pick = Some((proto, channels));
+                rig.launch(world * n, |e, i, o| comm.all_gather(e, i, o, n, f16, pick));
+            }
+        }
+    }
+    rig.finish()
+}
+
+/// Asserts a sequence equals its pin, printing the whole run on a miss.
+fn check_sequence(name: &str, got: &Sequence, want: &Sequence) {
+    assert_eq!(got, want, "{name} moved; got:\n{got:#?}");
+}
+
+#[test]
+fn nccl_sequence_on_one_node_matches_its_pin() {
+    check_sequence(
+        "NCCL 1n8g",
+        &nccl_sequence(1),
+        &Sequence {
+            elapsed_ps: vec![
+                19_757_621, 45_468_144, 23_964_413, 22_926_356, 14_893_892, 20_119_604, 22_497_253,
+                12_986_066, 12_723_106, 12_986_026, 26_079_061, 30_417_095, 16_478_884, 15_880_835,
+                16_478_884, 25_785_530, 27_479_769, 15_929_234, 15_460_836, 15_519_628, 20_717_621,
+                45_468_144, 23_964_413, 22_926_356, 14_893_892, 20_187_230, 22_497_253, 12_986_066,
+                12_723_106, 12_986_026, 26_079_061, 32_097_095, 16_478_884, 15_880_835, 16_478_884,
+                25_785_530, 29_159_769, 15_929_234, 15_460_836, 15_519_628,
+            ],
+            timings: 0x83b8_18c6_8071_d4e7,
+            digest: Digest {
+                outputs: 0x5316_549c_5854_77a5,
+                now_ps: 878_053_500,
+                events: 53_888,
+                metrics: 0x63a8_4e49_a87b_632e,
+                trace: 0xe1df_0c02_69ea_8521,
+                graph: 0xb2f5_e39a_4e48_d197,
+            },
+        },
+    );
+}
+
+#[test]
+fn nccl_sequence_on_two_nodes_matches_its_pin() {
+    check_sequence(
+        "NCCL 2n16g",
+        &nccl_sequence(2),
+        &Sequence {
+            elapsed_ps: vec![
+                46_282_323, 66_772_301, 71_279_262, 70_202_266, 35_043_818, 45_950_594, 31_043_550,
+                28_869_921, 28_275_175, 28_436_829, 54_861_135, 40_133_033, 37_093_944, 36_392_675,
+                36_204_156, 54_337_931, 33_989_365, 31_537_387, 30_851_980, 31_073_743, 47_242_323,
+                66_772_301, 71_279_262, 70_202_266, 35_043_818, 46_004_730, 31_043_550, 28_869_921,
+                28_275_175, 28_436_829, 54_861_135, 42_173_033, 37_093_944, 36_392_675, 36_204_156,
+                54_337_931, 36_029_365, 31_537_387, 30_851_980, 31_073_743,
+            ],
+            timings: 0x7a57_1974_4af5_4c8f,
+            digest: Digest {
+                outputs: 0x93ed_65b4_58c2_7f25,
+                now_ps: 1_752_786_473,
+                events: 215_606,
+                metrics: 0xa733_b3d3_93bc_55ae,
+                trace: 0x358c_5cd5_052a_bdc3,
+                graph: 0xb6dd_ae27_147b_a870,
+            },
+        },
+    );
+}
+
+#[test]
+fn msccl_sequence_on_one_node_matches_its_pin() {
+    check_sequence(
+        "MSCCL 1n8g",
+        &msccl_sequence(1),
+        &Sequence {
+            elapsed_ps: vec![
+                20_375_342, 17_548_649, 20_604_413, 20_375_342, 18_577_292, 12_323_441, 13_869_611,
+                20_869_723, 13_778_674, 13_869_611, 20_502_859, 12_590_826, 22_055_342, 19_228_649,
+                22_284_413, 22_055_342, 18_577_292, 11_821_135, 13_869_611, 20_869_723, 13_778_674,
+                13_869_611, 20_502_558, 12_500_487,
+            ],
+            timings: 0xaf7f_e04b_006a_92d7,
+            digest: Digest {
+                outputs: 0xd4ab_df70_cb72_c4a5,
+                now_ps: 444_299_460,
+                events: 45_536,
+                metrics: 0xce4f_d14c_f179_bde4,
+                trace: 0x0934_7652_6e46_2cb9,
+                graph: 0x6fcf_b93f_632e_ea4e,
+            },
+        },
+    );
+}
+
+#[test]
+fn msccl_sequence_on_two_nodes_matches_its_pin() {
+    check_sequence(
+        "MSCCL 2n16g",
+        &msccl_sequence(2),
+        &Sequence {
+            elapsed_ps: vec![
+                21_292_186, 45_149_535, 20_426_414, 24_954_543, 23_817_740, 26_842_148, 23_257_666,
+                24_311_563, 23_092_186, 48_749_535, 22_106_414, 26_187_125, 23_937_740, 26_962_148,
+                23_377_365, 24_213_903,
+            ],
+            timings: 0x13cd_1dd4_1f79_50aa,
+            digest: Digest {
+                outputs: 0xc1e9_07fb_7df4_3825,
+                now_ps: 447_078_771,
+                events: 110_112,
+                metrics: 0x5fea_9038_2d70_f644,
+                trace: 0x743d_124e_7952_51d8,
+                graph: 0x66d8_c451_3f87_9483,
+            },
+        },
+    );
 }
