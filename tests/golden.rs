@@ -6,7 +6,9 @@
 //!   count, for seeded AllReduces under transient fault plans. They were
 //!   recorded while a `BinaryHeap` reference scheduler still existed and
 //!   both it and the calendar queue produced them, so a changed digest
-//!   is a scheduling change, not a tolerance question.
+//!   is a scheduling change, not a tolerance question. The observed and
+//!   hierarchical runs also run on timing-only machines, where every
+//!   field but the output bytes must match the same pins.
 //! - Fine-tuned points: exact latency bits of the §5.1 anchor row and
 //!   one AllGather point per stack, as [`bench::measure`] reports them
 //!   (NCCL's is the best over its tuning candidates).
@@ -29,13 +31,20 @@
 //!   timing and the engine digest above, whose outputs fold each
 //!   launch's output bytes and whose metrics hold the `nccl.*`/`msccl.*`
 //!   instruction mix.
+//! - Collective plans: an FNV-1a over the Debug text of every built-in
+//!   MSCCL++ plan's kernel batches, as `CollComm::plan_*_with` builds
+//!   them, on one and two nodes and after shrinks. Every instruction,
+//!   with the channel, cells and buffers it names, is part of the pin.
 //!
 //! Every pinned run also asserts that the engine clamped no event into
 //! its past. Re-record a value only for an intended change of virtual
 //! behaviour.
 
 use bench::{input_val, iterate, measure, Coll, Pick, Stack, Target};
-use collective::{CollComm, RecoveryOutcome};
+use collective::{
+    AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BroadcastAlgo, CollComm, PeerOrder,
+    RecoveryOutcome, ReduceScatterAlgo, ScratchReuse,
+};
 use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
 use mscclpp::KernelTiming;
 use sim::{fnv1a, Duration, Engine, FaultPlan, Time};
@@ -55,14 +64,28 @@ struct Digest {
     graph: u64,
 }
 
+/// What a pinned run's GPU memory holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Payload {
+    /// Real bytes (`Machine::new`): inputs are filled and outputs read.
+    Bytes,
+    /// No bytes (`Machine::timing_only`): inputs stay unfilled and the
+    /// digest's `outputs` is 0.
+    TimingOnly,
+}
+
 /// Runs one in-place f32 AllReduce of `count` elements per rank under a
 /// seeded transient fault plan. The plan's 8 µs horizon spans the run,
 /// so its faults land on it: every run must count at least one `fault.*`
 /// event. `observed` turns on tracing and profiling; unobserved runs take
 /// the slot-recycling fast path instead.
-fn digest(seed: u64, nodes: usize, count: usize, observed: bool) -> Digest {
+fn digest(seed: u64, nodes: usize, count: usize, observed: bool, payload: Payload) -> Digest {
     let world = nodes * 8;
-    let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(nodes)));
+    let spec = EnvKind::A100_40G.spec(nodes);
+    let mut e = Engine::new(match payload {
+        Payload::Bytes => Machine::new(spec),
+        Payload::TimingOnly => Machine::timing_only(spec),
+    });
     e.set_fault_plan(FaultPlan::random_transient(
         seed,
         world,
@@ -76,9 +99,11 @@ fn digest(seed: u64, nodes: usize, count: usize, observed: bool) -> Digest {
     let bufs: Vec<BufferId> = (0..world)
         .map(|r| {
             let b = e.world_mut().pool_mut().alloc(Rank(r), count * 4);
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F32, move |i| val(r, i));
+            if payload == Payload::Bytes {
+                e.world_mut()
+                    .pool_mut()
+                    .fill_with(b, DataType::F32, move |i| val(r, i));
+            }
             b
         })
         .collect();
@@ -90,10 +115,15 @@ fn digest(seed: u64, nodes: usize, count: usize, observed: bool) -> Digest {
         "seed {seed}: no fault landed on the run"
     );
     assert_eq!(e.clamped_past_events(), 0, "seed {seed}");
-    let outputs: Vec<u8> = bufs
-        .iter()
-        .flat_map(|&b| e.world().pool().bytes(b, 0, count * 4).to_vec())
-        .collect();
+    let outputs = match payload {
+        Payload::Bytes => fnv1a(
+            &bufs
+                .iter()
+                .flat_map(|&b| e.world().pool().bytes(b, 0, count * 4).to_vec())
+                .collect::<Vec<u8>>(),
+        ),
+        Payload::TimingOnly => 0,
+    };
     let metrics = format!(
         "{:?}{:?}",
         e.metrics().counters().collect::<Vec<_>>(),
@@ -103,7 +133,7 @@ fn digest(seed: u64, nodes: usize, count: usize, observed: bool) -> Digest {
     let graph = e.take_dep_graph();
     assert_eq!(trace.is_some() && graph.is_some(), observed, "seed {seed}");
     Digest {
-        outputs: fnv1a(&outputs),
+        outputs,
         now_ps: e.now().as_ps(),
         events: e.events_processed(),
         metrics: fnv1a(metrics.as_bytes()),
@@ -112,47 +142,54 @@ fn digest(seed: u64, nodes: usize, count: usize, observed: bool) -> Digest {
     }
 }
 
+/// Observed runs' pins: seed and digest of a 1n8g AllReduce of 1,024
+/// elements per rank.
+const OBSERVED: [(u64, Digest); 3] = [
+    (
+        7,
+        Digest {
+            outputs: 0x0621_fa05_2451_2325,
+            now_ps: 7_984_452,
+            events: 304,
+            metrics: 0xfb56_0505_ad74_03b6,
+            trace: 0x7bf4_9bb6_438e_9bb9,
+            graph: 0x33ed_93e7_5864_be8f,
+        },
+    ),
+    (
+        203,
+        Digest {
+            outputs: 0x0621_fa05_2451_2325,
+            now_ps: 6_317_586,
+            events: 304,
+            metrics: 0xcc0d_f598_0807_318b,
+            trace: 0x36e1_d2dd_61eb_d0d7,
+            graph: 0xd973_3121_e525_8182,
+        },
+    ),
+    (
+        991,
+        Digest {
+            outputs: 0x0621_fa05_2451_2325,
+            now_ps: 6_155_107,
+            events: 304,
+            metrics: 0x810f_6b78_fd97_8380,
+            trace: 0x06fd_a750_f37a_bee6,
+            graph: 0xe730_ea3a_1abc_7721,
+        },
+    ),
+];
+
 /// Observed runs: the full execution record — trace event stream, label
 /// table, dependency graph — on three seeded fault plans.
 #[test]
 fn observed_runs_match_their_digests() {
-    let golden = [
-        (
-            7,
-            Digest {
-                outputs: 0x0621_fa05_2451_2325,
-                now_ps: 7_984_452,
-                events: 304,
-                metrics: 0xfb56_0505_ad74_03b6,
-                trace: 0x7bf4_9bb6_438e_9bb9,
-                graph: 0x33ed_93e7_5864_be8f,
-            },
-        ),
-        (
-            203,
-            Digest {
-                outputs: 0x0621_fa05_2451_2325,
-                now_ps: 6_317_586,
-                events: 304,
-                metrics: 0xcc0d_f598_0807_318b,
-                trace: 0x36e1_d2dd_61eb_d0d7,
-                graph: 0xd973_3121_e525_8182,
-            },
-        ),
-        (
-            991,
-            Digest {
-                outputs: 0x0621_fa05_2451_2325,
-                now_ps: 6_155_107,
-                events: 304,
-                metrics: 0x810f_6b78_fd97_8380,
-                trace: 0x06fd_a750_f37a_bee6,
-                graph: 0xe730_ea3a_1abc_7721,
-            },
-        ),
-    ];
-    for (seed, want) in golden {
-        assert_eq!(digest(seed, 1, 1024, true), want, "seed {seed}");
+    for (seed, want) in OBSERVED {
+        assert_eq!(
+            digest(seed, 1, 1024, true, Payload::Bytes),
+            want,
+            "seed {seed}"
+        );
     }
 }
 
@@ -175,7 +212,11 @@ fn recycling_fast_path_matches_its_digests() {
             trace: none,
             graph: none,
         };
-        assert_eq!(digest(seed, 1, 2048, false), want, "seed {seed}");
+        assert_eq!(
+            digest(seed, 1, 2048, false, Payload::Bytes),
+            want,
+            "seed {seed}"
+        );
     }
 }
 
@@ -184,15 +225,35 @@ fn recycling_fast_path_matches_its_digests() {
 /// rotation.
 #[test]
 fn hierarchical_shape_matches_its_digest() {
-    let want = Digest {
-        outputs: 0xcc23_4b67_d696_2325,
-        now_ps: 9_631_825,
-        events: 1280,
-        metrics: 0x2acc_a9b9_46f2_f8cd,
-        trace: 0x4298_030c_deb3_aca8,
-        graph: 0x2655_dfaf_dc2c_b785,
-    };
-    assert_eq!(digest(37, 2, 512, true), want);
+    assert_eq!(digest(37, 2, 512, true, Payload::Bytes), HIERARCHICAL);
+}
+
+/// The pin of the 2n16g AllReduce of 512 elements per rank on seed 37.
+const HIERARCHICAL: Digest = Digest {
+    outputs: 0xcc23_4b67_d696_2325,
+    now_ps: 9_631_825,
+    events: 1280,
+    metrics: 0x2acc_a9b9_46f2_f8cd,
+    trace: 0x4298_030c_deb3_aca8,
+    graph: 0x2655_dfaf_dc2c_b785,
+};
+
+/// The observed and hierarchical runs again on timing-only machines with
+/// no input fill: everything but the output bytes reproduces their pins,
+/// so both payload modes are pinned by the same digests.
+#[test]
+fn timing_only_twins_match_their_digests_but_outputs() {
+    let runs = OBSERVED
+        .into_iter()
+        .map(|(seed, want)| (seed, 1, 1024, want))
+        .chain([(37, 2, 512, HIERARCHICAL)]);
+    for (seed, nodes, count, want) in runs {
+        assert_eq!(
+            digest(seed, nodes, count, true, Payload::TimingOnly),
+            Digest { outputs: 0, ..want },
+            "seed {seed}"
+        );
+    }
 }
 
 /// The fine-tuned point path behind every figure's columns, on A100-40G
@@ -759,4 +820,405 @@ fn msccl_sequence_on_two_nodes_matches_its_pin() {
             },
         },
     );
+}
+
+/// Elements per rank of the second build of every plan pin: smaller than
+/// [`RAGGED`], so it reuses the first build's channels and the LL plans
+/// emit their second scratch set.
+const SMALLER: usize = 4_099;
+
+/// Which built-in MSCCL++ plan a pin builds.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    AllReduce(AllReduceAlgo),
+    AllGather(AllGatherAlgo),
+    ReduceScatter(ReduceScatterAlgo),
+    AllToAll(AllToAllAlgo),
+    Broadcast(BroadcastAlgo, Rank),
+}
+
+/// FNV-1a over the Debug text of `plan`'s kernel batches, built through
+/// `CollComm::plan_*_with` on a fresh `nodes`-node `env` cluster at
+/// [`RAGGED`] and then [`SMALLER`] F16 elements per rank, after a shrink
+/// that evicts `dead` when it names any rank. The text holds every
+/// instruction with its channel, cells, buffers and offsets.
+fn plan_digest(env: EnvKind, nodes: usize, dead: &[usize], plan: Plan) -> u64 {
+    let world = nodes * 8;
+    let mut e = Engine::new(Machine::timing_only(env.spec(nodes)));
+    hw::wire(&mut e);
+    let pool = e.world_mut().pool_mut();
+    let bytes = world * RAGGED * 2;
+    let ins: Vec<BufferId> = (0..world).map(|r| pool.alloc(Rank(r), bytes)).collect();
+    let outs: Vec<BufferId> = (0..world).map(|r| pool.alloc(Rank(r), bytes)).collect();
+    let comm = CollComm::new();
+    if !dead.is_empty() {
+        let dead: Vec<Rank> = dead.iter().copied().map(Rank).collect();
+        comm.shrink(&mut e, &dead).expect("shrink");
+    }
+    let (f16, sum, (i, o)) = (DataType::F16, ReduceOp::Sum, (&ins, &outs));
+    let mut text = String::new();
+    for n in [RAGGED, SMALLER] {
+        let (kernels, _) = match plan {
+            Plan::AllReduce(a) => comm.plan_all_reduce_with(&mut e, i, o, n, f16, sum, a),
+            Plan::AllGather(a) => comm.plan_all_gather_with(&mut e, i, o, n, f16, a),
+            Plan::ReduceScatter(a) => comm.plan_reduce_scatter_with(&mut e, i, o, n, f16, sum, a),
+            Plan::AllToAll(a) => comm.plan_all_to_all_with(&mut e, i, o, n, f16, a),
+            Plan::Broadcast(a, root) => comm.plan_broadcast_with(&mut e, i, o, n, f16, root, a),
+        }
+        .expect("built-in plan");
+        text.push_str(&format!("{kernels:?}"));
+    }
+    fnv1a(text.as_bytes())
+}
+
+/// Every built-in MSCCL++ plan emits the instruction stream it emitted
+/// when pinned: the 1n8g all-pairs, port, ring and switch AllReduces with
+/// every ablation knob, the 2n16g hierarchical ones, every AllGather,
+/// ReduceScatter, AllToAll and Broadcast plan on one and two nodes, and
+/// the plans rebuilt after shrinks (rank 3 on both topologies, node 1 on
+/// two nodes, so the relay Broadcast also runs confined to one node).
+/// The channels, cells and buffers every instruction names, and so their
+/// construction order, are part of the pin.
+#[test]
+fn collective_plans_match_their_pins() {
+    use AllReduceAlgo as Ar;
+    use Plan::ReduceScatter as Rs;
+    use Plan::{AllGather as Ag, AllReduce as AR, AllToAll as A2a, Broadcast as Bc};
+    let (a100, h100) = (EnvKind::A100_40G, EnvKind::H100);
+    let two_phase_ll = |reuse, order| Ar::TwoPhaseLl { reuse, order };
+    let (rot, bar) = (ScratchReuse::Rotate, ScratchReuse::Barrier);
+    let (stag, seq) = (PeerOrder::Staggered, PeerOrder::Sequential);
+    let node1: Vec<usize> = (8..16).collect();
+    let cases: Vec<(EnvKind, usize, &[usize], Plan, u64)> = vec![
+        (a100, 1, &[], AR(Ar::OnePhaseLl), 0x6859_e20b_ede9_4191),
+        (
+            a100,
+            1,
+            &[],
+            AR(two_phase_ll(rot, stag)),
+            0x79bd_50ab_c446_bcb3,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            AR(two_phase_ll(rot, seq)),
+            0xbcde_f1eb_feca_ad07,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            AR(two_phase_ll(bar, stag)),
+            0xd85a_4a48_5c88_8beb,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            AR(two_phase_ll(bar, seq)),
+            0x8008_42b0_5132_f177,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            AR(Ar::TwoPhaseHb { order: stag }),
+            0xa592_9e4c_6efa_734f,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            AR(Ar::TwoPhaseHb { order: seq }),
+            0x8527_afd6_bcbc_e707,
+        ),
+        (a100, 1, &[], AR(Ar::TwoPhasePort), 0x7be7_ffbf_e757_2251),
+        (a100, 1, &[], AR(Ar::Ring), 0x6316_75d3_830d_0c71),
+        (h100, 1, &[], AR(Ar::TwoPhaseSwitch), 0x3aa6_55fd_94e3_83b9),
+        (a100, 2, &[], AR(Ar::HierLl), 0x004d_39aa_da9e_43f5),
+        (a100, 2, &[], AR(Ar::HierHb), 0x373d_787d_3542_0133),
+        (
+            a100,
+            1,
+            &[],
+            Ag(AllGatherAlgo::AllPairsLl),
+            0x154f_328d_9be4_96c9,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            Ag(AllGatherAlgo::AllPairsHb),
+            0x5442_f78b_2d8f_4505,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            Ag(AllGatherAlgo::AllPairsPort),
+            0xbdc6_7020_54d7_4f15,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            Ag(AllGatherAlgo::HierLl),
+            0x8702_6a70_03fa_f205,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            Ag(AllGatherAlgo::HierHb),
+            0xd88d_440b_b165_7679,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            Rs(ReduceScatterAlgo::AllPairsLl),
+            0xda54_41a3_6f5b_42f9,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            Rs(ReduceScatterAlgo::AllPairsHb),
+            0x82f6_6691_1eb6_6c6f,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            Rs(ReduceScatterAlgo::AllPairsLl),
+            0xcbe8_23e7_63d1_2f35,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            Rs(ReduceScatterAlgo::AllPairsHb),
+            0xa6c9_1356_5a23_4653,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            A2a(AllToAllAlgo::AllPairsLl),
+            0x45dd_559e_fb1a_2303,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            A2a(AllToAllAlgo::AllPairsHb),
+            0x627f_bda9_a472_483b,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            A2a(AllToAllAlgo::AllPairsLl),
+            0x7b17_3a8a_25f8_0c69,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            A2a(AllToAllAlgo::AllPairsHb),
+            0xba0b_3eb4_cb95_94f7,
+        ),
+        (
+            a100,
+            1,
+            &[],
+            Bc(BroadcastAlgo::Direct, Rank(3)),
+            0xd5c8_36fd_81d4_31c1,
+        ),
+        (
+            a100,
+            2,
+            &[],
+            Bc(BroadcastAlgo::Direct, Rank(3)),
+            0xf075_4b39_0c21_27fd,
+        ),
+        (
+            h100,
+            1,
+            &[],
+            Bc(BroadcastAlgo::Switch, Rank(3)),
+            0x3c3f_74df_9362_f96b,
+        ),
+        // Rebuilt on 1n8g's seven survivors of rank 3.
+        (a100, 1, &[3], AR(Ar::OnePhaseLl), 0xce86_0146_5a6c_0428),
+        (
+            a100,
+            1,
+            &[3],
+            AR(two_phase_ll(rot, stag)),
+            0xa900_0633_4c38_9245,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            AR(Ar::TwoPhaseHb { order: stag }),
+            0xbf25_a73d_ce6b_03bf,
+        ),
+        (a100, 1, &[3], AR(Ar::TwoPhasePort), 0x5509_55a5_449f_f6e1),
+        (a100, 1, &[3], AR(Ar::Ring), 0x3115_9fc4_55d0_3f5a),
+        (h100, 1, &[3], AR(Ar::TwoPhaseSwitch), 0xd1d1_2248_fe6c_b65d),
+        (
+            a100,
+            1,
+            &[3],
+            Ag(AllGatherAlgo::AllPairsLl),
+            0xacd6_73e3_8629_4fc1,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            Ag(AllGatherAlgo::AllPairsHb),
+            0x9527_2ca8_ef91_c55e,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            Ag(AllGatherAlgo::AllPairsPort),
+            0xc6da_e0c9_32ee_c51e,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            Rs(ReduceScatterAlgo::AllPairsLl),
+            0x9545_afe1_fc2a_db8e,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            Rs(ReduceScatterAlgo::AllPairsHb),
+            0x1e65_2d27_694c_489a,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            A2a(AllToAllAlgo::AllPairsLl),
+            0xe16e_5bca_bc5a_4962,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            A2a(AllToAllAlgo::AllPairsHb),
+            0x25f2_1aaf_630d_cbc1,
+        ),
+        (
+            a100,
+            1,
+            &[3],
+            Bc(BroadcastAlgo::Direct, Rank(5)),
+            0x746c_394e_89fa_6823,
+        ),
+        (
+            h100,
+            1,
+            &[3],
+            Bc(BroadcastAlgo::Switch, Rank(5)),
+            0xc968_aaa5_a71b_7577,
+        ),
+        // Rebuilt on 2n16g's fifteen survivors of rank 3: leader relays.
+        (a100, 2, &[3], AR(Ar::HierLl), 0xd16f_cff1_1122_3637),
+        (a100, 2, &[3], AR(Ar::HierHb), 0xb0c7_bef8_3e5a_20db),
+        (
+            a100,
+            2,
+            &[3],
+            Ag(AllGatherAlgo::HierLl),
+            0xfef0_3a74_72d0_2d1b,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            Ag(AllGatherAlgo::HierHb),
+            0x400c_dcda_1444_116c,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            Rs(ReduceScatterAlgo::AllPairsLl),
+            0xc1e8_22bb_9f9f_ad9f,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            Rs(ReduceScatterAlgo::AllPairsHb),
+            0xdad1_7b70_94a8_f865,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            A2a(AllToAllAlgo::AllPairsLl),
+            0x0b27_0eb6_b135_9136,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            A2a(AllToAllAlgo::AllPairsHb),
+            0x4c3d_47b0_294e_7689,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            Bc(BroadcastAlgo::Direct, Rank(5)),
+            0xa5b4_89c2_fe81_91db,
+        ),
+        (
+            a100,
+            2,
+            &[3],
+            Bc(BroadcastAlgo::Direct, Rank(11)),
+            0x47a4_1b52_be01_7a85,
+        ),
+        // Rebuilt on node 0 alone: hierarchical plans fall back to
+        // all-pairs, and the relay Broadcast has one node.
+        (a100, 2, &node1, AR(Ar::HierLl), 0xfcde_b59f_63b6_400b),
+        (
+            a100,
+            2,
+            &node1,
+            Ag(AllGatherAlgo::HierHb),
+            0x4bbf_e18a_0895_b9dd,
+        ),
+        (
+            a100,
+            2,
+            &node1,
+            Bc(BroadcastAlgo::Direct, Rank(5)),
+            0xb188_2eda_a946_7e2b,
+        ),
+    ];
+    let moved: Vec<String> = cases
+        .iter()
+        .filter_map(|&(env, nodes, dead, plan, want)| {
+            let got = plan_digest(env, nodes, dead, plan);
+            (got != want).then(|| {
+                format!(
+                    "{env:?} {nodes}n dead {dead:?} {plan:?}: got {got:#018x}, want {want:#018x}"
+                )
+            })
+        })
+        .collect();
+    assert!(moved.is_empty(), "plans moved:\n{}", moved.join("\n"));
 }
