@@ -3,14 +3,12 @@
 
 use hw::{BufferId, Rank};
 use mscclpp::{
-    peers_staggered, split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup,
+    peers_staggered, split_range, Error, Kernel, MemoryChannel, PortChannel, Protocol, Result,
+    Setup,
 };
 
-use crate::algos::allreduce::{chunks, peer_iter, PeerOrder};
-use crate::wiring::{isect, node_groups, MemMesh, PortMesh};
-
-/// Chunk size for pipelined PortChannel transfers.
-const PORT_CHUNK: usize = 1 << 20;
+use crate::algos::allreduce::{chunks, peer_iter, PeerOrder, PORT_CHUNK};
+use crate::wiring::{emit, isect, node_groups, relay_order, Mesh};
 
 /// All-pairs AllGather: every rank puts its chunk directly into every
 /// peer's output. One step; the natural MSCCL++ pattern for both small
@@ -21,9 +19,8 @@ pub(crate) struct AllPairsAllGather {
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
     tbs: usize,
-    protocol: Protocol,
     order: PeerOrder,
-    mesh: MemMesh,
+    mesh: Mesh<MemoryChannel>,
 }
 
 impl AllPairsAllGather {
@@ -36,13 +33,12 @@ impl AllPairsAllGather {
         protocol: Protocol,
         order: PeerOrder,
     ) -> Result<AllPairsAllGather> {
-        let mesh = MemMesh::build(setup, ranks, inputs, outputs, protocol, tbs)?;
+        let mesh = Mesh::memory(setup, ranks, inputs, outputs, protocol, tbs)?;
         Ok(AllPairsAllGather {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             tbs,
-            protocol,
             order,
             mesh,
         })
@@ -51,35 +47,18 @@ impl AllPairsAllGather {
     /// Kernels gathering `bytes` per rank.
     pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let n = self.ranks.len();
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (ms, ml) = split_range(bytes, self.tbs, t);
-                let plist = peer_iter(self.order, n, ig, t);
-                for &p in &plist {
-                    // My chunk lands at slot ig of the peer's output.
-                    match self.protocol {
-                        Protocol::LL => {
-                            tb.put(self.mesh.at(t, ig, p), ig * bytes + ms, ms, ml);
-                        }
-                        Protocol::HB => {
-                            tb.put_with_signal(self.mesh.at(t, ig, p), ig * bytes + ms, ms, ml);
-                        }
-                    }
-                }
-                tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ig * bytes + ms, ml);
-                for &p in &plist {
-                    match self.protocol {
-                        Protocol::LL => tb.wait_data(self.mesh.at(t, ig, p)),
-                        Protocol::HB => tb.wait(self.mesh.at(t, ig, p)),
-                    };
-                }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let (ms, ml) = split_range(bytes, self.tbs, t);
+            let peers = peer_iter(self.order, n, ig, t);
+            for &p in &peers {
+                // My chunk lands at slot ig of the peer's output.
+                tb.put_ready(self.mesh.at(t, ig, p), ig * bytes + ms, ms, ml);
             }
-            out.push(kb.build());
-        }
-        out
+            tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ig * bytes + ms, ml);
+            for &p in &peers {
+                tb.wait_ready(self.mesh.at(t, ig, p));
+            }
+        })
     }
 }
 
@@ -94,9 +73,8 @@ pub(crate) struct HierAllGather {
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
     tbs: usize,
-    protocol: Protocol,
-    cross: Vec<PortMesh>,
-    local: Vec<MemMesh>,
+    cross: Vec<Mesh<PortChannel>>,
+    local: Vec<Mesh<MemoryChannel>>,
 }
 
 impl HierAllGather {
@@ -114,18 +92,18 @@ impl HierAllGather {
                 "hierarchical allgather needs at least two nodes".into(),
             ));
         }
-        let mut cross = Vec::new();
-        for l in 0..gpn {
-            let ranks: Vec<Rank> = (0..nodes).map(|a| topo.rank_at(a, l)).collect();
-            cross.push(PortMesh::build(setup, &ranks, inputs, outputs, tbs)?);
-        }
-        let mut local = Vec::new();
-        for node in 0..nodes {
-            let ranks: Vec<Rank> = (0..gpn).map(|l| topo.rank_at(node, l)).collect();
-            local.push(MemMesh::build(
-                setup, &ranks, outputs, outputs, protocol, tbs,
-            )?);
-        }
+        let cross = (0..gpn)
+            .map(|l| {
+                let ranks: Vec<Rank> = (0..nodes).map(|a| topo.rank_at(a, l)).collect();
+                Mesh::port(setup, &ranks, inputs, outputs, tbs)
+            })
+            .collect::<Result<_>>()?;
+        let local = (0..nodes)
+            .map(|node| {
+                let ranks: Vec<Rank> = (0..gpn).map(|l| topo.rank_at(node, l)).collect();
+                Mesh::memory(setup, &ranks, outputs, outputs, protocol, tbs)
+            })
+            .collect::<Result<_>>()?;
         Ok(HierAllGather {
             world: topo.ranks().collect(),
             nodes,
@@ -133,7 +111,6 @@ impl HierAllGather {
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             tbs,
-            protocol,
             cross,
             local,
         })
@@ -141,59 +118,41 @@ impl HierAllGather {
 
     /// Kernels gathering `bytes` per rank.
     pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
-        let mut out = Vec::with_capacity(self.world.len());
-        for &g in &self.world {
+        emit(&self.world, self.tbs, |_, g, t, tb| {
             let node = g.0 / self.gpn;
             let li = g.0 % self.gpn;
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (ms, ml) = split_range(bytes, self.tbs, t);
-                // Phase 1: cross-node exchange of my chunk with my
-                // corresponding GPUs; everything lands at global slots.
-                let cross = &self.cross[li];
-                for b in peers_staggered(self.nodes, node, t) {
-                    tb.port_put_with_signal(cross.at(t, node, b), g.0 * bytes + ms, ms, ml);
-                }
-                tb.copy(
-                    self.inputs[g.0],
-                    ms,
-                    self.outputs[g.0],
-                    g.0 * bytes + ms,
-                    ml,
-                );
-                for b in peers_staggered(self.nodes, node, t) {
-                    tb.port_wait(cross.at(t, node, b));
-                }
-                // Phase 2: node-local distribution of the `nodes` chunks
-                // I now hold (one per node, all at local index li).
-                let local = &self.local[node];
-                for b in 0..self.nodes {
-                    let chunk_rank = b * self.gpn + li;
-                    for p in peers_staggered(self.gpn, li, t) {
-                        let off = chunk_rank * bytes + ms;
-                        match self.protocol {
-                            Protocol::LL => {
-                                tb.put(local.at(t, li, p), off, off, ml);
-                            }
-                            Protocol::HB => {
-                                tb.put_with_signal(local.at(t, li, p), off, off, ml);
-                            }
-                        }
-                    }
-                }
-                for _ in 0..self.nodes {
-                    for p in peers_staggered(self.gpn, li, t) {
-                        match self.protocol {
-                            Protocol::LL => tb.wait_data(local.at(t, li, p)),
-                            Protocol::HB => tb.wait(local.at(t, li, p)),
-                        };
-                    }
+            let (ms, ml) = split_range(bytes, self.tbs, t);
+            // Phase 1: cross-node exchange of my chunk with my
+            // corresponding GPUs; everything lands at global slots.
+            let cross = &self.cross[li];
+            for b in peers_staggered(self.nodes, node, t) {
+                tb.port_put_with_signal(cross.at(t, node, b), g.0 * bytes + ms, ms, ml);
+            }
+            tb.copy(
+                self.inputs[g.0],
+                ms,
+                self.outputs[g.0],
+                g.0 * bytes + ms,
+                ml,
+            );
+            for b in peers_staggered(self.nodes, node, t) {
+                tb.port_wait(cross.at(t, node, b));
+            }
+            // Phase 2: node-local distribution of the `nodes` chunks I now
+            // hold (one per node, all at local index li).
+            let local = &self.local[node];
+            for b in 0..self.nodes {
+                let off = (b * self.gpn + li) * bytes + ms;
+                for p in peers_staggered(self.gpn, li, t) {
+                    tb.put_ready(local.at(t, li, p), off, off, ml);
                 }
             }
-            out.push(kb.build());
-        }
-        out
+            for _ in 0..self.nodes {
+                for p in peers_staggered(self.gpn, li, t) {
+                    tb.wait_ready(local.at(t, li, p));
+                }
+            }
+        })
     }
 }
 
@@ -206,7 +165,7 @@ pub(crate) struct AllPairsAllGatherPort {
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
     tbs: usize,
-    mesh: PortMesh,
+    mesh: Mesh<PortChannel>,
 }
 
 impl AllPairsAllGatherPort {
@@ -217,7 +176,7 @@ impl AllPairsAllGatherPort {
         outputs: &[BufferId],
         tbs: usize,
     ) -> Result<AllPairsAllGatherPort> {
-        let mesh = PortMesh::build(setup, ranks, inputs, outputs, tbs)?;
+        let mesh = Mesh::port(setup, ranks, inputs, outputs, tbs)?;
         Ok(AllPairsAllGatherPort {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
@@ -230,33 +189,22 @@ impl AllPairsAllGatherPort {
     /// Kernels gathering `bytes` per rank via DMA.
     pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let n = self.ranks.len();
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (ms, ml) = split_range(bytes, self.tbs, t);
-                let plist: Vec<usize> = peers_staggered(n, ig, t).collect();
-                for &p in &plist {
-                    for (coff, clen) in chunks(ml, PORT_CHUNK) {
-                        tb.port_put_with_signal(
-                            self.mesh.at(t, ig, p),
-                            ig * bytes + ms + coff,
-                            ms + coff,
-                            clen,
-                        );
-                    }
-                }
-                tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ig * bytes + ms, ml);
-                for &p in &plist {
-                    for _ in chunks(ml, PORT_CHUNK) {
-                        tb.port_wait(self.mesh.at(t, ig, p));
-                    }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let (ms, ml) = split_range(bytes, self.tbs, t);
+            let dst_off = ig * bytes + ms;
+            for p in peers_staggered(n, ig, t) {
+                for (coff, clen) in chunks(ml, PORT_CHUNK) {
+                    let ch = self.mesh.at(t, ig, p);
+                    tb.port_put_with_signal(ch, dst_off + coff, ms + coff, clen);
                 }
             }
-            out.push(kb.build());
-        }
-        out
+            tb.copy(self.inputs[g.0], ms, self.outputs[g.0], dst_off, ml);
+            for p in peers_staggered(n, ig, t) {
+                for _ in chunks(ml, PORT_CHUNK) {
+                    tb.port_wait(self.mesh.at(t, ig, p));
+                }
+            }
+        })
     }
 }
 
@@ -284,11 +232,11 @@ pub(crate) struct ShrunkenHierAllGather {
     outputs: Vec<BufferId>,
     tbs: usize,
     /// Per node: members' chunks into the leader's output.
-    up: Vec<MemMesh>,
+    up: Vec<Mesh<MemoryChannel>>,
     /// Leaders all-pairs over RDMA ports: outputs -> outputs.
-    cross: PortMesh,
+    cross: Mesh<PortChannel>,
     /// Per node: leader's gathered result to members' outputs.
-    down: Vec<MemMesh>,
+    down: Vec<Mesh<MemoryChannel>>,
 }
 
 impl ShrunkenHierAllGather {
@@ -318,7 +266,7 @@ impl ShrunkenHierAllGather {
         let mut up = Vec::with_capacity(node_members.len());
         let mut down = Vec::with_capacity(node_members.len());
         for members in &node_members {
-            up.push(MemMesh::build(
+            up.push(Mesh::memory(
                 setup,
                 members,
                 inputs,
@@ -326,7 +274,7 @@ impl ShrunkenHierAllGather {
                 Protocol::HB,
                 tbs,
             )?);
-            down.push(MemMesh::build(
+            down.push(Mesh::memory(
                 setup,
                 members,
                 outputs,
@@ -335,7 +283,7 @@ impl ShrunkenHierAllGather {
                 tbs,
             )?);
         }
-        let cross = PortMesh::build(setup, &leaders, outputs, outputs, tbs)?;
+        let cross = Mesh::port(setup, &leaders, outputs, outputs, tbs)?;
         Ok(ShrunkenHierAllGather {
             node_members,
             node_start,
@@ -353,62 +301,54 @@ impl ShrunkenHierAllGather {
     pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
         let total = self.k * bytes;
         let nleads = self.node_members.len();
-        let mut out = Vec::new();
-        for (ni, members) in self.node_members.iter().enumerate() {
-            let m = members.len();
-            for (mi, &g) in members.iter().enumerate() {
-                let pos = self.node_start[ni] + mi;
-                let mut kb = KernelBuilder::new(g);
-                for t in 0..self.tbs {
-                    let mut tb = kb.block(t);
-                    // Each thread block owns one slice of the gathered
-                    // output and carries it end to end. Empty clips are
-                    // skipped on both the put and the wait side — each
-                    // peer computes the other's clip deterministically,
-                    // so signal/wait counts stay balanced.
-                    let (ts, tl) = split_range(total, self.tbs, t);
-                    // My slot, clipped to this block's slice.
-                    let (s, l) = isect(ts, tl, pos * bytes, bytes);
-                    if mi != 0 {
-                        // Member: push my chunk up, receive everything.
-                        if l > 0 {
-                            tb.put_with_signal(self.up[ni].at(t, mi, 0), s, s - pos * bytes, l);
-                        }
-                        tb.wait(self.down[ni].at(t, mi, 0));
-                        continue;
-                    }
-                    // Leader. Phase 1: collect my node's chunks.
-                    for p in 1..m {
-                        let ppos = self.node_start[ni] + p;
-                        if isect(ts, tl, ppos * bytes, bytes).1 > 0 {
-                            tb.wait(self.up[ni].at(t, 0, p));
-                        }
-                    }
-                    if l > 0 {
-                        tb.copy(self.inputs[g.0], s - pos * bytes, self.outputs[g.0], s, l);
-                    }
-                    // Phase 2: exchange node-contiguous ranges among
-                    // leaders (my node's range, clipped to my slice).
-                    let (ns, nl) = isect(ts, tl, self.node_start[ni] * bytes, m * bytes);
-                    for lj in peers_staggered(nleads, ni, t) {
-                        if nl > 0 {
-                            tb.port_put_with_signal(self.cross.at(t, ni, lj), ns, ns, nl);
-                        }
-                    }
-                    for lj in peers_staggered(nleads, ni, t) {
-                        let mj = self.node_members[lj].len();
-                        if isect(ts, tl, self.node_start[lj] * bytes, mj * bytes).1 > 0 {
-                            tb.port_wait(self.cross.at(t, ni, lj));
-                        }
-                    }
-                    // Phase 3: push the fully gathered slice down.
-                    for p in 1..m {
-                        tb.put_with_signal(self.down[ni].at(t, 0, p), ts, ts, tl);
-                    }
+        let (order, slots) = relay_order(&self.node_members);
+        emit(&order, self.tbs, |i, g, t, tb| {
+            let (ni, mi) = slots[i];
+            let m = self.node_members[ni].len();
+            let pos = self.node_start[ni] + mi;
+            // Each thread block owns one slice of the gathered output and
+            // carries it end to end. Empty clips are skipped on both the
+            // put and the wait side — each peer computes the other's clip
+            // deterministically, so signal/wait counts stay balanced.
+            let (ts, tl) = split_range(total, self.tbs, t);
+            // My slot, clipped to this block's slice.
+            let (s, l) = isect(ts, tl, pos * bytes, bytes);
+            if mi != 0 {
+                // Member: push my chunk up, receive everything.
+                if l > 0 {
+                    tb.put_ready(self.up[ni].at(t, mi, 0), s, s - pos * bytes, l);
                 }
-                out.push(kb.build());
+                tb.wait_ready(self.down[ni].at(t, mi, 0));
+                return;
             }
-        }
-        out
+            // Leader. Phase 1: collect my node's chunks.
+            for p in 1..m {
+                let ppos = self.node_start[ni] + p;
+                if isect(ts, tl, ppos * bytes, bytes).1 > 0 {
+                    tb.wait_ready(self.up[ni].at(t, 0, p));
+                }
+            }
+            if l > 0 {
+                tb.copy(self.inputs[g.0], s - pos * bytes, self.outputs[g.0], s, l);
+            }
+            // Phase 2: exchange node-contiguous ranges among leaders (my
+            // node's range, clipped to my slice).
+            let (ns, nl) = isect(ts, tl, self.node_start[ni] * bytes, m * bytes);
+            for lj in peers_staggered(nleads, ni, t) {
+                if nl > 0 {
+                    tb.port_put_with_signal(self.cross.at(t, ni, lj), ns, ns, nl);
+                }
+            }
+            for lj in peers_staggered(nleads, ni, t) {
+                let mj = self.node_members[lj].len();
+                if isect(ts, tl, self.node_start[lj] * bytes, mj * bytes).1 > 0 {
+                    tb.port_wait(self.cross.at(t, ni, lj));
+                }
+            }
+            // Phase 3: push the fully gathered slice down.
+            for p in 1..m {
+                tb.put_ready(self.down[ni].at(t, 0, p), ts, ts, tl);
+            }
+        })
     }
 }

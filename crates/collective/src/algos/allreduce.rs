@@ -12,11 +12,11 @@ use std::cell::Cell;
 
 use hw::{BufferId, DataType, Rank, ReduceOp};
 use mscclpp::{
-    peers_staggered, split_range, DeviceBarrier, Error, Kernel, KernelBuilder, LinkDownError,
-    MemoryChannel, Protocol, Result, Setup, SwitchChannel,
+    peers_staggered, split_range, DeviceBarrier, Error, Kernel, LinkDownError, MemoryChannel,
+    PortChannel, Protocol, Result, Setup, SwitchChannel,
 };
 
-use crate::wiring::{node_groups, MemMesh, PortMesh};
+use crate::wiring::{emit, node_groups, relay_order, Mesh};
 
 /// How an LL-protocol algorithm makes its scratch safe for the next
 /// launch (the rotating-buffers ablation of §4.4).
@@ -46,7 +46,7 @@ pub enum PeerOrder {
 }
 
 /// Chunk size for pipelined PortChannel transfers.
-const PORT_CHUNK: usize = 1 << 20;
+pub(crate) const PORT_CHUNK: usize = 1 << 20;
 /// Chunk size for interleaved switch reduce/broadcast.
 const SWITCH_CHUNK: usize = 512 << 10;
 
@@ -84,8 +84,8 @@ pub(crate) struct OnePhaseAllPairs {
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
     cap: usize,
-    meshes: [MemMesh; 2],
-    scratch: [Vec<BufferId>; 2],
+    /// Two scratch sets, each with the mesh putting into it.
+    sets: Vec<(Mesh<MemoryChannel>, Vec<BufferId>)>,
     calls: Cell<usize>,
 }
 
@@ -98,64 +98,40 @@ impl OnePhaseAllPairs {
         cap: usize,
     ) -> Result<OnePhaseAllPairs> {
         let n = ranks.len();
-        let mut scratch_sets = Vec::new();
-        let mut meshes = Vec::new();
+        let mut sets = Vec::with_capacity(2);
         for _ in 0..2 {
-            let mut set = Vec::with_capacity(setup.world_size());
-            for r in 0..setup.world_size() {
-                // Slot per sender, only meaningful on participating ranks.
-                set.push(setup.alloc(Rank(r), n * cap));
-            }
-            meshes.push(MemMesh::build(setup, ranks, inputs, &set, Protocol::LL, 1)?);
-            scratch_sets.push(set);
+            // Slot per sender, only meaningful on participating ranks.
+            let scratch: Vec<BufferId> = (0..setup.world_size())
+                .map(|r| setup.alloc(Rank(r), n * cap))
+                .collect();
+            let mesh = Mesh::memory(setup, ranks, inputs, &scratch, Protocol::LL, 1)?;
+            sets.push((mesh, scratch));
         }
-        let m1 = meshes.pop().unwrap();
-        let m0 = meshes.pop().unwrap();
-        let s1 = scratch_sets.pop().unwrap();
-        let s0 = scratch_sets.pop().unwrap();
         Ok(OnePhaseAllPairs {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             cap,
-            meshes: [m0, m1],
-            scratch: [s0, s1],
+            sets,
             calls: Cell::new(0),
         })
     }
 
     pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
-        let set = self.calls.get() % 2;
-        self.calls.set(self.calls.get() + 1);
-        let mesh = &self.meshes[set];
-        let scratch = &self.scratch[set];
+        let (mesh, scratch) = &self.sets[self.calls.replace(self.calls.get() + 1) % 2];
         let n = self.ranks.len();
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            {
-                let mut tb = kb.block(0);
-                for p in peers_staggered(n, ig, 0) {
-                    // My data lands in peer p's slot `ig`.
-                    tb.put(mesh.at(0, ig, p), ig * self.cap, 0, bytes);
-                }
-                tb.copy(self.inputs[g.0], 0, self.outputs[g.0], 0, bytes);
-                for p in peers_staggered(n, ig, 0) {
-                    tb.wait_data(mesh.at(0, ig, p));
-                    tb.reduce(
-                        scratch[g.0],
-                        p * self.cap,
-                        self.outputs[g.0],
-                        0,
-                        bytes,
-                        dtype,
-                        op,
-                    );
-                }
+        emit(&self.ranks, 1, |ig, g, t, tb| {
+            for p in peers_staggered(n, ig, t) {
+                // My data lands in peer p's slot `ig`.
+                tb.put_ready(mesh.at(t, ig, p), ig * self.cap, 0, bytes);
             }
-            out.push(kb.build());
-        }
-        out
+            let out = self.outputs[g.0];
+            tb.copy(self.inputs[g.0], 0, out, 0, bytes);
+            for p in peers_staggered(n, ig, t) {
+                tb.wait_ready(mesh.at(t, ig, p));
+                tb.reduce(scratch[g.0], p * self.cap, out, 0, bytes, dtype, op);
+            }
+        })
     }
 }
 
@@ -171,9 +147,9 @@ pub(crate) struct TwoPhaseAllPairsLl {
     tbs: usize,
     reuse: ScratchReuse,
     order: PeerOrder,
-    meshes_rs: [MemMesh; 2],
-    meshes_ag: [MemMesh; 2],
-    scratch: [Vec<BufferId>; 2],
+    /// Two scratch sets, each with its ReduceScatter mesh (inputs into
+    /// the scratch) and AllGather mesh (outputs into outputs).
+    sets: Vec<(Mesh<MemoryChannel>, Mesh<MemoryChannel>, Vec<BufferId>)>,
     barriers: Vec<DeviceBarrier>,
     calls: Cell<usize>,
 }
@@ -192,39 +168,16 @@ impl TwoPhaseAllPairsLl {
     ) -> Result<TwoPhaseAllPairsLl> {
         let n = ranks.len();
         let slot_cap = cap.div_ceil(n).next_multiple_of(16);
-        let mut meshes_rs = Vec::new();
-        let mut meshes_ag = Vec::new();
-        let mut scratch_sets = Vec::new();
+        let mut sets = Vec::with_capacity(2);
         for _ in 0..2 {
-            let mut set = Vec::with_capacity(setup.world_size());
-            for r in 0..setup.world_size() {
-                set.push(setup.alloc(Rank(r), n * slot_cap));
-            }
-            meshes_rs.push(MemMesh::build(
-                setup,
-                ranks,
-                inputs,
-                &set,
-                Protocol::LL,
-                tbs,
-            )?);
-            meshes_ag.push(MemMesh::build(
-                setup,
-                ranks,
-                outputs,
-                outputs,
-                Protocol::LL,
-                tbs,
-            )?);
-            scratch_sets.push(set);
+            let scratch: Vec<BufferId> = (0..setup.world_size())
+                .map(|r| setup.alloc(Rank(r), n * slot_cap))
+                .collect();
+            let rs = Mesh::memory(setup, ranks, inputs, &scratch, Protocol::LL, tbs)?;
+            let ag = Mesh::memory(setup, ranks, outputs, outputs, Protocol::LL, tbs)?;
+            sets.push((rs, ag, scratch));
         }
         let barriers = setup.device_barrier(ranks);
-        let m1 = meshes_rs.pop().unwrap();
-        let m0 = meshes_rs.pop().unwrap();
-        let a1 = meshes_ag.pop().unwrap();
-        let a0 = meshes_ag.pop().unwrap();
-        let s1 = scratch_sets.pop().unwrap();
-        let s0 = scratch_sets.pop().unwrap();
         Ok(TwoPhaseAllPairsLl {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
@@ -233,9 +186,7 @@ impl TwoPhaseAllPairsLl {
             tbs,
             reuse,
             order,
-            meshes_rs: [m0, m1],
-            meshes_ag: [a0, a1],
-            scratch: [s0, s1],
+            sets,
             barriers,
             calls: Cell::new(0),
         })
@@ -243,79 +194,45 @@ impl TwoPhaseAllPairsLl {
 
     pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let set = match self.reuse {
-            ScratchReuse::Rotate => {
-                let s = self.calls.get() % 2;
-                self.calls.set(self.calls.get() + 1);
-                s
-            }
+            ScratchReuse::Rotate => self.calls.replace(self.calls.get() + 1) % 2,
             ScratchReuse::Barrier => 0,
         };
-        let mesh_rs = &self.meshes_rs[set];
-        let mesh_ag = &self.meshes_ag[set];
-        let scratch = &self.scratch[set];
+        let (mesh_rs, mesh_ag, scratch) = &self.sets[set];
         let n = self.ranks.len();
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, n, i);
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let peers = peer_iter(self.order, n, ig, t);
-                // ReduceScatter: send slice t of each peer's shard into
-                // their scratch at my sender slot.
-                for &p in &peers {
-                    let (ps, pl) = shard(p);
-                    let (sl, sll) = split_range(pl, self.tbs, t);
-                    tb.put(
-                        mesh_rs.at(t, ig, p),
-                        ig * self.slot_cap + (sl) * es,
-                        (ps + sl) * es,
-                        sll * es,
-                    );
-                }
-                // My own contribution to my shard.
-                let (gs, gl) = shard(ig);
-                let (ms, ml) = split_range(gl, self.tbs, t);
-                tb.copy(
-                    self.inputs[g.0],
-                    (gs + ms) * es,
-                    self.outputs[g.0],
-                    (gs + ms) * es,
-                    ml * es,
-                );
-                for &p in &peers {
-                    tb.wait_data(mesh_rs.at(t, ig, p));
-                    tb.reduce(
-                        scratch[g.0],
-                        p * self.slot_cap + ms * es,
-                        self.outputs[g.0],
-                        (gs + ms) * es,
-                        ml * es,
-                        dtype,
-                        op,
-                    );
-                }
-                // AllGather: push my reduced shard slice to every peer.
-                for &p in &peers {
-                    tb.put(
-                        mesh_ag.at(t, ig, p),
-                        (gs + ms) * es,
-                        (gs + ms) * es,
-                        ml * es,
-                    );
-                }
-                for &p in &peers {
-                    tb.wait_data(mesh_ag.at(t, ig, p));
-                }
-                if self.reuse == ScratchReuse::Barrier && t == 0 {
-                    tb.barrier(&self.barriers[ig]);
-                }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let peers = peer_iter(self.order, n, ig, t);
+            // ReduceScatter: send slice t of each peer's shard into their
+            // scratch at my sender slot.
+            for &p in &peers {
+                let (ps, pl) = shard(p);
+                let (sl, sll) = split_range(pl, self.tbs, t);
+                let dst_off = ig * self.slot_cap + sl * es;
+                tb.put_ready(mesh_rs.at(t, ig, p), dst_off, (ps + sl) * es, sll * es);
             }
-            out.push(kb.build());
-        }
-        out
+            // My own contribution to my shard.
+            let (gs, gl) = shard(ig);
+            let (ms, ml) = split_range(gl, self.tbs, t);
+            let (off, len, out) = ((gs + ms) * es, ml * es, self.outputs[g.0]);
+            tb.copy(self.inputs[g.0], off, out, off, len);
+            for &p in &peers {
+                tb.wait_ready(mesh_rs.at(t, ig, p));
+                let src_off = p * self.slot_cap + ms * es;
+                tb.reduce(scratch[g.0], src_off, out, off, len, dtype, op);
+            }
+            // AllGather: push my reduced shard slice to every peer.
+            for &p in &peers {
+                tb.put_ready(mesh_ag.at(t, ig, p), off, off, len);
+            }
+            for &p in &peers {
+                tb.wait_ready(mesh_ag.at(t, ig, p));
+            }
+            if self.reuse == ScratchReuse::Barrier && t == 0 {
+                tb.barrier(&self.barriers[ig]);
+            }
+        })
     }
 }
 
@@ -331,8 +248,8 @@ pub(crate) struct TwoPhaseAllPairsHb {
     outputs: Vec<BufferId>,
     tbs: usize,
     order: PeerOrder,
-    mesh_read: MemMesh,
-    mesh_ag: MemMesh,
+    mesh_read: Mesh<MemoryChannel>,
+    mesh_ag: Mesh<MemoryChannel>,
 }
 
 impl TwoPhaseAllPairsHb {
@@ -344,8 +261,8 @@ impl TwoPhaseAllPairsHb {
         tbs: usize,
         order: PeerOrder,
     ) -> Result<TwoPhaseAllPairsHb> {
-        let mesh_read = MemMesh::build(setup, ranks, inputs, inputs, Protocol::HB, tbs)?;
-        let mesh_ag = MemMesh::build(setup, ranks, outputs, outputs, Protocol::HB, tbs)?;
+        let mesh_read = Mesh::memory(setup, ranks, inputs, inputs, Protocol::HB, tbs)?;
+        let mesh_ag = Mesh::memory(setup, ranks, outputs, outputs, Protocol::HB, tbs)?;
         Ok(TwoPhaseAllPairsHb {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
@@ -362,41 +279,25 @@ impl TwoPhaseAllPairsHb {
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, n, i);
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let peers = peer_iter(self.order, n, ig, t);
-                let (gs, gl) = shard(ig);
-                let (ms, ml) = split_range(gl, self.tbs, t);
-                let off = (gs + ms) * es;
-                let len = ml * es;
-                // Seed with my own input, then fold in each peer by
-                // direct remote read (zero-copy ReduceScatter).
-                tb.copy(self.inputs[g.0], off, self.outputs[g.0], off, len);
-                for &p in &peers {
-                    tb.read_reduce(
-                        self.mesh_read.at(t, ig, p),
-                        off,
-                        self.outputs[g.0],
-                        off,
-                        len,
-                        dtype,
-                        op,
-                    );
-                }
-                // AllGather my completed slice to every peer.
-                for &p in &peers {
-                    tb.put_with_signal(self.mesh_ag.at(t, ig, p), off, off, len);
-                }
-                for &p in &peers {
-                    tb.wait(self.mesh_ag.at(t, ig, p));
-                }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let peers = peer_iter(self.order, n, ig, t);
+            let (gs, gl) = shard(ig);
+            let (ms, ml) = split_range(gl, self.tbs, t);
+            let (off, len, out) = ((gs + ms) * es, ml * es, self.outputs[g.0]);
+            // Seed with my own input, then fold in each peer by direct
+            // remote read (zero-copy ReduceScatter).
+            tb.copy(self.inputs[g.0], off, out, off, len);
+            for &p in &peers {
+                tb.read_reduce(self.mesh_read.at(t, ig, p), off, out, off, len, dtype, op);
             }
-            out.push(kb.build());
-        }
-        out
+            // AllGather my completed slice to every peer.
+            for &p in &peers {
+                tb.put_ready(self.mesh_ag.at(t, ig, p), off, off, len);
+            }
+            for &p in &peers {
+                tb.wait_ready(self.mesh_ag.at(t, ig, p));
+            }
+        })
     }
 }
 
@@ -410,8 +311,8 @@ pub(crate) struct TwoPhaseAllPairsPort {
     outputs: Vec<BufferId>,
     slot_cap: usize,
     tbs: usize,
-    mesh_rs: PortMesh,
-    mesh_ag: PortMesh,
+    mesh_rs: Mesh<PortChannel>,
+    mesh_ag: Mesh<PortChannel>,
     scratch: Vec<BufferId>,
 }
 
@@ -426,12 +327,11 @@ impl TwoPhaseAllPairsPort {
     ) -> Result<TwoPhaseAllPairsPort> {
         let n = ranks.len();
         let slot_cap = cap.div_ceil(n).next_multiple_of(16);
-        let mut scratch = Vec::with_capacity(setup.world_size());
-        for r in 0..setup.world_size() {
-            scratch.push(setup.alloc(Rank(r), n * slot_cap));
-        }
-        let mesh_rs = PortMesh::build(setup, ranks, inputs, &scratch, tbs)?;
-        let mesh_ag = PortMesh::build(setup, ranks, outputs, outputs, tbs)?;
+        let scratch: Vec<BufferId> = (0..setup.world_size())
+            .map(|r| setup.alloc(Rank(r), n * slot_cap))
+            .collect();
+        let mesh_rs = Mesh::port(setup, ranks, inputs, &scratch, tbs)?;
+        let mesh_ag = Mesh::port(setup, ranks, outputs, outputs, tbs)?;
         Ok(TwoPhaseAllPairsPort {
             ranks: ranks.to_vec(),
             inputs: inputs.to_vec(),
@@ -449,68 +349,42 @@ impl TwoPhaseAllPairsPort {
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, n, i);
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let peers = peer_iter(PeerOrder::Staggered, n, ig, t);
-                // Large transfers are posted in PORT_CHUNK pieces so the
-                // DMA engines and ports pipeline (as the real proxy does).
-                for &p in &peers {
-                    let (ps, pl) = shard(p);
-                    let (sl, sll) = split_range(pl, self.tbs, t);
-                    for (coff, clen) in chunks(sll * es, PORT_CHUNK) {
-                        tb.port_put_with_signal(
-                            self.mesh_rs.at(t, ig, p),
-                            ig * self.slot_cap + sl * es + coff,
-                            (ps + sl) * es + coff,
-                            clen,
-                        );
-                    }
-                }
-                let (gs, gl) = shard(ig);
-                let (ms, ml) = split_range(gl, self.tbs, t);
-                tb.copy(
-                    self.inputs[g.0],
-                    (gs + ms) * es,
-                    self.outputs[g.0],
-                    (gs + ms) * es,
-                    ml * es,
-                );
-                for &p in &peers {
-                    for _ in chunks(ml * es, PORT_CHUNK) {
-                        tb.port_wait(self.mesh_rs.at(t, ig, p));
-                    }
-                    tb.reduce(
-                        self.scratch[g.0],
-                        p * self.slot_cap + ms * es,
-                        self.outputs[g.0],
-                        (gs + ms) * es,
-                        ml * es,
-                        dtype,
-                        op,
-                    );
-                }
-                for &p in &peers {
-                    for (coff, clen) in chunks(ml * es, PORT_CHUNK) {
-                        tb.port_put_with_signal(
-                            self.mesh_ag.at(t, ig, p),
-                            (gs + ms) * es + coff,
-                            (gs + ms) * es + coff,
-                            clen,
-                        );
-                    }
-                }
-                for &p in &peers {
-                    for _ in chunks(ml * es, PORT_CHUNK) {
-                        tb.port_wait(self.mesh_ag.at(t, ig, p));
-                    }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let peers = peer_iter(PeerOrder::Staggered, n, ig, t);
+            // Large transfers are posted in PORT_CHUNK pieces so the DMA
+            // engines and ports pipeline (as the real proxy does).
+            for &p in &peers {
+                let (ps, pl) = shard(p);
+                let (sl, sll) = split_range(pl, self.tbs, t);
+                let (dst_off, src_off) = (ig * self.slot_cap + sl * es, (ps + sl) * es);
+                for (coff, clen) in chunks(sll * es, PORT_CHUNK) {
+                    let ch = self.mesh_rs.at(t, ig, p);
+                    tb.port_put_with_signal(ch, dst_off + coff, src_off + coff, clen);
                 }
             }
-            out.push(kb.build());
-        }
-        out
+            let (gs, gl) = shard(ig);
+            let (ms, ml) = split_range(gl, self.tbs, t);
+            let (off, len, out) = ((gs + ms) * es, ml * es, self.outputs[g.0]);
+            tb.copy(self.inputs[g.0], off, out, off, len);
+            for &p in &peers {
+                for _ in chunks(len, PORT_CHUNK) {
+                    tb.port_wait(self.mesh_rs.at(t, ig, p));
+                }
+                let src_off = p * self.slot_cap + ms * es;
+                tb.reduce(self.scratch[g.0], src_off, out, off, len, dtype, op);
+            }
+            for &p in &peers {
+                for (coff, clen) in chunks(len, PORT_CHUNK) {
+                    let ch = self.mesh_ag.at(t, ig, p);
+                    tb.port_put_with_signal(ch, off + coff, off + coff, clen);
+                }
+            }
+            for &p in &peers {
+                for _ in chunks(len, PORT_CHUNK) {
+                    tb.port_wait(self.mesh_ag.at(t, ig, p));
+                }
+            }
+        })
     }
 }
 
@@ -555,46 +429,25 @@ impl TwoPhaseSwitch {
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, n, i);
-        let mut out = Vec::with_capacity(n);
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (gs, gl) = shard(ig);
-                let (ms, ml) = split_range(gl, self.tbs, t);
-                let off = (gs + ms) * es;
-                let len = ml * es;
-                // Interleave load-reduce and store-broadcast per chunk:
-                // the reduce phase is egress-heavy and the broadcast phase
-                // ingress-heavy, so chunked interleaving keeps both
-                // directions of every port busy (the NVLS win).
-                for (coff, clen) in chunks(len, SWITCH_CHUNK) {
-                    tb.switch_reduce(
-                        &self.reduce_ch[ig],
-                        off + coff,
-                        self.outputs[g.0],
-                        off + coff,
-                        clen,
-                        dtype,
-                        op,
-                    );
-                    tb.switch_broadcast(
-                        &self.bcast_ch[ig],
-                        self.outputs[g.0],
-                        off + coff,
-                        off + coff,
-                        clen,
-                    );
-                }
-                if t == 0 {
-                    // Completion semantics: a rank's kernel may not exit
-                    // before every broadcast into its output has landed.
-                    tb.barrier(&self.barriers[ig]);
-                }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let (gs, gl) = shard(ig);
+            let (ms, ml) = split_range(gl, self.tbs, t);
+            let (off, out) = ((gs + ms) * es, self.outputs[g.0]);
+            // Interleave load-reduce and store-broadcast per chunk: the
+            // reduce phase is egress-heavy and the broadcast phase
+            // ingress-heavy, so chunked interleaving keeps both directions
+            // of every port busy (the NVLS win).
+            for (coff, clen) in chunks(ml * es, SWITCH_CHUNK) {
+                let o = off + coff;
+                tb.switch_reduce(&self.reduce_ch[ig], o, out, o, clen, dtype, op);
+                tb.switch_broadcast(&self.bcast_ch[ig], out, o, o, clen);
             }
-            out.push(kb.build());
-        }
-        out
+            if t == 0 {
+                // Completion semantics: a rank's kernel may not exit
+                // before every broadcast into its output has landed.
+                tb.barrier(&self.barriers[ig]);
+            }
+        })
     }
 }
 
@@ -646,9 +499,8 @@ fn hamiltonian_ring(n: usize, dead: &[(usize, usize)]) -> Option<Vec<usize>> {
 /// measurably slower) on a mesh with a dead link.
 #[derive(Debug)]
 pub(crate) struct RingAllReduce {
-    ranks: Vec<Rank>,
-    /// `ring[pos]` is the index into `ranks` at ring position `pos`.
-    ring: Vec<usize>,
+    /// The ranks in ring order: the emission order.
+    order: Vec<Rank>,
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
     /// Endpoint on the rank at ring position `pos` putting into its
@@ -738,8 +590,7 @@ impl RingAllReduce {
         let rs_back: Vec<MemoryChannel> = (0..n).map(|p| rs_in[(p + n - 1) % n].clone()).collect();
         let ag_back: Vec<MemoryChannel> = (0..n).map(|p| ag_in[(p + n - 1) % n].clone()).collect();
         Ok(RingAllReduce {
-            ranks: ranks.to_vec(),
-            ring,
+            order: ring.iter().map(|&i| ranks[i]).collect(),
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             rs_fwd,
@@ -751,48 +602,33 @@ impl RingAllReduce {
     }
 
     pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
-        let n = self.ring.len();
+        let n = self.order.len();
         let es = dtype.size();
         let count = bytes / es;
         let chunk = |i: usize| split_range(count, n, i);
-        let mut out = Vec::with_capacity(n);
-        for pos in 0..n {
-            let g = self.ranks[self.ring[pos]];
-            let mut kb = KernelBuilder::new(g);
-            {
-                let mut tb = kb.block(0);
-                tb.copy(self.inputs[g.0], 0, self.outputs[g.0], 0, bytes);
-                // Reduce-scatter: at step s, forward chunk (pos - s) to the
-                // successor's scratch and fold the predecessor's chunk
-                // (pos - s - 1) into the output; after n-1 steps this rank
-                // owns the fully reduced chunk (pos + 1).
-                for s in 0..n - 1 {
-                    let (ss, sl) = chunk((pos + n - s) % n);
-                    tb.put_with_signal(&self.rs_fwd[pos], ss * es, ss * es, sl * es);
-                    let (rs, rl) = chunk((pos + 2 * n - s - 1) % n);
-                    tb.wait(&self.rs_back[pos]);
-                    tb.reduce(
-                        self.scratch[g.0],
-                        rs * es,
-                        self.outputs[g.0],
-                        rs * es,
-                        rl * es,
-                        dtype,
-                        op,
-                    );
-                }
-                // All-gather: forward chunk (pos + 1 - s) — the one that
-                // arrived the previous step — directly into the
-                // successor's output.
-                for s in 0..n - 1 {
-                    let (ss, sl) = chunk((pos + 1 + n - s) % n);
-                    tb.put_with_signal(&self.ag_fwd[pos], ss * es, ss * es, sl * es);
-                    tb.wait(&self.ag_back[pos]);
-                }
+        emit(&self.order, 1, |pos, g, _, tb| {
+            let out = self.outputs[g.0];
+            tb.copy(self.inputs[g.0], 0, out, 0, bytes);
+            // Reduce-scatter: at step s, forward chunk (pos - s) to the
+            // successor's scratch and fold the predecessor's chunk
+            // (pos - s - 1) into the output; after n-1 steps this rank
+            // owns the fully reduced chunk (pos + 1).
+            for s in 0..n - 1 {
+                let (ss, sl) = chunk((pos + n - s) % n);
+                tb.put_ready(&self.rs_fwd[pos], ss * es, ss * es, sl * es);
+                let (rs, rl) = chunk((pos + 2 * n - s - 1) % n);
+                tb.wait_ready(&self.rs_back[pos]);
+                tb.reduce(self.scratch[g.0], rs * es, out, rs * es, rl * es, dtype, op);
             }
-            out.push(kb.build());
-        }
-        out
+            // All-gather: forward chunk (pos + 1 - s) — the one that
+            // arrived the previous step — directly into the successor's
+            // output.
+            for s in 0..n - 1 {
+                let (ss, sl) = chunk((pos + 1 + n - s) % n);
+                tb.put_ready(&self.ag_fwd[pos], ss * es, ss * es, sl * es);
+                tb.wait_ready(&self.ag_back[pos]);
+            }
+        })
     }
 }
 
@@ -813,15 +649,15 @@ pub(crate) struct TwoPhaseHierarchical {
     tbs: usize,
     hb: bool,
     /// LL variant: local RS put targets; HB variant: unused.
-    local_rs: Option<Vec<MemMesh>>,
+    local_rs: Option<Vec<Mesh<MemoryChannel>>>,
     /// HB variant: zero-copy local read meshes per node.
-    local_read: Option<Vec<MemMesh>>,
+    local_read: Option<Vec<Mesh<MemoryChannel>>>,
     /// Local AG: acc -> output.
-    local_ag: Vec<MemMesh>,
+    local_ag: Vec<Mesh<MemoryChannel>>,
     /// Cross-node RS: acc -> scratch_b, per local index.
-    cross_rs: Vec<PortMesh>,
+    cross_rs: Vec<Mesh<PortChannel>>,
     /// Cross-node AG (HB variant): acc -> acc, per local index.
-    cross_ag: Option<Vec<PortMesh>>,
+    cross_ag: Option<Vec<Mesh<PortChannel>>>,
     /// Per-rank local-RS scratch (slot per local sender), LL variant.
     scratch_a: Option<Vec<BufferId>>,
     /// Per-rank accumulator holding my shard.
@@ -849,6 +685,7 @@ impl TwoPhaseHierarchical {
             ));
         }
         let world: Vec<Rank> = topo.ranks().collect();
+        let node = |n: usize| -> Vec<Rank> { (0..gpn).map(|l| topo.rank_at(n, l)).collect() };
         let shard_cap = cap.div_ceil(gpn).next_multiple_of(16);
         let acc: Vec<BufferId> = (0..world.len())
             .map(|r| setup.alloc(Rank(r), shard_cap))
@@ -856,55 +693,33 @@ impl TwoPhaseHierarchical {
         let scratch_b: Vec<BufferId> = (0..world.len())
             .map(|r| setup.alloc(Rank(r), nodes * shard_cap))
             .collect();
-        let mut scratch_a = None;
-        let mut local_rs = None;
-        let mut local_read = None;
-        let mut local_ag = Vec::new();
+        let (mut scratch_a, mut local_rs, mut local_read) = (None, None, None);
         if hb {
-            let mut reads = Vec::new();
-            for node in 0..nodes {
-                let ranks: Vec<Rank> = (0..gpn).map(|l| topo.rank_at(node, l)).collect();
-                reads.push(MemMesh::build(
-                    setup,
-                    &ranks,
-                    inputs,
-                    inputs,
-                    Protocol::HB,
-                    tbs,
-                )?);
-            }
+            let reads = (0..nodes)
+                .map(|n| Mesh::memory(setup, &node(n), inputs, inputs, Protocol::HB, tbs))
+                .collect::<Result<_>>()?;
             local_read = Some(reads);
         } else {
             let sa: Vec<BufferId> = (0..world.len())
                 .map(|r| setup.alloc(Rank(r), gpn * shard_cap))
                 .collect();
-            let mut rss = Vec::new();
-            for node in 0..nodes {
-                let ranks: Vec<Rank> = (0..gpn).map(|l| topo.rank_at(node, l)).collect();
-                rss.push(MemMesh::build(
-                    setup,
-                    &ranks,
-                    inputs,
-                    &sa,
-                    Protocol::LL,
-                    tbs,
-                )?);
-            }
+            let rss = (0..nodes)
+                .map(|n| Mesh::memory(setup, &node(n), inputs, &sa, Protocol::LL, tbs))
+                .collect::<Result<_>>()?;
             scratch_a = Some(sa);
             local_rs = Some(rss);
         }
         let proto = if hb { Protocol::HB } else { Protocol::LL };
-        for node in 0..nodes {
-            let ranks: Vec<Rank> = (0..gpn).map(|l| topo.rank_at(node, l)).collect();
-            local_ag.push(MemMesh::build(setup, &ranks, &acc, outputs, proto, tbs)?);
-        }
+        let local_ag = (0..nodes)
+            .map(|n| Mesh::memory(setup, &node(n), &acc, outputs, proto, tbs))
+            .collect::<Result<_>>()?;
         let mut cross_rs = Vec::new();
-        let mut cross_ag_v = Vec::new();
+        let mut cross_ag = Vec::new();
         for l in 0..gpn {
             let ranks: Vec<Rank> = (0..nodes).map(|a| topo.rank_at(a, l)).collect();
-            cross_rs.push(PortMesh::build(setup, &ranks, &acc, &scratch_b, tbs)?);
+            cross_rs.push(Mesh::port(setup, &ranks, &acc, &scratch_b, tbs)?);
             if hb {
-                cross_ag_v.push(PortMesh::build(setup, &ranks, &acc, &acc, tbs)?);
+                cross_ag.push(Mesh::port(setup, &ranks, &acc, &acc, tbs)?);
             }
         }
         Ok(TwoPhaseHierarchical {
@@ -920,7 +735,7 @@ impl TwoPhaseHierarchical {
             local_read,
             local_ag,
             cross_rs,
-            cross_ag: if hb { Some(cross_ag_v) } else { None },
+            cross_ag: hb.then_some(cross_ag),
             scratch_a,
             acc,
             scratch_b,
@@ -931,158 +746,110 @@ impl TwoPhaseHierarchical {
         let es = dtype.size();
         let count = bytes / es;
         let shard = |i: usize| split_range(count, self.gpn, i);
-        let mut out = Vec::with_capacity(self.world.len());
-        for &g in &self.world {
+        emit(&self.world, self.tbs, |_, g, t, tb| {
             let node = g.0 / self.gpn;
             let li = g.0 % self.gpn; // local index = my shard index
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (gs, gl) = shard(li);
-                let (ms, ml) = split_range(gl, self.tbs, t);
-                let off = (gs + ms) * es; // my shard slice, input coords
-                let acc_off = ms * es; // same slice, acc coords
-                let len = ml * es;
+            let (gs, gl) = shard(li);
+            let (ms, ml) = split_range(gl, self.tbs, t);
+            let off = (gs + ms) * es; // my shard slice, input coords
+            let acc_off = ms * es; // same slice, acc coords
+            let len = ml * es;
+            let acc = self.acc[g.0];
 
-                // Phase 1: node-local ReduceScatter of shard `li`.
-                if self.hb {
-                    let mesh = &self.local_read.as_ref().unwrap()[node];
-                    tb.copy(self.inputs[g.0], off, self.acc[g.0], acc_off, len);
-                    for p in peers_staggered(self.gpn, li, t) {
-                        tb.read_reduce(
-                            mesh.at(t, li, p),
-                            off,
-                            self.acc[g.0],
-                            acc_off,
-                            len,
-                            dtype,
-                            op,
-                        );
-                    }
-                } else {
-                    let mesh = &self.local_rs.as_ref().unwrap()[node];
-                    let sa = self.scratch_a.as_ref().unwrap();
-                    for p in peers_staggered(self.gpn, li, t) {
-                        // Send peer p's shard slice into their slot `li`.
-                        let (ps, pl) = shard(p);
-                        let (sl, sll) = split_range(pl, self.tbs, t);
-                        tb.put(
-                            mesh.at(t, li, p),
-                            li * self.shard_cap + sl * es,
-                            (ps + sl) * es,
-                            sll * es,
-                        );
-                    }
-                    tb.copy(self.inputs[g.0], off, self.acc[g.0], acc_off, len);
-                    for p in peers_staggered(self.gpn, li, t) {
-                        tb.wait_data(mesh.at(t, li, p));
-                        tb.reduce(
-                            sa[g.0],
-                            p * self.shard_cap + ms * es,
-                            self.acc[g.0],
-                            acc_off,
-                            len,
-                            dtype,
-                            op,
-                        );
-                    }
-                }
-
-                // Phase 2: cross-node exchange among corresponding GPUs.
-                let cross = &self.cross_rs[li];
-                if self.hb {
-                    // Sub-shard ReduceScatter + AllGather across nodes.
-                    let subs = |b: usize| split_range(ml, self.nodes, b);
-                    for b in peers_staggered(self.nodes, node, t) {
-                        let (bs, bl) = subs(b);
-                        tb.port_put_with_signal(
-                            cross.at(t, node, b),
-                            node * self.shard_cap + acc_off + bs * es,
-                            acc_off + bs * es,
-                            bl * es,
-                        );
-                    }
-                    let (mys, myl) = subs(node);
-                    for b in peers_staggered(self.nodes, node, t) {
-                        tb.port_wait(cross.at(t, node, b));
-                        tb.reduce(
-                            self.scratch_b[g.0],
-                            b * self.shard_cap + acc_off + mys * es,
-                            self.acc[g.0],
-                            acc_off + mys * es,
-                            myl * es,
-                            dtype,
-                            op,
-                        );
-                    }
-                    // Cross-node AllGather of my global sub-shard.
-                    let cag = &self.cross_ag.as_ref().unwrap()[li];
-                    for b in peers_staggered(self.nodes, node, t) {
-                        tb.port_put_with_signal(
-                            cag.at(t, node, b),
-                            acc_off + mys * es,
-                            acc_off + mys * es,
-                            myl * es,
-                        );
-                    }
-                    for b in peers_staggered(self.nodes, node, t) {
-                        tb.port_wait(cag.at(t, node, b));
-                    }
-                } else {
-                    // Whole-shard all-pairs (redundant reduction, fewer
-                    // synchronization steps — the small-message tradeoff).
-                    for b in peers_staggered(self.nodes, node, t) {
-                        tb.port_put_with_signal(
-                            cross.at(t, node, b),
-                            node * self.shard_cap + acc_off,
-                            acc_off,
-                            len,
-                        );
-                    }
-                    // The reduces below overwrite the exact range the DMA
-                    // engines are still reading out of `acc`; flush every
-                    // outbound put before the first reduce.
-                    for b in peers_staggered(self.nodes, node, t) {
-                        tb.port_flush(cross.at(t, node, b));
-                    }
-                    for b in peers_staggered(self.nodes, node, t) {
-                        tb.port_wait(cross.at(t, node, b));
-                        tb.reduce(
-                            self.scratch_b[g.0],
-                            b * self.shard_cap + acc_off,
-                            self.acc[g.0],
-                            acc_off,
-                            len,
-                            dtype,
-                            op,
-                        );
-                    }
-                }
-
-                // Phase 3: node-local AllGather of the global shard.
-                let mesh = &self.local_ag[node];
+            // Phase 1: node-local ReduceScatter of shard `li`.
+            if self.hb {
+                let mesh = &self.local_read.as_ref().unwrap()[node];
+                tb.copy(self.inputs[g.0], off, acc, acc_off, len);
                 for p in peers_staggered(self.gpn, li, t) {
-                    match self.hb {
-                        true => {
-                            tb.put_with_signal(mesh.at(t, li, p), off, acc_off, len);
-                        }
-                        false => {
-                            tb.put(mesh.at(t, li, p), off, acc_off, len);
-                        }
-                    }
+                    tb.read_reduce(mesh.at(t, li, p), off, acc, acc_off, len, dtype, op);
                 }
-                tb.copy(self.acc[g.0], acc_off, self.outputs[g.0], off, len);
+            } else {
+                let mesh = &self.local_rs.as_ref().unwrap()[node];
+                let sa = self.scratch_a.as_ref().unwrap();
                 for p in peers_staggered(self.gpn, li, t) {
-                    if self.hb {
-                        tb.wait(mesh.at(t, li, p));
-                    } else {
-                        tb.wait_data(mesh.at(t, li, p));
-                    }
+                    // Send peer p's shard slice into their slot `li`.
+                    let (ps, pl) = shard(p);
+                    let (sl, sll) = split_range(pl, self.tbs, t);
+                    let dst_off = li * self.shard_cap + sl * es;
+                    tb.put_ready(mesh.at(t, li, p), dst_off, (ps + sl) * es, sll * es);
+                }
+                tb.copy(self.inputs[g.0], off, acc, acc_off, len);
+                for p in peers_staggered(self.gpn, li, t) {
+                    tb.wait_ready(mesh.at(t, li, p));
+                    let src_off = p * self.shard_cap + ms * es;
+                    tb.reduce(sa[g.0], src_off, acc, acc_off, len, dtype, op);
                 }
             }
-            out.push(kb.build());
-        }
-        out
+
+            // Phase 2: cross-node exchange among corresponding GPUs.
+            let cross = &self.cross_rs[li];
+            let peers = || peers_staggered(self.nodes, node, t);
+            if self.hb {
+                // Sub-shard ReduceScatter + AllGather across nodes.
+                let subs = |b: usize| split_range(ml, self.nodes, b);
+                for b in peers() {
+                    let (bs, bl) = subs(b);
+                    let (src_off, dst_off) = (acc_off + bs * es, node * self.shard_cap);
+                    tb.port_put_with_signal(
+                        cross.at(t, node, b),
+                        dst_off + src_off,
+                        src_off,
+                        bl * es,
+                    );
+                }
+                let (mys, myl) = subs(node);
+                let (sub_off, sub_len) = (acc_off + mys * es, myl * es);
+                for b in peers() {
+                    tb.port_wait(cross.at(t, node, b));
+                    let src_off = b * self.shard_cap + sub_off;
+                    tb.reduce(
+                        self.scratch_b[g.0],
+                        src_off,
+                        acc,
+                        sub_off,
+                        sub_len,
+                        dtype,
+                        op,
+                    );
+                }
+                // Cross-node AllGather of my global sub-shard.
+                let cag = &self.cross_ag.as_ref().unwrap()[li];
+                for b in peers() {
+                    tb.port_put_with_signal(cag.at(t, node, b), sub_off, sub_off, sub_len);
+                }
+                for b in peers() {
+                    tb.port_wait(cag.at(t, node, b));
+                }
+            } else {
+                // Whole-shard all-pairs (redundant reduction, fewer
+                // synchronization steps — the small-message tradeoff).
+                let dst_off = node * self.shard_cap + acc_off;
+                for b in peers() {
+                    tb.port_put_with_signal(cross.at(t, node, b), dst_off, acc_off, len);
+                }
+                // The reduces below overwrite the exact range the DMA
+                // engines are still reading out of `acc`; flush every
+                // outbound put before the first reduce.
+                for b in peers() {
+                    tb.port_flush(cross.at(t, node, b));
+                }
+                for b in peers() {
+                    tb.port_wait(cross.at(t, node, b));
+                    let src_off = b * self.shard_cap + acc_off;
+                    tb.reduce(self.scratch_b[g.0], src_off, acc, acc_off, len, dtype, op);
+                }
+            }
+
+            // Phase 3: node-local AllGather of the global shard.
+            let mesh = &self.local_ag[node];
+            for p in peers_staggered(self.gpn, li, t) {
+                tb.put_ready(mesh.at(t, li, p), off, acc_off, len);
+            }
+            tb.copy(acc, acc_off, self.outputs[g.0], off, len);
+            for p in peers_staggered(self.gpn, li, t) {
+                tb.wait_ready(mesh.at(t, li, p));
+            }
+        })
     }
 }
 
@@ -1110,11 +877,11 @@ pub(crate) struct ShrunkenHierarchical {
     cap: usize,
     tbs: usize,
     /// Per node: leader's zero-copy read channels over members' inputs.
-    local_read: Vec<MemMesh>,
+    local_read: Vec<Mesh<MemoryChannel>>,
     /// Leaders all-pairs over RDMA ports: acc -> gather.
-    cross: PortMesh,
+    cross: Mesh<PortChannel>,
     /// Per node: leader's result distribution, acc -> outputs.
-    local_out: Vec<MemMesh>,
+    local_out: Vec<Mesh<MemoryChannel>>,
     /// Per-leader node accumulator (full message).
     acc: Vec<BufferId>,
     /// Per-leader receive scratch (one `cap` slot per peer leader).
@@ -1153,7 +920,7 @@ impl ShrunkenHierarchical {
         let mut local_read = Vec::with_capacity(nleads);
         let mut local_out = Vec::with_capacity(nleads);
         for members in &node_members {
-            local_read.push(MemMesh::build(
+            local_read.push(Mesh::memory(
                 setup,
                 members,
                 inputs,
@@ -1161,7 +928,7 @@ impl ShrunkenHierarchical {
                 Protocol::HB,
                 tbs,
             )?);
-            local_out.push(MemMesh::build(
+            local_out.push(Mesh::memory(
                 setup,
                 members,
                 &acc,
@@ -1170,7 +937,7 @@ impl ShrunkenHierarchical {
                 tbs,
             )?);
         }
-        let cross = PortMesh::build(setup, &leaders, &acc, &gather, tbs)?;
+        let cross = Mesh::port(setup, &leaders, &acc, &gather, tbs)?;
         Ok(ShrunkenHierarchical {
             node_members,
             inputs: inputs.to_vec(),
@@ -1187,70 +954,42 @@ impl ShrunkenHierarchical {
 
     pub fn kernels(&self, bytes: usize, dtype: DataType, op: ReduceOp) -> Vec<Kernel> {
         let nleads = self.node_members.len();
-        let mut out = Vec::new();
-        for (ni, members) in self.node_members.iter().enumerate() {
-            let m = members.len();
-            for (mi, &g) in members.iter().enumerate() {
-                let mut kb = KernelBuilder::new(g);
-                for t in 0..self.tbs {
-                    let mut tb = kb.block(t);
-                    let (ms, ml) = split_range(bytes, self.tbs, t);
-                    if mi != 0 {
-                        // Member: the leader reads my input and pushes
-                        // the final result into my output.
-                        tb.wait(self.local_out[ni].at(t, mi, 0));
-                        continue;
-                    }
-                    // Phase 1: node reduction into the leader's acc.
-                    tb.copy(self.inputs[g.0], ms, self.acc[g.0], ms, ml);
-                    for p in 1..m {
-                        tb.read_reduce(
-                            self.local_read[ni].at(t, 0, p),
-                            ms,
-                            self.acc[g.0],
-                            ms,
-                            ml,
-                            dtype,
-                            op,
-                        );
-                    }
-                    // Phase 2: whole-message all-pairs among leaders;
-                    // sender `ni`'s message lands in slot `ni`.
-                    for lj in peers_staggered(nleads, ni, t) {
-                        tb.port_put_with_signal(
-                            self.cross.at(t, ni, lj),
-                            ni * self.cap + ms,
-                            ms,
-                            ml,
-                        );
-                    }
-                    // The reduces below overwrite the range the DMA
-                    // engines are still reading out of `acc`; flush every
-                    // outbound put before the first reduce.
-                    for lj in peers_staggered(nleads, ni, t) {
-                        tb.port_flush(self.cross.at(t, ni, lj));
-                    }
-                    for lj in peers_staggered(nleads, ni, t) {
-                        tb.port_wait(self.cross.at(t, ni, lj));
-                        tb.reduce(
-                            self.gather[g.0],
-                            lj * self.cap + ms,
-                            self.acc[g.0],
-                            ms,
-                            ml,
-                            dtype,
-                            op,
-                        );
-                    }
-                    // Phase 3: distribute the global result node-locally.
-                    for p in 1..m {
-                        tb.put_with_signal(self.local_out[ni].at(t, 0, p), ms, ms, ml);
-                    }
-                    tb.copy(self.acc[g.0], ms, self.outputs[g.0], ms, ml);
-                }
-                out.push(kb.build());
+        let (order, slots) = relay_order(&self.node_members);
+        emit(&order, self.tbs, |i, g, t, tb| {
+            let (ni, mi) = slots[i];
+            let (ms, ml) = split_range(bytes, self.tbs, t);
+            if mi != 0 {
+                // Member: the leader reads my input and pushes the final
+                // result into my output.
+                tb.wait_ready(self.local_out[ni].at(t, mi, 0));
+                return;
             }
-        }
-        out
+            let acc = self.acc[g.0];
+            // Phase 1: node reduction into the leader's acc.
+            tb.copy(self.inputs[g.0], ms, acc, ms, ml);
+            for p in 1..self.node_members[ni].len() {
+                tb.read_reduce(self.local_read[ni].at(t, 0, p), ms, acc, ms, ml, dtype, op);
+            }
+            // Phase 2: whole-message all-pairs among leaders; sender
+            // `ni`'s message lands in slot `ni`.
+            for lj in peers_staggered(nleads, ni, t) {
+                tb.port_put_with_signal(self.cross.at(t, ni, lj), ni * self.cap + ms, ms, ml);
+            }
+            // The reduces below overwrite the range the DMA engines are
+            // still reading out of `acc`; flush every outbound put before
+            // the first reduce.
+            for lj in peers_staggered(nleads, ni, t) {
+                tb.port_flush(self.cross.at(t, ni, lj));
+            }
+            for lj in peers_staggered(nleads, ni, t) {
+                tb.port_wait(self.cross.at(t, ni, lj));
+                tb.reduce(self.gather[g.0], lj * self.cap + ms, acc, ms, ml, dtype, op);
+            }
+            // Phase 3: distribute the global result node-locally.
+            for p in 1..self.node_members[ni].len() {
+                tb.put_ready(self.local_out[ni].at(t, 0, p), ms, ms, ml);
+            }
+            tb.copy(acc, ms, self.outputs[g.0], ms, ml);
+        })
     }
 }

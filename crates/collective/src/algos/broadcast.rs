@@ -3,16 +3,17 @@
 //! variant on hardware with multimem support.
 
 use hw::{BufferId, Rank};
-use mscclpp::{split_range, Error, Kernel, KernelBuilder, Protocol, Result, Setup, SwitchChannel};
+use mscclpp::{
+    split_range, Error, Kernel, MemoryChannel, PortChannel, Protocol, Result, Setup, SwitchChannel,
+};
 
-use crate::wiring::{node_groups, MemMesh, PortMesh};
+use crate::wiring::{emit, node_groups, relay_order, Mesh};
 
-/// Broadcast from a root rank.
-///
-/// Single node (or survivors confined to one node): the root's thread
-/// blocks put slices directly into every member's output. Multi-node:
-/// the root RDMAs the message to one elected leader per other node, then
-/// each node's leader distributes locally.
+/// Broadcast from a root rank: the root RDMAs the message to one elected
+/// leader per other node, then each node's leader (the root on its own)
+/// distributes it locally. On one node (or with survivors confined to
+/// one) there is no other node, and the root's thread blocks put slices
+/// directly into every member's output.
 ///
 /// Subset-capable: the relay tree is re-derived from the epoch's member
 /// list, so a shrunken multi-node group re-elects leaders among the
@@ -33,9 +34,9 @@ pub(crate) struct AllPairsBroadcast {
     root_ni: usize,
     /// Local distribution mesh per node (output -> output, plus the
     /// root's input as source on the root's node).
-    local: Vec<MemMesh>,
+    local: Vec<Mesh<MemoryChannel>>,
     /// Root -> other node leaders (absent when one node spans the group).
-    cross: Option<PortMesh>,
+    cross: Option<Mesh<PortChannel>>,
 }
 
 impl AllPairsBroadcast {
@@ -76,24 +77,17 @@ impl AllPairsBroadcast {
         // the root, which sends from its input.
         let mut src = outputs.to_vec();
         src[root.0] = inputs[root.0];
-        let mut local = Vec::new();
-        for members in &node_members {
-            local.push(MemMesh::build(
-                setup,
-                members,
-                &src,
-                outputs,
-                Protocol::HB,
-                tbs,
-            )?);
-        }
+        let local = node_members
+            .iter()
+            .map(|members| Mesh::memory(setup, members, &src, outputs, Protocol::HB, tbs))
+            .collect::<Result<_>>()?;
         let cross = if node_members.len() > 1 {
             let leaders: Vec<Rank> = node_members
                 .iter()
                 .zip(&leader_mi)
                 .map(|(members, &mi)| members[mi])
                 .collect();
-            Some(PortMesh::build(setup, &leaders, &src, outputs, tbs)?)
+            Some(Mesh::port(setup, &leaders, &src, outputs, tbs)?)
         } else {
             None
         };
@@ -110,89 +104,44 @@ impl AllPairsBroadcast {
         })
     }
 
-    /// Single-node kernels: the root puts every member's slice directly,
-    /// indexed by position in the (possibly shrunken) member list.
-    fn single_node_kernels(&self, bytes: usize) -> Vec<Kernel> {
-        let members = &self.node_members[0];
-        let root_ig = members
-            .iter()
-            .position(|&r| r == self.root)
-            .expect("root membership checked at prepare");
-        let mesh = &self.local[0];
-        let mut out = Vec::with_capacity(members.len());
-        for (ig, &g) in members.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (ms, ml) = split_range(bytes, self.tbs, t);
-                if g == self.root {
-                    if self.inputs[g.0] != self.outputs[g.0] {
-                        tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ms, ml);
-                    }
-                    for p in 0..members.len() {
-                        if p != ig {
-                            tb.put_with_signal(mesh.at(t, ig, p), ms, ms, ml);
-                        }
-                    }
-                } else {
-                    tb.wait(mesh.at(t, ig, root_ig));
-                }
-            }
-            out.push(kb.build());
-        }
-        out
-    }
-
     /// Kernels broadcasting `bytes` from the root.
     pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
-        if self.node_members.len() == 1 {
-            return self.single_node_kernels(bytes);
-        }
-        let mut out = Vec::new();
-        for (ni, members) in self.node_members.iter().enumerate() {
+        let (order, slots) = relay_order(&self.node_members);
+        emit(&order, self.tbs, |i, g, t, tb| {
+            let (ni, mi) = slots[i];
             let leader_mi = self.leader_mi[ni];
-            for (mi, &g) in members.iter().enumerate() {
-                let is_leader = mi == leader_mi;
-                let mut kb = KernelBuilder::new(g);
-                for t in 0..self.tbs {
-                    let mut tb = kb.block(t);
-                    let (ms, ml) = split_range(bytes, self.tbs, t);
-                    if g == self.root {
-                        // Phase 1: RDMA to each other node's leader.
+            let (ms, ml) = split_range(bytes, self.tbs, t);
+            if g == self.root {
+                // Phase 1: RDMA to each other node's leader.
+                for b in 0..self.node_members.len() {
+                    if b != self.root_ni {
                         let cross = self.cross.as_ref().expect("multi-node");
-                        for b in 0..self.node_members.len() {
-                            if b != self.root_ni {
-                                tb.port_put_with_signal(cross.at(t, self.root_ni, b), ms, ms, ml);
-                            }
-                        }
-                        // In-place (input == output) the local copy is a
-                        // no-op, and would alias the range the phase-1
-                        // proxies are still DMA-reading.
-                        if self.inputs[g.0] != self.outputs[g.0] {
-                            tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ms, ml);
-                        }
-                    } else if is_leader {
-                        let cross = self.cross.as_ref().expect("multi-node");
-                        tb.port_wait(cross.at(t, ni, self.root_ni));
-                    }
-                    // Phase 2: node-local distribution by the leader (the
-                    // root on its own node).
-                    if is_leader {
-                        let mesh = &self.local[ni];
-                        for p in 0..members.len() {
-                            if p != mi {
-                                tb.put_with_signal(mesh.at(t, mi, p), ms, ms, ml);
-                            }
-                        }
-                    } else {
-                        // Wait for my node's leader to push my slice.
-                        tb.wait(self.local[ni].at(t, mi, leader_mi));
+                        tb.port_put_with_signal(cross.at(t, self.root_ni, b), ms, ms, ml);
                     }
                 }
-                out.push(kb.build());
+                // In-place (input == output) the local copy is a no-op,
+                // and would alias the range the phase-1 proxies are still
+                // DMA-reading.
+                if self.inputs[g.0] != self.outputs[g.0] {
+                    tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ms, ml);
+                }
+            } else if mi == leader_mi {
+                let cross = self.cross.as_ref().expect("multi-node");
+                tb.port_wait(cross.at(t, ni, self.root_ni));
             }
-        }
-        out
+            // Phase 2: node-local distribution by the leader (the root on
+            // its own node).
+            if mi == leader_mi {
+                for p in 0..self.node_members[ni].len() {
+                    if p != mi {
+                        tb.put_ready(self.local[ni].at(t, mi, p), ms, ms, ml);
+                    }
+                }
+            } else {
+                // Wait for my node's leader to push my slice.
+                tb.wait_ready(self.local[ni].at(t, mi, leader_mi));
+            }
+        })
     }
 }
 
@@ -247,21 +196,14 @@ impl SwitchBroadcast {
 
     /// Kernels broadcasting `bytes` from the root through the switch.
     pub fn kernels(&self, bytes: usize) -> Vec<Kernel> {
-        let mut out = Vec::with_capacity(self.ranks.len());
-        for (ig, &g) in self.ranks.iter().enumerate() {
-            let mut kb = KernelBuilder::new(g);
-            for t in 0..self.tbs {
-                let mut tb = kb.block(t);
-                let (ms, ml) = split_range(bytes, self.tbs, t);
-                if g == self.root {
-                    tb.switch_broadcast(&self.chan[ig], self.inputs[g.0], ms, ms, ml);
-                }
-                if t == 0 {
-                    tb.barrier(&self.barriers[ig]);
-                }
+        emit(&self.ranks, self.tbs, |ig, g, t, tb| {
+            let (ms, ml) = split_range(bytes, self.tbs, t);
+            if g == self.root {
+                tb.switch_broadcast(&self.chan[ig], self.inputs[g.0], ms, ms, ml);
             }
-            out.push(kb.build());
-        }
-        out
+            if t == 0 {
+                tb.barrier(&self.barriers[ig]);
+            }
+        })
     }
 }

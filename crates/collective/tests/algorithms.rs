@@ -52,8 +52,8 @@ fn check_allreduce(kind: EnvKind, nodes: usize, count: usize, algo: AllReduceAlg
             algo,
         )
         .unwrap_or_else(|err| panic!("{algo:?} on {kind:?} x{nodes}: {err}"));
-    for r in 0..n {
-        let got = e.world().pool().to_f32_vec(outputs[r], DataType::F32);
+    for (r, &out) in outputs.iter().enumerate() {
+        let got = e.world().pool().to_f32_vec(out, DataType::F32);
         for i in [0, 1, count / 3, count - 1] {
             let want: f32 = (0..n).map(|s| input_val(s, i)).sum();
             assert!(
@@ -283,8 +283,8 @@ fn reduce_scatter_single_node() {
         ReduceScatterAlgo::AllPairsLl,
     )
     .unwrap();
-    for r in 0..n {
-        let got = e.world().pool().to_f32_vec(outputs[r], DataType::F32);
+    for (r, &out) in outputs.iter().enumerate() {
+        let got = e.world().pool().to_f32_vec(out, DataType::F32);
         // Shards are nearly equal: rank r owns split_range(count, n, r).
         let base = count / n;
         let start = r * base; // count divisible by 8 here
@@ -346,8 +346,8 @@ fn broadcast_direct_single_node() {
         BroadcastAlgo::Direct,
     )
     .unwrap();
-    for r in 0..8 {
-        let got = e.world().pool().to_f32_vec(outputs[r], DataType::F32);
+    for (r, &out) in outputs.iter().enumerate() {
+        let got = e.world().pool().to_f32_vec(out, DataType::F32);
         assert_eq!(got[count - 1], (count - 1) as f32, "rank {r}");
     }
 }
@@ -398,8 +398,8 @@ fn broadcast_switch_h100() {
         BroadcastAlgo::Switch,
     )
     .unwrap();
-    for r in 0..8 {
-        let got = e.world().pool().to_f32_vec(outputs[r], DataType::F32);
+    for (r, &out) in outputs.iter().enumerate() {
+        let got = e.world().pool().to_f32_vec(out, DataType::F32);
         assert_eq!(got[7], 7.5, "rank {r}");
     }
 }
@@ -449,8 +449,8 @@ fn allreduce_ring_routes_around_dead_link() {
         e.metrics().counter("fault.replans") >= 1,
         "auto path must record the re-plan"
     );
-    for r in 0..8 {
-        let got = e.world().pool().to_f32_vec(outputs[r], DataType::F32);
+    for (r, &out) in outputs.iter().enumerate() {
+        let got = e.world().pool().to_f32_vec(out, DataType::F32);
         for i in [0, count / 3, count - 1] {
             let want: f32 = (0..8).map(|s| input_val(s, i)).sum();
             assert!((got[i] - want).abs() < 1e-3, "rank {r} elem {i}");
@@ -657,8 +657,8 @@ fn all_to_all_single_node() {
     let comm = CollComm::new();
     comm.all_to_all(&mut e, &inputs, &outputs, count, DataType::F32)
         .unwrap();
-    for dst in 0..n {
-        let got = e.world().pool().to_f32_vec(outputs[dst], DataType::F32);
+    for (dst, &out) in outputs.iter().enumerate() {
+        let got = e.world().pool().to_f32_vec(out, DataType::F32);
         for src in 0..n {
             // src's chunk dst lands in dst's slot src.
             let want = (src * 10_000 + dst * count + 3) as f32;

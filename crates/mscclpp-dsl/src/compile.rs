@@ -336,8 +336,8 @@ impl Program {
         match *op {
             Op::Copy { src, dst } => {
                 let exec = src.rank;
-                ensure_ready(setup, builders, st, src, exec, t, opts)?;
-                ensure_ready(setup, builders, st, dst, exec, t, opts)?;
+                ensure_ready(setup, builders, st, src, exec, t)?;
+                ensure_ready(setup, builders, st, dst, exec, t)?;
                 war_guard(setup, builders, st, dst, exec, t);
                 let (sb, so, len) = range(src);
                 let (db, doff, _) = range(dst);
@@ -347,10 +347,7 @@ impl Program {
                 } else if topo.same_node(Rank(src.rank), Rank(dst.rank)) {
                     let ci = mem_chan(setup, st, src.rank, dst.rank, sb, db, opts.protocol)?;
                     let ch = st.mem_chans[ci].0.clone();
-                    match opts.protocol {
-                        Protocol::LL => builders[exec].block(t).put(&ch, doff, so, len),
-                        Protocol::HB => builders[exec].block(t).put_with_signal(&ch, doff, so, len),
-                    };
+                    builders[exec].block(t).put_ready(&ch, doff, so, len);
                     st.mem_puts[ci] += 1;
                     st.prov.insert(
                         dst,
@@ -378,8 +375,8 @@ impl Program {
             }
             Op::Reduce { src, dst } => {
                 let exec = dst.rank;
-                ensure_ready(setup, builders, st, src, exec, t, opts)?;
-                ensure_ready(setup, builders, st, dst, exec, t, opts)?;
+                ensure_ready(setup, builders, st, src, exec, t)?;
+                ensure_ready(setup, builders, st, dst, exec, t)?;
                 // A reduce also *reads* dst, but the WAR guard still must
                 // run before emission: a pending remote reader of dst
                 // must finish before this op rewrites it.
@@ -430,9 +427,9 @@ impl Program {
                         buf: group.0,
                         index: group.1,
                     };
-                    ensure_ready(setup, builders, st, c, exec, t, opts)?;
+                    ensure_ready(setup, builders, st, c, exec, t)?;
                 }
-                ensure_ready(setup, builders, st, dst, exec, t, opts)?;
+                ensure_ready(setup, builders, st, dst, exec, t)?;
                 war_guard(setup, builders, st, dst, exec, t);
                 let chans = switch_chan(setup, st, topo, exec, group.0, buf_of)?;
                 let li = topo.local_index(Rank(exec));
@@ -453,7 +450,7 @@ impl Program {
             }
             Op::MultimemBroadcast { src, group } => {
                 let exec = src.rank;
-                ensure_ready(setup, builders, st, src, exec, t, opts)?;
+                ensure_ready(setup, builders, st, src, exec, t)?;
                 for m in topo.node_ranks(Rank(exec)) {
                     let c = ChunkRef {
                         rank: m.0,
@@ -498,14 +495,12 @@ fn ensure_ready(
     chunk: ChunkRef,
     exec: usize,
     t: usize,
-    opts: CompileOptions,
 ) -> Result<(), DslError> {
     let prov = st.prov.get(&chunk).copied().unwrap_or(Prov::Initial);
     match prov {
         Prov::Initial => Ok(()),
         Prov::MemPut { chan, seq } => {
-            let (ref a, ref b) = st.mem_chans[chan];
-            let owner = b.local_rank.0;
+            let owner = st.mem_chans[chan].1.local_rank.0;
             if exec != owner {
                 // A third rank consuming a remotely-written chunk would
                 // need the owner's arrival counter; route through the
@@ -514,13 +509,9 @@ fn ensure_ready(
                     "chunk {chunk:?} written via put must be consumed by its owner (rank {owner}), not rank {exec}"
                 )));
             }
-            let _ = a;
             while st.mem_waits[chan] < seq {
                 let endpoint = st.mem_chans[chan].1.clone();
-                match opts.protocol {
-                    Protocol::LL => builders[exec].block(t).wait_data(&endpoint),
-                    Protocol::HB => builders[exec].block(t).wait(&endpoint),
-                };
+                builders[exec].block(t).wait_ready(&endpoint);
                 st.mem_waits[chan] += 1;
             }
             st.prov.insert(chunk, Prov::Local { rank: exec });

@@ -29,7 +29,9 @@ use std::fmt;
 use hw::{BufferId, DataType, Rank, ReduceOp};
 use sim::{CellId, Duration};
 
-use crate::channel::{DeviceBarrier, MemoryChannel, PortChannel, Semaphore, SwitchChannel};
+use crate::channel::{
+    DeviceBarrier, MemoryChannel, PortChannel, Protocol, Semaphore, SwitchChannel,
+};
 
 /// One device-side instruction of a simulated kernel.
 #[derive(Debug, Clone)]
@@ -895,6 +897,34 @@ impl BlockBuilder<'_> {
         self.assert_local::<()>("wait_data", ch.local_rank);
         self.instrs.push(Instr::MemWaitData { ch: ch.clone() });
         self
+    }
+
+    /// The put whose landing the peer's [`BlockBuilder::wait_ready`]
+    /// observes, in `ch`'s protocol: a [`put`](Self::put) on LL, whose
+    /// flags travel with the data, and a
+    /// [`put_with_signal`](Self::put_with_signal) on HB, whose semaphore
+    /// follows it.
+    pub fn put_ready(
+        &mut self,
+        ch: &MemoryChannel,
+        dst_off: usize,
+        src_off: usize,
+        bytes: usize,
+    ) -> &mut Self {
+        match ch.protocol {
+            Protocol::LL => self.put(ch, dst_off, src_off, bytes),
+            Protocol::HB => self.put_with_signal(ch, dst_off, src_off, bytes),
+        }
+    }
+
+    /// Waits until the peer's next [`BlockBuilder::put_ready`] on `ch` has
+    /// landed: a [`wait_data`](Self::wait_data) on LL and a
+    /// [`wait`](Self::wait) on HB.
+    pub fn wait_ready(&mut self, ch: &MemoryChannel) -> &mut Self {
+        match ch.protocol {
+            Protocol::LL => self.wait_data(ch),
+            Protocol::HB => self.wait(ch),
+        }
     }
 
     /// Read from the peer through the channel and reduce into a local
