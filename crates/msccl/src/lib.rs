@@ -174,8 +174,10 @@ impl MscclComm {
             .expect("no cross-node conn")
     }
 
-    /// One-phase all-pairs AllReduce kernels over NCCL primitives (one
-    /// thread block per rank).
+    /// One-phase all-pairs AllReduce kernels over NCCL primitives: each
+    /// of `nch` channels sends its slice of the whole message to every
+    /// peer and reduces the peers' slices into the output.
+    #[allow(clippy::too_many_arguments)]
     fn one_phase_kernels(
         &self,
         inputs: &[BufferId],
@@ -184,18 +186,22 @@ impl MscclComm {
         dtype: DataType,
         op: ReduceOp,
         proto: Proto,
+        nch: usize,
     ) -> Vec<Kernel> {
         let n = self.topo.world_size();
-        let slot = self.driver.config().slot_bytes(proto);
-        self.driver.kernels(1, proto, dtype, op, |g, _, p| {
-            for b in 0..batches(bytes, slot) {
-                let (off, len) = batch(0, bytes, slot, b);
-                for q in peers_staggered(n, g, 0) {
-                    p.send(self.conn(0, g, q), inputs[g], off, len);
+        let es = dtype.size();
+        let slot = self.driver.config().slot_bytes(proto) / es * es;
+        self.driver.kernels(nch, proto, dtype, op, |g, t, p| {
+            let (ms, ml) = split_range(bytes / es, nch, t);
+            let (ms, ml) = (ms * es, ml * es);
+            for b in 0..batches(ml, slot) {
+                let (off, len) = batch(ms, ml, slot, b);
+                for q in peers_staggered(n, g, t) {
+                    p.send(self.conn(t, g, q), inputs[g], off, len);
                 }
                 p.copy_local(inputs[g], off, outputs[g], off, len);
-                for q in peers_staggered(n, g, 0) {
-                    p.recv_reduce_copy(self.conn(0, q, g), outputs[g], off, outputs[g], off, len);
+                for q in peers_staggered(n, g, t) {
+                    p.recv_reduce_copy(self.conn(t, q, g), outputs[g], off, outputs[g], off, len);
                 }
             }
         })
@@ -331,7 +337,8 @@ impl MscclComm {
         })
     }
 
-    /// AllReduce over all ranks. `algo` overrides the tuner when given.
+    /// AllReduce over all ranks. `algo` overrides the tuner when given;
+    /// its channel count is capped at the communicator's channels.
     ///
     /// # Errors
     ///
@@ -349,9 +356,10 @@ impl MscclComm {
     ) -> Result<KernelTiming> {
         let bytes = count * dtype.size();
         let (algo, proto, nch) = algo.unwrap_or_else(|| self.tune(bytes));
+        let nch = nch.min(self.channels);
         let kernels = match algo {
             MscclAlgo::OnePhaseAllPairs => {
-                self.one_phase_kernels(inputs, outputs, bytes, dtype, op, proto)
+                self.one_phase_kernels(inputs, outputs, bytes, dtype, op, proto, nch)
             }
             MscclAlgo::TwoPhaseAllPairs | MscclAlgo::TwoPhaseHierarchical => {
                 self.hierarchical_kernels(inputs, outputs, bytes, dtype, op, proto, nch)
@@ -363,6 +371,8 @@ impl MscclComm {
     }
 
     /// AllGather over all ranks (`count` elements contributed per rank).
+    /// `choice` overrides the tuner when given; its channel count is
+    /// capped at the communicator's channels.
     ///
     /// # Errors
     ///
@@ -382,6 +392,7 @@ impl MscclComm {
             let (_, proto, nch) = self.tune(bytes);
             (proto, nch)
         });
+        let nch = nch.min(self.channels);
         let kernels = self.all_gather_kernels(inputs, outputs, bytes, dtype, proto, nch);
         let members = spec_members(&self.topo, inputs, outputs);
         let spec = commverify::CollectiveSpec::all_gather(members, bytes);

@@ -27,12 +27,14 @@ fn fixture(kind: EnvKind, nodes: usize) -> Fx {
     }
 }
 
+/// Runs one checked f32 AllReduce on a fresh communicator and returns
+/// its elapsed µs and the `msccl.*` instructions it issued.
 fn check_allreduce(
     kind: EnvKind,
     nodes: usize,
     count: usize,
     algo: Option<(MscclAlgo, Proto, usize)>,
-) -> f64 {
+) -> (f64, u64) {
     let mut f = fixture(kind, nodes);
     let bufs: Vec<_> = (0..f.n)
         .map(|r| f.engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
@@ -65,7 +67,10 @@ fn check_allreduce(
             assert!((got[i] - want).abs() < 1e-3, "rank {r} elem {i}");
         }
     }
-    t.elapsed().as_us()
+    (
+        t.elapsed().as_us(),
+        f.engine.metrics().counter_sum("msccl."),
+    )
 }
 
 #[test]
@@ -76,6 +81,22 @@ fn one_phase_all_pairs_correct() {
         256,
         Some((MscclAlgo::OnePhaseAllPairs, Proto::LL, 1)),
     );
+}
+
+/// Explicit channel counts are honoured up to the communicator's four.
+/// One-phase at 4 channels runs 4 thread blocks per rank, each sending
+/// its slice to every peer: a 4,096-element message fits one FIFO slot
+/// per block, so that is 4× the one-channel instructions. 8 channels run
+/// as 4, for two-phase too.
+#[test]
+fn channel_counts_are_honoured_up_to_the_communicators() {
+    let run =
+        |algo, proto, nch| check_allreduce(EnvKind::A100_40G, 1, 4096, Some((algo, proto, nch))).1;
+    let one = run(MscclAlgo::OnePhaseAllPairs, Proto::LL, 1);
+    assert_eq!(run(MscclAlgo::OnePhaseAllPairs, Proto::LL, 4), 4 * one);
+    assert_eq!(run(MscclAlgo::OnePhaseAllPairs, Proto::LL, 8), 4 * one);
+    let two_phase = |nch| run(MscclAlgo::TwoPhaseAllPairs, Proto::Simple, nch);
+    assert_eq!(two_phase(8), two_phase(4));
 }
 
 #[test]
@@ -163,7 +184,7 @@ fn all_gather_correct_single_and_multi_node() {
 fn stack_ordering_at_1kb_matches_paper() {
     let count = 256usize; // 1 KB of f32
 
-    let msccl_us = check_allreduce(
+    let (msccl_us, _) = check_allreduce(
         EnvKind::A100_40G,
         1,
         count,

@@ -780,19 +780,19 @@ fn msccl_sequence_on_one_node_matches_its_pin() {
         &msccl_sequence(1),
         &Sequence {
             elapsed_ps: vec![
-                20_375_342, 17_548_649, 20_604_413, 20_375_342, 18_577_292, 12_323_441, 13_869_611,
-                20_869_723, 13_778_674, 13_869_611, 20_502_859, 12_590_826, 22_055_342, 19_228_649,
-                22_284_413, 22_055_342, 18_577_292, 11_821_135, 13_869_611, 20_869_723, 13_778_674,
-                13_869_611, 20_502_558, 12_500_487,
+                20_375_342, 17_548_649, 20_604_413, 10_876_617, 17_737_292, 12_323_441, 13_869_611,
+                20_869_723, 13_778_674, 12_365_667, 20_502_859, 12_590_826, 22_055_342, 19_228_649,
+                22_284_413, 11_716_617, 18_577_292, 11_821_135, 13_869_611, 20_869_723, 13_778_674,
+                12_283_263, 20_502_558, 12_500_487,
             ],
-            timings: 0xaf7f_e04b_006a_92d7,
+            timings: 0x3345_88fc_e425_7889,
             digest: Digest {
                 outputs: 0xd4ab_df70_cb72_c4a5,
-                now_ps: 444_299_460,
-                events: 45_536,
-                metrics: 0xce4f_d14c_f179_bde4,
-                trace: 0x0934_7652_6e46_2cb9,
-                graph: 0x6fcf_b93f_632e_ea4e,
+                now_ps: 420_531_718,
+                events: 52_384,
+                metrics: 0x9c5a_b3f8_361e_0707,
+                trace: 0x456b_0ee9_f5f0_24e2,
+                graph: 0x1ee5_20cf_3aa7_e55f,
             },
         },
     );
