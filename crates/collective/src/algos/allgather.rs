@@ -7,7 +7,7 @@ use mscclpp::{
     Setup,
 };
 
-use crate::algos::allreduce::{chunks, peer_iter, PeerOrder, PORT_CHUNK};
+use crate::algos::allreduce::{chunks, PORT_CHUNK};
 use crate::wiring::{emit, isect, node_groups, relay_order, Mesh};
 
 /// All-pairs AllGather: every rank puts its chunk directly into every
@@ -19,7 +19,6 @@ pub(crate) struct AllPairsAllGather {
     inputs: Vec<BufferId>,
     outputs: Vec<BufferId>,
     tbs: usize,
-    order: PeerOrder,
     mesh: Mesh<MemoryChannel>,
 }
 
@@ -31,7 +30,6 @@ impl AllPairsAllGather {
         outputs: &[BufferId],
         tbs: usize,
         protocol: Protocol,
-        order: PeerOrder,
     ) -> Result<AllPairsAllGather> {
         let mesh = Mesh::memory(setup, ranks, inputs, outputs, protocol, tbs)?;
         Ok(AllPairsAllGather {
@@ -39,7 +37,6 @@ impl AllPairsAllGather {
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             tbs,
-            order,
             mesh,
         })
     }
@@ -49,13 +46,12 @@ impl AllPairsAllGather {
         let n = self.ranks.len();
         emit(&self.ranks, self.tbs, |ig, g, t, tb| {
             let (ms, ml) = split_range(bytes, self.tbs, t);
-            let peers = peer_iter(self.order, n, ig, t);
-            for &p in &peers {
+            for p in peers_staggered(n, ig, t) {
                 // My chunk lands at slot ig of the peer's output.
                 tb.put_ready(self.mesh.at(t, ig, p), ig * bytes + ms, ms, ml);
             }
             tb.copy(self.inputs[g.0], ms, self.outputs[g.0], ig * bytes + ms, ml);
-            for &p in &peers {
+            for p in peers_staggered(n, ig, t) {
                 tb.wait_ready(self.mesh.at(t, ig, p));
             }
         })
@@ -124,17 +120,11 @@ impl HierAllGather {
             let (ms, ml) = split_range(bytes, self.tbs, t);
             // Phase 1: cross-node exchange of my chunk with my
             // corresponding GPUs; everything lands at global slots.
-            let cross = &self.cross[li];
+            let (cross, slot) = (&self.cross[li], g.0 * bytes + ms);
             for b in peers_staggered(self.nodes, node, t) {
-                tb.port_put_with_signal(cross.at(t, node, b), g.0 * bytes + ms, ms, ml);
+                tb.port_put_with_signal(cross.at(t, node, b), slot, ms, ml);
             }
-            tb.copy(
-                self.inputs[g.0],
-                ms,
-                self.outputs[g.0],
-                g.0 * bytes + ms,
-                ml,
-            );
+            tb.copy(self.inputs[g.0], ms, self.outputs[g.0], slot, ml);
             for b in peers_staggered(self.nodes, node, t) {
                 tb.port_wait(cross.at(t, node, b));
             }

@@ -647,23 +647,27 @@ pub(crate) struct TwoPhaseHierarchical {
     outputs: Vec<BufferId>,
     shard_cap: usize,
     tbs: usize,
-    hb: bool,
-    /// LL variant: local RS put targets; HB variant: unused.
-    local_rs: Option<Vec<Mesh<MemoryChannel>>>,
-    /// HB variant: zero-copy local read meshes per node.
-    local_read: Option<Vec<Mesh<MemoryChannel>>>,
+    local_rs: LocalRs,
     /// Local AG: acc -> output.
     local_ag: Vec<Mesh<MemoryChannel>>,
     /// Cross-node RS: acc -> scratch_b, per local index.
     cross_rs: Vec<Mesh<PortChannel>>,
     /// Cross-node AG (HB variant): acc -> acc, per local index.
     cross_ag: Option<Vec<Mesh<PortChannel>>>,
-    /// Per-rank local-RS scratch (slot per local sender), LL variant.
-    scratch_a: Option<Vec<BufferId>>,
     /// Per-rank accumulator holding my shard.
     acc: Vec<BufferId>,
     /// Per-rank cross-node receive scratch (slot per node).
     scratch_b: Vec<BufferId>,
+}
+
+/// How [`TwoPhaseHierarchical`]'s node-local ReduceScatter moves data,
+/// with its meshes per node.
+#[derive(Debug)]
+enum LocalRs {
+    /// HB variant: zero-copy reads of the node peers' inputs.
+    Read(Vec<Mesh<MemoryChannel>>),
+    /// LL variant: puts into per-rank scratch (a slot per local sender).
+    Put(Vec<Mesh<MemoryChannel>>, Vec<BufferId>),
 }
 
 impl TwoPhaseHierarchical {
@@ -693,22 +697,20 @@ impl TwoPhaseHierarchical {
         let scratch_b: Vec<BufferId> = (0..world.len())
             .map(|r| setup.alloc(Rank(r), nodes * shard_cap))
             .collect();
-        let (mut scratch_a, mut local_rs, mut local_read) = (None, None, None);
-        if hb {
+        let local_rs = if hb {
             let reads = (0..nodes)
                 .map(|n| Mesh::memory(setup, &node(n), inputs, inputs, Protocol::HB, tbs))
                 .collect::<Result<_>>()?;
-            local_read = Some(reads);
+            LocalRs::Read(reads)
         } else {
-            let sa: Vec<BufferId> = (0..world.len())
+            let scratch: Vec<BufferId> = (0..world.len())
                 .map(|r| setup.alloc(Rank(r), gpn * shard_cap))
                 .collect();
-            let rss = (0..nodes)
-                .map(|n| Mesh::memory(setup, &node(n), inputs, &sa, Protocol::LL, tbs))
+            let puts = (0..nodes)
+                .map(|n| Mesh::memory(setup, &node(n), inputs, &scratch, Protocol::LL, tbs))
                 .collect::<Result<_>>()?;
-            scratch_a = Some(sa);
-            local_rs = Some(rss);
-        }
+            LocalRs::Put(puts, scratch)
+        };
         let proto = if hb { Protocol::HB } else { Protocol::LL };
         let local_ag = (0..nodes)
             .map(|n| Mesh::memory(setup, &node(n), &acc, outputs, proto, tbs))
@@ -730,13 +732,10 @@ impl TwoPhaseHierarchical {
             outputs: outputs.to_vec(),
             shard_cap,
             tbs,
-            hb,
             local_rs,
-            local_read,
             local_ag,
             cross_rs,
             cross_ag: hb.then_some(cross_ag),
-            scratch_a,
             acc,
             scratch_b,
         })
@@ -757,63 +756,53 @@ impl TwoPhaseHierarchical {
             let acc = self.acc[g.0];
 
             // Phase 1: node-local ReduceScatter of shard `li`.
-            if self.hb {
-                let mesh = &self.local_read.as_ref().unwrap()[node];
-                tb.copy(self.inputs[g.0], off, acc, acc_off, len);
-                for p in peers_staggered(self.gpn, li, t) {
-                    tb.read_reduce(mesh.at(t, li, p), off, acc, acc_off, len, dtype, op);
+            match &self.local_rs {
+                LocalRs::Read(meshes) => {
+                    let mesh = &meshes[node];
+                    tb.copy(self.inputs[g.0], off, acc, acc_off, len);
+                    for p in peers_staggered(self.gpn, li, t) {
+                        tb.read_reduce(mesh.at(t, li, p), off, acc, acc_off, len, dtype, op);
+                    }
                 }
-            } else {
-                let mesh = &self.local_rs.as_ref().unwrap()[node];
-                let sa = self.scratch_a.as_ref().unwrap();
-                for p in peers_staggered(self.gpn, li, t) {
-                    // Send peer p's shard slice into their slot `li`.
-                    let (ps, pl) = shard(p);
-                    let (sl, sll) = split_range(pl, self.tbs, t);
-                    let dst_off = li * self.shard_cap + sl * es;
-                    tb.put_ready(mesh.at(t, li, p), dst_off, (ps + sl) * es, sll * es);
-                }
-                tb.copy(self.inputs[g.0], off, acc, acc_off, len);
-                for p in peers_staggered(self.gpn, li, t) {
-                    tb.wait_ready(mesh.at(t, li, p));
-                    let src_off = p * self.shard_cap + ms * es;
-                    tb.reduce(sa[g.0], src_off, acc, acc_off, len, dtype, op);
+                LocalRs::Put(meshes, scratch) => {
+                    let mesh = &meshes[node];
+                    for p in peers_staggered(self.gpn, li, t) {
+                        // Send peer p's shard slice into their slot `li`.
+                        let (ps, pl) = shard(p);
+                        let (sl, sll) = split_range(pl, self.tbs, t);
+                        let dst_off = li * self.shard_cap + sl * es;
+                        tb.put_ready(mesh.at(t, li, p), dst_off, (ps + sl) * es, sll * es);
+                    }
+                    tb.copy(self.inputs[g.0], off, acc, acc_off, len);
+                    for p in peers_staggered(self.gpn, li, t) {
+                        tb.wait_ready(mesh.at(t, li, p));
+                        let src_off = p * self.shard_cap + ms * es;
+                        tb.reduce(scratch[g.0], src_off, acc, acc_off, len, dtype, op);
+                    }
                 }
             }
 
             // Phase 2: cross-node exchange among corresponding GPUs.
-            let cross = &self.cross_rs[li];
+            let (cross, scratch_b) = (&self.cross_rs[li], self.scratch_b[g.0]);
             let peers = || peers_staggered(self.nodes, node, t);
-            if self.hb {
+            if let Some(cross_ag) = &self.cross_ag {
                 // Sub-shard ReduceScatter + AllGather across nodes.
                 let subs = |b: usize| split_range(ml, self.nodes, b);
                 for b in peers() {
                     let (bs, bl) = subs(b);
-                    let (src_off, dst_off) = (acc_off + bs * es, node * self.shard_cap);
-                    tb.port_put_with_signal(
-                        cross.at(t, node, b),
-                        dst_off + src_off,
-                        src_off,
-                        bl * es,
-                    );
+                    let src_off = acc_off + bs * es;
+                    let dst_off = node * self.shard_cap + src_off;
+                    tb.port_put_with_signal(cross.at(t, node, b), dst_off, src_off, bl * es);
                 }
                 let (mys, myl) = subs(node);
                 let (sub_off, sub_len) = (acc_off + mys * es, myl * es);
                 for b in peers() {
                     tb.port_wait(cross.at(t, node, b));
                     let src_off = b * self.shard_cap + sub_off;
-                    tb.reduce(
-                        self.scratch_b[g.0],
-                        src_off,
-                        acc,
-                        sub_off,
-                        sub_len,
-                        dtype,
-                        op,
-                    );
+                    tb.reduce(scratch_b, src_off, acc, sub_off, sub_len, dtype, op);
                 }
                 // Cross-node AllGather of my global sub-shard.
-                let cag = &self.cross_ag.as_ref().unwrap()[li];
+                let cag = &cross_ag[li];
                 for b in peers() {
                     tb.port_put_with_signal(cag.at(t, node, b), sub_off, sub_off, sub_len);
                 }
@@ -836,7 +825,7 @@ impl TwoPhaseHierarchical {
                 for b in peers() {
                     tb.port_wait(cross.at(t, node, b));
                     let src_off = b * self.shard_cap + acc_off;
-                    tb.reduce(self.scratch_b[g.0], src_off, acc, acc_off, len, dtype, op);
+                    tb.reduce(scratch_b, src_off, acc, acc_off, len, dtype, op);
                 }
             }
 

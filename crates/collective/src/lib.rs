@@ -1088,7 +1088,6 @@ impl CollComm {
                     outputs,
                     ts,
                     Protocol::LL,
-                    PeerOrder::Staggered,
                 )?),
                 AllGatherAlgo::AllPairsHb => Prepared::AgAp(AllPairsAllGather::prepare(
                     &mut setup,
@@ -1097,7 +1096,6 @@ impl CollComm {
                     outputs,
                     tl,
                     Protocol::HB,
-                    PeerOrder::Staggered,
                 )?),
                 AllGatherAlgo::AllPairsPort => Prepared::AgPort(AllPairsAllGatherPort::prepare(
                     &mut setup, &world, inputs, outputs, tl,

@@ -240,6 +240,14 @@ mod tests {
     }
 
     #[test]
+    fn relay_order_lists_members_node_by_node() {
+        let nodes = vec![vec![Rank(0), Rank(3)], vec![Rank(9)]];
+        let (order, slots) = relay_order(&nodes);
+        assert_eq!(order, [Rank(0), Rank(3), Rank(9)]);
+        assert_eq!(slots, [(0, 0), (0, 1), (1, 0)]);
+    }
+
+    #[test]
     fn node_groups_partition_survivors_by_node() {
         use hw::EnvKind;
         let topo = hw::Machine::new(EnvKind::A100_40G.spec(2)).topology();
