@@ -21,9 +21,9 @@ use bench::report::write_results_json;
 use hw::EnvKind;
 use inference::{
     serve_trace_observed, synthetic_trace, ModelConfig, MscclppBackend, ServeConfig, ServeReport,
-    ServingEngine, SloMiss, SloSpec, TelemetryConfig,
+    ServingEngine, SloMiss, SloSpec,
 };
-use sim::json;
+use sim::{json, SamplerConfig};
 
 const REQUESTS: usize = 48;
 const PROMPT: usize = 96;
@@ -178,7 +178,7 @@ fn main() {
     let mut cfg = ServeConfig::permissive(8);
     cfg.slo = SloSpec::new(100_000.0, 12_000.0);
     cfg.seed = SEED;
-    cfg.observe.telemetry = Some(TelemetryConfig::new(500.0, 4096));
+    cfg.observe.telemetry = Some(SamplerConfig::new(500.0, 4096));
     let (report, obs) =
         serve_trace_observed(&mut engine, &backend, &trace, &cfg).expect("observed 2x-knee run");
     if let Some(worst) = report.worst_misses.first() {

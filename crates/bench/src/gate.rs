@@ -186,7 +186,7 @@ pub fn run_case(case: &Case, iters: usize) -> CaseResult {
 /// perturbs the simulation, or if any recorded timeline's blame buckets
 /// fail to tile its end-to-end latency exactly.
 fn run_serving_observability(iters: usize) -> (Histogram, f64) {
-    use inference::{ObserveConfig, TelemetryConfig};
+    use inference::ObserveConfig;
 
     let run = |observe: ObserveConfig| {
         let mut engine = inference::ServingEngine::new(
@@ -212,7 +212,7 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
     };
     let full = ObserveConfig {
         rtrace: true,
-        telemetry: Some(TelemetryConfig::new(500.0, 4096)),
+        telemetry: Some(sim::SamplerConfig::new(500.0, 4096)),
     };
 
     // Warmup pair (untimed): absorbs first-touch allocation and fills

@@ -55,7 +55,7 @@ pub use model::{layer_time, GpuPerf, ModelConfig};
 pub use rtrace::{
     Blame, Phase, PhaseEvent, RequestTimeline, RequestTracer, SloMiss, StepLink, Terminal,
 };
-pub use scheduler::{ObserveConfig, ServeConfig, SloSpec, TelemetryConfig};
+pub use scheduler::{ObserveConfig, ServeConfig, SloSpec};
 pub use serve::{
     serve_trace_observed, synthetic_trace, LatencyStats, Request, ServeObservation, ServeReport,
 };

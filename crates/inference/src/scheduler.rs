@@ -66,8 +66,9 @@ pub struct ObserveConfig {
     /// by the perf gate; turn off only for overhead A/B measurements.
     pub rtrace: bool,
     /// Periodic virtual-time telemetry sampling over the engine's
-    /// metrics ([`sim::Sampler`]); `None` (the default) samples nothing.
-    pub telemetry: Option<TelemetryConfig>,
+    /// metrics ([`sim::Sampler`]) on the serving clock; `None` (the
+    /// default) samples nothing.
+    pub telemetry: Option<sim::SamplerConfig>,
 }
 
 impl Default for ObserveConfig {
@@ -75,26 +76,6 @@ impl Default for ObserveConfig {
         ObserveConfig {
             rtrace: true,
             telemetry: None,
-        }
-    }
-}
-
-/// Shape of the serving telemetry sampler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryConfig {
-    /// Serving-clock distance between samples, in microseconds.
-    pub period_us: f64,
-    /// Ring capacity in samples (oldest overwritten when full).
-    pub capacity: usize,
-}
-
-impl TelemetryConfig {
-    /// A sampler taking one sample every `period_us`, keeping the most
-    /// recent `capacity` samples.
-    pub fn new(period_us: f64, capacity: usize) -> TelemetryConfig {
-        TelemetryConfig {
-            period_us,
-            capacity,
         }
     }
 }
@@ -395,7 +376,8 @@ fn grow_or_spill(
 ///
 /// # Errors
 ///
-/// Returns [`Error::EpochChanged`] if the backend's communicator epoch
+/// Returns [`Error::InvalidArgument`] if `cfg.max_batch` is 0, and
+/// [`Error::EpochChanged`] if the backend's communicator epoch
 /// advanced without the loop observing the recovery, and propagates
 /// kernel failures only when no recovery is possible. Overload alone
 /// never produces an error — it produces typed shed/timeout/evicted
@@ -407,7 +389,9 @@ pub(crate) fn run(
     trace: &[Request],
     cfg: &ServeConfig,
 ) -> Result<(ServeReport, ServeObservation)> {
-    assert!(cfg.max_batch > 0, "max_batch must be positive");
+    if cfg.max_batch == 0 {
+        return Err(Error::InvalidArgument("max_batch must be positive".into()));
+    }
     let block_tokens = cfg.kv.block_tokens.max(1);
     let derive_blocks = cfg.kv.total_blocks == 0;
     let tp0 = engine.tp();
@@ -435,10 +419,7 @@ pub(crate) fn run(
     let mut slo_missed = 0usize;
     let mut misses: Vec<SloMiss> = Vec::new();
     let mut sampler = cfg.observe.telemetry.map(|t| {
-        let mut s = sim::Sampler::new(
-            sim::SamplerConfig::new(t.period_us, t.capacity),
-            &SERVE_GAUGES,
-        );
+        let mut s = sim::Sampler::new(t, &SERVE_GAUGES);
         let m = engine.engine_mut().metrics_mut();
         for name in TRACKED_COUNTERS {
             s.track_counter(m, name);

@@ -264,6 +264,7 @@ impl ServeObservation {
 ///
 /// # Errors
 ///
+/// Returns [`mscclpp::Error::InvalidArgument`] if `cfg.max_batch` is 0.
 /// Propagates kernel deadlocks from the communication stack when no
 /// recovery is possible (no rank died, or the backend cannot shrink),
 /// and [`mscclpp::Error::EpochChanged`] if the communicator epoch

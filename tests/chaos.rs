@@ -467,8 +467,9 @@ fn double_failure_during_recovery_is_deterministic() {
 fn overloaded_serving_survives_rank_death_deterministically() {
     use inference::{
         serve_trace_observed, synthetic_trace, CommBackend, KvConfig, ModelConfig, MscclppBackend,
-        Phase, ServeConfig, ServingEngine, SloSpec, TelemetryConfig,
+        Phase, ServeConfig, ServingEngine, SloSpec,
     };
+    use sim::SamplerConfig;
 
     let run_once = || {
         // Rank 5 dies 3 ms of virtual time into the run, while arrivals
@@ -494,7 +495,7 @@ fn overloaded_serving_survives_rank_death_deterministically() {
             ..KvConfig::default()
         };
         cfg.seed = 7;
-        cfg.observe.telemetry = Some(TelemetryConfig::new(500.0, 4096));
+        cfg.observe.telemetry = Some(SamplerConfig::new(500.0, 4096));
         let (report, obs) = serve_trace_observed(&mut engine, &backend, &trace, &cfg)
             .expect("serving must degrade gracefully, never error");
         let counters: Vec<(String, u64)> = engine

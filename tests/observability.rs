@@ -232,15 +232,16 @@ fn observed_overload() -> (
 ) {
     use inference::{
         serve_trace_observed, synthetic_trace, ModelConfig, MscclppBackend, ServeConfig,
-        ServingEngine, SloSpec, TelemetryConfig,
+        ServingEngine, SloSpec,
     };
+    use sim::SamplerConfig;
     let mut engine = ServingEngine::new(EnvKind::A100_80G, ModelConfig::llama2_13b(), 16 * 1024);
     let backend = MscclppBackend::new();
     let trace = synthetic_trace(40, 96, 12, 7_000.0, 9);
     let mut cfg = ServeConfig::permissive(8);
     cfg.slo = SloSpec::new(100_000.0, 12_000.0);
     cfg.seed = 9;
-    cfg.observe.telemetry = Some(TelemetryConfig::new(500.0, 2048));
+    cfg.observe.telemetry = Some(SamplerConfig::new(500.0, 2048));
     let (report, obs) =
         serve_trace_observed(&mut engine, &backend, &trace, &cfg).expect("observed run");
     (report, obs, trace)
@@ -388,15 +389,16 @@ fn telemetry_series_is_wellformed_and_accounts_for_work() {
 fn serving_gauges_land_in_the_engine_trace_as_counter_tracks() {
     use inference::{
         serve_trace_observed, synthetic_trace, ModelConfig, MscclppBackend, ServeConfig,
-        ServingEngine, SloSpec, TelemetryConfig,
+        ServingEngine, SloSpec,
     };
+    use sim::SamplerConfig;
     let mut engine = ServingEngine::new(EnvKind::A100_80G, ModelConfig::llama2_13b(), 16 * 1024);
     engine.engine_mut().enable_tracing();
     let backend = MscclppBackend::new();
     let trace = synthetic_trace(8, 96, 8, 7_000.0, 9);
     let mut cfg = ServeConfig::slo_aware(4, SloSpec::new(100_000.0, 12_000.0));
     cfg.seed = 9;
-    cfg.observe.telemetry = Some(TelemetryConfig::new(500.0, 1024));
+    cfg.observe.telemetry = Some(SamplerConfig::new(500.0, 1024));
     serve_trace_observed(&mut engine, &backend, &trace, &cfg).expect("traced serving run");
     let t = engine.engine_mut().take_trace().expect("tracing enabled");
     let samples = t

@@ -10,7 +10,8 @@
 //! * request conservation: every request reaches exactly one typed
 //!   terminal state, for every seed and rate;
 //! * an unobserved communicator epoch change surfaces as the typed
-//!   [`mscclpp::Error::EpochChanged`], not a silent wrong answer.
+//!   [`mscclpp::Error::EpochChanged`], not a silent wrong answer, and a
+//!   zero batch limit as [`mscclpp::Error::InvalidArgument`].
 
 use std::cell::Cell;
 
@@ -201,4 +202,24 @@ fn unobserved_epoch_change_is_a_typed_error() {
     }
     let msg = err.to_string();
     assert!(msg.contains("epoch"), "{msg}");
+}
+
+/// A zero batch limit reached through the public `ServeConfig` is a typed
+/// error, not a panic, and runs nothing.
+#[test]
+fn zero_max_batch_is_a_typed_error() {
+    let mut engine = engine();
+    let trace = synthetic_trace(4, 16, 2, 1_000.0, 1);
+    let err = serve_trace_observed(
+        &mut engine,
+        &MscclppBackend::new(),
+        &trace,
+        &ServeConfig::permissive(0),
+    )
+    .expect_err("max_batch 0 admits nothing");
+    assert!(
+        matches!(&err, mscclpp::Error::InvalidArgument(m) if m.contains("max_batch")),
+        "{err}"
+    );
+    assert_eq!(engine.engine_mut().now().as_ps(), 0, "nothing ran");
 }
