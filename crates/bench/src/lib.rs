@@ -294,7 +294,9 @@ fn nccl_candidates(coll: Coll, target: Target, bytes: usize) -> Vec<ncclsim::Cho
 /// launch on a fresh cluster under `fault`: one launch per NCCL tuning
 /// candidate when NCCL is left its [`Pick::Default`], one launch
 /// otherwise. Returns the fastest latency (µs) — the first on a tie —
-/// with the engine that ran it.
+/// with the engine that ran it. At most one cluster is alive at a time:
+/// the sweep keeps the winner's latency and pick, and the winner runs
+/// again at the end unless it was the last candidate.
 ///
 /// # Panics
 ///
@@ -314,8 +316,7 @@ pub fn measure(
             .collect(),
         _ => vec![pick],
     };
-    let mut best: Option<(f64, Engine<Machine>)> = None;
-    for pick in picks {
+    let run = |pick: Pick| {
         let mut b = Bench::new(stack, target, fault.cloned());
         let ins = b.inputs(bytes);
         let outs = b.outputs(coll, bytes);
@@ -325,11 +326,28 @@ pub fn measure(
             .elapsed()
             .as_us();
         b.verify(coll, &outs, bytes);
-        if best.as_ref().is_none_or(|(fastest, _)| us < *fastest) {
-            best = Some((us, b.engine));
+        (us, b.engine)
+    };
+    let mut best: Option<(f64, Pick)> = None;
+    let mut last: Option<(Pick, Engine<Machine>)> = None;
+    for pick in picks {
+        drop(last.take());
+        let (us, engine) = run(pick);
+        if best.is_none_or(|(fastest, _)| us < fastest) {
+            best = Some((us, pick));
+        }
+        last = Some((pick, engine));
+    }
+    let (us, pick) = best.expect("at least one NCCL tuning candidate");
+    match last {
+        Some((ran, engine)) if ran == pick => (us, engine),
+        stale => {
+            drop(stale);
+            let (again, engine) = run(pick);
+            assert_eq!(again.to_bits(), us.to_bits(), "{pick:?} re-ran differently");
+            (us, engine)
         }
     }
-    best.expect("at least one NCCL tuning candidate")
 }
 
 /// Runs `coll` `iters` times on one warm `stack` communicator, returning
