@@ -837,6 +837,11 @@ enum Plan {
     Broadcast(BroadcastAlgo, Rank),
 }
 
+/// The plan pins of one cluster: its environment, its nodes, the ranks a
+/// shrink evicts before the plans are built, and every plan built on it
+/// with its digest.
+type Cluster<'a> = (EnvKind, usize, &'a [usize], &'a [(Plan, u64)]);
+
 /// FNV-1a over the Debug text of `plan`'s kernel batches, built through
 /// `CollComm::plan_*_with` on a fresh `nodes`-node `env` cluster at
 /// [`RAGGED`] and then [`SMALLER`] F16 elements per rank, after a shrink
@@ -881,337 +886,133 @@ fn plan_digest(env: EnvKind, nodes: usize, dead: &[usize], plan: Plan) -> u64 {
 /// construction order, are part of the pin.
 #[test]
 fn collective_plans_match_their_pins() {
+    use AllGatherAlgo as Ag;
     use AllReduceAlgo as Ar;
-    use Plan::ReduceScatter as Rs;
-    use Plan::{AllGather as Ag, AllReduce as AR, AllToAll as A2a, Broadcast as Bc};
+    use AllToAllAlgo as Aa;
+    use BroadcastAlgo as Bc;
+    use Plan::ReduceScatter as RS;
+    use Plan::{AllGather as AG, AllReduce as AR, AllToAll as AA, Broadcast as BC};
+    use ReduceScatterAlgo as Rs;
     let (a100, h100) = (EnvKind::A100_40G, EnvKind::H100);
-    let two_phase_ll = |reuse, order| Ar::TwoPhaseLl { reuse, order };
+    let ll = |reuse, order| Ar::TwoPhaseLl { reuse, order };
     let (rot, bar) = (ScratchReuse::Rotate, ScratchReuse::Barrier);
     let (stag, seq) = (PeerOrder::Staggered, PeerOrder::Sequential);
     let node1: Vec<usize> = (8..16).collect();
-    let cases: Vec<(EnvKind, usize, &[usize], Plan, u64)> = vec![
-        (a100, 1, &[], AR(Ar::OnePhaseLl), 0x6859_e20b_ede9_4191),
+    let clusters: [Cluster; 7] = [
         (
             a100,
             1,
             &[],
-            AR(two_phase_ll(rot, stag)),
-            0x79bd_50ab_c446_bcb3,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            AR(two_phase_ll(rot, seq)),
-            0xbcde_f1eb_feca_ad07,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            AR(two_phase_ll(bar, stag)),
-            0xd85a_4a48_5c88_8beb,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            AR(two_phase_ll(bar, seq)),
-            0x8008_42b0_5132_f177,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            AR(Ar::TwoPhaseHb { order: stag }),
-            0xa592_9e4c_6efa_734f,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            AR(Ar::TwoPhaseHb { order: seq }),
-            0x8527_afd6_bcbc_e707,
-        ),
-        (a100, 1, &[], AR(Ar::TwoPhasePort), 0x7be7_ffbf_e757_2251),
-        (a100, 1, &[], AR(Ar::Ring), 0x6316_75d3_830d_0c71),
-        (h100, 1, &[], AR(Ar::TwoPhaseSwitch), 0x3aa6_55fd_94e3_83b9),
-        (a100, 2, &[], AR(Ar::HierLl), 0x004d_39aa_da9e_43f5),
-        (a100, 2, &[], AR(Ar::HierHb), 0x373d_787d_3542_0133),
-        (
-            a100,
-            1,
-            &[],
-            Ag(AllGatherAlgo::AllPairsLl),
-            0x154f_328d_9be4_96c9,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            Ag(AllGatherAlgo::AllPairsHb),
-            0x5442_f78b_2d8f_4505,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            Ag(AllGatherAlgo::AllPairsPort),
-            0xbdc6_7020_54d7_4f15,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            Ag(AllGatherAlgo::HierLl),
-            0x8702_6a70_03fa_f205,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            Ag(AllGatherAlgo::HierHb),
-            0xd88d_440b_b165_7679,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            Rs(ReduceScatterAlgo::AllPairsLl),
-            0xda54_41a3_6f5b_42f9,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            Rs(ReduceScatterAlgo::AllPairsHb),
-            0x82f6_6691_1eb6_6c6f,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            Rs(ReduceScatterAlgo::AllPairsLl),
-            0xcbe8_23e7_63d1_2f35,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            Rs(ReduceScatterAlgo::AllPairsHb),
-            0xa6c9_1356_5a23_4653,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            A2a(AllToAllAlgo::AllPairsLl),
-            0x45dd_559e_fb1a_2303,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            A2a(AllToAllAlgo::AllPairsHb),
-            0x627f_bda9_a472_483b,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            A2a(AllToAllAlgo::AllPairsLl),
-            0x7b17_3a8a_25f8_0c69,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            A2a(AllToAllAlgo::AllPairsHb),
-            0xba0b_3eb4_cb95_94f7,
-        ),
-        (
-            a100,
-            1,
-            &[],
-            Bc(BroadcastAlgo::Direct, Rank(3)),
-            0xd5c8_36fd_81d4_31c1,
-        ),
-        (
-            a100,
-            2,
-            &[],
-            Bc(BroadcastAlgo::Direct, Rank(3)),
-            0xf075_4b39_0c21_27fd,
+            &[
+                (AR(Ar::OnePhaseLl), 0x6859_e20b_ede9_4191),
+                (AR(ll(rot, stag)), 0x79bd_50ab_c446_bcb3),
+                (AR(ll(rot, seq)), 0xbcde_f1eb_feca_ad07),
+                (AR(ll(bar, stag)), 0xd85a_4a48_5c88_8beb),
+                (AR(ll(bar, seq)), 0x8008_42b0_5132_f177),
+                (AR(Ar::TwoPhaseHb { order: stag }), 0xa592_9e4c_6efa_734f),
+                (AR(Ar::TwoPhaseHb { order: seq }), 0x8527_afd6_bcbc_e707),
+                (AR(Ar::TwoPhasePort), 0x7be7_ffbf_e757_2251),
+                (AR(Ar::Ring), 0x6316_75d3_830d_0c71),
+                (AG(Ag::AllPairsLl), 0x154f_328d_9be4_96c9),
+                (AG(Ag::AllPairsHb), 0x5442_f78b_2d8f_4505),
+                (AG(Ag::AllPairsPort), 0xbdc6_7020_54d7_4f15),
+                (RS(Rs::AllPairsLl), 0xda54_41a3_6f5b_42f9),
+                (RS(Rs::AllPairsHb), 0x82f6_6691_1eb6_6c6f),
+                (AA(Aa::AllPairsLl), 0x45dd_559e_fb1a_2303),
+                (AA(Aa::AllPairsHb), 0x627f_bda9_a472_483b),
+                (BC(Bc::Direct, Rank(3)), 0xd5c8_36fd_81d4_31c1),
+            ],
         ),
         (
             h100,
             1,
             &[],
-            Bc(BroadcastAlgo::Switch, Rank(3)),
-            0x3c3f_74df_9362_f96b,
+            &[
+                (AR(Ar::TwoPhaseSwitch), 0x3aa6_55fd_94e3_83b9),
+                (BC(Bc::Switch, Rank(3)), 0x3c3f_74df_9362_f96b),
+            ],
+        ),
+        (
+            a100,
+            2,
+            &[],
+            &[
+                (AR(Ar::HierLl), 0x004d_39aa_da9e_43f5),
+                (AR(Ar::HierHb), 0x373d_787d_3542_0133),
+                (AG(Ag::HierLl), 0x8702_6a70_03fa_f205),
+                (AG(Ag::HierHb), 0xd88d_440b_b165_7679),
+                (RS(Rs::AllPairsLl), 0xcbe8_23e7_63d1_2f35),
+                (RS(Rs::AllPairsHb), 0xa6c9_1356_5a23_4653),
+                (AA(Aa::AllPairsLl), 0x7b17_3a8a_25f8_0c69),
+                (AA(Aa::AllPairsHb), 0xba0b_3eb4_cb95_94f7),
+                (BC(Bc::Direct, Rank(3)), 0xf075_4b39_0c21_27fd),
+            ],
         ),
         // Rebuilt on 1n8g's seven survivors of rank 3.
-        (a100, 1, &[3], AR(Ar::OnePhaseLl), 0xce86_0146_5a6c_0428),
         (
             a100,
             1,
             &[3],
-            AR(two_phase_ll(rot, stag)),
-            0xa900_0633_4c38_9245,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            AR(Ar::TwoPhaseHb { order: stag }),
-            0xbf25_a73d_ce6b_03bf,
-        ),
-        (a100, 1, &[3], AR(Ar::TwoPhasePort), 0x5509_55a5_449f_f6e1),
-        (a100, 1, &[3], AR(Ar::Ring), 0x3115_9fc4_55d0_3f5a),
-        (h100, 1, &[3], AR(Ar::TwoPhaseSwitch), 0xd1d1_2248_fe6c_b65d),
-        (
-            a100,
-            1,
-            &[3],
-            Ag(AllGatherAlgo::AllPairsLl),
-            0xacd6_73e3_8629_4fc1,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            Ag(AllGatherAlgo::AllPairsHb),
-            0x9527_2ca8_ef91_c55e,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            Ag(AllGatherAlgo::AllPairsPort),
-            0xc6da_e0c9_32ee_c51e,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            Rs(ReduceScatterAlgo::AllPairsLl),
-            0x9545_afe1_fc2a_db8e,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            Rs(ReduceScatterAlgo::AllPairsHb),
-            0x1e65_2d27_694c_489a,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            A2a(AllToAllAlgo::AllPairsLl),
-            0xe16e_5bca_bc5a_4962,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            A2a(AllToAllAlgo::AllPairsHb),
-            0x25f2_1aaf_630d_cbc1,
-        ),
-        (
-            a100,
-            1,
-            &[3],
-            Bc(BroadcastAlgo::Direct, Rank(5)),
-            0x746c_394e_89fa_6823,
+            &[
+                (AR(Ar::OnePhaseLl), 0xce86_0146_5a6c_0428),
+                (AR(ll(rot, stag)), 0xa900_0633_4c38_9245),
+                (AR(Ar::TwoPhaseHb { order: stag }), 0xbf25_a73d_ce6b_03bf),
+                (AR(Ar::TwoPhasePort), 0x5509_55a5_449f_f6e1),
+                (AR(Ar::Ring), 0x3115_9fc4_55d0_3f5a),
+                (AG(Ag::AllPairsLl), 0xacd6_73e3_8629_4fc1),
+                (AG(Ag::AllPairsHb), 0x9527_2ca8_ef91_c55e),
+                (AG(Ag::AllPairsPort), 0xc6da_e0c9_32ee_c51e),
+                (RS(Rs::AllPairsLl), 0x9545_afe1_fc2a_db8e),
+                (RS(Rs::AllPairsHb), 0x1e65_2d27_694c_489a),
+                (AA(Aa::AllPairsLl), 0xe16e_5bca_bc5a_4962),
+                (AA(Aa::AllPairsHb), 0x25f2_1aaf_630d_cbc1),
+                (BC(Bc::Direct, Rank(5)), 0x746c_394e_89fa_6823),
+            ],
         ),
         (
             h100,
             1,
             &[3],
-            Bc(BroadcastAlgo::Switch, Rank(5)),
-            0xc968_aaa5_a71b_7577,
+            &[
+                (AR(Ar::TwoPhaseSwitch), 0xd1d1_2248_fe6c_b65d),
+                (BC(Bc::Switch, Rank(5)), 0xc968_aaa5_a71b_7577),
+            ],
         ),
         // Rebuilt on 2n16g's fifteen survivors of rank 3: leader relays.
-        (a100, 2, &[3], AR(Ar::HierLl), 0xd16f_cff1_1122_3637),
-        (a100, 2, &[3], AR(Ar::HierHb), 0xb0c7_bef8_3e5a_20db),
         (
             a100,
             2,
             &[3],
-            Ag(AllGatherAlgo::HierLl),
-            0xfef0_3a74_72d0_2d1b,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            Ag(AllGatherAlgo::HierHb),
-            0x400c_dcda_1444_116c,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            Rs(ReduceScatterAlgo::AllPairsLl),
-            0xc1e8_22bb_9f9f_ad9f,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            Rs(ReduceScatterAlgo::AllPairsHb),
-            0xdad1_7b70_94a8_f865,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            A2a(AllToAllAlgo::AllPairsLl),
-            0x0b27_0eb6_b135_9136,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            A2a(AllToAllAlgo::AllPairsHb),
-            0x4c3d_47b0_294e_7689,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            Bc(BroadcastAlgo::Direct, Rank(5)),
-            0xa5b4_89c2_fe81_91db,
-        ),
-        (
-            a100,
-            2,
-            &[3],
-            Bc(BroadcastAlgo::Direct, Rank(11)),
-            0x47a4_1b52_be01_7a85,
+            &[
+                (AR(Ar::HierLl), 0xd16f_cff1_1122_3637),
+                (AR(Ar::HierHb), 0xb0c7_bef8_3e5a_20db),
+                (AG(Ag::HierLl), 0xfef0_3a74_72d0_2d1b),
+                (AG(Ag::HierHb), 0x400c_dcda_1444_116c),
+                (RS(Rs::AllPairsLl), 0xc1e8_22bb_9f9f_ad9f),
+                (RS(Rs::AllPairsHb), 0xdad1_7b70_94a8_f865),
+                (AA(Aa::AllPairsLl), 0x0b27_0eb6_b135_9136),
+                (AA(Aa::AllPairsHb), 0x4c3d_47b0_294e_7689),
+                (BC(Bc::Direct, Rank(5)), 0xa5b4_89c2_fe81_91db),
+                (BC(Bc::Direct, Rank(11)), 0x47a4_1b52_be01_7a85),
+            ],
         ),
         // Rebuilt on node 0 alone: hierarchical plans fall back to
         // all-pairs, and the relay Broadcast has one node.
-        (a100, 2, &node1, AR(Ar::HierLl), 0xfcde_b59f_63b6_400b),
         (
             a100,
             2,
             &node1,
-            Ag(AllGatherAlgo::HierHb),
-            0x4bbf_e18a_0895_b9dd,
-        ),
-        (
-            a100,
-            2,
-            &node1,
-            Bc(BroadcastAlgo::Direct, Rank(5)),
-            0xb188_2eda_a946_7e2b,
+            &[
+                (AR(Ar::HierLl), 0xfcde_b59f_63b6_400b),
+                (AG(Ag::HierHb), 0x4bbf_e18a_0895_b9dd),
+                (BC(Bc::Direct, Rank(5)), 0xb188_2eda_a946_7e2b),
+            ],
         ),
     ];
-    let moved: Vec<String> = cases
+    let moved: Vec<String> = clusters
         .iter()
-        .filter_map(|&(env, nodes, dead, plan, want)| {
+        .flat_map(|&(env, nodes, dead, plans)| plans.iter().map(move |&p| (env, nodes, dead, p)))
+        .filter_map(|(env, nodes, dead, (plan, want))| {
             let got = plan_digest(env, nodes, dead, plan);
             (got != want).then(|| {
                 format!(
