@@ -10,8 +10,9 @@
 //! [`sim::Engine`]. It owns:
 //!
 //! * the GPU memory allocations ([`MemoryPool`]). On a [`Machine::new`]
-//!   they are real byte buffers: collectives actually move and reduce
-//!   data, so correctness is checked, not assumed. On a
+//!   they are real byte buffers, each created as zeros when first
+//!   touched: collectives actually move and reduce data, so correctness
+//!   is checked, not assumed. On a
 //!   [`Machine::timing_only`] they keep their length and no bytes, for
 //!   runs that only need virtual time;
 //! * the cluster [`Topology`] and per-link performance characteristics;

@@ -1,6 +1,8 @@
 //! GPU memory: byte buffers with real copies and element-wise
 //! reductions, or timing-only buffers that keep their length and no bytes.
 
+use std::cell::OnceCell;
+
 use crate::dtype::{DataType, ReduceOp};
 use crate::topology::Rank;
 
@@ -13,8 +15,22 @@ struct Buffer {
     rank: Rank,
     /// Logical size in bytes.
     len: usize,
-    /// The payload: `len` bytes in a bytes pool, empty in a timing-only one.
-    data: Vec<u8>,
+    /// The payload: created as `len` zero bytes the first time a pool
+    /// method reads or writes the buffer, never in a timing-only pool.
+    data: OnceCell<Vec<u8>>,
+}
+
+impl Buffer {
+    /// The payload, created at first touch.
+    fn bytes(&self) -> &[u8] {
+        self.data.get_or_init(|| vec![0; self.len])
+    }
+
+    /// The payload for writing, created at first touch.
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        self.bytes();
+        self.data.get_mut().expect("the payload was just created")
+    }
 }
 
 /// All simulated GPU memory in the cluster.
@@ -22,16 +38,21 @@ struct Buffer {
 /// Every buffer is tagged with the rank that owns it. What a buffer holds
 /// is fixed for the whole pool when it is built:
 ///
-/// * **Bytes** ([`Machine::new`](crate::Machine::new)): every buffer is a
-///   real `Vec<u8>`. Peer-to-peer `put`, switch `reduce`, and local `copy`
-///   operations move actual bytes here, so benchmark harnesses can verify
-///   collective outputs bit-for-bit (within floating-point
+/// * **Bytes** ([`Machine::new`](crate::Machine::new)): a buffer holds
+///   real bytes. [`alloc`](MemoryPool::alloc) records only its length;
+///   the payload is created, as that many zeros, the first time any pool
+///   method reads or writes the buffer, so a buffer no operation touches
+///   costs no memory. Peer-to-peer `put`, switch `reduce`, and local
+///   `copy` operations move actual bytes here, so benchmark harnesses can
+///   verify collective outputs bit-for-bit (within floating-point
 ///   reduction-order tolerance) before trusting a timing.
+///   [`resident_bytes`](MemoryPool::resident_bytes) counts the payloads
+///   created so far.
 /// * **Timing-only** ([`Machine::timing_only`](crate::Machine::timing_only)):
-///   a buffer records its length and allocates no payload. The data-plane
-///   operations run the same range and overlap checks and count the same
-///   [`moved_bytes`](MemoryPool::moved_bytes) as in a bytes pool, then
-///   return without touching bytes. The readers
+///   a buffer records its length and its payload is never created. The
+///   data-plane operations run the same range and overlap checks and
+///   count the same [`moved_bytes`](MemoryPool::moved_bytes) as in a
+///   bytes pool, then return without touching bytes. The readers
 ///   ([`bytes`](MemoryPool::bytes), [`bytes_mut`](MemoryPool::bytes_mut),
 ///   [`write`](MemoryPool::write), [`fill_with`](MemoryPool::fill_with),
 ///   [`to_f32_vec`](MemoryPool::to_f32_vec)) panic instead of returning
@@ -51,6 +72,11 @@ pub struct MemoryPool {
     /// so the per-instruction hot path never allocates.
     scratch: Vec<f32>,
 }
+
+// A panic inside a pool method leaves every payload either not created
+// or whole (`OnceCell::get_or_init` stores nothing if it unwinds), so a
+// shared pool is still consistent after `catch_unwind`.
+impl std::panic::RefUnwindSafe for MemoryPool {}
 
 impl MemoryPool {
     /// Creates an empty pool whose buffers hold real bytes.
@@ -80,18 +106,26 @@ impl MemoryPool {
         self.moved_bytes
     }
 
-    /// Allocates a buffer of `size` bytes on `rank`: zero-initialized in
-    /// a bytes pool, without any payload in a timing-only one.
+    /// Total bytes of the payloads created so far: the sizes of the
+    /// buffers some pool method has read or written in a bytes pool, and
+    /// always 0 in a timing-only one.
+    pub fn resident_bytes(&self) -> u64 {
+        self.buffers
+            .iter()
+            .filter_map(|buf| buf.data.get())
+            .map(|data| data.len() as u64)
+            .sum()
+    }
+
+    /// Allocates a buffer of `size` bytes on `rank` without creating its
+    /// payload. In a bytes pool the buffer reads as `size` zeros, and its
+    /// payload is created the first time a pool method reads or writes
+    /// it; in a timing-only pool it never is.
     pub fn alloc(&mut self, rank: Rank, size: usize) -> BufferId {
-        let data = if self.timing_only {
-            Vec::new()
-        } else {
-            vec![0; size]
-        };
         self.buffers.push(Buffer {
             rank,
             len: size,
-            data,
+            data: OnceCell::new(),
         });
         BufferId(self.buffers.len() - 1)
     }
@@ -165,11 +199,12 @@ impl MemoryPool {
         }
         if src.0 == dst.0 {
             self.buffers[src.0]
-                .data
+                .bytes_mut()
                 .copy_within(src_off..src_off + len, dst_off);
         } else {
             let (a, b) = split_two(&mut self.buffers, src.0, dst.0);
-            b.data[dst_off..dst_off + len].copy_from_slice(&a.data[src_off..src_off + len]);
+            b.bytes_mut()[dst_off..dst_off + len]
+                .copy_from_slice(&a.bytes()[src_off..src_off + len]);
         }
     }
 
@@ -207,7 +242,7 @@ impl MemoryPool {
             return;
         }
         if src.0 == dst.0 {
-            let data = &mut self.buffers[src.0].data;
+            let data = self.buffers[src.0].bytes_mut();
             if src_off < dst_off {
                 let (a, b) = data.split_at_mut(dst_off);
                 dtype.reduce_lanes(op, &mut b[..len], &a[src_off..src_off + len]);
@@ -219,8 +254,8 @@ impl MemoryPool {
             let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
             dtype.reduce_lanes(
                 op,
-                &mut d.data[dst_off..dst_off + len],
-                &s.data[src_off..src_off + len],
+                &mut d.bytes_mut()[dst_off..dst_off + len],
+                &s.bytes()[src_off..src_off + len],
             );
         }
     }
@@ -257,9 +292,12 @@ impl MemoryPool {
         let mut acc = std::mem::take(&mut self.scratch);
         acc.clear();
         acc.resize(count, 0.0);
-        dtype.decode_lanes(&self.buffers[a.0].data[a_off..a_off + len], &mut acc);
-        dtype.accumulate_lanes(op, &mut acc, &self.buffers[b.0].data[b_off..b_off + len]);
-        dtype.encode_lanes(&mut self.buffers[dst.0].data[dst_off..dst_off + len], &acc);
+        dtype.decode_lanes(&self.buffers[a.0].bytes()[a_off..a_off + len], &mut acc);
+        dtype.accumulate_lanes(op, &mut acc, &self.buffers[b.0].bytes()[b_off..b_off + len]);
+        dtype.encode_lanes(
+            &mut self.buffers[dst.0].bytes_mut()[dst_off..dst_off + len],
+            &acc,
+        );
         self.scratch = acc;
     }
 
@@ -292,14 +330,17 @@ impl MemoryPool {
         acc.clear();
         acc.resize(count, 0.0);
         for (si, &(src, src_off)) in srcs.iter().enumerate() {
-            let data = &self.buffers[src.0].data[src_off..src_off + len];
+            let data = &self.buffers[src.0].bytes()[src_off..src_off + len];
             if si == 0 {
                 dtype.decode_lanes(data, &mut acc);
             } else {
                 dtype.accumulate_lanes(op, &mut acc, data);
             }
         }
-        dtype.encode_lanes(&mut self.buffers[dst.0].data[dst_off..dst_off + len], &acc);
+        dtype.encode_lanes(
+            &mut self.buffers[dst.0].bytes_mut()[dst_off..dst_off + len],
+            &acc,
+        );
         self.scratch = acc;
     }
 
@@ -321,9 +362,9 @@ impl MemoryPool {
         if self.timing_only {
             return;
         }
-        let data = self.buffers[src.0].data[src_off..src_off + len].to_vec();
+        let data = self.buffers[src.0].bytes()[src_off..src_off + len].to_vec();
         for &(dst, dst_off) in dsts {
-            self.buffers[dst.0].data[dst_off..dst_off + len].copy_from_slice(&data);
+            self.buffers[dst.0].bytes_mut()[dst_off..dst_off + len].copy_from_slice(&data);
         }
     }
 
@@ -379,13 +420,13 @@ impl MemoryPool {
     /// The whole payload of `buf`, for the readers.
     fn payload(&self, buf: BufferId) -> &[u8] {
         self.refuse_timing_only(buf);
-        &self.buffers[buf.0].data
+        self.buffers[buf.0].bytes()
     }
 
     /// The whole payload of `buf`, for the writers.
     fn payload_mut(&mut self, buf: BufferId) -> &mut [u8] {
         self.refuse_timing_only(buf);
-        &mut self.buffers[buf.0].data
+        self.buffers[buf.0].bytes_mut()
     }
 
     fn refuse_timing_only(&self, buf: BufferId) {
@@ -593,11 +634,13 @@ mod tests {
             }
             let b = BufferId(1);
             read(&mut bytes, b);
+            assert_eq!(bytes.resident_bytes(), 16, "{name}");
             let msg = panic_message(|| read(&mut timing, b));
             assert!(
                 msg.contains("BufferId(1)") && msg.contains("timing-only"),
                 "{name}: {msg}"
             );
+            assert_eq!(timing.resident_bytes(), 0, "{name}");
         }
     }
 
@@ -609,11 +652,26 @@ mod tests {
         let b = p.alloc(Rank(4), MIB80);
         assert_eq!(p.len(a), MIB80);
         assert_eq!(p.rank_of(a), Rank(3));
-        assert!(p.buffers.iter().all(|buf| buf.data.capacity() == 0));
-        // Full-length ops still run and count.
+        // Full-length ops still run and count, and create no payload.
         p.copy(a, 0, b, 0, MIB80);
         p.reduce(a, 0, b, 0, MIB80 / 2, DataType::F16, ReduceOp::Sum);
-        assert_eq!(p.moved_bytes(), 4 * MIB80 as u64);
+        p.reduce_into(a, 0, b, 0, a, 0, MIB80 / 2, DataType::F16, ReduceOp::Sum);
+        p.multimem_reduce(&[(a, 0), (b, 0)], a, 0, 8, DataType::F32, ReduceOp::Max);
+        p.multimem_broadcast(a, 0, &[(b, 0)], MIB80);
+        assert_eq!(p.moved_bytes(), 8 * MIB80 as u64 + 96);
+        assert_eq!(p.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn bytes_payload_is_created_at_first_touch() {
+        const MIB80: usize = 80 << 20;
+        let mut p = MemoryPool::new();
+        let a = p.alloc(Rank(0), MIB80);
+        let b = p.alloc(Rank(1), MIB80);
+        assert_eq!(p.resident_bytes(), 0);
+        assert!(p.bytes(a, 0, MIB80).iter().all(|&x| x == 0));
+        assert_eq!(p.resident_bytes(), MIB80 as u64);
+        assert!(p.buffers[b.0].data.get().is_none());
     }
 
     #[test]

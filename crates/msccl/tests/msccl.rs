@@ -42,11 +42,11 @@ fn check_allreduce(
     let outs: Vec<_> = (0..f.n)
         .map(|r| f.engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..f.n {
+    for (r, &buf) in bufs.iter().enumerate() {
         f.engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(buf, DataType::F32, move |i| input_val(r, i));
     }
     let t = f
         .comm
@@ -155,11 +155,11 @@ fn all_gather_correct_single_and_multi_node() {
                     .alloc(Rank(r), count * 4 * f.n)
             })
             .collect();
-        for r in 0..f.n {
+        for (r, &input) in ins.iter().enumerate() {
             f.engine
                 .world_mut()
                 .pool_mut()
-                .fill_with(ins[r], DataType::F32, move |i| input_val(r, i));
+                .fill_with(input, DataType::F32, move |i| input_val(r, i));
         }
         f.comm
             .all_gather(&mut f.engine, &ins, &outs, count, DataType::F32, None)
@@ -175,6 +175,23 @@ fn all_gather_correct_single_and_multi_node() {
             }
         }
     }
+}
+
+/// Building a communicator allocates its staging FIFOs (512 on 2n16g)
+/// and creates none of their payloads: a launch creates each at first
+/// touch.
+#[test]
+fn building_a_communicator_creates_no_payload() {
+    let mut engine = Engine::new(Machine::new(EnvKind::A100_40G.spec(2)));
+    let pool = |e: &Engine<Machine>| {
+        let pool = e.world().pool();
+        (pool.buffer_count(), pool.resident_bytes())
+    };
+    let (buffers, resident) = pool(&engine);
+    let _comm = MscclComm::new(&mut Setup::new(&mut engine), MscclConfig::default());
+    let (buffers_after, resident_after) = pool(&engine);
+    assert_eq!(buffers_after, buffers + 512);
+    assert_eq!(resident_after, resident);
 }
 
 /// The paper's §5.1 gain-breakdown ordering at 1 KB: NCCL (ring) is the

@@ -24,7 +24,8 @@ pub struct Conn {
     pub src: Rank,
     /// Receiving rank.
     pub dst: Rank,
-    /// Staging buffer on the receiver (`slots * slot_bytes_simple`).
+    /// Staging buffer on the receiver: `slots` times the larger of
+    /// `slot_bytes_simple` and `slot_bytes_ll`, so either protocol fits.
     pub staging: BufferId,
     /// FIFO depth in slots.
     pub slots: usize,
