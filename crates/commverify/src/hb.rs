@@ -6,7 +6,7 @@
 //! parties. Cycle detection yields static deadlocks; a vector-clock pass
 //! over the acyclic graph yields reachability for the race check.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use hw::MemoryPool;
 use mscclpp::Site;
@@ -124,8 +124,10 @@ impl Graph {
             g.edge(a, b);
         }
 
-        // Incrementers per cell, grouped by thread in program order.
-        let mut incs: HashMap<CellId, HashMap<usize, Vec<usize>>> = HashMap::new();
+        // Incrementers per cell, grouped by thread in program order. The
+        // per-thread maps are ordered so that edges, and with them the
+        // path a cycle is reported along, do not depend on hash seeds.
+        let mut incs: HashMap<CellId, BTreeMap<usize, Vec<usize>>> = HashMap::new();
         for (t, th) in model.threads.iter().enumerate() {
             for (i, ev) in th.events.iter().enumerate() {
                 for cell in ev.incs() {
@@ -147,7 +149,7 @@ impl Graph {
         for (t, th) in model.threads.iter().enumerate() {
             for (i, ev) in th.events.iter().enumerate() {
                 let Some(w) = ev.wait else { continue };
-                let empty = HashMap::new();
+                let empty = BTreeMap::new();
                 let per_thread = incs.get(&w.cell).unwrap_or(&empty);
                 let total_incs: u64 = per_thread.values().map(|v| v.len() as u64).sum();
                 if w.needed > total_incs {
@@ -171,8 +173,8 @@ impl Graph {
         }
 
         // (d) Barriers: collect per-cell arrive/exit sequences per thread.
-        let mut arrives: HashMap<CellId, HashMap<usize, Vec<usize>>> = HashMap::new();
-        let mut exits: HashMap<CellId, HashMap<usize, Vec<usize>>> = HashMap::new();
+        let mut arrives: HashMap<CellId, BTreeMap<usize, Vec<usize>>> = HashMap::new();
+        let mut exits: HashMap<CellId, BTreeMap<usize, Vec<usize>>> = HashMap::new();
         for (t, th) in model.threads.iter().enumerate() {
             for (i, ev) in th.events.iter().enumerate() {
                 match ev.kind {
@@ -214,7 +216,7 @@ impl Graph {
             // landed (the threshold is k * parties, and rounds alternate
             // strictly), so each round is a full cross-product.
             let nrounds = rounds.into_iter().next().unwrap_or(0);
-            let empty = HashMap::new();
+            let empty = BTreeMap::new();
             let ex = exits.get(cell).unwrap_or(&empty);
             for r in 0..nrounds {
                 for av in per_thread.values() {
