@@ -3,14 +3,16 @@
 //! Nodes are the extracted events; edges are (a) program order within a
 //! thread, (b) FIFO push → proxy processing, (c) signal → wait matching
 //! under the counted-wait rule, and (d) barrier arrive → exit across all
-//! parties. Cycle detection yields static deadlocks; a vector-clock pass
-//! over the acyclic graph yields reachability for the race check.
+//! parties. Cycle detection yields static deadlocks. Over the acyclic
+//! graph, sparse clocks kept per synchronization epoch
+//! ([`EpochClocks`]) answer reachability for the race check.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use hw::MemoryPool;
 use mscclpp::Site;
-use sim::{CellId, VClock};
+use sim::CellId;
 
 use crate::error::{Checks, VerifyError};
 use crate::model::{Kind, Model};
@@ -318,19 +320,112 @@ fn check_orphans(model: &Model<'_>, findings: &mut Vec<VerifyError>) {
     }
 }
 
-fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec<VerifyError>) {
-    // Vector clock per event, own component = index-in-thread + 1:
-    // event (u, i) happens before (v, j) iff clock[(v, j)][u] >= i + 1.
-    let mut clocks: Vec<VClock> = vec![VClock::new(); g.total()];
-    for &id in order {
-        let (t, i) = g.locate(id);
-        let mut c = VClock::new();
-        for &p in &g.preds[id] {
-            c.join(&clocks[p]);
+/// Cross-thread reachability over the acyclic graph, from one sparse
+/// clock per synchronization epoch.
+///
+/// An epoch starts at every event with a predecessor other than its
+/// program-order one, or with none. The later events of its run learn
+/// nothing new about other threads, so they share its clock. That clock
+/// joins, over the first event's predecessors `p`, `p`'s clock and `p`'s
+/// own component `(thread, index + 1)`, and lists its non-zero
+/// `(thread, count)` components in thread order. It is exact on every
+/// thread but the epoch's own, which no query reads: event `(u, i)`
+/// happens before an event of another thread iff that event's clock maps
+/// `u` to at least `i + 1`.
+struct EpochClocks {
+    /// Each event's epoch, by event id.
+    epoch: Vec<usize>,
+    /// Epoch `k`'s clock is `comps[ends[k]..ends[k + 1]]`.
+    ends: Vec<usize>,
+    comps: Vec<(u32, u32)>,
+}
+
+/// Writes the componentwise maximum of two clocks to `out`.
+fn join(out: &mut Vec<(u32, u32)>, a: &[(u32, u32)], b: &[(u32, u32)]) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&(u, c)), Some(&(v, d))) = (a.get(i), b.get(j)) {
+        match u.cmp(&v) {
+            Ordering::Less => {
+                out.push((u, c));
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push((v, d));
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push((u, c.max(d)));
+                i += 1;
+                j += 1;
+            }
         }
-        c.set(t, (i + 1) as u64);
-        clocks[id] = c;
     }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
+/// Raises `clock`'s component for `thread` to at least `count`.
+fn raise(clock: &mut Vec<(u32, u32)>, thread: u32, count: u32) {
+    match clock.binary_search_by_key(&thread, |&(u, _)| u) {
+        Ok(k) => clock[k].1 = clock[k].1.max(count),
+        Err(k) => clock.insert(k, (thread, count)),
+    }
+}
+
+/// A thread index or event count as a clock stores it.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("a plan has fewer than 2^32 threads and events per thread")
+}
+
+impl EpochClocks {
+    /// Builds every epoch's clock, visiting events in topological `order`.
+    fn build(g: &Graph, order: &[usize]) -> EpochClocks {
+        let mut clocks = EpochClocks {
+            epoch: vec![0; g.total()],
+            ends: vec![0],
+            comps: Vec::new(),
+        };
+        // The join so far, and the buffer its next step writes.
+        let (mut acc, mut next) = (Vec::new(), Vec::new());
+        for &id in order {
+            let (_, i) = g.locate(id);
+            if i > 0 && g.preds[id].iter().all(|&p| p == id - 1) {
+                clocks.epoch[id] = clocks.epoch[id - 1];
+                continue;
+            }
+            acc.clear();
+            for &p in &g.preds[id] {
+                let (u, j) = g.locate(p);
+                next.clear();
+                join(&mut next, &acc, clocks.clock(p));
+                raise(&mut next, narrow(u), narrow(j + 1));
+                std::mem::swap(&mut acc, &mut next);
+            }
+            clocks.epoch[id] = clocks.ends.len() - 1;
+            clocks.comps.extend_from_slice(&acc);
+            clocks.ends.push(clocks.comps.len());
+        }
+        clocks
+    }
+
+    /// The clock of `id`'s epoch.
+    fn clock(&self, id: usize) -> &[(u32, u32)] {
+        let k = self.epoch[id];
+        &self.comps[self.ends[k]..self.ends[k + 1]]
+    }
+
+    /// Whether event `idx` of `thread` happens before event `id`, which
+    /// lies on another thread.
+    fn ordered(&self, thread: usize, idx: usize, id: usize) -> bool {
+        let clock = self.clock(id);
+        clock
+            .binary_search_by_key(&narrow(thread), |&(u, _)| u)
+            .is_ok_and(|n| clock[n].1 as usize > idx)
+    }
+}
+
+fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec<VerifyError>) {
+    let clocks = EpochClocks::build(g, order);
 
     struct Rec {
         id: usize,
@@ -368,9 +463,7 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
                 {
                     continue;
                 }
-                let a_before_b = clocks[b.id].get(a.thread) >= (a.idx + 1) as u64;
-                let b_before_a = clocks[a.id].get(b.thread) >= (b.idx + 1) as u64;
-                if a_before_b || b_before_a {
+                if clocks.ordered(a.thread, a.idx, b.id) || clocks.ordered(b.thread, b.idx, a.id) {
                     continue;
                 }
                 let (x, y) = if site(a) <= site(b) { (a, b) } else { (b, a) };
@@ -384,6 +477,96 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
                         second_write: y.write,
                         buf: *buf,
                     });
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::{EpochClocks, Graph};
+
+    /// An acyclic graph over threads of `lens` events each: program order,
+    /// plus random edges between the events of a random interleaving, each
+    /// pointing forward in it. An edge may cross threads or skip ahead
+    /// within one, as a counted wait can.
+    fn random_graph(lens: &[usize], rng: &mut TestRng) -> Graph {
+        let mut offsets = vec![0];
+        for len in lens {
+            offsets.push(offsets[offsets.len() - 1] + len);
+        }
+        let total = offsets[lens.len()];
+        let mut g = Graph {
+            offsets,
+            succs: vec![Vec::new(); total],
+            preds: vec![Vec::new(); total],
+        };
+        for (t, &len) in lens.iter().enumerate() {
+            for i in 1..len {
+                g.edge(g.id(t, i - 1), g.id(t, i));
+            }
+        }
+        let mut next = vec![0; lens.len()];
+        let mut interleaving = Vec::with_capacity(total);
+        while interleaving.len() < total {
+            let t = rng.next_u64() as usize % lens.len();
+            if next[t] < lens[t] {
+                interleaving.push(g.id(t, next[t]));
+                next[t] += 1;
+            }
+        }
+        for _ in 0..rng.next_u64() as usize % (2 * total) {
+            let a = rng.next_u64() as usize % total;
+            let b = rng.next_u64() as usize % total;
+            if a < b {
+                g.edge(interleaving[a], interleaving[b]);
+            }
+        }
+        g
+    }
+
+    /// Every event reachable from `from` along `succs`.
+    fn reachable(g: &Graph, from: usize) -> Vec<bool> {
+        let mut seen = vec![false; g.total()];
+        let mut stack = vec![from];
+        while let Some(x) = stack.pop() {
+            for &s in &g.succs[x] {
+                if !seen[s] {
+                    seen[s] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn epoch_clocks_answer_reachability(
+            lens in collection::vec(1usize..13, 2..9),
+            seed in any::<u64>(),
+        ) {
+            let g = random_graph(&lens, &mut TestRng::new(seed));
+            let order = g.topo_order().expect("every edge points forward in one interleaving");
+            let clocks = EpochClocks::build(&g, &order);
+            for a in 0..g.total() {
+                let (u, i) = g.locate(a);
+                let reach = reachable(&g, a);
+                for (b, &reached) in reach.iter().enumerate() {
+                    if g.locate(b).0 != u {
+                        prop_assert_eq!(
+                            clocks.ordered(u, i, b),
+                            reached,
+                            "{:?} before {:?}",
+                            (u, i),
+                            g.locate(b)
+                        );
+                    }
                 }
             }
         }

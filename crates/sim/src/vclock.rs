@@ -8,8 +8,8 @@
 //! clock has caught up with the earlier access's epoch — the standard
 //! vector-clock happens-before test.
 //!
-//! The static verifier (`commverify`) uses the same type to compute
-//! reachability over its happens-before DAG.
+//! The static verifier (`commverify`) keeps sparse clocks of its own, one
+//! per synchronization epoch of its happens-before graph.
 
 /// A sparse-tailed vector clock: component `i` is thread `i`'s epoch.
 ///
