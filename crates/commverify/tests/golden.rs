@@ -7,6 +7,7 @@ use collective::{
     AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BroadcastAlgo, CollComm, PeerOrder,
     ReduceScatterAlgo, ScratchReuse,
 };
+use commverify::Checks;
 use hw::{DataType, EnvKind, Machine, Rank, ReduceOp};
 use sim::Engine;
 
@@ -249,4 +250,46 @@ fn dsl_builtins_golden() {
         .unwrap()
         .compile(&mut setup, &inputs, &outputs, CompileOptions::default())
         .unwrap_or_else(|err| panic!("dsl switch: {err}"));
+}
+
+/// The largest plans any test proves: the hierarchical LL AllReduce (1 KB)
+/// and AllGather (8 KB per rank) on 32 nodes, 256 ranks. They are built,
+/// never run, on a timing-only machine.
+#[test]
+fn hierarchical_plans_prove_clean_at_256_ranks() {
+    let nodes = 32;
+    let mut e = Engine::new(Machine::timing_only(EnvKind::A100_40G.spec(nodes)));
+    hw::wire(&mut e);
+    let (count, gathered) = (256, 2_048);
+    let inputs = alloc_all(&mut e, gathered * 4);
+    let outputs = alloc_all(&mut e, gathered * 4 * nodes * 8);
+    let comm = CollComm::new();
+    let allreduce = comm
+        .plan_all_reduce_with(
+            &mut e,
+            &inputs,
+            &outputs,
+            count,
+            DataType::F32,
+            ReduceOp::Sum,
+            AllReduceAlgo::HierLl,
+        )
+        .expect("plan the 256-rank AllReduce");
+    let allgather = comm
+        .plan_all_gather_with(
+            &mut e,
+            &inputs,
+            &outputs,
+            gathered,
+            DataType::F32,
+            AllGatherAlgo::HierLl,
+        )
+        .expect("plan the 256-rank AllGather");
+    for ((kernels, spec), instrs) in [(allreduce, 41_216), (allgather, 130_816)] {
+        let total: usize = kernels.iter().map(mscclpp::Kernel::instr_count).sum();
+        assert_eq!(total, instrs);
+        let report =
+            commverify::analyze_collective(&kernels, e.world().pool(), &Checks::all(), &spec);
+        assert!(report.findings.is_empty(), "{report}");
+    }
 }
