@@ -298,8 +298,8 @@ mod tests {
         assert!(h[0].all_gather_collect().is_err());
         h[1].all_gather_contribute(vec![1]).unwrap();
         h[2].all_gather_contribute(vec![2]).unwrap();
-        for r in 0..3 {
-            let got = h[r].all_gather_collect().unwrap();
+        for handle in &mut h {
+            let got = handle.all_gather_collect().unwrap();
             assert_eq!(got, vec![vec![0], vec![1], vec![2]]);
         }
     }

@@ -159,11 +159,11 @@ fn switch_channel_reduce_and_broadcast_on_h100() {
     let barriers = setup.device_barrier(&(0..8).map(Rank).collect::<Vec<_>>());
     let out: Vec<_> = (0..8).map(|r| setup.alloc(Rank(r), 1024)).collect();
     let ov = setup.overheads().clone();
-    for r in 0..8 {
+    for (r, &buf) in bufs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| (r + i) as f32);
+            .fill_with(buf, DataType::F32, move |i| (r + i) as f32);
     }
 
     // Every rank reduces the whole group's buffers into its own out buffer.
@@ -183,8 +183,8 @@ fn switch_channel_reduce_and_broadcast_on_h100() {
         })
         .collect();
     run_kernels(&mut engine, &kernels, &ov).unwrap();
-    for r in 0..8 {
-        let got = engine.world().pool().to_f32_vec(out[r], DataType::F32);
+    for (r, &buf) in out.iter().enumerate() {
+        let got = engine.world().pool().to_f32_vec(buf, DataType::F32);
         // Element i: sum over ranks of (rank + i) = 28 + 8i.
         assert_eq!(got[0], 28.0, "rank {r}");
         assert_eq!(got[5], 28.0 + 40.0, "rank {r}");
@@ -194,8 +194,8 @@ fn switch_channel_reduce_and_broadcast_on_h100() {
     let mut k3 = KernelBuilder::new(Rank(3));
     k3.block(0).switch_broadcast(&chans[3], out[3], 0, 0, 1024);
     run_kernels(&mut engine, &[k3.build()], &ov).unwrap();
-    for r in 0..8 {
-        let got = engine.world().pool().to_f32_vec(bufs[r], DataType::F32);
+    for (r, &buf) in bufs.iter().enumerate() {
+        let got = engine.world().pool().to_f32_vec(buf, DataType::F32);
         assert_eq!(got[1], 36.0, "rank {r}");
     }
 }
@@ -305,11 +305,11 @@ fn figure5_all_pairs_reduce_scatter_is_correct() {
     let barriers = setup.device_barrier(&(0..N).map(Rank).collect::<Vec<_>>());
     let ov = setup.overheads().clone();
 
-    for r in 0..N {
+    for (r, &buf) in input.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(input[r], DataType::F32, move |i| (r * ELEMS + i) as f32);
+            .fill_with(buf, DataType::F32, move |i| (r * ELEMS + i) as f32);
     }
     let expect_shard = |owner: usize, i: usize| -> f32 {
         let idx = owner * shard + i;
@@ -321,19 +321,19 @@ fn figure5_all_pairs_reduce_scatter_is_correct() {
             let mut k = KernelBuilder::new(Rank(g));
             let mut tb = k.block(0);
             // Put my shard-for-peer into each peer's scratch at my slot.
-            for p in 0..N {
+            for (p, ch) in chans[g].iter().enumerate() {
                 if p == g {
                     continue;
                 }
-                let ch = chans[g][p].as_ref().unwrap();
+                let ch = ch.as_ref().unwrap();
                 tb.put_with_signal(ch, g * shard_bytes, p * shard_bytes, shard_bytes);
             }
             // Wait for each peer's contribution and reduce into my shard.
-            for p in 0..N {
+            for (p, ch) in chans[g].iter().enumerate() {
                 if p == g {
                     continue;
                 }
-                let ch = chans[g][p].as_ref().unwrap();
+                let ch = ch.as_ref().unwrap();
                 tb.wait(ch).reduce(
                     scratch[g],
                     p * shard_bytes,

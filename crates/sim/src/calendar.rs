@@ -341,7 +341,7 @@ mod tests {
         let mut seq = 0u64;
         for round in 0..50_000u64 {
             let r = rng.next();
-            if r % 3 != 0 || model.is_empty() {
+            if !r.is_multiple_of(3) || model.is_empty() {
                 // Push at `now + gap`, with gap spanning 6 orders of
                 // magnitude (same-instant .. multi-ms timeouts).
                 let magnitude = 10u64.pow((r / 7 % 7) as u32);
