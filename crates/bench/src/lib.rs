@@ -19,7 +19,7 @@ pub mod figures;
 pub mod gate;
 pub mod report;
 
-use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
+use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp, PAGE_BYTES};
 use mscclpp::{KernelTiming, Setup};
 use sim::{Engine, FaultPlan};
 
@@ -248,6 +248,8 @@ impl Bench {
     /// Checks `outs` against the reference result of `coll` over
     /// [`Bench::inputs`] of `bytes`: every element of outputs up to
     /// 16 MB, 4096 evenly spaced elements per input-sized chunk above.
+    /// Outputs are read one page at a time ([`hw::PAGE_BYTES`]), so the
+    /// check never copies a whole output.
     ///
     /// # Panics
     ///
@@ -261,11 +263,20 @@ impl Bench {
         } else {
             (0..4096).map(|k| k * (elems / 4096)).collect()
         };
+        let pool = self.engine.world().pool();
         for (r, &out) in outs.iter().enumerate() {
-            let data = self.engine.world().pool().bytes(out, 0, out_bytes);
+            // The page the last element read lies in, and its bytes.
+            let mut window: (usize, &[u8]) = (usize::MAX, &[]);
             for chunk in 0..out_bytes / bytes {
                 for &i in &idxs {
-                    let got = DataType::F16.decode(data, (chunk * elems + i) * 2);
+                    let off = (chunk * elems + i) * 2;
+                    let page = off / PAGE_BYTES;
+                    if window.0 != page {
+                        let start = page * PAGE_BYTES;
+                        let len = PAGE_BYTES.min(out_bytes - start);
+                        window = (page, pool.bytes(out, start, len));
+                    }
+                    let got = DataType::F16.decode(window.1, off % PAGE_BYTES);
                     let want = match coll {
                         Coll::AllReduce => (0..world).map(|s| input_val(s, i)).sum(),
                         Coll::AllGather => input_val(chunk, i),

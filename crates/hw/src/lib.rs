@@ -10,9 +10,10 @@
 //! [`sim::Engine`]. It owns:
 //!
 //! * the GPU memory allocations ([`MemoryPool`]). On a [`Machine::new`]
-//!   they are real byte buffers, each created as zeros when first
-//!   touched: collectives actually move and reduce data, so correctness
-//!   is checked, not assumed. On a
+//!   they are real byte buffers, made of pages of [`PAGE_BYTES`] that are
+//!   each created as zeros by the first write that touches them:
+//!   collectives actually move and reduce data, so correctness is
+//!   checked, not assumed. On a
 //!   [`Machine::timing_only`] they keep their length and no bytes, for
 //!   runs that only need virtual time;
 //! * the cluster [`Topology`] and per-link performance characteristics;
@@ -51,6 +52,6 @@ pub use machine::{
     multimem_broadcast_time, multimem_fault, multimem_reduce_time, net_latency, net_time, p2p_time,
     port_utilization, supports_multimem, wire, CopyMode, LinkFault, Machine, PortUtilization, Xfer,
 };
-pub use memory::{BufferId, MemoryPool};
+pub use memory::{BufferId, MemoryPool, PAGE_BYTES};
 pub use spec::{EnvKind, EnvSpec, GpuSpec, IntraKind, IntraSpec, MultimemSpec, NetSpec};
 pub use topology::{Rank, Topology};

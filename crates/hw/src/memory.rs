@@ -2,9 +2,19 @@
 //! reductions, or timing-only buffers that keep their length and no bytes.
 
 use std::cell::OnceCell;
+use std::mem;
+use std::ops::Range;
 
 use crate::dtype::{DataType, ReduceOp};
 use crate::topology::Rank;
+
+/// Bytes per payload page. A bytes buffer's payload is a row of pages of
+/// this size (the last one shorter when the length is not a multiple of
+/// it), each created as zeros by the first write that touches it.
+pub const PAGE_BYTES: usize = 4096;
+
+/// What a page that was never written reads as.
+static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
 
 /// Identifies a buffer allocated in a [`MemoryPool`].
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -15,22 +25,109 @@ struct Buffer {
     rank: Rank,
     /// Logical size in bytes.
     len: usize,
-    /// The payload: created as `len` zero bytes the first time a pool
-    /// method reads or writes the buffer, never in a timing-only pool.
-    data: OnceCell<Vec<u8>>,
+    /// The payload, page by page. A page that is `None`, or lies past the
+    /// end of the table, was never written and reads as zeros. Never
+    /// grown in a timing-only pool.
+    pages: Vec<Option<Box<[u8]>>>,
+    /// A contiguous copy of the whole payload, made for a
+    /// [`MemoryPool::bytes`] or [`MemoryPool::bytes_mut`] range that spans
+    /// pages. While it exists it holds the buffer's bytes; the next pool
+    /// method that writes the buffer, or reads it in a data-plane op,
+    /// drops it first ([`Buffer::settle`]).
+    image: OnceCell<Box<[u8]>>,
+    /// The range of `image` that `bytes_mut` handed out, copied back into
+    /// the pages when the image is dropped.
+    dirty: Option<Range<usize>>,
 }
 
 impl Buffer {
-    /// The payload, created at first touch.
-    fn bytes(&self) -> &[u8] {
-        self.data.get_or_init(|| vec![0; self.len])
+    /// `n` bytes at `off`, a range inside one page: zeros if that page
+    /// was never written.
+    fn slice(&self, off: usize, n: usize) -> &[u8] {
+        debug_assert!(self.image.get().is_none(), "pages read under an image");
+        let (p, at) = (off / PAGE_BYTES, off % PAGE_BYTES);
+        let page = match self.pages.get(p) {
+            Some(Some(page)) => page,
+            _ => &ZERO_PAGE[..],
+        };
+        &page[at..at + n]
     }
 
-    /// The payload for writing, created at first touch.
-    fn bytes_mut(&mut self) -> &mut [u8] {
-        self.bytes();
-        self.data.get_mut().expect("the payload was just created")
+    /// `n` bytes at `off`, a range inside one page, for writing: the page
+    /// is created as zeros the first time.
+    fn slice_mut(&mut self, off: usize, n: usize) -> &mut [u8] {
+        debug_assert!(self.image.get().is_none(), "pages written under an image");
+        let (p, at) = (off / PAGE_BYTES, off % PAGE_BYTES);
+        if self.pages.len() <= p {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page_len = PAGE_BYTES.min(self.len - p * PAGE_BYTES);
+        let page = self.pages[p].get_or_insert_with(|| vec![0; page_len].into_boxed_slice());
+        &mut page[at..at + n]
     }
+
+    /// Calls `f(i, bytes)` with bytes `[off + i, off + i + bytes.len())`
+    /// of the `len` at `off`, in order: one page run at a time, or one
+    /// slice of the image while there is one.
+    fn read_runs(&self, off: usize, len: usize, mut f: impl FnMut(usize, &[u8])) {
+        match self.image.get() {
+            Some(image) => f(0, &image[off..off + len]),
+            None => runs([off], len).for_each(|(i, n)| f(i, self.slice(off + i, n))),
+        }
+    }
+
+    /// Appends the `len` bytes at `off` to `out`.
+    fn read_into(&self, off: usize, len: usize, out: &mut Vec<u8>) {
+        self.read_runs(off, len, |_, bytes| out.extend_from_slice(bytes));
+    }
+
+    /// Writes `data` at `off`, one page run at a time.
+    fn write(&mut self, off: usize, data: &[u8]) {
+        for (i, n) in runs([off], data.len()) {
+            self.slice_mut(off + i, n).copy_from_slice(&data[i..i + n]);
+        }
+    }
+
+    /// The whole payload as one contiguous copy, made once and kept as
+    /// the image until the next write.
+    fn image(&self) -> &[u8] {
+        self.image.get_or_init(|| {
+            let mut data = Vec::with_capacity(self.len);
+            self.read_into(0, self.len, &mut data);
+            data.into_boxed_slice()
+        })
+    }
+
+    /// Drops the image before the pages are written or read directly,
+    /// first copying back the range `bytes_mut` handed out of it.
+    fn settle(&mut self) {
+        if let Some(image) = self.image.take() {
+            if let Some(dirty) = self.dirty.take() {
+                self.write(dirty.start, &image[dirty]);
+            }
+        }
+    }
+}
+
+/// The pieces of a `len`-byte range at each of `offs` that lie inside
+/// one page of every operand: `(i, n)` stands for bytes `[i, i + n)` of
+/// the range. When every offset is a multiple of an element size, so is
+/// every `i` and `n` (pages are a multiple of every element size).
+fn runs<const N: usize>(offs: [usize; N], len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        (i < len).then(|| {
+            let to_page_end = offs.map(|off| PAGE_BYTES - (off + i) % PAGE_BYTES);
+            let n = to_page_end.into_iter().fold(len - i, usize::min);
+            i += n;
+            (i - n, n)
+        })
+    })
+}
+
+/// Whether `len` bytes at `off` lie inside one page.
+fn in_one_page(off: usize, len: usize) -> bool {
+    len == 0 || off / PAGE_BYTES == (off + len - 1) / PAGE_BYTES
 }
 
 /// All simulated GPU memory in the cluster.
@@ -39,17 +136,22 @@ impl Buffer {
 /// is fixed for the whole pool when it is built:
 ///
 /// * **Bytes** ([`Machine::new`](crate::Machine::new)): a buffer holds
-///   real bytes. [`alloc`](MemoryPool::alloc) records only its length;
-///   the payload is created, as that many zeros, the first time any pool
-///   method reads or writes the buffer, so a buffer no operation touches
-///   costs no memory. Peer-to-peer `put`, switch `reduce`, and local
-///   `copy` operations move actual bytes here, so benchmark harnesses can
-///   verify collective outputs bit-for-bit (within floating-point
-///   reduction-order tolerance) before trusting a timing.
-///   [`resident_bytes`](MemoryPool::resident_bytes) counts the payloads
-///   created so far.
+///   real bytes in pages of [`PAGE_BYTES`]. [`alloc`](MemoryPool::alloc)
+///   records only its length. A page is created, as zeros, by the first
+///   write that touches it; a page never written reads as zeros and
+///   reading it creates nothing, so a buffer costs memory only for the
+///   pages some operation wrote. Peer-to-peer `put`, switch `reduce`, and
+///   local `copy` operations move actual bytes here, page run by page
+///   run, so benchmark harnesses can verify collective outputs
+///   bit-for-bit (within floating-point reduction-order tolerance) before
+///   trusting a timing. [`bytes`](MemoryPool::bytes) returns a page's own
+///   bytes for a range inside one page, and a contiguous copy for a range
+///   that spans pages; the buffer keeps that copy until its next write,
+///   so no read sees stale bytes. Readers that want no copy read one page
+///   at a time. [`resident_bytes`](MemoryPool::resident_bytes) counts the
+///   pages created so far.
 /// * **Timing-only** ([`Machine::timing_only`](crate::Machine::timing_only)):
-///   a buffer records its length and its payload is never created. The
+///   a buffer records its length and no page is ever created. The
 ///   data-plane operations run the same range and overlap checks and
 ///   count the same [`moved_bytes`](MemoryPool::moved_bytes) as in a
 ///   bytes pool, then return without touching bytes. The readers
@@ -68,14 +170,18 @@ pub struct MemoryPool {
     /// `reduce_into`, `multimem_*`), counting operand traffic. Host-side
     /// initialization (`write`, `fill_with`) is not counted.
     moved_bytes: u64,
-    /// Reusable `f32` staging buffer for the three-address reductions,
-    /// so the per-instruction hot path never allocates.
+    /// Reusable `f32` accumulator for the reductions that go through
+    /// registers, so the per-instruction hot path never allocates.
     scratch: Vec<f32>,
+    /// Reusable contiguous copy of an operand that cannot be walked page
+    /// run by page run in place.
+    stage: Vec<u8>,
 }
 
-// A panic inside a pool method leaves every payload either not created
-// or whole (`OnceCell::get_or_init` stores nothing if it unwinds), so a
-// shared pool is still consistent after `catch_unwind`.
+// A panic inside a pool method leaves every image either not made or
+// whole (`OnceCell::get_or_init` stores nothing if it unwinds), and pages
+// change only through `&mut self`, so a shared pool is still consistent
+// after `catch_unwind`.
 impl std::panic::RefUnwindSafe for MemoryPool {}
 
 impl MemoryPool {
@@ -106,26 +212,30 @@ impl MemoryPool {
         self.moved_bytes
     }
 
-    /// Total bytes of the payloads created so far: the sizes of the
-    /// buffers some pool method has read or written in a bytes pool, and
-    /// always 0 in a timing-only one.
+    /// Total bytes of the payload pages created so far: every page some
+    /// write has touched (a whole [`PAGE_BYTES`], or the rest of its
+    /// buffer for a last page) in a bytes pool, and always 0 in a
+    /// timing-only one. Reads create no page, and the copies that reads
+    /// across pages make are not counted.
     pub fn resident_bytes(&self) -> u64 {
         self.buffers
             .iter()
-            .filter_map(|buf| buf.data.get())
-            .map(|data| data.len() as u64)
+            .flat_map(|buf| buf.pages.iter().flatten())
+            .map(|page| page.len() as u64)
             .sum()
     }
 
-    /// Allocates a buffer of `size` bytes on `rank` without creating its
-    /// payload. In a bytes pool the buffer reads as `size` zeros, and its
-    /// payload is created the first time a pool method reads or writes
-    /// it; in a timing-only pool it never is.
+    /// Allocates a buffer of `size` bytes on `rank` without creating any
+    /// of its payload. In a bytes pool the buffer reads as `size` zeros,
+    /// and each page of it is created by the first write that touches it;
+    /// in a timing-only pool none ever is.
     pub fn alloc(&mut self, rank: Rank, size: usize) -> BufferId {
         self.buffers.push(Buffer {
             rank,
             len: size,
-            data: OnceCell::new(),
+            pages: Vec::new(),
+            image: OnceCell::new(),
+            dirty: None,
         });
         BufferId(self.buffers.len() - 1)
     }
@@ -150,22 +260,44 @@ impl MemoryPool {
         self.buffers[buf.0].rank
     }
 
-    /// Read-only view of `len` bytes at `off`.
+    /// Read-only view of `len` bytes at `off`: the page's own bytes when
+    /// the range lies inside one page, else a contiguous copy of the
+    /// buffer that it keeps until its next write. Creates no page.
     ///
     /// # Panics
     ///
     /// Panics if the pool is timing-only or the range is out of bounds.
     pub fn bytes(&self, buf: BufferId, off: usize, len: usize) -> &[u8] {
-        &self.payload(buf)[off..off + len]
+        let b = self.payload(buf, off, len);
+        match b.image.get() {
+            Some(image) => &image[off..off + len],
+            None if in_one_page(off, len) => b.slice(off, len),
+            None => &b.image()[off..off + len],
+        }
     }
 
-    /// Mutable view of `len` bytes at `off`.
+    /// Mutable view of `len` bytes at `off`, creating the pages it
+    /// covers: the page's own bytes when the range lies inside one page,
+    /// else a contiguous copy of the buffer whose range the pool's next
+    /// write to the buffer copies back into its pages.
     ///
     /// # Panics
     ///
     /// Panics if the pool is timing-only or the range is out of bounds.
     pub fn bytes_mut(&mut self, buf: BufferId, off: usize, len: usize) -> &mut [u8] {
-        &mut self.payload_mut(buf)[off..off + len]
+        let b = self.payload_mut(buf, off, len);
+        if len == 0 {
+            return &mut [];
+        }
+        if in_one_page(off, len) {
+            return b.slice_mut(off, len);
+        }
+        for (i, n) in runs([off], len) {
+            b.slice_mut(off + i, n);
+        }
+        b.image();
+        b.dirty = Some(off..off + len);
+        &mut b.image.get_mut().expect("the image was just made")[off..off + len]
     }
 
     /// Overwrites `src.len()` bytes at `off` with `src`.
@@ -175,7 +307,7 @@ impl MemoryPool {
     /// Panics if the pool is timing-only or the destination range is out
     /// of bounds.
     pub fn write(&mut self, buf: BufferId, off: usize, src: &[u8]) {
-        self.payload_mut(buf)[off..off + src.len()].copy_from_slice(src);
+        self.payload_mut(buf, off, src.len()).write(off, src);
     }
 
     /// Copies `len` bytes from `(src, src_off)` to `(dst, dst_off)`.
@@ -197,15 +329,7 @@ impl MemoryPool {
         if self.timing_only {
             return;
         }
-        if src.0 == dst.0 {
-            self.buffers[src.0]
-                .bytes_mut()
-                .copy_within(src_off..src_off + len, dst_off);
-        } else {
-            let (a, b) = split_two(&mut self.buffers, src.0, dst.0);
-            b.bytes_mut()[dst_off..dst_off + len]
-                .copy_from_slice(&a.bytes()[src_off..src_off + len]);
-        }
+        self.spread(src, src_off, &[(dst, dst_off)], len);
     }
 
     /// Element-wise `dst = op(dst, src)` over `count` elements of `dtype`.
@@ -241,22 +365,16 @@ impl MemoryPool {
         if self.timing_only {
             return;
         }
-        if src.0 == dst.0 {
-            let data = self.buffers[src.0].bytes_mut();
-            if src_off < dst_off {
-                let (a, b) = data.split_at_mut(dst_off);
-                dtype.reduce_lanes(op, &mut b[..len], &a[src_off..src_off + len]);
-            } else {
-                let (a, b) = data.split_at_mut(src_off);
-                dtype.reduce_lanes(op, &mut a[dst_off..dst_off + len], &b[..len]);
+        let es = dtype.size();
+        if src != dst && src_off.is_multiple_of(es) && dst_off.is_multiple_of(es) {
+            let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
+            for (i, n) in runs([src_off, dst_off], len) {
+                dtype.reduce_lanes(op, d.slice_mut(dst_off + i, n), s.slice(src_off + i, n));
             }
         } else {
-            let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
-            dtype.reduce_lanes(
-                op,
-                &mut d.bytes_mut()[dst_off..dst_off + len],
-                &s.bytes()[src_off..src_off + len],
-            );
+            // `op(dst, src)` through the registers, the same bits.
+            let operands = [(dst, dst_off), (src, src_off)];
+            self.fold(&operands, dst, dst_off, count, dtype, op);
         }
     }
 
@@ -287,18 +405,7 @@ impl MemoryPool {
         if self.timing_only {
             return;
         }
-        // Staging through `scratch` keeps the "no intermediate store"
-        // register semantics under any aliasing of the three ranges.
-        let mut acc = std::mem::take(&mut self.scratch);
-        acc.clear();
-        acc.resize(count, 0.0);
-        dtype.decode_lanes(&self.buffers[a.0].bytes()[a_off..a_off + len], &mut acc);
-        dtype.accumulate_lanes(op, &mut acc, &self.buffers[b.0].bytes()[b_off..b_off + len]);
-        dtype.encode_lanes(
-            &mut self.buffers[dst.0].bytes_mut()[dst_off..dst_off + len],
-            &acc,
-        );
-        self.scratch = acc;
+        self.fold(&[(a, a_off), (b, b_off)], dst, dst_off, count, dtype, op);
     }
 
     /// Switch-style multimem load-reduce: `dst = op(srcs...)` over `count`
@@ -326,22 +433,7 @@ impl MemoryPool {
         if self.timing_only {
             return;
         }
-        let mut acc = std::mem::take(&mut self.scratch);
-        acc.clear();
-        acc.resize(count, 0.0);
-        for (si, &(src, src_off)) in srcs.iter().enumerate() {
-            let data = &self.buffers[src.0].bytes()[src_off..src_off + len];
-            if si == 0 {
-                dtype.decode_lanes(data, &mut acc);
-            } else {
-                dtype.accumulate_lanes(op, &mut acc, data);
-            }
-        }
-        dtype.encode_lanes(
-            &mut self.buffers[dst.0].bytes_mut()[dst_off..dst_off + len],
-            &acc,
-        );
-        self.scratch = acc;
+        self.fold(srcs, dst, dst_off, count, dtype, op);
     }
 
     /// Switch-style multimem store-broadcast: writes `len` bytes from
@@ -362,41 +454,123 @@ impl MemoryPool {
         if self.timing_only {
             return;
         }
-        let data = self.buffers[src.0].bytes()[src_off..src_off + len].to_vec();
-        for &(dst, dst_off) in dsts {
-            self.buffers[dst.0].bytes_mut()[dst_off..dst_off + len].copy_from_slice(&data);
-        }
+        self.spread(src, src_off, dsts, len);
     }
 
-    /// Fills a buffer with encoded elements produced by `f(element_index)`.
+    /// Fills a buffer with encoded elements produced by `f(element_index)`,
+    /// creating every page.
     ///
     /// # Panics
     ///
     /// Panics if the pool is timing-only.
     pub fn fill_with(&mut self, buf: BufferId, dtype: DataType, mut f: impl FnMut(usize) -> f32) {
         let es = dtype.size();
-        let data = self.payload_mut(buf);
-        let n = data.len() / es;
-        for i in 0..n {
-            dtype.encode(data, i * es, f(i));
+        let len = self.len(buf);
+        let b = self.payload_mut(buf, 0, len);
+        for (i, n) in runs([0], len) {
+            for (k, lane) in b.slice_mut(i, n).chunks_exact_mut(es).enumerate() {
+                dtype.encode(lane, 0, f(i / es + k));
+            }
         }
     }
 
-    /// Decodes the whole buffer as a vector of `f32`.
+    /// Decodes the whole buffer as a vector of `f32`, page by page.
     ///
     /// # Panics
     ///
     /// Panics if the pool is timing-only.
     pub fn to_f32_vec(&self, buf: BufferId, dtype: DataType) -> Vec<f32> {
         let es = dtype.size();
-        let data = self.payload(buf);
-        let n = data.len() / es;
-        (0..n).map(|i| dtype.decode(data, i * es)).collect()
+        let len = self.len(buf);
+        let b = self.payload(buf, 0, len);
+        let mut out = Vec::with_capacity(len / es);
+        b.read_runs(0, len, |_, bytes| {
+            out.extend(bytes.chunks_exact(es).map(|lane| dtype.decode(lane, 0)));
+        });
+        out
+    }
+
+    /// Writes the `len` bytes at `(src, src_off)` into every destination,
+    /// one page run of both at a time. When a destination shares the
+    /// source's buffer the source goes through `stage` first, so every
+    /// destination gets it as it was before the first write.
+    fn spread(&mut self, src: BufferId, src_off: usize, dsts: &[(BufferId, usize)], len: usize) {
+        if dsts.iter().all(|&(dst, _)| dst != src) {
+            for &(dst, dst_off) in dsts {
+                let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
+                for (i, n) in runs([src_off, dst_off], len) {
+                    d.slice_mut(dst_off + i, n)
+                        .copy_from_slice(s.slice(src_off + i, n));
+                }
+            }
+            return;
+        }
+        let mut stage = mem::take(&mut self.stage);
+        stage.clear();
+        self.buffers[src.0].read_into(src_off, len, &mut stage);
+        for &(dst, dst_off) in dsts {
+            self.buffers[dst.0].write(dst_off, &stage);
+        }
+        self.stage = stage;
+    }
+
+    /// `dst = op(srcs...)` over `count` elements through the `f32`
+    /// accumulator, the register path: every source is read before the
+    /// destination is written, so the ranges may alias in any way. An
+    /// operand whose offset is not a multiple of the element size has
+    /// elements that straddle pages, so it goes through `stage`.
+    fn fold(
+        &mut self,
+        srcs: &[(BufferId, usize)],
+        dst: BufferId,
+        dst_off: usize,
+        count: usize,
+        dtype: DataType,
+        op: ReduceOp,
+    ) {
+        let es = dtype.size();
+        let len = count * es;
+        let mut acc = mem::take(&mut self.scratch);
+        let mut stage = mem::take(&mut self.stage);
+        acc.clear();
+        acc.resize(count, 0.0);
+        for (k, &(src, off)) in srcs.iter().enumerate() {
+            let mut lanes = |i: usize, bytes: &[u8]| {
+                let acc = &mut acc[i / es..][..bytes.len() / es];
+                if k == 0 {
+                    dtype.decode_lanes(bytes, acc);
+                } else {
+                    dtype.accumulate_lanes(op, acc, bytes);
+                }
+            };
+            let b = &self.buffers[src.0];
+            if off.is_multiple_of(es) {
+                b.read_runs(off, len, lanes);
+            } else {
+                stage.clear();
+                b.read_into(off, len, &mut stage);
+                lanes(0, &stage);
+            }
+        }
+        let d = &mut self.buffers[dst.0];
+        if dst_off.is_multiple_of(es) {
+            for (i, n) in runs([dst_off], len) {
+                dtype.encode_lanes(d.slice_mut(dst_off + i, n), &acc[i / es..(i + n) / es]);
+            }
+        } else {
+            stage.clear();
+            stage.resize(len, 0);
+            dtype.encode_lanes(&mut stage, &acc);
+            d.write(dst_off, &stage);
+        }
+        self.scratch = acc;
+        self.stage = stage;
     }
 
     /// The shared check of every data-plane operation, run in both
-    /// modes before any byte moves: counts `moved` bytes and checks that
-    /// each operand range `[off, off + len)` lies inside its buffer.
+    /// modes before any byte moves: counts `moved` bytes, checks that
+    /// each operand range `[off, off + len)` lies inside its buffer, and
+    /// settles each operand's image so its pages hold its bytes.
     ///
     /// # Panics
     ///
@@ -409,24 +583,34 @@ impl MemoryPool {
     ) {
         self.moved_bytes += moved as u64;
         for (buf, off) in operands {
-            let size = self.buffers[buf.0].len;
-            assert!(
-                off.checked_add(len).is_some_and(|end| end <= size),
-                "{buf:?}: {len} bytes at offset {off} out of range for a buffer of {size} bytes"
-            );
+            self.check_range(buf, off, len);
+            self.buffers[buf.0].settle();
         }
     }
 
-    /// The whole payload of `buf`, for the readers.
-    fn payload(&self, buf: BufferId) -> &[u8] {
-        self.refuse_timing_only(buf);
-        self.buffers[buf.0].bytes()
+    /// Panics unless `[off, off + len)` lies inside `buf`.
+    fn check_range(&self, buf: BufferId, off: usize, len: usize) {
+        let size = self.buffers[buf.0].len;
+        assert!(
+            off.checked_add(len).is_some_and(|end| end <= size),
+            "{buf:?}: {len} bytes at offset {off} out of range for a buffer of {size} bytes"
+        );
     }
 
-    /// The whole payload of `buf`, for the writers.
-    fn payload_mut(&mut self, buf: BufferId) -> &mut [u8] {
+    /// `buf` for a host reader of `len` bytes at `off`.
+    fn payload(&self, buf: BufferId, off: usize, len: usize) -> &Buffer {
         self.refuse_timing_only(buf);
-        self.buffers[buf.0].bytes_mut()
+        self.check_range(buf, off, len);
+        &self.buffers[buf.0]
+    }
+
+    /// `buf` for a host writer of `len` bytes at `off`, settled.
+    fn payload_mut(&mut self, buf: BufferId, off: usize, len: usize) -> &mut Buffer {
+        self.refuse_timing_only(buf);
+        self.check_range(buf, off, len);
+        let b = &mut self.buffers[buf.0];
+        b.settle();
+        b
     }
 
     fn refuse_timing_only(&self, buf: BufferId) {
@@ -616,16 +800,24 @@ mod tests {
     #[test]
     fn timing_only_readers_refuse_the_buffer() {
         type Reader = fn(&mut MemoryPool, BufferId);
-        let readers: [(&str, Reader); 5] = [
-            ("bytes", |p, b| assert_eq!(p.bytes(b, 0, 4).len(), 4)),
-            ("bytes_mut", |p, b| p.bytes_mut(b, 0, 4)[0] = 1),
-            ("write", |p, b| p.write(b, 0, &[1; 4])),
-            ("fill_with", |p, b| p.fill_with(b, DataType::F16, |_| 1.0)),
-            ("to_f32_vec", |p, b| {
-                assert_eq!(p.to_f32_vec(b, DataType::F16).len(), 8);
-            }),
+        // Each reader, and the payload bytes it creates in a bytes pool:
+        // the writers create the buffer's one page, the readers nothing.
+        let readers: [(&str, Reader, u64); 5] = [
+            ("bytes", |p, b| assert_eq!(p.bytes(b, 0, 4).len(), 4), 0),
+            ("bytes_mut", |p, b| p.bytes_mut(b, 0, 4)[0] = 1, 16),
+            ("write", |p, b| p.write(b, 0, &[1; 4]), 16),
+            (
+                "fill_with",
+                |p, b| p.fill_with(b, DataType::F16, |_| 1.0),
+                16,
+            ),
+            (
+                "to_f32_vec",
+                |p, b| assert_eq!(p.to_f32_vec(b, DataType::F16).len(), 8),
+                0,
+            ),
         ];
-        for (name, read) in readers {
+        for (name, read, created) in readers {
             let mut bytes = MemoryPool::new();
             let mut timing = MemoryPool::timing_only();
             for p in [&mut bytes, &mut timing] {
@@ -634,7 +826,7 @@ mod tests {
             }
             let b = BufferId(1);
             read(&mut bytes, b);
-            assert_eq!(bytes.resident_bytes(), 16, "{name}");
+            assert_eq!(bytes.resident_bytes(), created, "{name}");
             let msg = panic_message(|| read(&mut timing, b));
             assert!(
                 msg.contains("BufferId(1)") && msg.contains("timing-only"),
@@ -663,15 +855,60 @@ mod tests {
     }
 
     #[test]
-    fn bytes_payload_is_created_at_first_touch() {
+    fn bytes_pages_are_created_at_first_write() {
         const MIB80: usize = 80 << 20;
         let mut p = MemoryPool::new();
         let a = p.alloc(Rank(0), MIB80);
         let b = p.alloc(Rank(1), MIB80);
         assert_eq!(p.resident_bytes(), 0);
+        // Reading absent pages sees zeros and creates none of them.
         assert!(p.bytes(a, 0, MIB80).iter().all(|&x| x == 0));
-        assert_eq!(p.resident_bytes(), MIB80 as u64);
-        assert!(p.buffers[b.0].data.get().is_none());
+        assert!(p.to_f32_vec(b, DataType::F32).iter().all(|&x| x == 0.0));
+        assert_eq!(p.resident_bytes(), 0);
+        // A write straddling pages 1 and 2 of `a` creates those two.
+        p.write(a, 2 * PAGE_BYTES - 2, &[7; 4]);
+        assert_eq!(p.resident_bytes(), 2 * PAGE_BYTES as u64);
+        let present: Vec<bool> = p.buffers[a.0].pages.iter().map(Option::is_some).collect();
+        assert_eq!(present, [false, true, true]);
+        assert!(p.buffers[b.0].pages.is_empty());
+        // The last page holds only the rest of the buffer.
+        let c = p.alloc(Rank(2), PAGE_BYTES + 10);
+        p.copy(a, 2 * PAGE_BYTES - 2, c, PAGE_BYTES + 6, 4);
+        assert_eq!(p.resident_bytes(), 2 * PAGE_BYTES as u64 + 10);
+        assert_eq!(p.bytes(c, PAGE_BYTES + 4, 6), &[0, 0, 7, 7, 7, 7]);
+    }
+
+    #[test]
+    fn reads_across_pages_never_see_stale_bytes() {
+        let len = 2 * PAGE_BYTES + 100;
+        let mut p = MemoryPool::new();
+        let a = p.alloc(Rank(0), len);
+        let b = p.alloc(Rank(1), len);
+        p.fill_with(a, DataType::F16, |i| (i % 5) as f32);
+        let before = p.bytes(a, 0, len).to_vec();
+        // The copy a spanning read made is replaced after the next write.
+        p.write(a, PAGE_BYTES - 1, &[9, 9]);
+        let after = p.bytes(a, PAGE_BYTES - 4, 8);
+        assert_eq!(after[..3], before[PAGE_BYTES - 4..PAGE_BYTES - 1]);
+        assert_eq!(after[3..5], [9, 9]);
+        // A mutable view across pages lands in the pages: in-page reads,
+        // reads across pages and data-plane ops all see it.
+        p.bytes_mut(a, PAGE_BYTES - 2, PAGE_BYTES + 4).fill(3);
+        assert_eq!(p.bytes(a, PAGE_BYTES - 2, 1), &[3]);
+        assert_eq!(
+            p.bytes(a, 2 * PAGE_BYTES + 1, 2),
+            &[3, before[2 * PAGE_BYTES + 2]]
+        );
+        p.copy(a, PAGE_BYTES - 3, b, PAGE_BYTES - 3, 3);
+        assert_eq!(
+            p.bytes(b, PAGE_BYTES - 3, 3),
+            &[before[PAGE_BYTES - 3], 3, 3]
+        );
+        assert_eq!(
+            p.bytes(a, 2 * PAGE_BYTES + 2, 2),
+            &before[2 * PAGE_BYTES + 2..][..2]
+        );
+        assert_eq!(p.resident_bytes(), len as u64 + PAGE_BYTES as u64);
     }
 
     #[test]

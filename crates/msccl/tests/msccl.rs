@@ -178,8 +178,8 @@ fn all_gather_correct_single_and_multi_node() {
 }
 
 /// Building a communicator allocates its staging FIFOs (512 on 2n16g)
-/// and creates none of their payloads: a launch creates each at first
-/// touch.
+/// and creates none of their payload pages: a launch creates each page
+/// it writes.
 #[test]
 fn building_a_communicator_creates_no_payload() {
     let mut engine = Engine::new(Machine::new(EnvKind::A100_40G.spec(2)));

@@ -24,11 +24,11 @@ fn run_allreduce_program(
     let inputs = setup.alloc_all(count * 4);
     let outputs = setup.alloc_all(count * 4);
     let exe = prog.compile(&mut setup, &inputs, &outputs, opts).unwrap();
-    for r in 0..n {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(input, DataType::F32, move |i| input_val(r, i));
     }
     let t = exe.launch(&mut engine).unwrap();
     let outs = (0..n)
@@ -116,15 +116,15 @@ fn dsl_allgather_correct() {
     let exe = prog
         .compile(&mut setup, &inputs, &outputs, CompileOptions::default())
         .unwrap();
-    for r in 0..n {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(input, DataType::F32, move |i| input_val(r, i));
     }
     exe.launch(&mut engine).unwrap();
-    for r in 0..n {
-        let got = engine.world().pool().to_f32_vec(outputs[r], DataType::F32);
+    for (r, &output) in outputs.iter().enumerate() {
+        let got = engine.world().pool().to_f32_vec(output, DataType::F32);
         for src in 0..n {
             assert_eq!(got[src * count], input_val(src, 0), "rank {r} chunk {src}");
         }
@@ -197,11 +197,11 @@ fn dsl_overhead_vs_primitive_is_small() {
     let outs2: Vec<_> = (0..8)
         .map(|r| engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..8 {
+    for (r, &buf) in bufs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| input_val(r, i));
+            .fill_with(buf, DataType::F32, move |i| input_val(r, i));
     }
     let comm = collective::CollComm::new();
     let prim_us = comm
@@ -244,11 +244,11 @@ fn dsl_repeated_launches_stay_correct() {
         .compile(&mut setup, &inputs, &outputs, CompileOptions::default())
         .unwrap();
     for iter in 0..4 {
-        for r in 0..8 {
+        for (r, &input) in inputs.iter().enumerate() {
             engine
                 .world_mut()
                 .pool_mut()
-                .fill_with(inputs[r], DataType::F32, move |i| {
+                .fill_with(input, DataType::F32, move |i| {
                     input_val(r, i) * (iter + 1) as f32
                 });
         }
@@ -269,12 +269,11 @@ fn dsl_repeated_launches_stay_correct() {
 // contract: the compiler accepts them and the result matches the pure
 // reference interpreter.
 
-fn replay_pinned(
-    name: &str,
-    ops: &[(bool, (usize, Buf, usize), (usize, Buf, usize))],
-    instances: usize,
-    seed: u64,
-) {
+/// One chunk op: whether it copies (else it reduces), then its source
+/// and destination chunks as (rank, buffer, chunk index).
+type ChunkOp = (bool, (usize, Buf, usize), (usize, Buf, usize));
+
+fn replay_pinned(name: &str, ops: &[ChunkOp], instances: usize, seed: u64) {
     const CHUNK: usize = 32;
     let world = 8usize;
     let mut prog = Program::new(name, world);
@@ -305,11 +304,11 @@ fn replay_pinned(
         )
         .unwrap_or_else(|e| panic!("{name}: compiler rejected pinned case: {e}"));
     let val = move |r: usize, i: usize| ((seed as usize + r * 5 + i) % 9) as f32;
-    for r in 0..world {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| val(r, i));
+            .fill_with(input, DataType::F32, move |i| val(r, i));
     }
     exe.launch(&mut engine).unwrap();
 

@@ -26,6 +26,8 @@ pub struct Conn {
     pub dst: Rank,
     /// Staging buffer on the receiver: `slots` times the larger of
     /// `slot_bytes_simple` and `slot_bytes_ll`, so either protocol fits.
+    /// Its payload pages are created as sends write them, so a small
+    /// launch creates only the pages of the slots it writes.
     pub staging: BufferId,
     /// FIFO depth in slots.
     pub slots: usize,

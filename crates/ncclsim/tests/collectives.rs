@@ -425,7 +425,7 @@ fn ll_beats_simple_small_and_loses_large() {
 }
 
 /// Building a communicator allocates its staging FIFOs and creates none
-/// of their payloads: a launch creates each at first touch.
+/// of their payload pages: a launch creates each page it writes.
 #[test]
 fn building_a_communicator_creates_no_payload() {
     let mut engine = Engine::new(Machine::new(EnvKind::A100_40G.spec(2)));
@@ -440,10 +440,12 @@ fn building_a_communicator_creates_no_payload() {
     assert_eq!(resident_after, resident);
 }
 
-/// A 1 KB one-channel LL ring AllReduce on one node creates the payloads
-/// of its 16 user buffers and of channel 0's eight ring FIFOs (8 slots
-/// of 512 KiB each), and of no other buffer: the other channels' FIFOs
-/// and the tree's stay untouched.
+/// A 1 KB one-channel LL ring AllReduce on one node creates the payload
+/// pages of its 16 user buffers and, in each of channel 0's eight ring
+/// FIFOs, one page per LL slot: a rank's 14 sends of 128 B land at the
+/// start of slots 0..8, 32 KiB apart. It creates no other page: the rest
+/// of each 4 MiB FIFO, the other channels' FIFOs and the tree's stay
+/// untouched.
 #[test]
 fn small_ring_allreduce_creates_only_the_payloads_it_touches() {
     let mut f = fixture(EnvKind::A100_40G, 1);
@@ -469,7 +471,8 @@ fn small_ring_allreduce_creates_only_the_payloads_it_touches() {
             choice(Algo::Ring, Proto::LL, 1),
         )
         .unwrap();
-    // 16 KiB of user buffers and eight 4 MiB FIFOs: 33,570,816 bytes.
-    let want = 2 * f.n * count * 4 + 8 * (4 << 20);
+    // 16 KiB of user buffers and 8 pages in each of eight FIFOs:
+    // 278,528 bytes.
+    let want = 2 * f.n * count * 4 + 8 * 8 * hw::PAGE_BYTES;
     assert_eq!(f.engine.world().pool().resident_bytes(), want as u64);
 }

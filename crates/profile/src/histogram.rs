@@ -212,7 +212,7 @@ mod tests {
         h.record(1_000_000);
         assert_eq!(h.count(), 100);
         let p50 = h.p50();
-        assert!(p50 >= 1_000 && p50 < 1_100, "p50={p50}");
+        assert!((1_000..1_100).contains(&p50), "p50={p50}");
         assert!(h.p99() < 1_100);
         assert_eq!(h.quantile(1.0), 1_000_000);
         assert_eq!(h.max(), 1_000_000);

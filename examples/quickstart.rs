@@ -49,11 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs: Vec<_> = (0..8)
         .map(|r| engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..8 {
+    for (r, &input) in inputs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(inputs[r], DataType::F32, move |i| ((r + i) % 3) as f32);
+            .fill_with(input, DataType::F32, move |i| ((r + i) % 3) as f32);
     }
     let comm = CollComm::new();
     let t = comm.all_reduce(

@@ -24,11 +24,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bufs: Vec<_> = (0..8)
         .map(|r| engine.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
-    for r in 0..8 {
+    for (r, &buf) in bufs.iter().enumerate() {
         engine
             .world_mut()
             .pool_mut()
-            .fill_with(bufs[r], DataType::F32, move |i| ((r + i) % 5) as f32);
+            .fill_with(buf, DataType::F32, move |i| ((r + i) % 5) as f32);
     }
     // Pin the port-channel algorithm so the timeline shows the CPU-proxy
     // tracks and their `fifo.depth` counter tracks alongside the kernels

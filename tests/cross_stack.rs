@@ -28,10 +28,10 @@ fn all_stacks_compute_identical_allreduce() {
         let bufs: Vec<_> = (0..n)
             .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
             .collect();
-        for r in 0..n {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(buf, DataType::F32, move |i| val(r, i));
         }
         let comm = collective::CollComm::new();
         comm.all_reduce(&mut e, &bufs, &bufs, count, DataType::F32, ReduceOp::Sum)
@@ -48,10 +48,10 @@ fn all_stacks_compute_identical_allreduce() {
         let mut setup = Setup::new(&mut e);
         let comm = ncclsim::NcclComm::new(&mut setup, ncclsim::NcclConfig::nccl());
         let bufs = setup.alloc_all(count * 4);
-        for r in 0..n {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(buf, DataType::F32, move |i| val(r, i));
         }
         comm.all_reduce(
             &mut e,
@@ -73,10 +73,10 @@ fn all_stacks_compute_identical_allreduce() {
         let mut setup = Setup::new(&mut e);
         let comm = msccl::MscclComm::new(&mut setup, msccl::MscclConfig::default());
         let bufs = setup.alloc_all(count * 4);
-        for r in 0..n {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(buf, DataType::F32, move |i| val(r, i));
         }
         comm.all_reduce(
             &mut e,
@@ -102,10 +102,10 @@ fn all_stacks_compute_identical_allreduce() {
         let exe = prog
             .compile(&mut setup, &ins, &outs, Default::default())
             .unwrap();
-        for r in 0..n {
+        for (r, &input) in ins.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(ins[r], DataType::F32, move |i| val(r, i));
+                .fill_with(input, DataType::F32, move |i| val(r, i));
         }
         exe.launch(&mut e).unwrap();
         let got = e.world().pool().to_f32_vec(outs[2], DataType::F32);
@@ -123,10 +123,10 @@ fn every_environment_runs_the_selected_algorithms() {
             let bufs: Vec<_> = (0..8)
                 .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
                 .collect();
-            for r in 0..8 {
+            for (r, &buf) in bufs.iter().enumerate() {
                 e.world_mut()
                     .pool_mut()
-                    .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                    .fill_with(buf, DataType::F32, move |i| val(r, i));
             }
             let comm = collective::CollComm::new();
             let t = comm
@@ -154,10 +154,10 @@ fn sequential_collectives_share_one_engine() {
     let gathered: Vec<_> = (0..n)
         .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4 * n))
         .collect();
-    for r in 0..n {
+    for (r, &input) in ins.iter().enumerate() {
         e.world_mut()
             .pool_mut()
-            .fill_with(ins[r], DataType::F32, move |i| val(r, i));
+            .fill_with(input, DataType::F32, move |i| val(r, i));
     }
     let comm = collective::CollComm::new();
     let t0 = e.now();
@@ -188,10 +188,10 @@ fn timings_are_deterministic() {
         let bufs: Vec<_> = (0..8)
             .map(|r| e.world_mut().pool_mut().alloc(Rank(r), 65536))
             .collect();
-        for r in 0..8 {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(buf, DataType::F32, move |i| val(r, i));
         }
         let comm = collective::CollComm::new();
         let t = comm

@@ -46,19 +46,19 @@ proptest! {
             .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
             .collect();
         let val = move |r: usize, i: usize| ((seed as usize + r * 7 + i * 3) % 16) as f32;
-        for r in 0..8 {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(buf, DataType::F32, move |i| val(r, i));
         }
         let comm = CollComm::new();
         comm.all_reduce_with(&mut e, &bufs, &outs, count, DataType::F32, ReduceOp::Sum, algo)
             .unwrap();
-        for r in 0..8 {
-            let got = e.world().pool().to_f32_vec(outs[r], DataType::F32);
-            for i in 0..count {
+        for (r, &out) in outs.iter().enumerate() {
+            let got = e.world().pool().to_f32_vec(out, DataType::F32);
+            for (i, &x) in got.iter().enumerate() {
                 let want: f32 = (0..8).map(|s| val(s, i)).sum();
-                prop_assert_eq!(got[i], want, "rank {} elem {} algo {:?}", r, i, algo);
+                prop_assert_eq!(x, want, "rank {} elem {} algo {:?}", r, i, algo);
             }
         }
     }
@@ -73,10 +73,10 @@ proptest! {
             .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
             .collect();
         let val = |r: usize, i: usize| ((r * 13 + i * 5) % 31) as f32 - 15.0;
-        for r in 0..8 {
+        for (r, &buf) in bufs.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(bufs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(buf, DataType::F32, move |i| val(r, i));
         }
         let comm = CollComm::new();
         comm.all_reduce(&mut e, &bufs, &bufs, count, DataType::F32, op).unwrap();
@@ -104,10 +104,10 @@ proptest! {
             .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4 * 8))
             .collect();
         let val = |r: usize, i: usize| (r * 1000 + i % 97) as f32;
-        for r in 0..8 {
+        for (r, &input) in ins.iter().enumerate() {
             e.world_mut()
                 .pool_mut()
-                .fill_with(ins[r], DataType::F32, move |i| val(r, i));
+                .fill_with(input, DataType::F32, move |i| val(r, i));
         }
         let comm = CollComm::new();
         comm.all_gather(&mut e, &ins, &outs, count, DataType::F32).unwrap();
@@ -175,7 +175,7 @@ fn chunk_strategy(world: usize, writable: bool) -> impl Strategy<Value = (usize,
 
 /// Pure reference interpreter over `f32` chunk state.
 fn reference_apply(
-    state: &mut Vec<Vec<Vec<Vec<f32>>>>, // [rank][buf][chunk][elem]
+    state: &mut [Vec<Vec<Vec<f32>>>], // [rank][buf][chunk][elem]
     op: RefOp,
     src: (usize, Buf, usize),
     dst: (usize, Buf, usize),
@@ -250,11 +250,11 @@ proptest! {
         };
 
         let val = move |r: usize, i: usize| ((seed as usize + r * 5 + i) % 9) as f32;
-        for r in 0..world {
+        for (r, &input) in inputs.iter().enumerate() {
             engine
                 .world_mut()
                 .pool_mut()
-                .fill_with(inputs[r], DataType::F32, move |i| val(r, i));
+                .fill_with(input, DataType::F32, move |i| val(r, i));
         }
         exe.launch(&mut engine).unwrap();
 
