@@ -31,6 +31,7 @@ impl DataType {
     /// # Panics
     ///
     /// Panics if `off + self.size()` exceeds `bytes.len()`.
+    #[inline]
     pub fn decode(self, bytes: &[u8], off: usize) -> f32 {
         match self {
             DataType::F16 => f16_to_f32(u16::from_le_bytes([bytes[off], bytes[off + 1]])),
@@ -75,18 +76,20 @@ impl fmt::Display for DataType {
     }
 }
 
-/// Lazily built full decode table for binary16: `table[bits] == f16_to_f32(bits)`.
+/// Lazily built full decode table for binary16:
+/// `table[bits] == f16_bits_to_f32(bits)`.
 ///
-/// Reductions decode every element of every operand, so the scalar
-/// branchy conversion dominates collective data-plane time; one 256 KiB
-/// table turns it into a single load. The table is a pure function of
-/// the bit pattern, so sharing it across engines cannot affect
-/// determinism. The fixed-size array type lets `table[u16 as usize]`
-/// compile without a bounds check.
-pub(crate) fn f16_table() -> &'static [f32; 1 << 16] {
+/// Every scalar F16 decode ([`f16_to_f32`], [`DataType::decode`] and the
+/// scalar lanes) is one load from it instead of a branchy conversion
+/// with a loop for subnormals. The table is a pure function of the bit
+/// pattern, so sharing it across engines cannot affect determinism. The
+/// fixed-size array type lets `table[u16 as usize]` compile without a
+/// bounds check.
+#[inline]
+fn f16_table() -> &'static [f32; 1 << 16] {
     static TABLE: std::sync::OnceLock<Box<[f32; 1 << 16]>> = std::sync::OnceLock::new();
     TABLE.get_or_init(|| {
-        let v: Vec<f32> = (0..=u16::MAX).map(f16_to_f32).collect();
+        let v: Vec<f32> = (0..=u16::MAX).map(f16_bits_to_f32).collect();
         v.into_boxed_slice().try_into().expect("65536 entries")
     })
 }
@@ -98,10 +101,11 @@ impl DataType {
         debug_assert_eq!(bytes.len(), out.len() * self.size());
         match self {
             DataType::F16 => {
-                let tbl = f16_table();
-                for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-                    *o = tbl[u16::from_le_bytes([c[0], c[1]]) as usize];
+                #[cfg(target_arch = "x86_64")]
+                if let Some(f16c) = f16c::F16c::detect() {
+                    return f16c.decode(bytes, out);
                 }
+                decode_f16(bytes, out);
             }
             DataType::BF16 => {
                 for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
@@ -122,10 +126,11 @@ impl DataType {
         debug_assert_eq!(bytes.len(), acc.len() * self.size());
         match self {
             DataType::F16 => {
-                let tbl = f16_table();
-                for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(2)) {
-                    *a = op.apply(*a, tbl[u16::from_le_bytes([c[0], c[1]]) as usize]);
+                #[cfg(target_arch = "x86_64")]
+                if let (ReduceOp::Sum, Some(f16c)) = (op, f16c::F16c::detect()) {
+                    return f16c.accumulate_sum(acc, bytes);
                 }
+                accumulate_f16(op, acc, bytes);
             }
             DataType::BF16 => {
                 for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(2)) {
@@ -148,9 +153,11 @@ impl DataType {
         debug_assert_eq!(bytes.len(), src.len() * self.size());
         match self {
             DataType::F16 => {
-                for (v, c) in src.iter().zip(bytes.chunks_exact_mut(2)) {
-                    c.copy_from_slice(&f32_to_f16(*v).to_le_bytes());
+                #[cfg(target_arch = "x86_64")]
+                if let Some(f16c) = f16c::F16c::detect() {
+                    return f16c.encode(bytes, src);
                 }
+                encode_f16(bytes, src);
             }
             DataType::BF16 => {
                 for (v, c) in src.iter().zip(bytes.chunks_exact_mut(2)) {
@@ -169,18 +176,16 @@ impl DataType {
     /// `dst[i] = encode(op(decode(dst[i]), decode(src[i])))`.
     ///
     /// This is the inner loop of every collective's data plane; it stays
-    /// bit-identical to the scalar decode/apply/encode sequence (the F16
-    /// path reads the same table [`f16_table`] is built from).
+    /// bit-identical to the scalar decode/apply/encode sequence.
     pub(crate) fn reduce_lanes(self, op: ReduceOp, dst: &mut [u8], src: &[u8]) {
         debug_assert_eq!(dst.len(), src.len());
         match self {
             DataType::F16 => {
-                let tbl = f16_table();
-                for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
-                    let a = tbl[u16::from_le_bytes([d[0], d[1]]) as usize];
-                    let b = tbl[u16::from_le_bytes([s[0], s[1]]) as usize];
-                    d.copy_from_slice(&f32_to_f16(op.apply(a, b)).to_le_bytes());
+                #[cfg(target_arch = "x86_64")]
+                if let (ReduceOp::Sum, Some(f16c)) = (op, f16c::F16c::detect()) {
+                    return f16c.reduce_sum(dst, src);
                 }
+                reduce_f16(op, dst, src);
             }
             DataType::BF16 => {
                 for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
@@ -201,6 +206,195 @@ impl DataType {
     }
 }
 
+// The scalar F16 lanes: the reference that the F16C lanes must match bit
+// for bit, and what they run on each step that holds a NaN and on each
+// run's tail of fewer than eight lanes.
+
+fn decode_f16(bytes: &[u8], out: &mut [f32]) {
+    let tbl = f16_table();
+    for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        *o = tbl[u16::from_le_bytes([c[0], c[1]]) as usize];
+    }
+}
+
+fn accumulate_f16(op: ReduceOp, acc: &mut [f32], bytes: &[u8]) {
+    let tbl = f16_table();
+    for (a, c) in acc.iter_mut().zip(bytes.chunks_exact(2)) {
+        *a = op.apply(*a, tbl[u16::from_le_bytes([c[0], c[1]]) as usize]);
+    }
+}
+
+fn encode_f16(bytes: &mut [u8], src: &[f32]) {
+    for (v, c) in src.iter().zip(bytes.chunks_exact_mut(2)) {
+        c.copy_from_slice(&f32_to_f16(*v).to_le_bytes());
+    }
+}
+
+fn reduce_f16(op: ReduceOp, dst: &mut [u8], src: &[u8]) {
+    let tbl = f16_table();
+    for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
+        let a = tbl[u16::from_le_bytes([d[0], d[1]]) as usize];
+        let b = tbl[u16::from_le_bytes([s[0], s[1]]) as usize];
+        d.copy_from_slice(&f32_to_f16(op.apply(a, b)).to_le_bytes());
+    }
+}
+
+/// The F16 lanes on x86-64 CPUs with AVX and F16C: eight halves per step
+/// through `vcvtph2ps`, `vaddps` and `vcvtps2ph`, bit-identical to the
+/// scalar lanes.
+///
+/// Without NaNs the two paths compute the same function: the conversions
+/// agree with [`f16_bits_to_f32`] and with [`f32_to_f16`] (round to
+/// nearest even) on every non-NaN value, which the tests below check
+/// exhaustively, and the IEEE sum of two non-NaN `f32`s has one correctly
+/// rounded result, the same in a vector lane as in a scalar register.
+/// NaNs differ: `vcvtph2ps` quiets the signaling NaNs that the scalar
+/// decode keeps, `vcvtps2ph` keeps payload bits that the scalar encode
+/// collapses to `sign | 0x7e00`, and [`ReduceOp::apply`] turns every NaN
+/// sum into one fixed NaN. So a step whose values hold a NaN (an
+/// operand's, or a sum's such as `inf + -inf`) writes nothing and hands
+/// its eight lanes to the scalar loop, as does each run's tail of fewer
+/// than eight lanes. Max and Min never come here: `f32::max` and
+/// `f32::min` treat NaN and ±0 differently from `vmaxps` and `vminps`.
+#[cfg(target_arch = "x86_64")]
+mod f16c {
+    use std::arch::x86_64::{
+        __m128i, __m256, _mm256_add_ps, _mm256_cmp_ps, _mm256_cvtph_ps, _mm256_cvtps_ph,
+        _mm256_loadu_ps, _mm256_movemask_ps, _mm256_storeu_ps, _mm_loadu_si128, _mm_storeu_si128,
+        _CMP_UNORD_Q, _MM_FROUND_TO_NEAREST_INT,
+    };
+
+    use super::{accumulate_f16, decode_f16, encode_f16, reduce_f16, ReduceOp};
+
+    /// Proof that this CPU runs AVX and F16C: only [`F16c::detect`]
+    /// makes one.
+    #[derive(Clone, Copy)]
+    pub(super) struct F16c(());
+
+    impl F16c {
+        /// `Some` on a CPU with AVX and F16C. `std` caches the CPUID
+        /// probe, so this costs two loads of a static.
+        pub(super) fn detect() -> Option<F16c> {
+            (is_x86_feature_detected!("avx") && is_x86_feature_detected!("f16c"))
+                .then_some(F16c(()))
+        }
+
+        /// [`decode_f16`]'s result.
+        pub(super) fn decode(self, bytes: &[u8], out: &mut [f32]) {
+            // SAFETY: an `F16c` exists only on a CPU with AVX and F16C.
+            unsafe { decode(bytes, out) }
+        }
+
+        /// [`accumulate_f16`]'s result for [`ReduceOp::Sum`].
+        pub(super) fn accumulate_sum(self, acc: &mut [f32], bytes: &[u8]) {
+            // SAFETY: an `F16c` exists only on a CPU with AVX and F16C.
+            unsafe { accumulate_sum(acc, bytes) }
+        }
+
+        /// [`encode_f16`]'s result.
+        pub(super) fn encode(self, bytes: &mut [u8], src: &[f32]) {
+            // SAFETY: an `F16c` exists only on a CPU with AVX and F16C.
+            unsafe { encode(bytes, src) }
+        }
+
+        /// [`reduce_f16`]'s result for [`ReduceOp::Sum`].
+        pub(super) fn reduce_sum(self, dst: &mut [u8], src: &[u8]) {
+            // SAFETY: an `F16c` exists only on a CPU with AVX and F16C.
+            unsafe { reduce_sum(dst, src) }
+        }
+    }
+
+    #[target_feature(enable = "avx,f16c")]
+    fn decode(bytes: &[u8], out: &mut [f32]) {
+        let (halves, bytes_tail) = bytes.as_chunks::<16>();
+        let (lanes, out_tail) = out.as_chunks_mut::<8>();
+        for (h, o) in halves.iter().zip(lanes) {
+            let v = _mm256_cvtph_ps(load_halves(h));
+            if has_nan(v) {
+                decode_f16(h, o);
+            } else {
+                store_f32(o, v);
+            }
+        }
+        decode_f16(bytes_tail, out_tail);
+    }
+
+    #[target_feature(enable = "avx,f16c")]
+    fn accumulate_sum(acc: &mut [f32], bytes: &[u8]) {
+        let (lanes, acc_tail) = acc.as_chunks_mut::<8>();
+        let (halves, bytes_tail) = bytes.as_chunks::<16>();
+        for (a, h) in lanes.iter_mut().zip(halves) {
+            let v = _mm256_add_ps(load_f32(a), _mm256_cvtph_ps(load_halves(h)));
+            if has_nan(v) {
+                accumulate_f16(ReduceOp::Sum, a, h);
+            } else {
+                store_f32(a, v);
+            }
+        }
+        accumulate_f16(ReduceOp::Sum, acc_tail, bytes_tail);
+    }
+
+    #[target_feature(enable = "avx,f16c")]
+    fn encode(bytes: &mut [u8], src: &[f32]) {
+        let (halves, bytes_tail) = bytes.as_chunks_mut::<16>();
+        let (lanes, src_tail) = src.as_chunks::<8>();
+        for (h, s) in halves.iter_mut().zip(lanes) {
+            let v = load_f32(s);
+            if has_nan(v) {
+                encode_f16(h, s);
+            } else {
+                store_halves(h, _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
+            }
+        }
+        encode_f16(bytes_tail, src_tail);
+    }
+
+    #[target_feature(enable = "avx,f16c")]
+    fn reduce_sum(dst: &mut [u8], src: &[u8]) {
+        let (dst_halves, dst_tail) = dst.as_chunks_mut::<16>();
+        let (src_halves, src_tail) = src.as_chunks::<16>();
+        for (d, s) in dst_halves.iter_mut().zip(src_halves) {
+            let a = _mm256_cvtph_ps(load_halves(d));
+            let v = _mm256_add_ps(a, _mm256_cvtph_ps(load_halves(s)));
+            if has_nan(v) {
+                reduce_f16(ReduceOp::Sum, d, s);
+            } else {
+                store_halves(d, _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v));
+            }
+        }
+        reduce_f16(ReduceOp::Sum, dst_tail, src_tail);
+    }
+
+    /// Whether any lane of `v` is a NaN.
+    #[target_feature(enable = "avx")]
+    fn has_nan(v: __m256) -> bool {
+        _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v)) != 0
+    }
+
+    /// Eight halves, little-endian, as one vector.
+    fn load_halves(h: &[u8; 16]) -> __m128i {
+        // SAFETY: `h` is 16 readable bytes, and `loadu` needs no alignment.
+        unsafe { _mm_loadu_si128(h.as_ptr().cast()) }
+    }
+
+    fn store_halves(h: &mut [u8; 16], v: __m128i) {
+        // SAFETY: `h` is 16 writable bytes, and `storeu` needs no alignment.
+        unsafe { _mm_storeu_si128(h.as_mut_ptr().cast(), v) }
+    }
+
+    #[target_feature(enable = "avx")]
+    fn load_f32(a: &[f32; 8]) -> __m256 {
+        // SAFETY: `a` is 8 readable `f32`s, and `loadu` needs no alignment.
+        unsafe { _mm256_loadu_ps(a.as_ptr()) }
+    }
+
+    #[target_feature(enable = "avx")]
+    fn store_f32(a: &mut [f32; 8], v: __m256) {
+        // SAFETY: `a` is 8 writable `f32`s, and `storeu` needs no alignment.
+        unsafe { _mm256_storeu_ps(a.as_mut_ptr(), v) }
+    }
+}
+
 /// Element-wise reduction operator.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
 pub enum ReduceOp {
@@ -213,12 +407,21 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Applies the operator to two values.
+    /// Applies the operator to two values. A NaN result is always the
+    /// quiet NaN `0x7fc0_0000`: which operand's NaN `+`, `f32::max` or
+    /// `f32::min` returns is left to the compiler, which may swap the
+    /// operands of `+` in one function and not in another, so only a
+    /// fixed NaN keeps every result a function of the operands' bits.
     pub fn apply(self, a: f32, b: f32) -> f32 {
-        match self {
+        let v = match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Max => a.max(b),
             ReduceOp::Min => a.min(b),
+        };
+        if v.is_nan() {
+            f32::from_bits(0x7fc0_0000)
+        } else {
+            v
         }
     }
 }
@@ -234,8 +437,15 @@ impl fmt::Display for ReduceOp {
     }
 }
 
-/// Converts an IEEE binary16 bit pattern to `f32`.
+/// Converts an IEEE binary16 bit pattern to `f32`, exactly: a signaling
+/// NaN stays signaling and keeps its payload.
+#[inline]
 pub fn f16_to_f32(h: u16) -> f32 {
+    f16_table()[usize::from(h)]
+}
+
+/// The branchy conversion [`f16_table`] is built from.
+fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = ((h >> 15) & 1) as u32;
     let exp = ((h >> 10) & 0x1f) as u32;
     let mant = (h & 0x3ff) as u32;
@@ -381,5 +591,157 @@ mod tests {
         assert_eq!(DataType::F16.size(), 2);
         assert_eq!(DataType::BF16.size(), 2);
         assert_eq!(DataType::F32.size(), 4);
+    }
+
+    /// The F16C lanes against the scalar lanes, bit for bit. On a CPU
+    /// without F16C each test says so on stderr and checks nothing.
+    #[cfg(target_arch = "x86_64")]
+    mod f16c_lanes {
+        use super::super::f16c::F16c;
+        use super::*;
+
+        fn f16c() -> Option<F16c> {
+            let f16c = F16c::detect();
+            if f16c.is_none() {
+                eprintln!("no AVX and F16C on this CPU: the F16C lanes cannot run");
+            }
+            f16c
+        }
+
+        /// SplitMix64.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }
+
+            /// A random half, a quarter of the time one of the special
+            /// values: ±0, subnormals, the largest normals, ±Inf, and
+            /// quiet and signaling NaNs of both signs.
+            fn half(&mut self) -> u16 {
+                const SPECIAL: [u16; 14] = [
+                    0x0000, 0x8000, 0x0001, 0x83ff, 0x7bff, 0xfbff, 0x7c00, 0xfc00, 0x7e00, 0xfe00,
+                    0x7c01, 0xfd55, 0x7fff, 0x0400,
+                ];
+                match self.next() % 4 {
+                    0 => SPECIAL[(self.next() % SPECIAL.len() as u64) as usize],
+                    _ => self.next() as u16,
+                }
+            }
+        }
+
+        fn bits(v: &[f32]) -> Vec<u32> {
+            v.iter().map(|x| x.to_bits()).collect()
+        }
+
+        /// Encodes `vals` on both paths and compares the halves.
+        fn assert_encodes_alike(f16c: F16c, vals: &[f32]) {
+            let mut fast = vec![0; 2 * vals.len()];
+            let mut scalar = fast.clone();
+            f16c.encode(&mut fast, vals);
+            encode_f16(&mut scalar, vals);
+            let half = |b: &[u8], i: usize| u16::from_le_bytes([b[2 * i], b[2 * i + 1]]);
+            if let Some(i) = (0..vals.len()).find(|&i| half(&fast, i) != half(&scalar, i)) {
+                panic!(
+                    "f32 {:#010x}: F16C {:#06x}, scalar {:#06x}",
+                    vals[i].to_bits(),
+                    half(&fast, i),
+                    half(&scalar, i)
+                );
+            }
+        }
+
+        #[test]
+        fn decode_matches_the_scalar_lanes_on_every_half() {
+            let Some(f16c) = f16c() else { return };
+            let bytes: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+            let mut fast = vec![0.0; 1 << 16];
+            f16c.decode(&bytes, &mut fast);
+            for (h, v) in (0..=u16::MAX).zip(&fast) {
+                assert_eq!(v.to_bits(), f16_bits_to_f32(h).to_bits(), "half {h:#06x}");
+            }
+        }
+
+        /// Every f32 whose low 13 bits, the ones a normal half drops, are
+        /// 0, 1, just below, at or just above the halfway point, all ones,
+        /// or one of three random patterns per value of the high 19 bits.
+        #[test]
+        fn encode_matches_the_scalar_lanes_at_rounding_boundaries() {
+            let Some(f16c) = f16c() else { return };
+            let mut rng = Rng(13);
+            let mut vals = Vec::new();
+            for hi in 0..1u32 << 19 {
+                let random = [(); 3].map(|()| rng.next() as u32 & 0x1fff);
+                let lows = [0, 1, 0x0fff, 0x1000, 0x1001, 0x1fff]
+                    .into_iter()
+                    .chain(random);
+                vals.extend(lows.map(|low| f32::from_bits(hi << 13 | low)));
+                if vals.len() >= 1 << 16 {
+                    assert_encodes_alike(f16c, &vals);
+                    vals.clear();
+                }
+            }
+            assert_encodes_alike(f16c, &vals);
+        }
+
+        /// Every f32 bit pattern. Run it with
+        /// `cargo test --release -p hw -- --ignored`.
+        #[test]
+        #[ignore = "2^32 values: about 15 s in release"]
+        fn encode_matches_the_scalar_lanes_on_every_f32() {
+            let Some(f16c) = f16c() else { return };
+            let mut vals = vec![0.0; 1 << 12];
+            for hi in 0..1u32 << 20 {
+                for (lo, v) in (0..).zip(&mut vals) {
+                    *v = f32::from_bits(hi << 12 | lo);
+                }
+                assert_encodes_alike(f16c, &vals);
+            }
+        }
+
+        /// All four lanes over random runs of 0 to 40 lanes (every tail
+        /// length, and NaN and non-NaN steps side by side) and a few long
+        /// ones, from [`Rng::half`]'s halves.
+        #[test]
+        fn lanes_match_the_scalar_lanes_on_random_runs() {
+            let Some(f16c) = f16c() else { return };
+            let mut rng = Rng(24);
+            for len in (0..=40).chain([1000, 2048]) {
+                for _ in 0..64 {
+                    let a: Vec<u8> = (0..len).flat_map(|_| rng.half().to_le_bytes()).collect();
+                    let b: Vec<u8> = (0..len).flat_map(|_| rng.half().to_le_bytes()).collect();
+                    // Partial sums as a reduction holds them, and some
+                    // arbitrary f32s.
+                    let acc: Vec<f32> = (0..len)
+                        .map(|_| match rng.next() % 4 {
+                            0 => f32::from_bits(rng.next() as u32),
+                            _ => f16_bits_to_f32(rng.half()) + f16_bits_to_f32(rng.half()),
+                        })
+                        .collect();
+
+                    let (mut fast, mut scalar) = (vec![0.0; len], vec![0.0; len]);
+                    f16c.decode(&a, &mut fast);
+                    decode_f16(&a, &mut scalar);
+                    assert_eq!(bits(&fast), bits(&scalar), "decode {a:?}");
+
+                    assert_encodes_alike(f16c, &acc);
+
+                    let (mut fast, mut scalar) = (acc.clone(), acc.clone());
+                    f16c.accumulate_sum(&mut fast, &a);
+                    accumulate_f16(ReduceOp::Sum, &mut scalar, &a);
+                    assert_eq!(bits(&fast), bits(&scalar), "accumulate {acc:?} {a:?}");
+
+                    let (mut fast, mut scalar) = (a.clone(), a.clone());
+                    f16c.reduce_sum(&mut fast, &b);
+                    reduce_f16(ReduceOp::Sum, &mut scalar, &b);
+                    assert_eq!(fast, scalar, "reduce {a:?} {b:?}");
+                }
+            }
+        }
     }
 }

@@ -171,7 +171,8 @@ pub struct MemoryPool {
     /// initialization (`write`, `fill_with`) is not counted.
     moved_bytes: u64,
     /// Reusable `f32` accumulator for the reductions that go through
-    /// registers, so the per-instruction hot path never allocates.
+    /// registers, so the per-instruction hot path never allocates; also
+    /// holds one page run of `fill_with`'s values.
     scratch: Vec<f32>,
     /// Reusable contiguous copy of an operand that cannot be walked page
     /// run by page run in place.
@@ -458,7 +459,8 @@ impl MemoryPool {
     }
 
     /// Fills a buffer with encoded elements produced by `f(element_index)`,
-    /// creating every page.
+    /// creating every page. Each page run's values go through `scratch`
+    /// and are encoded together.
     ///
     /// # Panics
     ///
@@ -466,15 +468,18 @@ impl MemoryPool {
     pub fn fill_with(&mut self, buf: BufferId, dtype: DataType, mut f: impl FnMut(usize) -> f32) {
         let es = dtype.size();
         let len = self.len(buf);
+        let mut vals = mem::take(&mut self.scratch);
         let b = self.payload_mut(buf, 0, len);
         for (i, n) in runs([0], len) {
-            for (k, lane) in b.slice_mut(i, n).chunks_exact_mut(es).enumerate() {
-                dtype.encode(lane, 0, f(i / es + k));
-            }
+            vals.clear();
+            vals.extend((i / es..(i + n) / es).map(&mut f));
+            dtype.encode_lanes(&mut b.slice_mut(i, n)[..vals.len() * es], &vals);
         }
+        self.scratch = vals;
     }
 
-    /// Decodes the whole buffer as a vector of `f32`, page by page.
+    /// Decodes the whole buffer as a vector of `f32`, one page run at a
+    /// time.
     ///
     /// # Panics
     ///
@@ -483,9 +488,10 @@ impl MemoryPool {
         let es = dtype.size();
         let len = self.len(buf);
         let b = self.payload(buf, 0, len);
-        let mut out = Vec::with_capacity(len / es);
-        b.read_runs(0, len, |_, bytes| {
-            out.extend(bytes.chunks_exact(es).map(|lane| dtype.decode(lane, 0)));
+        let mut out = vec![0.0; len / es];
+        b.read_runs(0, len, |i, bytes| {
+            let lanes = &mut out[i / es..][..bytes.len() / es];
+            dtype.decode_lanes(&bytes[..lanes.len() * es], lanes);
         });
         out
     }

@@ -3,6 +3,12 @@
 //! writes, host reads and data-plane ops over buffers of several pages,
 //! hold the same bytes after every step, count the same `moved_bytes`,
 //! and the pool creates exactly the pages the sequence wrote.
+//!
+//! Writes are random bytes and fills are partly random `f32` bit
+//! patterns, so the pool's lanes (the F16C ones, on a CPU that has them)
+//! meet ±0, subnormals, ±Inf and quiet and signaling NaNs of both signs,
+//! in runs of any length, and must match the model's scalar
+//! `decode` / `apply` / `encode` element by element.
 
 use hw::{BufferId, DataType, MemoryPool, Rank, ReduceOp, PAGE_BYTES};
 use proptest::prelude::*;
@@ -22,7 +28,8 @@ type At = (BufferId, usize);
 #[derive(Debug)]
 enum Op {
     Write(At, Vec<u8>),
-    Fill(BufferId, DataType, usize),
+    /// `fill_with` of [`fill_value`]s from a seed.
+    Fill(BufferId, DataType, u64),
     Copy(At, At, usize),
     Reduce(At, At, usize, DataType, ReduceOp),
     ReduceInto([At; 3], usize, DataType, ReduceOp),
@@ -73,8 +80,14 @@ impl Op {
             (bufs[i], off)
         };
         Some(match kind {
-            0 => Op::Write(at(), (0..len).map(|i| (i * 37 + len) as u8).collect()),
-            1 => Op::Fill(at().0, dtype, len),
+            0 => {
+                let dst = at();
+                Op::Write(dst, (0..len).map(|_| below(256) as u8).collect())
+            }
+            1 => {
+                let buf = at().0;
+                Op::Fill(buf, dtype, below(usize::MAX) as u64)
+            }
             2 => Op::Copy(at(), at(), len),
             3 => {
                 let (src, dst) = (at(), at());
@@ -100,7 +113,7 @@ impl Op {
                 m.write(dst, off, src);
             }
             Op::Fill(buf, dtype, seed) => {
-                let f = |i: usize| ((seed + i) % 7) as f32 - 3.0;
+                let f = |i: usize| fill_value(seed, i);
                 p.fill_with(buf, dtype, f);
                 let es = dtype.size();
                 let mut data = m.data[m.index(buf)].clone();
@@ -165,6 +178,17 @@ impl Op {
             }
         }
         Ok(())
+    }
+}
+
+/// Element `i` of a fill from `seed`: half the time a small integer,
+/// else an arbitrary `f32` bit pattern.
+fn fill_value(seed: u64, i: usize) -> f32 {
+    let h = TestRng::new(seed.wrapping_add(i as u64)).next_u64();
+    if h >> 63 == 0 {
+        (h % 7) as f32 - 3.0
+    } else {
+        f32::from_bits(h as u32)
     }
 }
 
