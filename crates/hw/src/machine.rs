@@ -71,8 +71,9 @@ impl Machine {
     /// outputs.
     pub fn timing_only(spec: EnvSpec) -> Machine {
         Machine {
+            spec,
             pool: MemoryPool::timing_only(),
-            ..Machine::new(spec)
+            res: None,
         }
     }
 

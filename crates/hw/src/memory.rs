@@ -1,7 +1,7 @@
 //! GPU memory: byte buffers with real copies and element-wise
 //! reductions, or timing-only buffers that keep their length and no bytes.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::mem;
 use std::ops::Range;
 
@@ -10,11 +10,22 @@ use crate::topology::Rank;
 
 /// Bytes per payload page. A bytes buffer's payload is a row of pages of
 /// this size (the last one shorter when the length is not a multiple of
-/// it), each created as zeros by the first write that touches it.
+/// it), each created as zeros by the first write that touches it. A page
+/// is one slot of its pool's page heap: slot `k` is heap bytes
+/// `[k * PAGE_BYTES, (k + 1) * PAGE_BYTES)`, a whole slot even for a
+/// short last page.
 pub const PAGE_BYTES: usize = 4096;
 
 /// What a page that was never written reads as.
 static ZERO_PAGE: [u8; PAGE_BYTES] = [0; PAGE_BYTES];
+
+thread_local! {
+    /// The page heap of the largest bytes pool this thread has dropped,
+    /// emptied with its capacity kept, for the thread's next
+    /// [`MemoryPool::new`]: a fresh cluster writes its pages into memory
+    /// that is already mapped instead of faulting it in again.
+    static SPARE_HEAP: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// Identifies a buffer allocated in a [`MemoryPool`].
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,10 +36,11 @@ struct Buffer {
     rank: Rank,
     /// Logical size in bytes.
     len: usize,
-    /// The payload, page by page. A page that is `None`, or lies past the
-    /// end of the table, was never written and reads as zeros. Never
-    /// grown in a timing-only pool.
-    pages: Vec<Option<Box<[u8]>>>,
+    /// The payload, page by page: page `p` is slot `pages[p]` of the
+    /// pool's page heap. A page that is `None`, or lies past the end of
+    /// the table, was never written and reads as zeros. Never grown in a
+    /// timing-only pool.
+    pages: Vec<Option<u32>>,
     /// A contiguous copy of the whole payload, made for a
     /// [`MemoryPool::bytes`] or [`MemoryPool::bytes_mut`] range that spans
     /// pages. While it exists it holds the buffer's bytes; the next pool
@@ -41,69 +53,85 @@ struct Buffer {
 }
 
 impl Buffer {
+    /// Where byte `off` lies in the pool's page heap, if its page was
+    /// ever written.
+    fn at(&self, off: usize) -> Option<usize> {
+        let slot = self.pages.get(off / PAGE_BYTES).copied().flatten()?;
+        Some(slot as usize * PAGE_BYTES + off % PAGE_BYTES)
+    }
+
+    /// Where byte `off` lies in `heap`, appending its page to `heap` as a
+    /// zeroed slot the first time.
+    fn at_mut(&mut self, heap: &mut Vec<u8>, off: usize) -> usize {
+        let p = off / PAGE_BYTES;
+        if self.pages.len() <= p {
+            self.pages.resize(p + 1, None);
+        }
+        let slot = *self.pages[p].get_or_insert_with(|| {
+            let slot = heap.len() / PAGE_BYTES;
+            heap.resize(heap.len() + PAGE_BYTES, 0);
+            u32::try_from(slot).expect("a page heap holds fewer than 2^32 pages")
+        });
+        slot as usize * PAGE_BYTES + off % PAGE_BYTES
+    }
+
     /// `n` bytes at `off`, a range inside one page: zeros if that page
     /// was never written.
-    fn slice(&self, off: usize, n: usize) -> &[u8] {
+    fn slice<'h>(&self, heap: &'h [u8], off: usize, n: usize) -> &'h [u8] {
         debug_assert!(self.image.get().is_none(), "pages read under an image");
-        let (p, at) = (off / PAGE_BYTES, off % PAGE_BYTES);
-        let page = match self.pages.get(p) {
-            Some(Some(page)) => page,
-            _ => &ZERO_PAGE[..],
-        };
-        &page[at..at + n]
+        match self.at(off) {
+            Some(at) => &heap[at..at + n],
+            None => &ZERO_PAGE[off % PAGE_BYTES..][..n],
+        }
     }
 
     /// `n` bytes at `off`, a range inside one page, for writing: the page
     /// is created as zeros the first time.
-    fn slice_mut(&mut self, off: usize, n: usize) -> &mut [u8] {
+    fn slice_mut<'h>(&mut self, heap: &'h mut Vec<u8>, off: usize, n: usize) -> &'h mut [u8] {
         debug_assert!(self.image.get().is_none(), "pages written under an image");
-        let (p, at) = (off / PAGE_BYTES, off % PAGE_BYTES);
-        if self.pages.len() <= p {
-            self.pages.resize_with(p + 1, || None);
-        }
-        let page_len = PAGE_BYTES.min(self.len - p * PAGE_BYTES);
-        let page = self.pages[p].get_or_insert_with(|| vec![0; page_len].into_boxed_slice());
-        &mut page[at..at + n]
+        let at = self.at_mut(heap, off);
+        &mut heap[at..at + n]
     }
 
     /// Calls `f(i, bytes)` with bytes `[off + i, off + i + bytes.len())`
     /// of the `len` at `off`, in order: one page run at a time, or one
     /// slice of the image while there is one.
-    fn read_runs(&self, off: usize, len: usize, mut f: impl FnMut(usize, &[u8])) {
+    fn read_runs(&self, heap: &[u8], off: usize, len: usize, mut f: impl FnMut(usize, &[u8])) {
         match self.image.get() {
             Some(image) => f(0, &image[off..off + len]),
-            None => runs([off], len).for_each(|(i, n)| f(i, self.slice(off + i, n))),
+            None => runs([off], len).for_each(|(i, n)| f(i, self.slice(heap, off + i, n))),
         }
     }
 
     /// Appends the `len` bytes at `off` to `out`.
-    fn read_into(&self, off: usize, len: usize, out: &mut Vec<u8>) {
-        self.read_runs(off, len, |_, bytes| out.extend_from_slice(bytes));
+    fn read_into(&self, heap: &[u8], off: usize, len: usize, out: &mut Vec<u8>) {
+        self.read_runs(heap, off, len, |_, bytes| out.extend_from_slice(bytes));
     }
 
     /// Writes `data` at `off`, one page run at a time.
-    fn write(&mut self, off: usize, data: &[u8]) {
+    fn write(&mut self, heap: &mut Vec<u8>, off: usize, data: &[u8]) {
         for (i, n) in runs([off], data.len()) {
-            self.slice_mut(off + i, n).copy_from_slice(&data[i..i + n]);
+            self.slice_mut(heap, off + i, n)
+                .copy_from_slice(&data[i..i + n]);
         }
     }
 
     /// The whole payload as one contiguous copy, made once and kept as
     /// the image until the next write.
-    fn image(&self) -> &[u8] {
+    fn image(&self, heap: &[u8]) -> &[u8] {
         self.image.get_or_init(|| {
             let mut data = Vec::with_capacity(self.len);
-            self.read_into(0, self.len, &mut data);
+            self.read_into(heap, 0, self.len, &mut data);
             data.into_boxed_slice()
         })
     }
 
     /// Drops the image before the pages are written or read directly,
     /// first copying back the range `bytes_mut` handed out of it.
-    fn settle(&mut self) {
+    fn settle(&mut self, heap: &mut Vec<u8>) {
         if let Some(image) = self.image.take() {
             if let Some(dirty) = self.dirty.take() {
-                self.write(dirty.start, &image[dirty]);
+                self.write(heap, dirty.start, &image[dirty]);
             }
         }
     }
@@ -150,6 +178,14 @@ fn in_one_page(off: usize, len: usize) -> bool {
 ///   so no read sees stale bytes. Readers that want no copy read one page
 ///   at a time. [`resident_bytes`](MemoryPool::resident_bytes) counts the
 ///   pages created so far.
+///
+///   The pool keeps every page it creates in one contiguous page heap, a
+///   page per [`PAGE_BYTES`] slot in the order they were created. When a
+///   bytes pool drops, its heap is emptied but keeps its capacity, and
+///   the next [`MemoryPool::new`] on the same thread takes it, so a fresh
+///   cluster's pages land in memory that is already mapped. A thread thus
+///   keeps the heap of the largest bytes pool it has dropped until it
+///   builds its next pool or exits.
 /// * **Timing-only** ([`Machine::timing_only`](crate::Machine::timing_only)):
 ///   a buffer records its length and no page is ever created. The
 ///   data-plane operations run the same range and overlap checks and
@@ -160,10 +196,14 @@ fn in_one_page(off: usize, len: usize) -> bool {
 ///   [`to_f32_vec`](MemoryPool::to_f32_vec)) panic instead of returning
 ///   zeros. No timing depends on a payload value, so a run gives the same
 ///   virtual times, events and counters in either mode; timing-only is for
-///   runs that never read their outputs.
+///   runs that never read their outputs. A timing-only pool never takes
+///   or leaves a page heap.
 #[derive(Debug, Default)]
 pub struct MemoryPool {
     buffers: Vec<Buffer>,
+    /// Every page of every buffer, one [`PAGE_BYTES`] slot each, in the
+    /// order the pages were created. Empty in a timing-only pool.
+    heap: Vec<u8>,
     /// Buffers hold no payload (fixed at construction).
     timing_only: bool,
     /// Cumulative bytes moved by data-plane operations (`copy`, `reduce`,
@@ -185,20 +225,40 @@ pub struct MemoryPool {
 // after `catch_unwind`.
 impl std::panic::RefUnwindSafe for MemoryPool {}
 
+impl Drop for MemoryPool {
+    /// Leaves a bytes pool's page heap, emptied, as the thread's spare,
+    /// unless the spare already has the larger capacity. While the
+    /// thread's locals are being destroyed the heap is freed instead.
+    fn drop(&mut self) {
+        if self.timing_only {
+            return;
+        }
+        let mut heap = mem::take(&mut self.heap);
+        heap.clear();
+        // An `Err` means the spare is gone with the thread: `heap` drops.
+        let _ = SPARE_HEAP.try_with(|spare| {
+            spare.set(std::cmp::max_by_key(spare.take(), heap, Vec::capacity));
+        });
+    }
+}
+
 impl MemoryPool {
-    /// Creates an empty pool whose buffers hold real bytes.
+    /// Creates an empty pool whose buffers hold real bytes. It takes this
+    /// thread's spare page heap, if there is one, for its pages (see the
+    /// type docs).
     pub fn new() -> MemoryPool {
-        MemoryPool::default()
+        let mut pool = MemoryPool::default();
+        pool.heap = SPARE_HEAP.try_with(Cell::take).unwrap_or_default();
+        pool
     }
 
     /// Creates an empty timing-only pool: buffers keep their length and
     /// no payload, data-plane operations check and count but move no
     /// bytes, and the readers panic (see the type docs).
     pub(crate) fn timing_only() -> MemoryPool {
-        MemoryPool {
-            timing_only: true,
-            ..MemoryPool::default()
-        }
+        let mut pool = MemoryPool::default();
+        pool.timing_only = true;
+        pool
     }
 
     /// Cumulative bytes moved by data-plane operations so far, equal in
@@ -217,19 +277,25 @@ impl MemoryPool {
     /// write has touched (a whole [`PAGE_BYTES`], or the rest of its
     /// buffer for a last page) in a bytes pool, and always 0 in a
     /// timing-only one. Reads create no page, and the copies that reads
-    /// across pages make are not counted.
+    /// across pages make are not counted; nor are the page heap's unused
+    /// capacity and the rest of a short last page's slot.
     pub fn resident_bytes(&self) -> u64 {
-        self.buffers
-            .iter()
-            .flat_map(|buf| buf.pages.iter().flatten())
-            .map(|page| page.len() as u64)
-            .sum()
+        let mut total = 0;
+        for buf in &self.buffers {
+            for (p, slot) in buf.pages.iter().enumerate() {
+                if slot.is_some() {
+                    total += PAGE_BYTES.min(buf.len - p * PAGE_BYTES) as u64;
+                }
+            }
+        }
+        total
     }
 
     /// Allocates a buffer of `size` bytes on `rank` without creating any
     /// of its payload. In a bytes pool the buffer reads as `size` zeros,
-    /// and each page of it is created by the first write that touches it;
-    /// in a timing-only pool none ever is.
+    /// and each page of it is created by the first write that touches it,
+    /// as the next slot of the pool's page heap; in a timing-only pool
+    /// none ever is.
     pub fn alloc(&mut self, rank: Rank, size: usize) -> BufferId {
         self.buffers.push(Buffer {
             rank,
@@ -272,8 +338,8 @@ impl MemoryPool {
         let b = self.payload(buf, off, len);
         match b.image.get() {
             Some(image) => &image[off..off + len],
-            None if in_one_page(off, len) => b.slice(off, len),
-            None => &b.image()[off..off + len],
+            None if in_one_page(off, len) => b.slice(&self.heap, off, len),
+            None => &b.image(&self.heap)[off..off + len],
         }
     }
 
@@ -286,17 +352,17 @@ impl MemoryPool {
     ///
     /// Panics if the pool is timing-only or the range is out of bounds.
     pub fn bytes_mut(&mut self, buf: BufferId, off: usize, len: usize) -> &mut [u8] {
-        let b = self.payload_mut(buf, off, len);
+        let (b, heap) = self.payload_mut(buf, off, len);
         if len == 0 {
             return &mut [];
         }
         if in_one_page(off, len) {
-            return b.slice_mut(off, len);
+            return b.slice_mut(heap, off, len);
         }
-        for (i, n) in runs([off], len) {
-            b.slice_mut(off + i, n);
+        for (i, _) in runs([off], len) {
+            b.at_mut(heap, off + i);
         }
-        b.image();
+        b.image(heap);
         b.dirty = Some(off..off + len);
         &mut b.image.get_mut().expect("the image was just made")[off..off + len]
     }
@@ -308,7 +374,8 @@ impl MemoryPool {
     /// Panics if the pool is timing-only or the destination range is out
     /// of bounds.
     pub fn write(&mut self, buf: BufferId, off: usize, src: &[u8]) {
-        self.payload_mut(buf, off, src.len()).write(off, src);
+        let (b, heap) = self.payload_mut(buf, off, src.len());
+        b.write(heap, off, src);
     }
 
     /// Copies `len` bytes from `(src, src_off)` to `(dst, dst_off)`.
@@ -368,9 +435,9 @@ impl MemoryPool {
         }
         let es = dtype.size();
         if src != dst && src_off.is_multiple_of(es) && dst_off.is_multiple_of(es) {
-            let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
             for (i, n) in runs([src_off, dst_off], len) {
-                dtype.reduce_lanes(op, d.slice_mut(dst_off + i, n), s.slice(src_off + i, n));
+                let (s, d) = self.two_pages((src, src_off + i), (dst, dst_off + i), n);
+                dtype.reduce_lanes(op, d, s);
             }
         } else {
             // `op(dst, src)` through the registers, the same bits.
@@ -469,11 +536,11 @@ impl MemoryPool {
         let es = dtype.size();
         let len = self.len(buf);
         let mut vals = mem::take(&mut self.scratch);
-        let b = self.payload_mut(buf, 0, len);
+        let (b, heap) = self.payload_mut(buf, 0, len);
         for (i, n) in runs([0], len) {
             vals.clear();
             vals.extend((i / es..(i + n) / es).map(&mut f));
-            dtype.encode_lanes(&mut b.slice_mut(i, n)[..vals.len() * es], &vals);
+            dtype.encode_lanes(&mut b.slice_mut(heap, i, n)[..vals.len() * es], &vals);
         }
         self.scratch = vals;
     }
@@ -489,7 +556,7 @@ impl MemoryPool {
         let len = self.len(buf);
         let b = self.payload(buf, 0, len);
         let mut out = vec![0.0; len / es];
-        b.read_runs(0, len, |i, bytes| {
+        b.read_runs(&self.heap, 0, len, |i, bytes| {
             let lanes = &mut out[i / es..][..bytes.len() / es];
             dtype.decode_lanes(&bytes[..lanes.len() * es], lanes);
         });
@@ -503,19 +570,18 @@ impl MemoryPool {
     fn spread(&mut self, src: BufferId, src_off: usize, dsts: &[(BufferId, usize)], len: usize) {
         if dsts.iter().all(|&(dst, _)| dst != src) {
             for &(dst, dst_off) in dsts {
-                let (s, d) = split_two(&mut self.buffers, src.0, dst.0);
                 for (i, n) in runs([src_off, dst_off], len) {
-                    d.slice_mut(dst_off + i, n)
-                        .copy_from_slice(s.slice(src_off + i, n));
+                    let (s, d) = self.two_pages((src, src_off + i), (dst, dst_off + i), n);
+                    d.copy_from_slice(s);
                 }
             }
             return;
         }
         let mut stage = mem::take(&mut self.stage);
         stage.clear();
-        self.buffers[src.0].read_into(src_off, len, &mut stage);
+        self.buffers[src.0].read_into(&self.heap, src_off, len, &mut stage);
         for &(dst, dst_off) in dsts {
-            self.buffers[dst.0].write(dst_off, &stage);
+            self.buffers[dst.0].write(&mut self.heap, dst_off, &stage);
         }
         self.stage = stage;
     }
@@ -551,23 +617,24 @@ impl MemoryPool {
             };
             let b = &self.buffers[src.0];
             if off.is_multiple_of(es) {
-                b.read_runs(off, len, lanes);
+                b.read_runs(&self.heap, off, len, lanes);
             } else {
                 stage.clear();
-                b.read_into(off, len, &mut stage);
+                b.read_into(&self.heap, off, len, &mut stage);
                 lanes(0, &stage);
             }
         }
         let d = &mut self.buffers[dst.0];
         if dst_off.is_multiple_of(es) {
             for (i, n) in runs([dst_off], len) {
-                dtype.encode_lanes(d.slice_mut(dst_off + i, n), &acc[i / es..(i + n) / es]);
+                let out = d.slice_mut(&mut self.heap, dst_off + i, n);
+                dtype.encode_lanes(out, &acc[i / es..(i + n) / es]);
             }
         } else {
             stage.clear();
             stage.resize(len, 0);
             dtype.encode_lanes(&mut stage, &acc);
-            d.write(dst_off, &stage);
+            d.write(&mut self.heap, dst_off, &stage);
         }
         self.scratch = acc;
         self.stage = stage;
@@ -590,7 +657,7 @@ impl MemoryPool {
         self.moved_bytes += moved as u64;
         for (buf, off) in operands {
             self.check_range(buf, off, len);
-            self.buffers[buf.0].settle();
+            self.buffers[buf.0].settle(&mut self.heap);
         }
     }
 
@@ -610,13 +677,47 @@ impl MemoryPool {
         &self.buffers[buf.0]
     }
 
-    /// `buf` for a host writer of `len` bytes at `off`, settled.
-    fn payload_mut(&mut self, buf: BufferId, off: usize, len: usize) -> &mut Buffer {
+    /// `buf`, settled, and the page heap for a host writer of `len`
+    /// bytes at `off`.
+    fn payload_mut(
+        &mut self,
+        buf: BufferId,
+        off: usize,
+        len: usize,
+    ) -> (&mut Buffer, &mut Vec<u8>) {
         self.refuse_timing_only(buf);
         self.check_range(buf, off, len);
         let b = &mut self.buffers[buf.0];
-        b.settle();
-        b
+        b.settle(&mut self.heap);
+        (b, &mut self.heap)
+    }
+
+    /// The `n` bytes at `src` to read and at `dst` to write, each a range
+    /// inside one page of two different buffers; the destination page is
+    /// created first. The two slots differ, so one split of the heap
+    /// lends both.
+    fn two_pages(
+        &mut self,
+        (src, src_off): (BufferId, usize),
+        (dst, dst_off): (BufferId, usize),
+        n: usize,
+    ) -> (&[u8], &mut [u8]) {
+        debug_assert_ne!(src, dst);
+        let d = self.buffers[dst.0].at_mut(&mut self.heap, dst_off);
+        match self.buffers[src.0].at(src_off) {
+            None => (
+                &ZERO_PAGE[src_off % PAGE_BYTES..][..n],
+                &mut self.heap[d..d + n],
+            ),
+            Some(s) if s < d => {
+                let (lo, hi) = self.heap.split_at_mut(d);
+                (&lo[s..s + n], &mut hi[..n])
+            }
+            Some(s) => {
+                let (lo, hi) = self.heap.split_at_mut(s);
+                (&hi[..n], &mut lo[d..d + n])
+            }
+        }
     }
 
     fn refuse_timing_only(&self, buf: BufferId) {
@@ -627,22 +728,10 @@ impl MemoryPool {
     }
 }
 
-/// Splits two distinct indices of a slice into disjoint mutable references.
-fn split_two(v: &mut [Buffer], a: usize, b: usize) -> (&mut Buffer, &mut Buffer) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        let (x, y) = (&mut hi[0], &mut lo[b]);
-        (x, y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     /// Constructors of both payload modes.
     const MODES: [fn() -> MemoryPool; 2] = [MemoryPool::new, MemoryPool::timing_only];
@@ -924,5 +1013,66 @@ mod tests {
         p.fill_with(a, DataType::F32, |i| i as f32); // [0,1,2,3]
         p.reduce(a, 0, a, 8, 2, DataType::F32, ReduceOp::Sum);
         assert_eq!(p.to_f32_vec(a, DataType::F32), vec![0.0, 1.0, 2.0, 4.0]);
+    }
+
+    /// The capacity of this thread's spare page heap.
+    fn spare_capacity() -> usize {
+        SPARE_HEAP.with(|spare| {
+            let heap = spare.take();
+            let capacity = heap.capacity();
+            spare.set(heap);
+            capacity
+        })
+    }
+
+    #[test]
+    fn the_next_bytes_pool_takes_the_spare_heap_and_timing_only_ones_do_not() {
+        SPARE_HEAP.with(Cell::take);
+        let mut p = MemoryPool::new();
+        let a = p.alloc(Rank(0), 3 * PAGE_BYTES);
+        p.write(a, 0, &[0xA5; 3 * PAGE_BYTES]);
+        drop(p);
+        let kept = spare_capacity();
+        assert!(kept >= 3 * PAGE_BYTES, "{kept}");
+        // A timing-only pool neither takes the spare nor leaves its own.
+        let mut t = MemoryPool::timing_only();
+        assert_eq!(t.heap.capacity(), 0);
+        let b = t.alloc(Rank(1), 3 * PAGE_BYTES);
+        t.copy(b, 0, b, PAGE_BYTES, PAGE_BYTES);
+        drop(t);
+        assert_eq!(spare_capacity(), kept);
+        // A smaller bytes pool's heap does not displace it.
+        let mut small = MemoryPool::default();
+        let c = small.alloc(Rank(2), 8);
+        small.write(c, 0, &[1; 8]);
+        drop(small);
+        assert_eq!(spare_capacity(), kept);
+        // The next bytes pool takes it and creates its pages as zeros.
+        let mut p = MemoryPool::new();
+        assert_eq!((p.heap.len(), p.heap.capacity()), (0, kept));
+        assert_eq!(spare_capacity(), 0);
+        let a = p.alloc(Rank(0), 3 * PAGE_BYTES);
+        p.write(a, PAGE_BYTES, &[7]);
+        assert_eq!(p.bytes(a, PAGE_BYTES - 1, 3), &[0, 7, 0]);
+        assert_eq!(p.resident_bytes(), PAGE_BYTES as u64);
+    }
+
+    #[test]
+    fn a_pool_dropped_with_its_thread_frees_its_heap() {
+        thread_local! {
+            static HELD: RefCell<Option<MemoryPool>> = const { RefCell::new(None) };
+        }
+        std::thread::spawn(|| {
+            // `HELD` is first touched before the pool touches the spare,
+            // so where a thread's locals are destroyed in reverse order
+            // the spare is already gone when the pool drops.
+            HELD.with(|held| assert!(held.borrow().is_none()));
+            let mut p = MemoryPool::new();
+            let a = p.alloc(Rank(0), 2 * PAGE_BYTES);
+            p.write(a, PAGE_BYTES - 1, &[1, 2]);
+            HELD.with(|held| *held.borrow_mut() = Some(p));
+        })
+        .join()
+        .expect("the thread exits without a panic");
     }
 }

@@ -2,7 +2,9 @@
 //! `Vec<u8>` per buffer, run through the same random sequence of host
 //! writes, host reads and data-plane ops over buffers of several pages,
 //! hold the same bytes after every step, count the same `moved_bytes`,
-//! and the pool creates exactly the pages the sequence wrote.
+//! and the pool creates exactly the pages the sequence wrote. Each case
+//! runs on a page heap reused from a dropped pool that wrote `0xA5` over
+//! every page, so a page created from stale bytes fails it.
 //!
 //! Writes are random bytes and fills are partly random `f32` bit
 //! patterns, so the pool's lanes (the F16C ones, on a CPU that has them)
@@ -277,6 +279,16 @@ fn pool() -> (MemoryPool, Vec<BufferId>) {
     (p, bufs)
 }
 
+/// Leaves this thread a spare page heap of stale bytes: a pool like
+/// `pool()` that wrote `0xA5` over every page of its buffers, dropped.
+fn leave_a_stale_heap() {
+    let (mut p, bufs) = pool();
+    for buf in bufs {
+        let len = p.len(buf);
+        p.write(buf, 0, &vec![0xA5; len]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -284,6 +296,7 @@ proptest! {
     fn paged_pool_matches_a_flat_model(
         words in collection::vec((0usize..KINDS, any::<u64>()), 1..24),
     ) {
+        leave_a_stale_heap();
         let (mut p, bufs) = pool();
         let mut m = Model::new(&bufs);
         let ops: Vec<Op> = words
