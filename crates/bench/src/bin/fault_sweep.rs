@@ -1,14 +1,16 @@
-//! Fault-injection sweep: runs verified MSCCL++ AllReduces under
-//! deterministic fault plans and writes `results/fault_sweep.json`.
+//! Fault-injection sweep: runs MSCCL++ AllReduces, each proven by the
+//! verifier before it runs, under deterministic fault plans and writes
+//! `results/fault_sweep.json`.
 //!
 //! Three scenarios, mirroring the robustness claims in DESIGN.md §9:
 //!
 //! 1. **Transient flap sweep** (A100-40G, PortChannel 2PA, 4 MB): every
 //!    NVLink port on GPU 0 flaps down for a window of 20 us – 2 ms. The
 //!    CPU proxies retry with seeded exponential backoff; the collective
-//!    completes bit-correct and the latency penalty tracks the flap
-//!    duration. The first point is run twice to demonstrate that the
-//!    same seed + plan reproduces identical timings and counters.
+//!    completes and the latency penalty tracks the flap duration
+//!    (`tests/chaos.rs` checks the bytes of such a run). The first point
+//!    is run twice to demonstrate that the same seed + plan reproduces
+//!    identical timings and counters.
 //! 2. **Multimem switch death** (H100, 64 MB): the NVLS reduction tree
 //!    dies permanently; the default selection re-plans from
 //!    `TwoPhaseSwitch` onto the HB all-pairs variant.

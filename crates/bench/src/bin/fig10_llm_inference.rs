@@ -1,7 +1,6 @@
-//! Regenerates the paper's fig10 output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates Figure 10 (Llama2-70b decode and prefill, TP=8 on
+//! A100-80G): prints `results/fig10.txt` exactly.
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    bench::figures::fig10(full);
+    bench::figures::fig10();
 }

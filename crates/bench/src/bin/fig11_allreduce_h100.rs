@@ -1,7 +1,6 @@
-//! Regenerates the paper's fig11 output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates Figure 11 (AllReduce on one H100 node, with the
+//! SwitchChannel comparison): prints `results/fig11.txt` exactly.
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    bench::figures::fig11(full);
+    bench::figures::fig11();
 }

@@ -1,7 +1,6 @@
-//! Regenerates the paper's fig12 output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates Figure 12 (AllReduce on one MI300x node against RCCL and
+//! MSCCL): prints `results/fig12.txt` exactly.
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    bench::figures::fig12(full);
+    bench::figures::fig12();
 }

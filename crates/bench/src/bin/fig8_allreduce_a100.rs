@@ -1,7 +1,6 @@
-//! Regenerates the paper's fig8 output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates Figure 8 (AllReduce on A100-40G, 1, 2 and 4 nodes):
+//! prints `results/fig8.txt` exactly.
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    bench::figures::fig8(full);
+    bench::figures::fig8();
 }

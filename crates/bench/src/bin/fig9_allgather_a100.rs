@@ -1,7 +1,6 @@
-//! Regenerates the paper's fig9 output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates Figure 9 (AllGather on A100-40G, 1, 2 and 4 nodes):
+//! prints `results/fig9.txt` exactly.
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    bench::figures::fig9(full);
+    bench::figures::fig9();
 }

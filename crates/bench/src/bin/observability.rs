@@ -1,26 +1,21 @@
-//! Runs one AllReduce per stack at several sizes and writes a
-//! machine-readable observability report (latency + sync counters +
-//! per-link utilization) to `results/observability_allreduce.json`.
-//! Pass `--full` to add the 64 MB point.
+//! Runs one AllReduce per stack at 32 KB, 1 MB, 16 MB and 64 MB and
+//! writes a machine-readable observability report (latency + sync
+//! counters + per-link utilization) to
+//! `results/observability_allreduce.json`.
 
 use bench::report::{observe_allreduce, runs_to_json, write_results_json, StackRun};
 use bench::{fmt_bytes, Target};
 use hw::EnvKind;
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
     let t = Target {
         env: EnvKind::A100_40G,
         nodes: 1,
     };
-    let mut sizes = vec![32 << 10, 1 << 20, 16 << 20];
-    if full {
-        sizes.push(64 << 20);
-    }
 
     let mut all: Vec<StackRun> = Vec::new();
     println!("==== AllReduce observability (A100-40G, 8 GPUs) ====");
-    for &bytes in &sizes {
+    for bytes in [32 << 10, 1 << 20, 16 << 20, 64 << 20] {
         let runs = observe_allreduce(t, bytes);
         for run in &runs {
             let busiest = run

@@ -1,5 +1,5 @@
-//! Regenerates the paper's table1 output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates Table 1 (the evaluation environments): prints
+//! `results/table1.txt` exactly.
 
 fn main() {
     bench::figures::table1();

@@ -1,5 +1,5 @@
-//! Regenerates the paper's table_registers output. Pass `--full` for the full
-//! message-size sweep (slower, more memory).
+//! Regenerates the §3.2.3 registers-per-thread table: prints
+//! `results/table_registers.txt` exactly.
 
 fn main() {
     bench::figures::table_registers();

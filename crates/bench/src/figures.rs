@@ -1,12 +1,13 @@
 //! One function per table/figure of the paper's evaluation (§5).
 //!
-//! Each function prints the regenerated table to stdout. Absolute
+//! Each function prints the regenerated table to stdout, and each bin's
+//! stdout is its committed `results/*.txt` byte for byte. Absolute
 //! numbers come from the simulated cluster, so they are not expected to
 //! match the authors' testbed; the *shape* — which stack wins, by
 //! roughly what factor, and where the crossovers fall — is the
 //! reproduction target (see EXPERIMENTS.md at the repository root).
 
-use collective::{AllReduceAlgo, PeerOrder, ScratchReuse};
+use collective::{AllGatherAlgo, AllReduceAlgo, PeerOrder, ScratchReuse};
 use hw::EnvKind;
 use inference::{BatchConfig, ModelConfig, MscclppBackend, NcclBackend, ServingEngine};
 
@@ -53,8 +54,17 @@ pub fn table1() {
     }
 }
 
-/// One verified, healthy point: `bytes` per rank in, reported over the
-/// message each rank ends up holding.
+/// The largest single-node message of every sweep. The paper sweeps to
+/// 1 GB; this cap, and the smaller ones of [`A100_CAPS`], keep a figure's
+/// host time short (EXPERIMENTS.md, Figure 8).
+pub const SINGLE_NODE_CAP: usize = 256 << 20;
+
+/// The A100-40G sweeps of Figures 8 and 9: node count and largest
+/// message.
+pub const A100_CAPS: [(usize, usize); 3] = [(1, SINGLE_NODE_CAP), (2, 64 << 20), (4, 16 << 20)];
+
+/// One healthy point: `bytes` per rank in, reported over the message
+/// each rank ends up holding.
 fn point(stack: Stack, coll: Coll, t: Target, bytes: usize, pick: Pick) -> Point {
     Point {
         bytes: coll.out_bytes(bytes, t.world()),
@@ -94,65 +104,33 @@ fn sweep(coll: Coll, t: Target, max_large: usize, env_name: &str) {
     );
 }
 
-/// Figure 8: AllReduce on A100-40G across 1, 2, and 4 nodes.
-///
-/// `full` extends single-node messages to 256 MB (memory-capped stand-in
-/// for the paper's 1 GB; see DESIGN.md).
-pub fn fig8(full: bool) {
-    println!("\n==== Figure 8: AllReduce, A100-40G ====");
-    let caps = if full {
-        [(1usize, 256 << 20), (2, 64 << 20), (4, 16 << 20)]
-    } else {
-        [(1usize, 16 << 20), (2, 4 << 20), (4, 1 << 20)]
-    };
-    for (nodes, cap) in caps {
-        sweep(
-            Coll::AllReduce,
-            Target {
-                env: EnvKind::A100_40G,
-                nodes,
-            },
-            cap,
-            "A100-40G",
-        );
+/// The sweeps of `coll` on A100-40G across 1, 2 and 4 nodes.
+fn a100_sweeps(coll: Coll) {
+    for (nodes, cap) in A100_CAPS {
+        let t = Target {
+            env: EnvKind::A100_40G,
+            nodes,
+        };
+        sweep(coll, t, cap, "A100-40G");
     }
+}
+
+/// Figure 8: AllReduce on A100-40G across 1, 2, and 4 nodes.
+pub fn fig8() {
+    println!("\n==== Figure 8: AllReduce, A100-40G ====");
+    a100_sweeps(Coll::AllReduce);
 }
 
 /// Figure 9: AllGather on A100-40G across 1, 2, and 4 nodes.
-pub fn fig9(full: bool) {
+pub fn fig9() {
     println!("\n==== Figure 9: AllGather, A100-40G ====");
-    let caps = if full {
-        [(1usize, 256 << 20), (2, 64 << 20), (4, 16 << 20)]
-    } else {
-        [(1usize, 16 << 20), (2, 4 << 20), (4, 1 << 20)]
-    };
-    for (nodes, cap) in caps {
-        sweep(
-            Coll::AllGather,
-            Target {
-                env: EnvKind::A100_40G,
-                nodes,
-            },
-            cap,
-            "A100-40G",
-        );
-    }
+    a100_sweeps(Coll::AllGather);
 }
 
 /// Figure 10: Llama2-70b decode/prefill speedup, TP=8 on A100-80G.
-pub fn fig10(full: bool) {
+pub fn fig10() {
     println!("\n==== Figure 10: Llama2-70b inference, TP=8, A100-80G ====");
     let model = ModelConfig::llama2_70b();
-    let bszs: &[usize] = if full {
-        &[8, 16, 32, 64, 128]
-    } else {
-        &[8, 64]
-    };
-    let seqlens: &[usize] = if full {
-        &[128, 512, 1024, 2048]
-    } else {
-        &[128, 512]
-    };
     println!(
         "{:>6} {:>8} | {:>12} {:>12} {:>9} | {:>12} {:>12} {:>9}",
         "bsz",
@@ -164,8 +142,8 @@ pub fn fig10(full: bool) {
         "M++ pre us",
         "speedup"
     );
-    for &bsz in bszs {
-        for &seqlen in seqlens {
+    for bsz in [8, 16, 32, 64, 128] {
+        for seqlen in [128, 512, 1024, 2048] {
             let batch = BatchConfig { bsz, seqlen };
             let max_tokens = bsz * seqlen;
             let (nccl_dec, nccl_pre) = {
@@ -201,13 +179,13 @@ pub fn fig10(full: bool) {
 
 /// Figure 11: AllReduce on H100 (single node), including the
 /// SwitchChannel-vs-MemoryChannel comparison of §5.3.
-pub fn fig11(full: bool) {
+pub fn fig11() {
     println!("\n==== Figure 11: AllReduce, H100, single node ====");
     let t = Target {
         env: EnvKind::H100,
         nodes: 1,
     };
-    let bytes = if full { 256 << 20 } else { 16 << 20 };
+    let bytes = SINGLE_NODE_CAP;
     sweep(Coll::AllReduce, t, bytes, "H100");
 
     let staggered = AllReduceAlgo::TwoPhaseHb {
@@ -226,7 +204,7 @@ pub fn fig11(full: bool) {
 }
 
 /// Figure 12: AllReduce on MI300x (single node) vs RCCL/MSCCL.
-pub fn fig12(full: bool) {
+pub fn fig12() {
     println!("\n==== Figure 12: AllReduce, MI300x, single node (RCCL baseline) ====");
     sweep(
         Coll::AllReduce,
@@ -234,14 +212,14 @@ pub fn fig12(full: bool) {
             env: EnvKind::MI300X,
             nodes: 1,
         },
-        if full { 256 << 20 } else { 16 << 20 },
+        SINGLE_NODE_CAP,
         "MI300x",
     );
 }
 
 /// The §5.1 gain-breakdown rows: 1 KB latency per stack and the
 /// PortChannel-vs-MemoryChannel bandwidth edge at the largest size.
-pub fn gain_breakdown(full: bool) {
+pub fn gain_breakdown() {
     println!("\n==== §5.1 gain breakdown (A100-40G, single node) ====");
     let t = Target {
         env: EnvKind::A100_40G,
@@ -256,7 +234,7 @@ pub fn gain_breakdown(full: bool) {
         p.latency_us,
         (1.0 - p.latency_us / m.latency_us) * 100.0
     );
-    let bytes = if full { 256 << 20 } else { 16 << 20 };
+    let bytes = SINGLE_NODE_CAP;
     let staggered = AllReduceAlgo::TwoPhaseHb {
         order: PeerOrder::Staggered,
     };
@@ -285,40 +263,16 @@ pub fn table_registers() {
 }
 
 /// §2.2.2 ablation: thread-copy vs DMA-copy AllGather bus bandwidth.
-pub fn ablation_copy_modes(full: bool) {
-    use hw::{DataType, Machine, Rank};
-    use sim::Engine;
-
+pub fn ablation_copy_modes() {
     println!("\n==== §2.2.2 ablation: AllGather copy modes (A100, 8 GPUs) ====");
-    let per_rank_bytes = (if full { 128usize << 20 } else { 32 << 20 }) / 8;
-    let count = per_rank_bytes / 2;
-    let run = |algo: collective::AllGatherAlgo| -> f64 {
-        let mut e = Engine::new(Machine::new(EnvKind::A100_80G.spec(1)));
-        hw::wire(&mut e);
-        let inputs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), per_rank_bytes))
-            .collect();
-        let outputs: Vec<_> = (0..8)
-            .map(|r| e.world_mut().pool_mut().alloc(Rank(r), per_rank_bytes * 8))
-            .collect();
-        for (r, &b) in inputs.iter().enumerate() {
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F16, move |i| crate::input_val(r, i));
-        }
-        let comm = collective::CollComm::new();
-        let t = comm
-            .all_gather_with(&mut e, &inputs, &outputs, count, DataType::F16, algo)
-            .expect("allgather")
-            .elapsed()
-            .as_us();
-        // Spot-verify.
-        let data = e.world().pool().bytes(outputs[3], 5 * per_rank_bytes, 8);
-        assert_eq!(DataType::F16.decode(data, 0), crate::input_val(5, 0));
-        t
+    let t = Target {
+        env: EnvKind::A100_80G,
+        nodes: 1,
     };
-    let thread_us = run(collective::AllGatherAlgo::AllPairsHb);
-    let dma_us = run(collective::AllGatherAlgo::AllPairsPort);
+    let per_rank_bytes = (128 << 20) / 8;
+    let [thread_us, dma_us] = [AllGatherAlgo::AllPairsHb, AllGatherAlgo::AllPairsPort]
+        .map(Pick::AllGather)
+        .map(|pick| point(Stack::Mscclpp, Coll::AllGather, t, per_rank_bytes, pick).latency_us);
     // Bus bandwidth = moved bytes per GPU / time = (N-1)/N * total / t.
     let total = (per_rank_bytes * 8) as f64;
     let bus = |us: f64| total * 7.0 / 8.0 / (us * 1e3);
@@ -336,22 +290,18 @@ pub fn ablation_copy_modes(full: bool) {
     );
 }
 
-/// §5.1 DSL-vs-Primitive ablation across sizes.
-pub fn ablation_dsl(full: bool) {
+/// §5.1 DSL-vs-Primitive ablation across sizes, on timing-only clusters:
+/// the DSL compiler and `CollComm` prove each plan before it runs.
+pub fn ablation_dsl() {
     println!("\n==== §5.1 ablation: DSL executor vs Primitive kernels (2PA AllReduce, A100) ====");
     use hw::{DataType, Machine, Rank, ReduceOp};
     use mscclpp::Setup;
     use sim::Engine;
-    let sizes: Vec<usize> = if full {
-        vec![64 << 10, 256 << 10, 1 << 20, 4 << 20]
-    } else {
-        vec![64 << 10, 1 << 20]
-    };
     let mut overheads = Vec::new();
-    for bytes in sizes {
+    for bytes in [64 << 10, 256 << 10, 1 << 20, 4 << 20] {
         let count = bytes / 4;
         let prog = mscclpp_dsl::algorithms::two_phase_all_reduce(8).unwrap();
-        let mut engine = Engine::new(Machine::new(EnvKind::A100_40G.spec(1)));
+        let mut engine = Engine::new(Machine::timing_only(EnvKind::A100_40G.spec(1)));
         let mut setup = Setup::new(&mut engine);
         let ins = setup.alloc_all(bytes);
         let outs = setup.alloc_all(bytes);
@@ -366,15 +316,9 @@ pub fn ablation_dsl(full: bool) {
                 },
             )
             .unwrap();
-        for (r, &buf) in ins.iter().enumerate() {
-            engine
-                .world_mut()
-                .pool_mut()
-                .fill_with(buf, DataType::F32, move |i| crate::input_val(r, i));
-        }
         let dsl_us = exe.launch(&mut engine).unwrap().elapsed().as_us();
 
-        let mut e2 = Engine::new(Machine::new(EnvKind::A100_40G.spec(1)));
+        let mut e2 = Engine::new(Machine::timing_only(EnvKind::A100_40G.spec(1)));
         hw::wire(&mut e2);
         let bufs: Vec<_> = (0..8)
             .map(|r| e2.world_mut().pool_mut().alloc(Rank(r), bytes))
@@ -436,17 +380,13 @@ pub fn ablation_rotation() {
 }
 
 /// §5.3 ablation: peer loop order on the MI300x mesh.
-pub fn ablation_loop_order(full: bool) {
+pub fn ablation_loop_order() {
     println!("\n==== §5.3 ablation: peer loop order on MI300x (2PA-HB AllReduce) ====");
     let t = Target {
         env: EnvKind::MI300X,
         nodes: 1,
     };
-    for bytes in if full {
-        vec![1 << 20, 16 << 20, 64 << 20]
-    } else {
-        vec![1 << 20, 16 << 20]
-    } {
+    for bytes in [1 << 20, 16 << 20, 64 << 20] {
         let [stag, seq] = [PeerOrder::Staggered, PeerOrder::Sequential].map(|order| {
             let pick = Pick::AllReduce(AllReduceAlgo::TwoPhaseHb { order });
             point(Stack::Mscclpp, Coll::AllReduce, t, bytes, pick)
@@ -465,14 +405,16 @@ pub fn ablation_loop_order(full: bool) {
 /// ports during a large AllReduce (the mechanism behind every bandwidth
 /// figure). MSCCL++'s zero-copy all-pairs keeps ports busy nearly the
 /// whole collective; NCCL's ring pays staging and synchronization gaps.
-/// NCCL runs at its size-based tuner's pick; both outputs are verified.
-pub fn utilization_report(full: bool) {
+/// NCCL runs at its size-based tuner's pick. Writes the runs to
+/// `utilization.json` in the results directory and names the file on
+/// stderr, so stdout holds the report alone.
+pub fn utilization_report() {
     println!("\n==== Link utilization during a large AllReduce (A100-40G, 8 GPUs) ====");
     let t = Target {
         env: EnvKind::A100_40G,
         nodes: 1,
     };
-    let bytes = if full { 64 << 20 } else { 16 << 20 };
+    let bytes = 64 << 20;
     let stacks = [
         ("NCCL", Stack::Nccl, Pick::Nccl(ncclsim::tune(bytes, 1))),
         ("MSCCL++", Stack::Mscclpp, Pick::Default),
@@ -496,7 +438,7 @@ pub fn utilization_report(full: bool) {
 
     let json = runs_to_json("utilization", t, None, &runs);
     match write_results_json("utilization.json", &json) {
-        Ok(path) => println!("wrote {}", path.display()),
+        Ok(path) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write results/utilization.json: {e}"),
     }
 }

@@ -14,7 +14,7 @@ use sim::json;
 
 use crate::report::SCHEMA_VERSION;
 use crate::{Bench, Coll, Pick, Stack, Target};
-use hw::{DataType, EnvKind, ReduceOp};
+use hw::{DataType, EnvKind, Machine, ReduceOp};
 
 /// One pinned suite entry. Every case measures the host clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -267,7 +267,7 @@ fn run_serving_observability(iters: usize) -> (Histogram, f64) {
 /// one cold verification (the verifier keeps no cross-run state), so the
 /// histogram is pure prover wall-clock.
 fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram {
-    let mut b = Bench::new(Stack::Mscclpp, target, None);
+    let mut b = Bench::new(Stack::Mscclpp, target, None, Machine::timing_only);
     let ins = b.inputs(bytes);
     let outs = b.outputs(Coll::AllReduce, bytes);
     let (kernels, spec) = collective::CollComm::new()
@@ -307,9 +307,10 @@ fn run_semantic_verify(target: Target, bytes: usize, iters: usize) -> Histogram 
 /// only launch + simulation cost. An untimed warmup launch prepares and
 /// verifies the plan and absorbs first-touch allocation.
 fn run_engine_throughput(target: Target, bytes: usize, iters: usize) -> (Histogram, f64) {
-    let mut b = Bench::new(Stack::Mscclpp, target, None);
+    let mut b = Bench::new(Stack::Mscclpp, target, None, Machine::new);
     let outs = b.outputs(Coll::AllReduce, bytes);
     let ins = b.inputs(bytes);
+    b.fill(&ins);
     let launch = |b: &mut Bench| {
         b.launch(Coll::AllReduce, &ins, &outs, Pick::Default)
             .expect("engine throughput case");

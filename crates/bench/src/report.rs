@@ -100,11 +100,12 @@ pub(crate) fn snapshot(
     }
 }
 
-/// Runs a verified AllReduce of `bytes` on `stack` through [`measure`]
-/// and snapshots the engine of the fastest run (NCCL's best tuning
-/// candidate under [`Pick::Default`]). A `fault` plan is installed
-/// before any communicator state is built; a latency is only reported
-/// when the collective survived the faults with a correct result.
+/// Runs an AllReduce of `bytes` on `stack` through [`measure`], on a
+/// timing-only cluster, and snapshots the engine of the fastest run
+/// (NCCL's best tuning candidate under [`Pick::Default`]). A `fault`
+/// plan is installed before any communicator state is built; a latency
+/// is only reported when the verifier proved the plan and the
+/// collective survived the faults.
 pub fn observe(
     stack: Stack,
     t: Target,
@@ -267,7 +268,7 @@ mod tests {
             nodes: 1,
         };
         // Flap every NVLink path for 20 us early in the run: the proxies
-        // must retry, and the result must still verify.
+        // must retry, and the collective must still complete.
         let mut plan = sim::FaultPlan::new(11);
         for dst in 1..8 {
             plan = plan.link_flap(

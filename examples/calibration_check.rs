@@ -3,9 +3,10 @@
 //! that the reproduction tracks the paper's §5.1 gain breakdown
 //! (1 KB: NCCL ≈ 4x, MSCCL ≈ 1.9x slower than MSCCL++).
 //!
-//! Every cell is a verified AllReduce measured by [`bench::measure`],
-//! the path behind the figures: NCCL's is the fastest of its tuning
-//! candidates, each launched on a fresh cluster.
+//! Every cell is an AllReduce measured by [`bench::measure`], the path
+//! behind the figures: NCCL's is the fastest of its tuning candidates,
+//! each launched on a fresh timing-only cluster, and every launch's plan
+//! is proven by the verifier before it runs.
 //!
 //! Run with: `cargo run --release --example calibration_check`
 

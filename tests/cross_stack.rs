@@ -1,7 +1,8 @@
 //! Workspace-level integration tests: the three stacks and the DSL all
 //! agree on collective semantics, across environments and topologies.
 
-use hw::{DataType, EnvKind, Machine, Rank, ReduceOp};
+use bench::{Bench, Coll, Pick, Stack, Target};
+use hw::{DataType, EnvKind, EnvSpec, Machine, Rank, ReduceOp};
 use mscclpp::Setup;
 use sim::Engine;
 
@@ -202,4 +203,168 @@ fn timings_are_deterministic() {
     let a = once();
     let b = once();
     assert_eq!(a, b);
+}
+
+/// A figure point: stack, collective, cluster and pick, as
+/// `bench::measure` takes them.
+type Case = (Stack, Coll, Target, Pick);
+
+/// A bytes cluster when `real`, a timing-only one otherwise.
+fn machine(real: bool) -> fn(EnvSpec) -> Machine {
+    if real {
+        Machine::new
+    } else {
+        Machine::timing_only
+    }
+}
+
+/// Latency bits of one launch of `case` with `bytes` per rank, through
+/// `bench::Bench` as the figures run it. On a bytes cluster (`real`) the
+/// inputs are filled and every output element is checked.
+fn bench_bits((stack, coll, t, pick): Case, bytes: usize, real: bool) -> u64 {
+    let mut b = Bench::new(stack, t, None, machine(real));
+    let ins = b.inputs(bytes);
+    let outs = b.outputs(coll, bytes);
+    if real {
+        b.fill(&ins);
+    }
+    let us = b
+        .launch(coll, &ins, &outs, pick)
+        .unwrap_or_else(|err| panic!("{stack:?} {coll:?} {t:?} {pick:?}: {err}"))
+        .elapsed()
+        .as_us();
+    if real {
+        b.verify(coll, &outs, bytes);
+    }
+    us.to_bits()
+}
+
+/// Latency bits of the §5.1 DSL ablation's two-phase AllReduce (F32,
+/// two instances, A100-40G 1n8g) of `bytes` per rank. On a bytes
+/// cluster (`real`) the inputs are filled and every output element is
+/// checked.
+fn dsl_bits(bytes: usize, real: bool) -> u64 {
+    let n = 8;
+    let prog = mscclpp_dsl::algorithms::two_phase_all_reduce(n).unwrap();
+    let mut e = Engine::new(machine(real)(EnvKind::A100_40G.spec(1)));
+    let mut setup = Setup::new(&mut e);
+    let ins = setup.alloc_all(bytes);
+    let outs = setup.alloc_all(bytes);
+    let options = mscclpp_dsl::CompileOptions {
+        instances: 2,
+        ..Default::default()
+    };
+    let exe = prog.compile(&mut setup, &ins, &outs, options).unwrap();
+    if real {
+        for (r, &input) in ins.iter().enumerate() {
+            e.world_mut()
+                .pool_mut()
+                .fill_with(input, DataType::F32, move |i| val(r, i));
+        }
+    }
+    let us = exe.launch(&mut e).unwrap().elapsed().as_us();
+    if real {
+        let want = reference_allreduce(n, bytes / 4, val);
+        for (r, &out) in outs.iter().enumerate() {
+            let got = e.world().pool().to_f32_vec(out, DataType::F32);
+            assert_eq!(got, want, "dsl rank {r}");
+        }
+    }
+    us.to_bits()
+}
+
+/// The byte check the figures no longer make. `bench::measure` runs
+/// every figure, ablation and sweep point on a timing-only cluster, so
+/// here each stack, algorithm and cluster those points use runs once on
+/// a bytes cluster and once on a timing-only one, at a small size: the
+/// latency bits must match, and every bytes-mode output element must be
+/// right. The cases are NCCL and MSCCL at their tuners' picks on every
+/// figure cluster; MSCCL++ with the selector's pick at every swept size,
+/// forced at this size, plus the algorithms Figure 11 and the ablations
+/// force; and the DSL ablation's two-phase AllReduce.
+#[test]
+fn figure_points_match_their_bytes_twins() {
+    use bench::figures::{A100_CAPS, SINGLE_NODE_CAP};
+    use bench::{large_sizes, small_sizes};
+    use collective::{AllGatherAlgo as Ag, AllReduceAlgo as Ar, PeerOrder, ScratchReuse};
+    let a100 = |nodes| Target {
+        env: EnvKind::A100_40G,
+        nodes,
+    };
+    let one = |env| Target { env, nodes: 1 };
+    // Every figure sweep: collective, cluster and largest message.
+    let mut sweeps: Vec<(Coll, Target, usize)> = Vec::new();
+    for coll in [Coll::AllReduce, Coll::AllGather] {
+        sweeps.extend(A100_CAPS.map(|(nodes, cap)| (coll, a100(nodes), cap)));
+    }
+    for env in [EnvKind::H100, EnvKind::MI300X] {
+        sweeps.push((Coll::AllReduce, one(env), SINGLE_NODE_CAP));
+    }
+    let mut cases: Vec<Case> = Vec::new();
+    let mut add = |case: Case| {
+        if !cases.contains(&case) {
+            cases.push(case);
+        }
+    };
+    for (coll, t, cap) in sweeps {
+        add((Stack::Nccl, coll, t, Pick::Default));
+        add((Stack::Msccl, coll, t, Pick::Default));
+        let m = Machine::timing_only(t.env.spec(t.nodes));
+        for size in small_sizes().into_iter().chain(large_sizes(cap)) {
+            let per_rank = size / coll.out_bytes(1, t.world());
+            add((
+                Stack::Mscclpp,
+                coll,
+                t,
+                match coll {
+                    Coll::AllReduce => Pick::AllReduce(collective::select_all_reduce(&m, per_rank)),
+                    Coll::AllGather => Pick::AllGather(collective::select_all_gather(&m, per_rank)),
+                },
+            ));
+        }
+    }
+    let hb = |order| Ar::TwoPhaseHb { order };
+    let ll = |reuse| Ar::TwoPhaseLl {
+        reuse,
+        order: PeerOrder::Staggered,
+    };
+    let forced = [
+        (a100(1), Ar::TwoPhasePort),
+        (a100(1), hb(PeerOrder::Staggered)),
+        (a100(1), ll(ScratchReuse::Rotate)),
+        (a100(1), ll(ScratchReuse::Barrier)),
+        (one(EnvKind::H100), Ar::TwoPhaseSwitch),
+        (one(EnvKind::H100), hb(PeerOrder::Staggered)),
+        (one(EnvKind::MI300X), hb(PeerOrder::Staggered)),
+        (one(EnvKind::MI300X), hb(PeerOrder::Sequential)),
+    ];
+    for (t, algo) in forced {
+        add((Stack::Mscclpp, Coll::AllReduce, t, Pick::AllReduce(algo)));
+    }
+    for algo in [Ag::AllPairsHb, Ag::AllPairsPort] {
+        let t = one(EnvKind::A100_80G);
+        add((Stack::Mscclpp, Coll::AllGather, t, Pick::AllGather(algo)));
+    }
+
+    let mut moved: Vec<String> = cases
+        .iter()
+        .filter_map(|&case| {
+            let bytes = match case.1 {
+                Coll::AllReduce => 32 << 10,
+                Coll::AllGather => 4 << 10,
+            };
+            let [real, timing] = [true, false].map(|real| bench_bits(case, bytes, real));
+            (real != timing)
+                .then(|| format!("{case:?}: {real:#x} on bytes, {timing:#x} timing-only"))
+        })
+        .collect();
+    let [real, timing] = [true, false].map(|real| dsl_bits(32 << 10, real));
+    if real != timing {
+        moved.push(format!("DSL: {real:#x} on bytes, {timing:#x} timing-only"));
+    }
+    assert!(
+        moved.is_empty(),
+        "payload mode moved:\n{}",
+        moved.join("\n")
+    );
 }

@@ -30,7 +30,8 @@
 //!   launch's elapsed picoseconds, an FNV-1a over every launch's full
 //!   timing and the engine digest above, whose outputs fold each
 //!   launch's output bytes and whose metrics hold the `nccl.*`/`msccl.*`
-//!   instruction mix.
+//!   instruction mix. Each sequence also runs on a timing-only cluster,
+//!   where every field but the output bytes must match the same pin.
 //! - Collective plans: an FNV-1a over the Debug text of every built-in
 //!   MSCCL++ plan's kernel batches, as `CollComm::plan_*_with` builds
 //!   them, on one and two nodes and after shrinks. Every instruction,
@@ -45,7 +46,7 @@ use collective::{
     AllGatherAlgo, AllReduceAlgo, AllToAllAlgo, BroadcastAlgo, CollComm, PeerOrder,
     RecoveryOutcome, ReduceScatterAlgo, ScratchReuse,
 };
-use hw::{BufferId, DataType, EnvKind, Machine, Rank, ReduceOp};
+use hw::{BufferId, DataType, EnvKind, EnvSpec, Machine, Rank, ReduceOp};
 use mscclpp::KernelTiming;
 use sim::{fnv1a, Duration, Engine, FaultPlan, Time};
 
@@ -74,6 +75,16 @@ enum Payload {
     TimingOnly,
 }
 
+impl Payload {
+    /// A machine of this kind for `spec`.
+    fn machine(self, spec: EnvSpec) -> Machine {
+        match self {
+            Payload::Bytes => Machine::new(spec),
+            Payload::TimingOnly => Machine::timing_only(spec),
+        }
+    }
+}
+
 /// Runs one in-place f32 AllReduce of `count` elements per rank under a
 /// seeded transient fault plan. The plan's 8 µs horizon spans the run,
 /// so its faults land on it: every run must count at least one `fault.*`
@@ -81,11 +92,7 @@ enum Payload {
 /// the slot-recycling fast path instead.
 fn digest(seed: u64, nodes: usize, count: usize, observed: bool, payload: Payload) -> Digest {
     let world = nodes * 8;
-    let spec = EnvKind::A100_40G.spec(nodes);
-    let mut e = Engine::new(match payload {
-        Payload::Bytes => Machine::new(spec),
-        Payload::TimingOnly => Machine::timing_only(spec),
-    });
+    let mut e = Engine::new(payload.machine(EnvKind::A100_40G.spec(nodes)));
     e.set_fault_plan(FaultPlan::random_transient(
         seed,
         world,
@@ -576,9 +583,12 @@ struct Sequence {
 }
 
 /// A traced and profiled cluster with one F16 input of `in_elems`
-/// elements and one output of `world * RAGGED` per rank.
+/// elements and one output of `world * RAGGED` per rank. On a
+/// [`Payload::TimingOnly`] cluster the inputs stay unfilled and no
+/// output is read.
 struct Rig {
     e: Engine<Machine>,
+    payload: Payload,
     ins: Vec<BufferId>,
     outs: Vec<BufferId>,
     timings: Vec<KernelTiming>,
@@ -586,9 +596,9 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(nodes: usize, in_elems: usize) -> Rig {
+    fn new(nodes: usize, in_elems: usize, payload: Payload) -> Rig {
         let world = nodes * 8;
-        let mut e = Engine::new(Machine::new(EnvKind::A100_40G.spec(nodes)));
+        let mut e = Engine::new(payload.machine(EnvKind::A100_40G.spec(nodes)));
         hw::wire(&mut e);
         e.enable_tracing();
         e.enable_profiling();
@@ -596,7 +606,9 @@ impl Rig {
         let ins = (0..world)
             .map(|r| {
                 let b = pool.alloc(Rank(r), in_elems * 2);
-                pool.fill_with(b, DataType::F16, move |i| input_val(r, i));
+                if payload == Payload::Bytes {
+                    pool.fill_with(b, DataType::F16, move |i| input_val(r, i));
+                }
                 b
             })
             .collect();
@@ -605,6 +617,7 @@ impl Rig {
             .collect();
         Rig {
             e,
+            payload,
             ins,
             outs,
             timings: Vec::new(),
@@ -612,8 +625,9 @@ impl Rig {
         }
     }
 
-    /// Runs one launch and folds the first `out_elems` elements of every
-    /// rank's output into the outputs digest.
+    /// Runs one launch and, on a bytes cluster, folds the first
+    /// `out_elems` elements of every rank's output into the outputs
+    /// digest.
     fn launch(
         &mut self,
         out_elems: usize,
@@ -621,6 +635,9 @@ impl Rig {
     ) {
         let t = f(&mut self.e, &self.ins, &self.outs).expect("baseline launch");
         self.timings.push(t);
+        if self.payload == Payload::TimingOnly {
+            return;
+        }
         for &b in &self.outs {
             let h = fnv1a(self.e.world().pool().bytes(b, 0, out_elems * 2));
             self.outputs.extend(h.to_le_bytes());
@@ -640,7 +657,10 @@ impl Rig {
             elapsed_ps: self.timings.iter().map(|t| t.elapsed().as_ps()).collect(),
             timings: fnv1a(format!("{:?}", self.timings).as_bytes()),
             digest: Digest {
-                outputs: fnv1a(&self.outputs),
+                outputs: match self.payload {
+                    Payload::Bytes => fnv1a(&self.outputs),
+                    Payload::TimingOnly => 0,
+                },
                 now_ps: self.e.now().as_ps(),
                 events: self.e.events_processed(),
                 metrics: fnv1a(metrics.as_bytes()),
@@ -655,10 +675,10 @@ impl Rig {
 /// AllReduce, AllGather, ReduceScatter and Broadcast from rank 3, each
 /// at LL and Simple on one and four channels. The second round runs on
 /// wrapped FIFO cursors and banked credits.
-fn nccl_sequence(nodes: usize) -> Sequence {
+fn nccl_sequence(nodes: usize, payload: Payload) -> Sequence {
     use ncclsim::{Algo, Choice, NcclComm, NcclConfig, Proto};
     let world = nodes * 8;
-    let mut rig = Rig::new(nodes, world * RAGGED);
+    let mut rig = Rig::new(nodes, world * RAGGED, payload);
     let comm = NcclComm::new(&mut mscclpp::Setup::new(&mut rig.e), NcclConfig::nccl());
     let (n, f16, sum) = (RAGGED, DataType::F16, ReduceOp::Sum);
     for _round in 0..2 {
@@ -687,10 +707,10 @@ fn nccl_sequence(nodes: usize) -> Sequence {
 /// Both rounds of MSCCL's sequence on one communicator: its AllReduce
 /// plans (one- and two-phase all-pairs on one node, hierarchical on
 /// two) and AllGather, each at LL and Simple on one and four channels.
-fn msccl_sequence(nodes: usize) -> Sequence {
+fn msccl_sequence(nodes: usize, payload: Payload) -> Sequence {
     use msccl::{MscclAlgo, MscclComm, MscclConfig};
     use ncclsim::Proto;
-    let mut rig = Rig::new(nodes, RAGGED);
+    let mut rig = Rig::new(nodes, RAGGED, payload);
     let world = nodes * 8;
     let comm = MscclComm::new(&mut mscclpp::Setup::new(&mut rig.e), MscclConfig::default());
     let algos: &[MscclAlgo] = if nodes == 1 {
@@ -714,111 +734,158 @@ fn msccl_sequence(nodes: usize) -> Sequence {
     rig.finish()
 }
 
-/// Asserts a sequence equals its pin, printing the whole run on a miss.
-fn check_sequence(name: &str, got: &Sequence, want: &Sequence) {
-    assert_eq!(got, want, "{name} moved; got:\n{got:#?}");
+/// Asserts a sequence run on a `payload` cluster equals its pin,
+/// printing the whole run on a miss. A timing-only run matches
+/// every field but the outputs digest, which is 0.
+fn check_sequence(name: &str, payload: Payload, got: Sequence, mut want: Sequence) {
+    if payload == Payload::TimingOnly {
+        want.digest.outputs = 0;
+    }
+    assert_eq!(got, want, "{name} ({payload:?}) moved; got:\n{got:#?}");
+}
+
+/// The pin of NCCL's sequence on 1n8g.
+fn nccl_one_node_pin() -> Sequence {
+    Sequence {
+        elapsed_ps: vec![
+            19_757_621, 45_468_144, 23_964_413, 22_926_356, 14_893_892, 20_119_604, 22_497_253,
+            12_986_066, 12_723_106, 12_986_026, 26_079_061, 30_417_095, 16_478_884, 15_880_835,
+            16_478_884, 25_785_530, 27_479_769, 15_929_234, 15_460_836, 15_519_628, 20_717_621,
+            45_468_144, 23_964_413, 22_926_356, 14_893_892, 20_187_230, 22_497_253, 12_986_066,
+            12_723_106, 12_986_026, 26_079_061, 32_097_095, 16_478_884, 15_880_835, 16_478_884,
+            25_785_530, 29_159_769, 15_929_234, 15_460_836, 15_519_628,
+        ],
+        timings: 0x83b8_18c6_8071_d4e7,
+        digest: Digest {
+            outputs: 0x5316_549c_5854_77a5,
+            now_ps: 878_053_500,
+            events: 53_888,
+            metrics: 0x63a8_4e49_a87b_632e,
+            trace: 0xe1df_0c02_69ea_8521,
+            graph: 0xb2f5_e39a_4e48_d197,
+        },
+    }
 }
 
 #[test]
 fn nccl_sequence_on_one_node_matches_its_pin() {
-    check_sequence(
-        "NCCL 1n8g",
-        &nccl_sequence(1),
-        &Sequence {
-            elapsed_ps: vec![
-                19_757_621, 45_468_144, 23_964_413, 22_926_356, 14_893_892, 20_119_604, 22_497_253,
-                12_986_066, 12_723_106, 12_986_026, 26_079_061, 30_417_095, 16_478_884, 15_880_835,
-                16_478_884, 25_785_530, 27_479_769, 15_929_234, 15_460_836, 15_519_628, 20_717_621,
-                45_468_144, 23_964_413, 22_926_356, 14_893_892, 20_187_230, 22_497_253, 12_986_066,
-                12_723_106, 12_986_026, 26_079_061, 32_097_095, 16_478_884, 15_880_835, 16_478_884,
-                25_785_530, 29_159_769, 15_929_234, 15_460_836, 15_519_628,
-            ],
-            timings: 0x83b8_18c6_8071_d4e7,
-            digest: Digest {
-                outputs: 0x5316_549c_5854_77a5,
-                now_ps: 878_053_500,
-                events: 53_888,
-                metrics: 0x63a8_4e49_a87b_632e,
-                trace: 0xe1df_0c02_69ea_8521,
-                graph: 0xb2f5_e39a_4e48_d197,
-            },
+    let p = Payload::Bytes;
+    check_sequence("NCCL 1n8g", p, nccl_sequence(1, p), nccl_one_node_pin());
+}
+
+#[test]
+fn nccl_timing_only_sequence_on_one_node_matches_its_pin() {
+    let p = Payload::TimingOnly;
+    check_sequence("NCCL 1n8g", p, nccl_sequence(1, p), nccl_one_node_pin());
+}
+
+/// The pin of NCCL's sequence on 2n16g.
+fn nccl_two_nodes_pin() -> Sequence {
+    Sequence {
+        elapsed_ps: vec![
+            46_282_323, 66_772_301, 71_279_262, 70_202_266, 35_043_818, 45_950_594, 31_043_550,
+            28_869_921, 28_275_175, 28_436_829, 54_861_135, 40_133_033, 37_093_944, 36_392_675,
+            36_204_156, 54_337_931, 33_989_365, 31_537_387, 30_851_980, 31_073_743, 47_242_323,
+            66_772_301, 71_279_262, 70_202_266, 35_043_818, 46_004_730, 31_043_550, 28_869_921,
+            28_275_175, 28_436_829, 54_861_135, 42_173_033, 37_093_944, 36_392_675, 36_204_156,
+            54_337_931, 36_029_365, 31_537_387, 30_851_980, 31_073_743,
+        ],
+        timings: 0x7a57_1974_4af5_4c8f,
+        digest: Digest {
+            outputs: 0x93ed_65b4_58c2_7f25,
+            now_ps: 1_752_786_473,
+            events: 215_606,
+            metrics: 0xa733_b3d3_93bc_55ae,
+            trace: 0x358c_5cd5_052a_bdc3,
+            graph: 0xb6dd_ae27_147b_a870,
         },
-    );
+    }
 }
 
 #[test]
 fn nccl_sequence_on_two_nodes_matches_its_pin() {
-    check_sequence(
-        "NCCL 2n16g",
-        &nccl_sequence(2),
-        &Sequence {
-            elapsed_ps: vec![
-                46_282_323, 66_772_301, 71_279_262, 70_202_266, 35_043_818, 45_950_594, 31_043_550,
-                28_869_921, 28_275_175, 28_436_829, 54_861_135, 40_133_033, 37_093_944, 36_392_675,
-                36_204_156, 54_337_931, 33_989_365, 31_537_387, 30_851_980, 31_073_743, 47_242_323,
-                66_772_301, 71_279_262, 70_202_266, 35_043_818, 46_004_730, 31_043_550, 28_869_921,
-                28_275_175, 28_436_829, 54_861_135, 42_173_033, 37_093_944, 36_392_675, 36_204_156,
-                54_337_931, 36_029_365, 31_537_387, 30_851_980, 31_073_743,
-            ],
-            timings: 0x7a57_1974_4af5_4c8f,
-            digest: Digest {
-                outputs: 0x93ed_65b4_58c2_7f25,
-                now_ps: 1_752_786_473,
-                events: 215_606,
-                metrics: 0xa733_b3d3_93bc_55ae,
-                trace: 0x358c_5cd5_052a_bdc3,
-                graph: 0xb6dd_ae27_147b_a870,
-            },
+    let p = Payload::Bytes;
+    check_sequence("NCCL 2n16g", p, nccl_sequence(2, p), nccl_two_nodes_pin());
+}
+
+#[test]
+fn nccl_timing_only_sequence_on_two_nodes_matches_its_pin() {
+    let p = Payload::TimingOnly;
+    check_sequence("NCCL 2n16g", p, nccl_sequence(2, p), nccl_two_nodes_pin());
+}
+
+/// The pin of MSCCL's sequence on 1n8g.
+fn msccl_one_node_pin() -> Sequence {
+    Sequence {
+        elapsed_ps: vec![
+            20_375_342, 17_548_649, 20_604_413, 10_876_617, 17_737_292, 12_323_441, 13_869_611,
+            20_869_723, 13_778_674, 12_365_667, 20_502_859, 12_590_826, 22_055_342, 19_228_649,
+            22_284_413, 11_716_617, 18_577_292, 11_821_135, 13_869_611, 20_869_723, 13_778_674,
+            12_283_263, 20_502_558, 12_500_487,
+        ],
+        timings: 0x3345_88fc_e425_7889,
+        digest: Digest {
+            outputs: 0xd4ab_df70_cb72_c4a5,
+            now_ps: 420_531_718,
+            events: 52_384,
+            metrics: 0x9c5a_b3f8_361e_0707,
+            trace: 0x456b_0ee9_f5f0_24e2,
+            graph: 0x1ee5_20cf_3aa7_e55f,
         },
-    );
+    }
 }
 
 #[test]
 fn msccl_sequence_on_one_node_matches_its_pin() {
-    check_sequence(
-        "MSCCL 1n8g",
-        &msccl_sequence(1),
-        &Sequence {
-            elapsed_ps: vec![
-                20_375_342, 17_548_649, 20_604_413, 10_876_617, 17_737_292, 12_323_441, 13_869_611,
-                20_869_723, 13_778_674, 12_365_667, 20_502_859, 12_590_826, 22_055_342, 19_228_649,
-                22_284_413, 11_716_617, 18_577_292, 11_821_135, 13_869_611, 20_869_723, 13_778_674,
-                12_283_263, 20_502_558, 12_500_487,
-            ],
-            timings: 0x3345_88fc_e425_7889,
-            digest: Digest {
-                outputs: 0xd4ab_df70_cb72_c4a5,
-                now_ps: 420_531_718,
-                events: 52_384,
-                metrics: 0x9c5a_b3f8_361e_0707,
-                trace: 0x456b_0ee9_f5f0_24e2,
-                graph: 0x1ee5_20cf_3aa7_e55f,
-            },
+    let p = Payload::Bytes;
+    check_sequence("MSCCL 1n8g", p, msccl_sequence(1, p), msccl_one_node_pin());
+}
+
+#[test]
+fn msccl_timing_only_sequence_on_one_node_matches_its_pin() {
+    let p = Payload::TimingOnly;
+    check_sequence("MSCCL 1n8g", p, msccl_sequence(1, p), msccl_one_node_pin());
+}
+
+/// The pin of MSCCL's sequence on 2n16g.
+fn msccl_two_nodes_pin() -> Sequence {
+    Sequence {
+        elapsed_ps: vec![
+            21_292_186, 45_149_535, 20_426_414, 24_954_543, 23_817_740, 26_842_148, 23_257_666,
+            24_311_563, 23_092_186, 48_749_535, 22_106_414, 26_187_125, 23_937_740, 26_962_148,
+            23_377_365, 24_213_903,
+        ],
+        timings: 0x13cd_1dd4_1f79_50aa,
+        digest: Digest {
+            outputs: 0xc1e9_07fb_7df4_3825,
+            now_ps: 447_078_771,
+            events: 110_112,
+            metrics: 0x5fea_9038_2d70_f644,
+            trace: 0x743d_124e_7952_51d8,
+            graph: 0x66d8_c451_3f87_9483,
         },
-    );
+    }
 }
 
 #[test]
 fn msccl_sequence_on_two_nodes_matches_its_pin() {
+    let p = Payload::Bytes;
     check_sequence(
         "MSCCL 2n16g",
-        &msccl_sequence(2),
-        &Sequence {
-            elapsed_ps: vec![
-                21_292_186, 45_149_535, 20_426_414, 24_954_543, 23_817_740, 26_842_148, 23_257_666,
-                24_311_563, 23_092_186, 48_749_535, 22_106_414, 26_187_125, 23_937_740, 26_962_148,
-                23_377_365, 24_213_903,
-            ],
-            timings: 0x13cd_1dd4_1f79_50aa,
-            digest: Digest {
-                outputs: 0xc1e9_07fb_7df4_3825,
-                now_ps: 447_078_771,
-                events: 110_112,
-                metrics: 0x5fea_9038_2d70_f644,
-                trace: 0x743d_124e_7952_51d8,
-                graph: 0x66d8_c451_3f87_9483,
-            },
-        },
+        p,
+        msccl_sequence(2, p),
+        msccl_two_nodes_pin(),
+    );
+}
+
+#[test]
+fn msccl_timing_only_sequence_on_two_nodes_matches_its_pin() {
+    let p = Payload::TimingOnly;
+    check_sequence(
+        "MSCCL 2n16g",
+        p,
+        msccl_sequence(2, p),
+        msccl_two_nodes_pin(),
     );
 }
 
