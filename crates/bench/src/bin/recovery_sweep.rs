@@ -13,6 +13,11 @@
 //! straggler quarantine (a voluntary shrink — no drain, no wreckage).
 //! Each point's `class` field carries the label; single-node points are
 //! all `member` deaths.
+//!
+//! Clusters are timing-only and inputs unfilled: the sweep records
+//! recovery times and outcomes, and every shrunken epoch's plan is proven
+//! by the verifier before its replay (`tests/shrink.rs` checks the bytes
+//! of such replays).
 
 use bench::report::write_results_json;
 use bench::{fmt_bytes, Target};
@@ -56,7 +61,7 @@ fn run_point(
     let t = Target { env, nodes: 1 };
     let n = t.world();
     let count = BYTES / 4;
-    let mut e = Engine::new(Machine::new(env.spec(1)));
+    let mut e = Engine::new(Machine::timing_only(env.spec(1)));
     e.set_fault_plan(
         FaultPlan::new(7)
             .rank_down(VICTIM, us(kill_us))
@@ -64,13 +69,7 @@ fn run_point(
     );
     hw::wire(&mut e);
     let ins: Vec<BufferId> = (0..n)
-        .map(|r| {
-            let b = e.world_mut().pool_mut().alloc(Rank(r), count * 4);
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F32, move |i| ((r + i) % 5) as f32);
-            b
-        })
+        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
     let outs: Vec<BufferId> = (0..n)
         .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
@@ -124,7 +123,7 @@ fn run_class_point(
     let env = EnvKind::A100_40G;
     let n = Target { env, nodes: 2 }.world();
     let count = BYTES / 4;
-    let mut e = Engine::new(Machine::new(env.spec(2)));
+    let mut e = Engine::new(Machine::timing_only(env.spec(2)));
     // The detection timeout must exceed the worst-case legitimate wait of
     // the shrunken leader-relay plan (members wait while the whole
     // message funnels through their leader).
@@ -135,13 +134,7 @@ fn run_class_point(
     );
     hw::wire(&mut e);
     let ins: Vec<BufferId> = (0..n)
-        .map(|r| {
-            let b = e.world_mut().pool_mut().alloc(Rank(r), count * 4);
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F32, move |i| ((r + i) % 5) as f32);
-            b
-        })
+        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
     let outs: Vec<BufferId> = (0..n)
         .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
@@ -188,17 +181,11 @@ fn run_straggler_point() -> Point {
     let env = EnvKind::A100_40G;
     let n = 16;
     let count = BYTES / 4;
-    let mut e = Engine::new(Machine::new(env.spec(2)));
+    let mut e = Engine::new(Machine::timing_only(env.spec(2)));
     e.set_fault_plan(FaultPlan::new(5).straggler(5, 1000.0, Time::from_ps(0), Time::MAX));
     hw::wire(&mut e);
     let bufs: Vec<BufferId> = (0..n)
-        .map(|r| {
-            let b = e.world_mut().pool_mut().alloc(Rank(r), count * 4);
-            e.world_mut()
-                .pool_mut()
-                .fill_with(b, DataType::F32, move |i| ((r + i) % 5) as f32);
-            b
-        })
+        .map(|r| e.world_mut().pool_mut().alloc(Rank(r), count * 4))
         .collect();
     let mut comm = CollComm::new();
     comm.set_straggler_policy(StragglerPolicy {

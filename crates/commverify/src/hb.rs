@@ -8,14 +8,14 @@
 //! ([`EpochClocks`]) answer reachability for the race check.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use hw::MemoryPool;
 use mscclpp::Site;
 use sim::CellId;
 
 use crate::error::{Checks, VerifyError};
-use crate::model::{Kind, Model};
+use crate::model::{Event, Kind, Model};
 use crate::semantics::{self, CollectiveSpec};
 
 /// Runs every check `checks` selects over an extracted model, and the
@@ -126,21 +126,7 @@ impl Graph {
             g.edge(a, b);
         }
 
-        // Incrementers per cell, grouped by thread in program order. The
-        // per-thread maps are ordered so that edges, and with them the
-        // path a cycle is reported along, do not depend on hash seeds.
-        let mut incs: HashMap<CellId, BTreeMap<usize, Vec<usize>>> = HashMap::new();
-        for (t, th) in model.threads.iter().enumerate() {
-            for (i, ev) in th.events.iter().enumerate() {
-                for cell in ev.incs() {
-                    incs.entry(cell)
-                        .or_default()
-                        .entry(t)
-                        .or_default()
-                        .push(g.id(t, i));
-                }
-            }
-        }
+        let incs = cell_table(model, &g, |ev| ev.incs());
 
         // (c) Counted waits. A wait needing n increments of cell c, where
         // thread u contributes m_u of the M total: if n > M the wait
@@ -151,9 +137,8 @@ impl Graph {
         for (t, th) in model.threads.iter().enumerate() {
             for (i, ev) in th.events.iter().enumerate() {
                 let Some(w) = ev.wait else { continue };
-                let empty = BTreeMap::new();
-                let per_thread = incs.get(&w.cell).unwrap_or(&empty);
-                let total_incs: u64 = per_thread.values().map(|v| v.len() as u64).sum();
+                let run = cell_run(&incs, w.cell);
+                let total_incs = run.len() as u64;
                 if w.needed > total_incs {
                     findings.push(VerifyError::SignalWaitImbalance {
                         wait: ev.site,
@@ -164,51 +149,34 @@ impl Graph {
                     continue;
                 }
                 let wait_id = g.id(t, i);
-                for events in per_thread.values() {
+                for events in run.chunk_by(|a, b| a.1 == b.1) {
                     let m_u = events.len() as u64;
                     let o = (w.needed + m_u).saturating_sub(total_incs);
                     if o >= 1 {
-                        g.edge(events[(o - 1) as usize], wait_id);
+                        g.edge(events[(o - 1) as usize].2, wait_id);
                     }
                 }
             }
         }
 
-        // (d) Barriers: collect per-cell arrive/exit sequences per thread.
-        let mut arrives: HashMap<CellId, BTreeMap<usize, Vec<usize>>> = HashMap::new();
-        let mut exits: HashMap<CellId, BTreeMap<usize, Vec<usize>>> = HashMap::new();
-        for (t, th) in model.threads.iter().enumerate() {
-            for (i, ev) in th.events.iter().enumerate() {
-                match ev.kind {
-                    Kind::BarrierArrive(c) => arrives
-                        .entry(c)
-                        .or_default()
-                        .entry(t)
-                        .or_default()
-                        .push(g.id(t, i)),
-                    Kind::BarrierExit(c) => exits
-                        .entry(c)
-                        .or_default()
-                        .entry(t)
-                        .or_default()
-                        .push(g.id(t, i)),
-                    _ => {}
-                }
-            }
-        }
-        for (cell, per_thread) in &arrives {
-            let parties = *model.barriers.get(cell).unwrap_or(&0);
-            let rounds: HashSet<usize> = per_thread.values().map(Vec::len).collect();
+        // (d) Barriers: per-cell arrive/exit sequences per thread.
+        let arrives = cell_table(model, &g, |ev| match ev.kind {
+            Kind::BarrierArrive(c) => Some(c),
+            _ => None,
+        });
+        let exits = cell_table(model, &g, |ev| match ev.kind {
+            Kind::BarrierExit(c) => Some(c),
+            _ => None,
+        });
+        for run in arrives.chunk_by(|a, b| a.0 == b.0) {
+            let cell = run[0].0;
+            let parties = *model.barriers.get(&cell).unwrap_or(&0);
+            let per_thread: Vec<_> = run.chunk_by(|a, b| a.1 == b.1).collect();
+            let rounds: HashSet<usize> = per_thread.iter().map(|v| v.len()).collect();
             if per_thread.len() != parties || rounds.len() != 1 {
-                let first = per_thread
-                    .values()
-                    .filter_map(|v| v.first())
-                    .min()
-                    .copied()
-                    .unwrap_or(0);
                 findings.push(VerifyError::SignalWaitImbalance {
-                    wait: g.site(model, first),
-                    cell: model.cell_name(*cell),
+                    wait: g.site(model, run[0].2),
+                    cell: model.cell_name(cell),
                     needed: parties as u64,
                     available: per_thread.len() as u64,
                 });
@@ -218,13 +186,12 @@ impl Graph {
             // landed (the threshold is k * parties, and rounds alternate
             // strictly), so each round is a full cross-product.
             let nrounds = rounds.into_iter().next().unwrap_or(0);
-            let empty = BTreeMap::new();
-            let ex = exits.get(cell).unwrap_or(&empty);
+            let ex: Vec<_> = cell_run(&exits, cell).chunk_by(|a, b| a.1 == b.1).collect();
             for r in 0..nrounds {
-                for av in per_thread.values() {
-                    for ev in ex.values() {
-                        if let (Some(&a), Some(&e)) = (av.get(r), ev.get(r)) {
-                            g.edge(a, e);
+                for av in &per_thread {
+                    for ev in &ex {
+                        if let (Some(a), Some(e)) = (av.get(r), ev.get(r)) {
+                            g.edge(a.2, e.2);
                         }
                     }
                 }
@@ -278,6 +245,30 @@ impl Graph {
             cur = next;
         }
     }
+}
+
+/// `(cell, thread, event id)` for each cell `cells` lists per event,
+/// sorted: a cell's run groups its threads in thread order, each in
+/// program order, so that edges, and with them the path a cycle is
+/// reported along, do not depend on hash seeds.
+fn cell_table<'k, I: IntoIterator<Item = CellId>>(
+    model: &Model<'k>,
+    g: &Graph,
+    cells: impl Fn(&Event<'k>) -> I,
+) -> Vec<(CellId, usize, usize)> {
+    let mut table = Vec::new();
+    for (t, th) in model.threads.iter().enumerate() {
+        for (i, ev) in th.events.iter().enumerate() {
+            table.extend(cells(ev).into_iter().map(|c| (c, t, g.id(t, i))));
+        }
+    }
+    table.sort_unstable();
+    table
+}
+
+/// `cell`'s run of a [`cell_table`].
+fn cell_run(table: &[(CellId, usize, usize)], cell: CellId) -> &[(CellId, usize, usize)] {
+    &table[table.partition_point(|e| e.0 < cell)..table.partition_point(|e| e.0 <= cell)]
 }
 
 fn check_bounds(model: &Model<'_>, pool: &MemoryPool, findings: &mut Vec<VerifyError>) {
@@ -428,6 +419,9 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
     let clocks = EpochClocks::build(g, order);
 
     struct Rec {
+        buf: hw::BufferId,
+        /// Place in record order: by thread, event, then access.
+        n: usize,
         id: usize,
         thread: usize,
         idx: usize,
@@ -435,11 +429,13 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
         end: usize,
         write: bool,
     }
-    let mut by_buf: HashMap<hw::BufferId, Vec<Rec>> = HashMap::new();
+    let mut recs = Vec::new();
     for (t, th) in model.threads.iter().enumerate() {
         for (i, ev) in th.events.iter().enumerate() {
             for a in ev.accesses() {
-                by_buf.entry(a.buf).or_default().push(Rec {
+                recs.push(Rec {
+                    buf: a.buf,
+                    n: recs.len(),
                     id: g.id(t, i),
                     thread: t,
                     idx: i,
@@ -450,37 +446,49 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
             }
         }
     }
+    // Overlap sweep: per buffer by start, each record meets only the
+    // records that start before it ends.
+    recs.sort_unstable_by_key(|r| (r.buf, r.start, r.n));
 
     let site = |r: &Rec| model.threads[r.thread].events[r.idx].site;
-    let mut reported = HashSet::new();
-    for (buf, recs) in &by_buf {
-        for (n, a) in recs.iter().enumerate() {
-            for b in &recs[n + 1..] {
-                if a.thread == b.thread
-                    || (!a.write && !b.write)
-                    || a.end <= b.start
-                    || b.end <= a.start
-                {
-                    continue;
-                }
-                if clocks.ordered(a.thread, a.idx, b.id) || clocks.ordered(b.thread, b.idx, a.id) {
-                    continue;
-                }
-                let (x, y) = if site(a) <= site(b) { (a, b) } else { (b, a) };
-                if reported.insert((site(x), site(y), *buf)) {
-                    findings.push(VerifyError::Race {
-                        first: site(x),
-                        first_range: (x.start, x.end),
-                        first_write: x.write,
-                        second: site(y),
-                        second_range: (y.start, y.end),
-                        second_write: y.write,
-                        buf: *buf,
-                    });
-                }
+    // Each racing pair, keyed by buffer and site pair, with its place in
+    // record order.
+    let mut races = Vec::new();
+    for (k, p) in recs.iter().enumerate() {
+        let overlapping = recs[k + 1..]
+            .iter()
+            .take_while(|q| q.buf == p.buf && q.start < p.end);
+        // `q` starts in `[p.start, p.end)`; only an empty `q` at
+        // `p.start` misses `p`.
+        for q in overlapping {
+            if p.thread == q.thread || (!p.write && !q.write) || q.end <= p.start {
+                continue;
             }
+            if clocks.ordered(p.thread, p.idx, q.id) || clocks.ordered(q.thread, q.idx, p.id) {
+                continue;
+            }
+            let (a, b) = if p.n < q.n { (p, q) } else { (q, p) };
+            let (x, y) = if site(a) <= site(b) { (a, b) } else { (b, a) };
+            races.push((
+                (p.buf, site(x), site(y)),
+                (a.n, b.n),
+                VerifyError::Race {
+                    first: site(x),
+                    first_range: (x.start, x.end),
+                    first_write: x.write,
+                    second: site(y),
+                    second_range: (y.start, y.end),
+                    second_write: y.write,
+                    buf: p.buf,
+                },
+            ));
         }
     }
+    // One finding per buffer and site pair: its first pair in record
+    // order.
+    races.sort_by_key(|r| (r.0, r.1));
+    races.dedup_by_key(|r| r.0);
+    findings.extend(races.into_iter().map(|r| r.2));
 }
 
 #[cfg(test)]

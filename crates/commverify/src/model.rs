@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use hw::Rank;
 use mscclpp::{Access, Dataflow, Instr, Kernel, Site};
 use sim::CellId;
 
@@ -82,8 +83,9 @@ pub(crate) struct Model<'k> {
     /// matching: FIFO push → proxy processing, as `(from, to)` pairs of
     /// `(thread, event index)`.
     pub extra_edges: Vec<((usize, usize), (usize, usize))>,
-    /// Human-readable cell names for rendering findings.
-    pub cell_names: HashMap<CellId, String>,
+    /// Cell names for rendering findings, as `(kind, rank)`; a finding
+    /// that names the cell renders `kind@rank`.
+    pub cell_names: HashMap<CellId, (&'static str, Option<Rank>)>,
     /// Parties per barrier cell.
     pub barriers: HashMap<CellId, usize>,
     /// Port puts with no completion guarantee before kernel exit.
@@ -91,15 +93,16 @@ pub(crate) struct Model<'k> {
 }
 
 impl Model<'_> {
-    fn name_cell(&mut self, cell: CellId, name: impl FnOnce() -> String) {
-        self.cell_names.entry(cell).or_insert_with(name);
+    fn name_cell(&mut self, cell: CellId, kind: &'static str, rank: impl Into<Option<Rank>>) {
+        self.cell_names.entry(cell).or_insert((kind, rank.into()));
     }
 
     pub(crate) fn cell_name(&self, cell: CellId) -> String {
-        self.cell_names
-            .get(&cell)
-            .cloned()
-            .unwrap_or_else(|| format!("{cell:?}"))
+        match self.cell_names.get(&cell) {
+            Some((kind, Some(rank))) => format!("{kind}@{rank}"),
+            Some((kind, None)) => (*kind).to_owned(),
+            None => format!("{cell:?}"),
+        }
     }
 }
 
@@ -139,34 +142,32 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model<'_> {
                     Instr::MemPut {
                         ch, with_signal, ..
                     } => {
-                        m.name_cell(ch.peer_arrival, || format!("mem_arrival@{}", ch.peer_rank));
+                        m.name_cell(ch.peer_arrival, "mem_arrival", ch.peer_rank);
                         if *with_signal {
-                            m.name_cell(ch.peer_sem, || format!("mem_sem@{}", ch.peer_rank));
+                            m.name_cell(ch.peer_sem, "mem_sem", ch.peer_rank);
                         }
                     }
                     Instr::MemSignal { ch } => {
-                        m.name_cell(ch.peer_sem, || format!("mem_sem@{}", ch.peer_rank));
+                        m.name_cell(ch.peer_sem, "mem_sem", ch.peer_rank);
                         ev.kind = Kind::Signal(ch.peer_sem);
                     }
                     Instr::MemWait { ch } => {
-                        m.name_cell(ch.my_sem, || format!("mem_sem@{}", ch.local_rank));
+                        m.name_cell(ch.my_sem, "mem_sem", ch.local_rank);
                         ev.wait = Some(nth_wait(&mut wait_counts, ch.my_sem));
                     }
                     Instr::MemWaitData { ch } => {
-                        m.name_cell(ch.my_arrival, || format!("mem_arrival@{}", ch.local_rank));
+                        m.name_cell(ch.my_arrival, "mem_arrival", ch.local_rank);
                         ev.wait = Some(nth_wait(&mut wait_counts, ch.my_arrival));
                     }
                     Instr::PortPut {
                         ch, with_signal, ..
                     } => {
-                        m.name_cell(ch.completed_cell, || {
-                            format!("port_completed@{}", ch.local_rank)
-                        });
-                        m.name_cell(ch.peer_arrival, || format!("port_arrival@{}", ch.peer_rank));
+                        m.name_cell(ch.completed_cell, "port_completed", ch.local_rank);
+                        m.name_cell(ch.peer_arrival, "port_arrival", ch.peer_rank);
                         let state = ports.entry(ch.pushed_cell).or_default();
                         state.pushed += 1;
                         if *with_signal {
-                            m.name_cell(ch.peer_sem, || format!("port_sem@{}", ch.peer_rank));
+                            m.name_cell(ch.peer_sem, "port_sem", ch.peer_rank);
                             state.dirty.clear();
                         } else {
                             state.dirty.push(site);
@@ -179,10 +180,8 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model<'_> {
                         ev = push_proxy(&mut m, state, t, ev);
                     }
                     Instr::PortSignal { ch } => {
-                        m.name_cell(ch.completed_cell, || {
-                            format!("port_completed@{}", ch.local_rank)
-                        });
-                        m.name_cell(ch.peer_sem, || format!("port_sem@{}", ch.peer_rank));
+                        m.name_cell(ch.completed_cell, "port_completed", ch.local_rank);
+                        m.name_cell(ch.peer_sem, "port_sem", ch.peer_rank);
                         let state = ports.entry(ch.pushed_cell).or_default();
                         state.pushed += 1;
                         // FIFO order: a signal behind earlier puts reaches
@@ -195,9 +194,7 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model<'_> {
                         let state = ports.entry(ch.pushed_cell).or_default();
                         state.dirty.clear();
                         if state.pushed > 0 {
-                            m.name_cell(ch.completed_cell, || {
-                                format!("port_completed@{}", ch.local_rank)
-                            });
+                            m.name_cell(ch.completed_cell, "port_completed", ch.local_rank);
                             ev.wait = Some(WaitOn {
                                 cell: ch.completed_cell,
                                 needed: state.pushed,
@@ -205,24 +202,24 @@ pub(crate) fn extract(kernels: &[Kernel]) -> Model<'_> {
                         }
                     }
                     Instr::PortWait { ch } => {
-                        m.name_cell(ch.my_sem, || format!("port_sem@{}", ch.local_rank));
+                        m.name_cell(ch.my_sem, "port_sem", ch.local_rank);
                         ev.wait = Some(nth_wait(&mut wait_counts, ch.my_sem));
                     }
                     Instr::RawPut { notify, .. } | Instr::RawReducePut { notify, .. } => {
                         if let Some(sem) = notify {
-                            m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
+                            m.name_cell(sem.cell, "sem", sem.owner);
                         }
                     }
                     Instr::SemWait { sem } => {
-                        m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
+                        m.name_cell(sem.cell, "sem", sem.owner);
                         ev.wait = Some(nth_wait(&mut wait_counts, sem.cell));
                     }
                     Instr::SemSignal { sem } => {
-                        m.name_cell(sem.cell, || format!("sem@{}", sem.owner));
+                        m.name_cell(sem.cell, "sem", sem.owner);
                         ev.kind = Kind::Signal(sem.cell);
                     }
                     Instr::Barrier { barrier } => {
-                        m.name_cell(barrier.cell, || "barrier".to_owned());
+                        m.name_cell(barrier.cell, "barrier", None);
                         m.barriers.insert(barrier.cell, barrier.parties);
                         // Split into an arrive event and an adjacent exit
                         // event: all-arrive-before-any-exit edges then

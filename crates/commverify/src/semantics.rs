@@ -193,17 +193,30 @@ struct Value {
     terms: Vec<Term>,
 }
 
+impl Value {
+    /// The terms as read under a pending `shift`; lowering every delta
+    /// by one amount keeps them sorted.
+    fn shifted(&self, shift: i64) -> impl Iterator<Item = Term> + '_ {
+        self.terms.iter().map(move |t| Term {
+            delta: t.delta - shift,
+            ..*t
+        })
+    }
+}
+
 /// The value of one segment: live data with provenance, or stale
 /// (uninitialized, or derived from uninitialized memory). `origin` is
 /// the first instruction that read uninitialized bytes (`None`: the
-/// range was simply never written).
+/// range was simply never written). Live data reads as
+/// `value.shifted(shift)`: a move of sited terms only adds its byte
+/// shift, so the shared value is never copied to move it.
 #[derive(Debug, Clone)]
 enum SegVal {
     Stale { origin: Option<Site> },
-    Data(Rc<Value>),
+    Data { value: Rc<Value>, shift: i64 },
 }
 
-/// One maximal same-value byte range of a buffer, `[start, end)`.
+/// One same-value byte range of a buffer, `[start, end)`.
 #[derive(Debug, Clone)]
 struct Seg {
     start: usize,
@@ -213,7 +226,8 @@ struct Seg {
     val: SegVal,
 }
 
-/// Per-buffer interval maps.
+/// Per-buffer interval maps: disjoint segments sorted by start, split
+/// at write boundaries and never re-merged.
 struct State {
     bufs: HashMap<BufferId, Vec<Seg>>,
 }
@@ -229,13 +243,16 @@ impl State {
                 start: 0,
                 end: fresh,
                 writer: None,
-                val: SegVal::Data(Rc::new(Value {
-                    terms: vec![Term {
-                        src: pos as u32,
-                        delta: 0,
-                        site: None,
-                    }],
-                })),
+                val: SegVal::Data {
+                    value: Rc::new(Value {
+                        terms: vec![Term {
+                            src: pos as u32,
+                            delta: 0,
+                            site: None,
+                        }],
+                    }),
+                    shift: 0,
+                },
             });
         }
         State { bufs }
@@ -249,13 +266,9 @@ impl State {
         let end = off + len;
         let mut cursor = off;
         if let Some(segs) = self.bufs.get(&buf) {
-            for s in segs {
-                if s.end <= off {
-                    continue;
-                }
-                if s.start >= end {
-                    break;
-                }
+            // Disjoint and sorted, so ends are sorted too: bisect.
+            let first = segs.partition_point(|s| s.end <= off);
+            for s in segs[first..].iter().take_while(|s| s.start < end) {
                 let lo = s.start.max(off);
                 let hi = s.end.min(end);
                 if lo > cursor {
@@ -309,97 +322,65 @@ impl State {
     }
 
     /// Replaces `[off, off+len)` of `buf` with `pieces` (relative
-    /// coordinates), truncating whatever the range previously held.
+    /// coordinates), truncating whatever the range previously held. Only
+    /// the overlapped run of segments is replaced, by its left flank, the
+    /// pieces and its right flank; the list stays sorted by start.
     fn write(&mut self, buf: BufferId, off: usize, len: usize, pieces: &[Seg]) {
         let end = off + len;
         let segs = self.bufs.entry(buf).or_default();
-        let mut next: Vec<Seg> = Vec::with_capacity(segs.len() + pieces.len() + 2);
-        let mut inserted = false;
-        for s in segs.drain(..) {
-            if s.end <= off || s.start >= end {
-                if !inserted && s.start >= end {
-                    for p in pieces {
-                        next.push(Seg {
-                            start: p.start + off,
-                            end: p.end + off,
-                            writer: p.writer,
-                            val: p.val.clone(),
-                        });
-                    }
-                    inserted = true;
-                }
-                next.push(s);
-                continue;
-            }
-            // Overlapping: keep the non-overlapping flanks.
-            if s.start < off {
-                next.push(Seg {
-                    start: s.start,
-                    end: off,
-                    writer: s.writer,
-                    val: s.val.clone(),
-                });
-            }
-            if !inserted {
-                for p in pieces {
-                    next.push(Seg {
-                        start: p.start + off,
-                        end: p.end + off,
-                        writer: p.writer,
-                        val: p.val.clone(),
-                    });
-                }
-                inserted = true;
-            }
-            if s.end > end {
-                next.push(Seg {
-                    start: end,
-                    end: s.end,
-                    writer: s.writer,
-                    val: s.val,
-                });
-            }
-        }
-        if !inserted {
-            for p in pieces {
-                next.push(Seg {
-                    start: p.start + off,
-                    end: p.end + off,
-                    writer: p.writer,
-                    val: p.val.clone(),
-                });
-            }
-        }
-        next.sort_by_key(|s| s.start);
-        *segs = next;
+        // `segs[lo..hi]` overlaps the range; a zero-length write at a
+        // segment boundary lands before the segments starting there.
+        let lo = segs.partition_point(|s| s.end <= off && s.start < end);
+        let hi = segs.partition_point(|s| s.start < end);
+        let run = &segs[lo..hi];
+        let left = run.first().filter(|s| s.start < off).map(|s| Seg {
+            end: off,
+            ..s.clone()
+        });
+        let right = run.last().filter(|s| s.end > end).map(|s| Seg {
+            start: end,
+            ..s.clone()
+        });
+        let placed = pieces.iter().map(|p| Seg {
+            start: p.start + off,
+            end: p.end + off,
+            writer: p.writer,
+            val: p.val.clone(),
+        });
+        segs.splice(lo..hi, left.into_iter().chain(placed).chain(right));
     }
 }
 
-/// Shifts a value's terms for a move of `shift = dst_off - src_off`
-/// bytes and stamps still-unsited terms with the moving instruction.
-/// `shift == 0` with fully-sited terms reuses the interned value.
-fn moved_value(v: &Rc<Value>, shift: i64, site: Site) -> Rc<Value> {
-    if shift == 0 && v.terms.iter().all(|t| t.site.is_some()) {
-        return Rc::clone(v);
-    }
-    let mut terms: Vec<Term> = v
-        .terms
-        .iter()
-        .map(|t| Term {
-            src: t.src,
-            delta: t.delta - shift,
-            site: t.site.or(Some(site)),
-        })
-        .collect();
-    terms.sort_unstable();
-    Rc::new(Value { terms })
-}
-
-/// Propagates a read piece through a move: data shifts, staleness keeps
-/// (or acquires) its origin.
+/// Propagates a read piece through a move of `shift = dst_off -
+/// src_off` bytes: data shifts, staleness keeps (or acquires) its
+/// origin. Fully-sited terms keep their shared value and only add to its
+/// pending shift; unsited ones are stamped with the moving instruction.
 fn moved_piece(p: &Seg, shift: i64, site: Site) -> SegVal {
     match &p.val {
-        SegVal::Data(v) => SegVal::Data(moved_value(v, shift, site)),
+        SegVal::Data {
+            value,
+            shift: pending,
+        } => {
+            let shift = pending + shift;
+            if value.terms.iter().all(|t| t.site.is_some()) {
+                return SegVal::Data {
+                    value: Rc::clone(value),
+                    shift,
+                };
+            }
+            let mut terms: Vec<Term> = value
+                .shifted(shift)
+                .map(|t| Term {
+                    site: t.site.or(Some(site)),
+                    ..t
+                })
+                .collect();
+            terms.sort_unstable();
+            SegVal::Data {
+                value: Rc::new(Value { terms }),
+                shift: 0,
+            }
+        }
         SegVal::Stale { origin } => SegVal::Stale {
             origin: origin.or(Some(site)),
         },
@@ -412,24 +393,37 @@ fn union_val(a: &SegVal, b: &SegVal, site: Site) -> SegVal {
         (SegVal::Stale { origin }, other) | (other, SegVal::Stale { origin }) => {
             let o2 = match other {
                 SegVal::Stale { origin } => *origin,
-                SegVal::Data(_) => None,
+                SegVal::Data { .. } => None,
             };
             SegVal::Stale {
                 origin: origin.or(o2).or(Some(site)),
             }
         }
-        (SegVal::Data(x), SegVal::Data(y)) => {
-            let mut terms: Vec<Term> = Vec::with_capacity(x.terms.len() + y.terms.len());
-            terms.extend(x.terms.iter().map(|t| Term {
-                site: t.site.or(Some(site)),
-                ..*t
-            }));
-            terms.extend(y.terms.iter().map(|t| Term {
-                site: t.site.or(Some(site)),
-                ..*t
-            }));
-            terms.sort_unstable();
-            SegVal::Data(Rc::new(Value { terms }))
+        (
+            SegVal::Data {
+                value: x,
+                shift: sx,
+            },
+            SegVal::Data {
+                value: y,
+                shift: sy,
+            },
+        ) => {
+            let mut terms: Vec<Term> = x
+                .shifted(*sx)
+                .chain(y.shifted(*sy))
+                .map(|t| Term {
+                    site: t.site.or(Some(site)),
+                    ..t
+                })
+                .collect();
+            // Two sorted runs, unless stamping a site moved a term: a
+            // stable sort merges them and fixes that.
+            terms.sort();
+            SegVal::Data {
+                value: Rc::new(Value { terms }),
+                shift: 0,
+            }
         }
     }
 }
@@ -569,7 +563,7 @@ fn check_outputs(st: &State, spec: &CollectiveSpec, findings: &mut Vec<VerifyErr
             st.read_into(m.output, w.out_start, w.out_len, &mut pieces);
             for p in &pieces {
                 let range = (p.start + w.out_start, p.end + w.out_start);
-                if let Some(f) = check_piece(spec, pos, m, range, p, w) {
+                if let Some(f) = check_piece(spec, m, range, p, w) {
                     findings.push(f);
                     break 'member;
                 }
@@ -582,13 +576,12 @@ fn check_outputs(st: &State, spec: &CollectiveSpec, findings: &mut Vec<VerifyErr
 /// finding for the first divergence, if any.
 fn check_piece(
     spec: &CollectiveSpec,
-    _pos: usize,
     m: &SpecMember,
     range: (usize, usize),
     p: &Seg,
     w: &Want,
 ) -> Option<VerifyError> {
-    let v = match &p.val {
+    let terms: Vec<Term> = match &p.val {
         SegVal::Stale { origin } => {
             return Some(VerifyError::StaleOutput {
                 rank: m.rank,
@@ -598,12 +591,12 @@ fn check_piece(
                 origin: *origin,
             })
         }
-        SegVal::Data(v) => v,
+        SegVal::Data { value, shift } => value.shifted(*shift).collect(),
     };
     let member_rank = |src: u32| spec.members[src as usize].rank;
     let src_byte = |delta: i64| (range.0 as i64 + delta).max(0) as usize;
     // Any member contributing twice is a duplicate regardless of layout.
-    for pair in v.terms.windows(2) {
+    for pair in terms.windows(2) {
         if pair[0].src == pair[1].src {
             return Some(VerifyError::DuplicateContribution {
                 rank: m.rank,
@@ -618,22 +611,21 @@ fn check_piece(
     match w.single {
         Some(want_src) => {
             // Exactly one term, from `want_src`, at the expected offset.
-            if v.terms.len() > 1 {
-                let extra = v
-                    .terms
+            if terms.len() > 1 {
+                let extra = terms
                     .iter()
                     .find(|t| t.src != want_src)
-                    .unwrap_or(&v.terms[0]);
+                    .unwrap_or(&terms[0]);
                 return Some(VerifyError::DuplicateContribution {
                     rank: m.rank,
                     buf: m.output,
                     range,
                     dup: member_rank(extra.src),
-                    first: v.terms[0].site,
-                    second: v.terms[1].site,
+                    first: terms[0].site,
+                    second: terms[1].site,
                 });
             }
-            let t = &v.terms[0];
+            let t = &terms[0];
             if t.src != want_src || t.delta != w.delta {
                 return Some(VerifyError::WrongPlacement {
                     rank: m.rank,
@@ -649,7 +641,7 @@ fn check_piece(
         }
         None => {
             // One term per member, all at the expected shard offset.
-            for t in &v.terms {
+            for t in &terms {
                 if t.delta != w.delta {
                     return Some(VerifyError::WrongPlacement {
                         rank: m.rank,
@@ -662,8 +654,8 @@ fn check_piece(
                     });
                 }
             }
-            if v.terms.len() < spec.members.len() {
-                let present: Vec<u32> = v.terms.iter().map(|t| t.src).collect();
+            if terms.len() < spec.members.len() {
+                let present: Vec<u32> = terms.iter().map(|t| t.src).collect();
                 let missing = (0..spec.members.len() as u32)
                     .find(|s| !present.contains(s))
                     .unwrap_or(0);
@@ -673,10 +665,161 @@ fn check_piece(
                     range,
                     missing: member_rank(missing),
                     writer: p.writer,
-                    present: v.terms.iter().find_map(|t| t.site),
+                    present: terms.iter().find_map(|t| t.site),
                 });
             }
             None
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hw::{BufferId, MemoryPool, Rank};
+    use mscclpp::Site;
+    use proptest::prelude::*;
+
+    use super::{union_pieces, CollectiveSpec, Seg, SegVal, SpecMember, State, Term};
+
+    /// Bytes per buffer; the two member inputs start live over `FRESH`.
+    const BYTES: usize = 48;
+    const FRESH: usize = 32;
+
+    /// What one byte holds: stale with its origin, or its terms as read.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Byte {
+        Stale(Option<Site>),
+        Data(Vec<Term>),
+    }
+
+    /// The flat reference: each byte's writer and value.
+    type Flat = Vec<(Option<Site>, Byte)>;
+
+    fn byte(p: &Seg) -> (Option<Site>, Byte) {
+        let val = match &p.val {
+            SegVal::Stale { origin } => Byte::Stale(*origin),
+            SegVal::Data { value, shift } => Byte::Data(value.shifted(*shift).collect()),
+        };
+        (p.writer, val)
+    }
+
+    /// A byte moved by `shift` at `site`, as `moved_piece` moves it.
+    fn moved((_, b): &(Option<Site>, Byte), shift: i64, site: Site) -> Byte {
+        match b {
+            Byte::Stale(origin) => Byte::Stale(origin.or(Some(site))),
+            Byte::Data(terms) => {
+                let mut terms: Vec<Term> = terms
+                    .iter()
+                    .map(|t| Term {
+                        delta: t.delta - shift,
+                        site: t.site.or(Some(site)),
+                        ..*t
+                    })
+                    .collect();
+                terms.sort();
+                Byte::Data(terms)
+            }
+        }
+    }
+
+    /// The union of two bytes at `site`, as `union_val` takes it.
+    fn union(a: &Byte, b: &Byte, site: Site) -> Byte {
+        match (a, b) {
+            (Byte::Data(x), Byte::Data(y)) => {
+                let mut terms: Vec<Term> = x
+                    .iter()
+                    .chain(y)
+                    .map(|t| Term {
+                        site: t.site.or(Some(site)),
+                        ..*t
+                    })
+                    .collect();
+                terms.sort();
+                Byte::Data(terms)
+            }
+            (Byte::Stale(o), Byte::Data(_)) | (Byte::Data(_), Byte::Stale(o)) => {
+                Byte::Stale(o.or(Some(site)))
+            }
+            (Byte::Stale(o), Byte::Stale(p)) => Byte::Stale(o.or(*p).or(Some(site))),
+        }
+    }
+
+    /// A length and two offsets, all multiples of a random unit, that fit
+    /// a buffer; units of 16 make nested and adjacent ranges likely.
+    fn span(rng: &mut TestRng) -> (usize, usize, usize) {
+        let unit = [1, 4, 16][rng.next_u64() as usize % 3];
+        let slots = BYTES / unit;
+        let len = 1 + rng.next_u64() as usize % slots;
+        let mut off = || unit * (rng.next_u64() as usize % (slots - len + 1));
+        (unit * len, off(), off())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn provenance_map_matches_a_flat_model(
+            steps in 1usize..40,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::new(seed);
+            let mut pool = MemoryPool::new();
+            let bufs: Vec<BufferId> = (0..3).map(|r| pool.alloc(Rank(r), BYTES)).collect();
+            let members = (0..2)
+                .map(|r| SpecMember { rank: Rank(r), input: bufs[r], output: bufs[r] })
+                .collect();
+            let mut st = State::new(&CollectiveSpec::all_reduce(members, FRESH));
+            let mut flat: Vec<Flat> = (0..3)
+                .map(|r| {
+                    (0..BYTES)
+                        .map(|b| {
+                            let live = r < 2 && b < FRESH;
+                            let term = Term { src: r as u32, delta: 0, site: None };
+                            (None, if live { Byte::Data(vec![term]) } else { Byte::Stale(None) })
+                        })
+                        .collect()
+                })
+                .collect();
+            let (mut scratch, mut value, mut merged) = (Vec::new(), Vec::new(), Vec::new());
+            for step in 0..steps {
+                // Few distinct sites, so stamped terms tie and reorder.
+                let site = Site { rank: Rank(0), tb: 0, pc: rng.next_u64() as usize % 6 };
+                let (len, from, to) = span(&mut rng);
+                let (src, dst) = (rng.next_u64() as usize % 3, rng.next_u64() as usize % 3);
+                let accumulate = rng.next_u64().is_multiple_of(3);
+                st.read_moved((bufs[src], from), len, to, site, &mut scratch, &mut value);
+                if accumulate {
+                    st.read_into(bufs[dst], to, len, &mut scratch);
+                    union_pieces(&value, &scratch, len, site, &mut merged);
+                    std::mem::swap(&mut value, &mut merged);
+                }
+                st.write(bufs[dst], to, len, &value);
+
+                let shift = to as i64 - from as i64;
+                let bytes: Vec<Byte> = (0..len)
+                    .map(|k| {
+                        let b = moved(&flat[src][from + k], shift, site);
+                        if accumulate { union(&b, &flat[dst][to + k].1, site) } else { b }
+                    })
+                    .collect();
+                for (k, b) in bytes.into_iter().enumerate() {
+                    flat[dst][to + k] = (Some(site), b);
+                }
+
+                for (r, &buf) in bufs.iter().enumerate() {
+                    let segs = st.bufs.get(&buf).map_or(&[][..], Vec::as_slice);
+                    prop_assert!(
+                        segs.iter().all(|s| s.start < s.end)
+                            && segs.windows(2).all(|w| w[0].end <= w[1].start),
+                        "step {}: buffer {} segments overlap or are empty", step, r
+                    );
+                    for (b, want) in flat[r].iter().enumerate() {
+                        st.read_into(buf, b, 1, &mut scratch);
+                        prop_assert_eq!(scratch.len(), 1);
+                        prop_assert_eq!(&byte(&scratch[0]), want, "step {}: buffer {} byte {}", step, r, b);
+                    }
+                }
+            }
         }
     }
 }
