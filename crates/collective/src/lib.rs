@@ -55,7 +55,9 @@ use std::rc::Rc;
 
 use commverify::{CollectiveSpec, SpecMember};
 use hw::{BufferId, DataType, Machine, Rank, ReduceOp};
-use mscclpp::{split_range, Comm, DrainReport, Kernel, KernelTiming, Overheads, Protocol, Result};
+use mscclpp::{
+    split_range, Comm, DrainReport, Kernel, KernelTiming, LaunchRecord, Overheads, Protocol, Result,
+};
 use sim::{Duration, Engine};
 
 pub use algos::{PeerOrder, ScratchReuse};
@@ -291,6 +293,17 @@ impl Launch {
 /// and operator.
 type Shape = (usize, DataType, ReduceOp);
 
+/// A kernel batch built from a plan, with the shape it was built for and
+/// the record of its last simulated run.
+struct Batch {
+    shape: Shape,
+    kernels: Rc<Vec<Kernel>>,
+    /// What the batch's last simulated run did: a later launch of the
+    /// batch from the same relative state replays it
+    /// ([`mscclpp::run_kernels_shared`]).
+    record: LaunchRecord,
+}
+
 /// One cached plan: the byte capacity its channels were wired for, the
 /// prepared channel set, and whether the static verifier has already
 /// cleared a kernel batch built from it.
@@ -298,12 +311,15 @@ struct Entry {
     cap: usize,
     verified: Cell<bool>,
     plan: Prepared,
-    /// The kernel batch last built from this plan, with its shape.
-    /// Steady-state collectives on the same tensors (the LLM inference
-    /// pattern) replay the cached batch instead of rebuilding every
-    /// instruction program; re-preparing for a larger capacity replaces
-    /// the whole entry, so a stale batch cannot survive.
-    kernels: RefCell<Option<(Shape, Rc<Vec<Kernel>>)>>,
+    /// The kernel batch last built from this plan. Steady-state
+    /// collectives on the same tensors (the LLM inference pattern) launch
+    /// the cached batch instead of rebuilding every instruction program,
+    /// and on a quiescent timing-only engine replay its recorded run
+    /// instead of simulating it again. A launch of another shape rebuilds
+    /// the batch, and re-preparing for a larger capacity or a
+    /// [`CollComm::shrink`] replaces the whole entry, so neither a stale
+    /// batch nor its record can survive.
+    batch: RefCell<Option<Rc<Batch>>>,
 }
 
 enum Prepared {
@@ -473,7 +489,8 @@ impl CollComm {
         self.custom_all_reduce = Some(algo);
     }
 
-    fn run(&self, engine: &mut Engine<Machine>, kernels: &Rc<Vec<Kernel>>) -> Result<KernelTiming> {
+    fn run(&self, engine: &mut Engine<Machine>, batch: &Batch) -> Result<KernelTiming> {
+        let kernels = &batch.kernels;
         mscclpp::record_launch_mix(engine, "mscclpp", kernels.as_slice());
         let timing = if self.sanitize {
             let (timing, report) =
@@ -485,7 +502,7 @@ impl CollComm {
             }
             timing
         } else {
-            mscclpp::run_kernels_shared(engine, kernels, &self.ov)?
+            mscclpp::run_kernels_shared(engine, kernels, &self.ov, &batch.record)?
         };
         self.observe_stragglers(engine, &timing);
         Ok(timing)
@@ -899,7 +916,7 @@ impl CollComm {
         &self,
         engine: &mut Engine<Machine>,
         mut launch: Launch,
-    ) -> Result<(Launch, Rc<Vec<Kernel>>)> {
+    ) -> Result<(Launch, Rc<Batch>)> {
         // On a shrunken epoch the asked algorithm may be impossible on a
         // subset (hierarchical layouts collapsed onto one node); re-map
         // it and attribute the re-plan before the key is used.
@@ -922,12 +939,16 @@ impl CollComm {
             )));
         }
         let shape = (launch.count, launch.dtype, launch.op);
-        let mut cached = entry.kernels.borrow_mut();
+        let mut cached = entry.batch.borrow_mut();
         let batch = match &*cached {
-            Some((built, batch)) if *built == shape => Rc::clone(batch),
+            Some(batch) if batch.shape == shape => Rc::clone(batch),
             _ => {
-                let batch = Rc::new(entry.plan.kernels(bytes, launch.dtype, launch.op));
-                *cached = Some((shape, Rc::clone(&batch)));
+                let batch = Rc::new(Batch {
+                    shape,
+                    kernels: Rc::new(entry.plan.kernels(bytes, launch.dtype, launch.op)),
+                    record: LaunchRecord::default(),
+                });
+                *cached = Some(Rc::clone(&batch));
                 batch
             }
         };
@@ -987,8 +1008,11 @@ impl CollComm {
         engine: &mut Engine<Machine>,
         launch: Launch,
     ) -> Result<(Vec<Kernel>, CollectiveSpec)> {
-        let (launch, kernels) = self.build(engine, launch)?;
-        Ok((kernels.as_slice().to_vec(), self.spec(engine, &launch)?))
+        let (launch, batch) = self.build(engine, launch)?;
+        Ok((
+            batch.kernels.as_slice().to_vec(),
+            self.spec(engine, &launch)?,
+        ))
     }
 
     /// The one launch path: builds the batch, runs the static verifier —
@@ -996,11 +1020,11 @@ impl CollComm {
     /// once per prepared plan (again after a re-prepare or a shrink),
     /// records the launch as pending, runs it and clears the record.
     fn launch(&self, engine: &mut Engine<Machine>, launch: Launch) -> Result<KernelTiming> {
-        let (launch, kernels) = self.build(engine, launch)?;
+        let (launch, batch) = self.build(engine, launch)?;
         if self.verify && !self.prepared.borrow()[&launch.key].verified.get() {
             let spec = self.spec(engine, &launch)?;
             commverify::verify_collective(
-                kernels.as_slice(),
+                batch.kernels.as_slice(),
                 engine.world().pool(),
                 &commverify::Checks::all(),
                 &spec,
@@ -1008,7 +1032,7 @@ impl CollComm {
             self.prepared.borrow()[&launch.key].verified.set(true);
         }
         self.pending.replace(Some(launch));
-        let timing = self.run(engine, &kernels)?;
+        let timing = self.run(engine, &batch)?;
         self.pending.replace(None);
         Ok(timing)
     }
@@ -1154,7 +1178,7 @@ impl CollComm {
                 cap,
                 verified: Cell::new(false),
                 plan: prepared,
-                kernels: RefCell::new(None),
+                batch: RefCell::new(None),
             },
         );
         Ok(())

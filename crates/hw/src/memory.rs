@@ -273,6 +273,25 @@ impl MemoryPool {
         self.moved_bytes
     }
 
+    /// Whether buffers hold no payload (see the type docs).
+    pub fn is_timing_only(&self) -> bool {
+        self.timing_only
+    }
+
+    /// Counts the data-plane traffic of a replayed launch: `bytes` that
+    /// the launch's simulated run counted in
+    /// [`moved_bytes`](MemoryPool::moved_bytes). Only a timing-only pool
+    /// can take a replay, since it has no payload that a replay would
+    /// leave stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool holds bytes.
+    pub fn replay_moved_bytes(&mut self, bytes: u64) {
+        assert!(self.timing_only, "a bytes pool cannot replay a launch");
+        self.moved_bytes += bytes;
+    }
+
     /// Total bytes of the payload pages created so far: every page some
     /// write has touched (a whole [`PAGE_BYTES`], or the rest of its
     /// buffer for a last page) in a bytes pool, and always 0 in a

@@ -6,11 +6,11 @@
 //! software overheads from [`crate::Overheads`], and performs the real
 //! byte movement so collective outputs can be verified.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use hw::{CopyMode, LinkFault, Machine, Rank};
-use sim::{CellId, Ctx, Duration, Engine, Process, SpanLabelId, Step, Time};
+use sim::{CellId, Ctx, Duration, Engine, Process, RunEffect, SpanLabelId, Step, Time};
 
 use crate::error::Result;
 use crate::kernel::{Instr, Kernel, Site};
@@ -801,15 +801,184 @@ pub fn run_kernels(
     run_kernels_inner(engine, &Rc::new(kernels.to_vec()), ov, None)
 }
 
-/// Like [`run_kernels`], for a launch batch already behind an `Rc` (the
-/// cached-plan replay path): spawning thread blocks shares the batch
-/// instead of deep-cloning every instruction program.
+/// Like [`run_kernels`], for a cached launch batch behind an `Rc`:
+/// spawning thread blocks shares the batch instead of deep-cloning every
+/// instruction program, and `record` keeps what the batch's last
+/// simulated run did, so that a launch from the same relative state
+/// replays that run instead of simulating it again (DESIGN.md §13,
+/// "Launch replay").
+///
+/// A launch replays when its record was taken from this batch with these
+/// overheads, the pool is timing-only, every wait counter the batch reads
+/// trails its cell by what it did when the record was taken, and the
+/// engine accepts the replay ([`Engine::replay`]: the record's engine,
+/// quiescent, unobserved, no fault plan, every resource the run acquired
+/// idle). A replay returns the recorded timing shifted to the current
+/// instant, and leaves the engine, the wait counters and the pool's
+/// moved bytes as the simulated run would have. Any other launch is
+/// simulated, and its run replaces the record: with a new one when it
+/// started in such a state and its batch has no port-channel instruction
+/// (proxy FIFOs and daemons hold state a record does not capture), with
+/// none otherwise.
+///
+/// # Errors
+///
+/// Same failure modes as [`run_kernels`]; a failed run leaves no record.
 pub fn run_kernels_shared(
     engine: &mut Engine<Machine>,
     kernels: &Rc<Vec<Kernel>>,
     ov: &Overheads,
+    record: &LaunchRecord,
 ) -> Result<KernelTiming> {
-    run_kernels_inner(engine, kernels, ov, None)
+    if let Some(timing) = record.replay(engine, kernels, ov) {
+        return Ok(timing);
+    }
+    let marked = engine.world().pool().is_timing_only() && engine.mark();
+    let waits = if marked {
+        wait_counters(engine, kernels)
+    } else {
+        None
+    };
+    let moved = engine.world().pool().moved_bytes();
+    let result = run_kernels_inner(engine, kernels, ov, None);
+    // A failed run was aborted, which dropped the mark.
+    let effect = if marked { engine.take_effect() } else { None };
+    let recorded = match (&result, effect, waits) {
+        (Ok(timing), Some(effect), Some(mut waits)) => {
+            for w in &mut waits {
+                w.rounds = w.counter.get() - w.rounds;
+            }
+            Some(Recorded {
+                kernels: Rc::clone(kernels),
+                ov: ov.clone(),
+                effect,
+                moved_bytes: engine.world().pool().moved_bytes() - moved,
+                waits,
+                end: timing.end - timing.start,
+                per_rank_end: timing
+                    .per_rank_end
+                    .iter()
+                    .map(|&t| t - timing.start)
+                    .collect(),
+            })
+        }
+        _ => None,
+    };
+    record.0.replace(recorded);
+    result
+}
+
+/// The record of a launch batch's last simulated run, kept beside the
+/// batch for [`run_kernels_shared`]. Empty until a run of the batch is
+/// recorded.
+#[derive(Debug, Default)]
+pub struct LaunchRecord(RefCell<Option<Recorded>>);
+
+/// One recorded run: its batch and overheads, its effect on the engine
+/// and the pool, its wait counters and its timing relative to its start.
+#[derive(Debug)]
+struct Recorded {
+    kernels: Rc<Vec<Kernel>>,
+    ov: Overheads,
+    effect: RunEffect,
+    moved_bytes: u64,
+    waits: Vec<WaitCounter>,
+    end: Duration,
+    per_rank_end: Vec<Duration>,
+}
+
+/// One wait counter a batch reads: a `MemoryChannel`'s sem or arrival
+/// expect, a `Semaphore`'s expect, or a `DeviceBarrier`'s round, and the
+/// cell its waits compare against. A wait needs the cell at
+/// `(counter + 1) * per_round`, so the batch's waits unblock the same way
+/// from any state in which the cell leads `counter * per_round` by the
+/// same amount.
+#[derive(Debug)]
+struct WaitCounter {
+    counter: Rc<Cell<u64>>,
+    cell: CellId,
+    /// Cell increments per counter step: a barrier's parties, else 1.
+    per_round: u64,
+    /// The cell's lead over `counter * per_round` when the run started.
+    lead: u64,
+    /// The counter's value when the run started, then the steps the run
+    /// advanced it by.
+    rounds: u64,
+}
+
+impl WaitCounter {
+    fn lead(&self, engine: &Engine<Machine>) -> u64 {
+        engine
+            .cell(self.cell)
+            .wrapping_sub(self.counter.get().wrapping_mul(self.per_round))
+    }
+}
+
+/// Every wait counter `kernels` reads, each once, with its cell's lead
+/// now; `None` when the batch has a port-channel instruction.
+fn wait_counters(engine: &Engine<Machine>, kernels: &[Kernel]) -> Option<Vec<WaitCounter>> {
+    let mut waits = Vec::new();
+    for instr in kernels.iter().flat_map(|k| k.blocks.iter().flatten()) {
+        waits.push(match instr {
+            Instr::MemWait { ch } => (&ch.sem_expect, ch.my_sem, 1),
+            Instr::MemWaitData { ch } => (&ch.arrival_expect, ch.my_arrival, 1),
+            Instr::SemWait { sem } => (&sem.expect, sem.cell, 1),
+            Instr::Barrier { barrier } => (&barrier.round, barrier.cell, barrier.parties as u64),
+            Instr::PortPut { .. }
+            | Instr::PortSignal { .. }
+            | Instr::PortFlush { .. }
+            | Instr::PortWait { .. } => return None,
+            _ => continue,
+        });
+    }
+    waits.sort_unstable_by_key(|&(counter, ..)| Rc::as_ptr(counter));
+    waits.dedup_by(|a, b| Rc::ptr_eq(a.0, b.0));
+    let waits = waits.into_iter().map(|(counter, cell, per_round)| {
+        let mut w = WaitCounter {
+            counter: Rc::clone(counter),
+            cell,
+            per_round,
+            lead: 0,
+            rounds: counter.get(),
+        };
+        w.lead = w.lead(engine);
+        w
+    });
+    Some(waits.collect())
+}
+
+impl LaunchRecord {
+    /// Replays the recorded run of `kernels` if every condition holds
+    /// (see [`run_kernels_shared`]), returning its timing.
+    fn replay(
+        &self,
+        engine: &mut Engine<Machine>,
+        kernels: &Rc<Vec<Kernel>>,
+        ov: &Overheads,
+    ) -> Option<KernelTiming> {
+        let rec = self.0.borrow();
+        let rec = rec.as_ref()?;
+        if !Rc::ptr_eq(&rec.kernels, kernels)
+            || rec.ov != *ov
+            || !engine.world().pool().is_timing_only()
+            || rec.waits.iter().any(|w| w.lead(engine) != w.lead)
+        {
+            return None;
+        }
+        let start = engine.replay(&rec.effect)?;
+        for w in &rec.waits {
+            w.counter.set(w.counter.get() + w.rounds);
+        }
+        engine
+            .world_mut()
+            .pool_mut()
+            .replay_moved_bytes(rec.moved_bytes);
+        Some(KernelTiming {
+            start,
+            end: start + rec.end,
+            per_rank_end: rec.per_rank_end.iter().map(|&d| start + d).collect(),
+        })
+    }
 }
 
 /// Like [`run_kernels`], but with the dynamic memory-access sanitizer

@@ -73,7 +73,7 @@ pub type Communicator<'e> = Setup<'e>;
 pub use error::{Error, LinkDownError, Result};
 pub use exec::{
     record_launch_mix, run_kernels, run_kernels_sanitized, run_kernels_sanitized_shared,
-    run_kernels_shared, KernelTiming,
+    run_kernels_shared, KernelTiming, LaunchRecord,
 };
 pub use kernel::{
     peers_staggered, split_range, Access, BlockBuilder, Dataflow, Instr, Kernel, KernelBuilder,

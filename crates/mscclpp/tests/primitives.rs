@@ -2,9 +2,13 @@
 //! cluster: channel semantics, synchronization, the CPU proxy, multimem,
 //! and the paper's Figure-5 all-pairs ReduceScatter.
 
+use std::rc::Rc;
+
 use hw::{DataType, EnvKind, Machine, Rank, ReduceOp};
-use mscclpp::{run_kernels, Kernel, KernelBuilder, Protocol, Setup};
-use sim::Engine;
+use mscclpp::{
+    run_kernels, run_kernels_shared, Kernel, KernelBuilder, LaunchRecord, Protocol, Setup,
+};
+use sim::{Ctx, Engine, Step};
 
 fn new_engine(kind: EnvKind, nodes: usize) -> Engine<Machine> {
     Engine::new(Machine::new(kind.spec(nodes)))
@@ -594,4 +598,63 @@ fn deadlocked_kernel_reports_wait_span() {
         err.to_string().contains("wait.mem_sem"),
         "deadlock report should name the blocking primitive: {err}"
     );
+}
+
+/// A launch replays its batch's recorded run only while every wait
+/// counter the batch reads trails its cell as it did when the record was
+/// taken. A signal from outside the batch breaks that, so the next launch
+/// runs the DES, and it leaves what a profiled twin, which never
+/// replays, leaves.
+#[test]
+fn an_outside_signal_refuses_replay() {
+    let run = |profiled: bool| {
+        let mut engine = Engine::new(Machine::timing_only(EnvKind::A100_40G.spec(1)));
+        if profiled {
+            engine.enable_profiling();
+        }
+        let mut setup = Setup::new(&mut engine);
+        let bufs = setup.alloc_all(4096);
+        let (ch0, ch1) = setup
+            .memory_channel_pair(
+                Rank(0),
+                bufs[0],
+                bufs[1],
+                Rank(1),
+                bufs[1],
+                bufs[0],
+                Protocol::HB,
+            )
+            .unwrap();
+        let ov = setup.overheads().clone();
+        let mut k0 = KernelBuilder::new(Rank(0));
+        k0.block(0).put(&ch0, 0, 0, 4096).signal(&ch0);
+        let mut k1 = KernelBuilder::new(Rank(1));
+        k1.block(0).wait(&ch1);
+        let batch = Rc::new(vec![k0.build(), k1.build()]);
+        let record = LaunchRecord::default();
+        let mut timings = Vec::new();
+        for _ in 0..2 {
+            timings.push(run_kernels_shared(&mut engine, &batch, &ov, &record).unwrap());
+        }
+        let sem = ch1.my_sem;
+        engine.spawn(move |ctx: &mut Ctx<'_, Machine>| {
+            ctx.cell_add(sem, 1);
+            Step::Done
+        });
+        engine.run().unwrap();
+        let replayed = engine.replayed_runs();
+        timings.push(run_kernels_shared(&mut engine, &batch, &ov, &record).unwrap());
+        assert_eq!(engine.replayed_runs(), replayed, "replayed over a signal");
+        let state = (
+            timings,
+            engine.now(),
+            engine.events_processed(),
+            engine.metrics().clone(),
+        );
+        (state, replayed)
+    };
+    let (plain, replayed) = run(false);
+    let (twin, twin_replayed) = run(true);
+    assert_eq!((replayed, twin_replayed), (1, 0));
+    assert_eq!(plain, twin);
 }

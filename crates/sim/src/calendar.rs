@@ -90,14 +90,15 @@ impl<T: Copy> Default for CalendarQueue<T> {
 }
 
 impl<T: Copy> CalendarQueue<T> {
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.fifo.len() + self.in_buckets
+    pub(crate) fn is_empty(&self) -> bool {
+        self.fifo.is_empty() && self.in_buckets == 0
     }
 
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Moves an empty queue's service horizon to `time`, where a run that
+    /// ended at `time` would have left it.
+    pub(crate) fn set_horizon(&mut self, time: u64) {
+        debug_assert!(self.is_empty(), "horizon moved under pending events");
+        self.fifo_time = time;
     }
 
     pub(crate) fn clear(&mut self) {

@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::calendar::{CalendarQueue, Entry};
 use crate::depgraph::{DepGraph, ProfState};
@@ -9,6 +10,7 @@ use crate::fault::FaultPlan;
 use crate::intern::Interner;
 use crate::metrics::{CounterId, Metrics};
 use crate::process::{Process, Step};
+use crate::replay::{Journal, Mark, RunEffect};
 use crate::time::{Duration, Time};
 use crate::trace::{Trace, TraceEventKind};
 
@@ -29,7 +31,7 @@ pub struct ProcId(usize);
 /// that only ever increases; processes block until a cell reaches a
 /// threshold and are woken exactly when it does.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CellId(usize);
+pub struct CellId(pub(crate) usize);
 
 /// A pre-resolved span label for [`Ctx::span_begin_id`].
 ///
@@ -200,6 +202,9 @@ struct Core {
     prof: Option<ProfState>,
     /// Deterministic fault schedule, when injection is enabled.
     faults: Option<FaultPlan>,
+    /// What the current run does, while it is marked for replay
+    /// ([`Engine::mark`]).
+    journal: Journal,
 }
 
 impl Core {
@@ -239,6 +244,22 @@ impl Core {
     /// Whether any observer needs per-step labels and stable slot ids.
     fn observed(&self) -> bool {
         self.trace.is_some() || self.prof.is_some()
+    }
+
+    /// Adds `delta` to a counter, journaled while a run is marked.
+    fn count_id(&mut self, id: CounterId, delta: u64) {
+        self.metrics.inc_id(id, delta);
+        self.journal.count(id, delta);
+    }
+
+    /// The clock and counts a mark starts from and a marked run ends at.
+    fn state(&self) -> Mark {
+        Mark {
+            now: self.now,
+            seq: self.seq,
+            events: self.events_processed,
+            clamped: self.clamped_past,
+        }
     }
 }
 
@@ -289,6 +310,7 @@ impl<W> Ctx<'_, W> {
 
     /// Allocates a fresh cell with value zero.
     pub fn alloc_cell(&mut self) -> CellId {
+        self.core.journal.inexact();
         self.core.cells.push(CellSlot {
             value: 0,
             head: NIL,
@@ -299,6 +321,7 @@ impl<W> Ctx<'_, W> {
 
     /// Allocates a fresh resource that is free immediately.
     pub fn alloc_resource(&mut self) -> ResourceId {
+        self.core.journal.inexact();
         self.core.resources.push(Time::ZERO);
         self.core.metrics.add_resource();
         ResourceId(self.core.resources.len() - 1)
@@ -318,12 +341,14 @@ impl<W> Ctx<'_, W> {
     /// minus `earliest`) is accumulated as the resource's queueing delay.
     pub fn acquire_after(&mut self, resource: ResourceId, earliest: Time, busy: Duration) -> Time {
         let free_at = &mut self.core.resources[resource.0];
-        let start = (*free_at).max(earliest);
+        let prior = *free_at;
+        let start = prior.max(earliest);
         let done = start + busy;
         *free_at = done;
-        self.core
-            .metrics
-            .on_acquire(resource, busy, start - earliest);
+        let queued = start - earliest;
+        self.core.metrics.on_acquire(resource, busy, queued);
+        let j = &mut self.core.journal;
+        j.acquire(resource.0, prior, earliest, busy, queued, done);
         if let Some(p) = &mut self.core.prof {
             p.on_acquire(self.pid.0, resource.0, earliest, start, done);
         }
@@ -344,17 +369,20 @@ impl<W> Ctx<'_, W> {
     /// Attaches a diagnostic label to a resource (shown in metrics
     /// reports).
     pub fn label_resource(&mut self, resource: ResourceId, label: &str) {
+        self.core.journal.inexact();
         self.core.metrics.set_label(resource, label);
     }
 
     /// Meters `bytes` as carried by `resource` (per-link byte accounting).
     pub fn meter_bytes(&mut self, resource: ResourceId, bytes: u64) {
         self.core.metrics.add_bytes(resource, bytes);
+        self.core.journal.meter(resource.0, bytes);
     }
 
     /// Adds `delta` to the named metrics counter.
     pub fn count(&mut self, name: &str, delta: u64) {
-        self.core.metrics.inc(name, delta);
+        let id = self.core.metrics.counter_id(name);
+        self.core.count_id(id, delta);
     }
 
     /// Resolves a counter name to a stable id for [`Ctx::count_id`]. Do
@@ -366,7 +394,7 @@ impl<W> Ctx<'_, W> {
     /// Adds `delta` to a pre-resolved counter: a single array add, the
     /// form hot per-instruction accounting should use.
     pub fn count_id(&mut self, id: CounterId, delta: u64) {
-        self.core.metrics.inc_id(id, delta);
+        self.core.count_id(id, delta);
     }
 
     /// Read access to the metrics registry.
@@ -649,7 +677,15 @@ pub struct Engine<W> {
     /// is enabled (observers key per-process state by slot index, so
     /// identity must be stable under observation).
     free_slots: Vec<u32>,
+    /// Process-unique identity, stamped into every [`RunEffect`] taken
+    /// here so that it replays on this engine only.
+    id: u64,
+    /// Runs applied by [`Engine::replay`].
+    replayed: u64,
 }
+
+/// The next [`Engine`] identity.
+static NEXT_ENGINE: AtomicU64 = AtomicU64::new(0);
 
 impl<W: fmt::Debug> fmt::Debug for Engine<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -682,10 +718,13 @@ impl<W> Engine<W> {
                 trace: None,
                 prof: None,
                 faults: None,
+                journal: Journal::default(),
             },
             world,
             processes: Vec::new(),
             free_slots: Vec::new(),
+            id: NEXT_ENGINE.fetch_add(1, Ordering::Relaxed),
+            replayed: 0,
         }
     }
 
@@ -797,6 +836,7 @@ impl<W> Engine<W> {
     /// building communicators: setup code derives retry-jitter seeds from
     /// it, and collective planning consults its permanent outages.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.core.journal.inexact();
         self.core.faults = Some(plan);
     }
 
@@ -821,6 +861,8 @@ impl<W> Engine<W> {
     /// again — this is the clean abort path after a
     /// [`SimError::Timeout`].
     pub fn abort(&mut self) {
+        // Drops the mark, if any: an aborted run is not replayable.
+        self.core.journal.end(self.id, self.core.state(), false);
         self.core.queue.clear();
         self.core.waiters.reset();
         for c in &mut self.core.cells {
@@ -859,7 +901,8 @@ impl<W> Engine<W> {
 
     /// Adds `delta` to the named metrics counter.
     pub fn count(&mut self, name: &str, delta: u64) {
-        self.core.metrics.inc(name, delta);
+        let id = self.core.metrics.counter_id(name);
+        self.core.count_id(id, delta);
     }
 
     /// Resolves a span label to a stable id for [`Ctx::span_begin_id`]
@@ -876,6 +919,7 @@ impl<W> Engine<W> {
 
     /// Attaches a diagnostic label to a resource.
     pub fn label_resource(&mut self, resource: ResourceId, label: &str) {
+        self.core.journal.inexact();
         self.core.metrics.set_label(resource, label);
     }
 
@@ -903,9 +947,18 @@ impl<W> Engine<W> {
         self.core.now
     }
 
-    /// Total events processed so far (a proxy for simulation effort).
+    /// Total events processed so far (a proxy for simulation effort):
+    /// the events simulated, plus those of every run applied by
+    /// [`Engine::replay`], so the count is the same whether a run was
+    /// simulated or replayed.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
+    }
+
+    /// How many runs [`Engine::replay`] has applied instead of
+    /// simulating them.
+    pub fn replayed_runs(&self) -> u64 {
+        self.replayed
     }
 
     /// How many event pushes requested a past instant and were clamped to
@@ -932,6 +985,7 @@ impl<W> Engine<W> {
 
     /// Allocates a fresh cell with value zero.
     pub fn alloc_cell(&mut self) -> CellId {
+        self.core.journal.inexact();
         self.core.cells.push(CellSlot {
             value: 0,
             head: NIL,
@@ -947,6 +1001,7 @@ impl<W> Engine<W> {
 
     /// Allocates a fresh resource that is free immediately.
     pub fn alloc_resource(&mut self) -> ResourceId {
+        self.core.journal.inexact();
         self.core.resources.push(Time::ZERO);
         self.core.metrics.add_resource();
         ResourceId(self.core.resources.len() - 1)
@@ -979,6 +1034,7 @@ impl<W> Engine<W> {
     ) -> ProcId {
         if !self.core.observed() {
             if let Some(i) = self.free_slots.pop() {
+                self.core.journal.spawn(i);
                 let slot = &mut self.processes[i as usize];
                 slot.proc = Some(proc);
                 slot.state = ProcState::Scheduled;
@@ -995,6 +1051,7 @@ impl<W> Engine<W> {
             }
         }
         let id = ProcId(self.processes.len());
+        self.core.journal.spawn(id.0 as u32);
         self.core.span_stacks.push(Vec::new());
         if let Some(p) = &mut self.core.prof {
             p.on_spawn(origin);
@@ -1204,6 +1261,7 @@ impl<W> Engine<W> {
                             if !self.core.observed() {
                                 self.core.span_stacks[pid.0].clear();
                                 self.free_slots.push(pid.0 as u32);
+                                self.core.journal.finish(pid.0 as u32);
                             }
                         }
                     }
@@ -1214,6 +1272,7 @@ impl<W> Engine<W> {
                 EventKind::CellAdd(cell, delta, issue) => {
                     let c = cell.0;
                     self.core.cells[c].value += delta;
+                    self.core.journal.cell_add(c, delta);
                     let value = self.core.cells[c].value;
                     // Walk the waiter list in block (FIFO) order, waking
                     // and unlinking every satisfied waiter.
@@ -1277,6 +1336,118 @@ impl<W> Engine<W> {
                 at: self.core.now,
             }))
         }
+    }
+}
+
+/// Launch replay (DESIGN.md §13, "Launch replay"): a run that starts on
+/// a quiescent, unobserved engine without a fault plan, and that finds
+/// every resource it acquires idle, is determined by its processes and
+/// by state relative to its start. Its effect can then be journaled once
+/// and applied again from the same relative state.
+impl<W> Engine<W> {
+    /// Whether a run starting now could be journaled or replayed: nothing
+    /// observes the engine, no fault plan is installed, no run is marked,
+    /// the queue is empty and no process is alive, daemons included (an
+    /// unobserved engine recycles every finished slot, so all are free).
+    fn quiescent(&self) -> bool {
+        self.settled() && !self.core.journal.marked()
+    }
+
+    /// [`Engine::quiescent`], whether or not a run is marked.
+    fn settled(&self) -> bool {
+        !self.core.observed()
+            && self.core.faults.is_none()
+            && self.core.queue.is_empty()
+            && self.free_slots.len() == self.processes.len()
+    }
+
+    /// Marks the start of a run whose effect [`Engine::take_effect`] is to
+    /// return. From here until then the engine journals every cell update,
+    /// resource acquisition, metered byte, counter increment, spawn and
+    /// finish, which costs what the run touches. Returns `false`, and
+    /// journals nothing, unless the engine is quiescent, unobserved and
+    /// without a fault plan. [`Engine::abort`] drops the mark.
+    ///
+    /// The journal sees only the engine: changes a run makes to the world
+    /// `W`, and counter increments made through [`Engine::metrics_mut`],
+    /// are the caller's to record.
+    pub fn mark(&mut self) -> bool {
+        if !self.quiescent() {
+            return false;
+        }
+        let start = self.core.state();
+        self.core.journal.begin(start);
+        true
+    }
+
+    /// Ends the mark and returns the effect of what ran since
+    /// [`Engine::mark`], relative to the mark. `None` if nothing was
+    /// marked, or if the run cannot be replayed exactly: it left work
+    /// queued or processes alive, came under observation or a fault plan,
+    /// allocated cells or resources, asked for a resource from before the
+    /// mark, or acquired a resource that was still busy at the mark.
+    pub fn take_effect(&mut self) -> Option<RunEffect> {
+        let (end, exact) = (self.core.state(), self.settled());
+        self.core.journal.end(self.id, end, exact)
+    }
+
+    /// Applies a run's recorded effect instead of simulating the run
+    /// again, and returns the instant it starts from (the current one).
+    ///
+    /// Replays only when every condition holds: the effect was taken on
+    /// this engine, the engine is quiescent, unobserved and without a
+    /// fault plan (as for [`Engine::mark`]), and every resource the run
+    /// acquired is idle now. Otherwise it changes nothing and returns
+    /// `None`, and the caller simulates the run. The caller also owns the
+    /// conditions this engine cannot see: that the processes it would have
+    /// spawned behave as the recorded ones did from the cells' current
+    /// values, and that it applies their changes to the world `W`.
+    ///
+    /// A replay advances the clock, adds every cell, counter and resource
+    /// delta, sets the acquired resources' busy horizons, counts the run's
+    /// events, sequence numbers and clamps, and recycles process slots in
+    /// the order the run finished them, so every observable equals a
+    /// simulated run's. Cells have no waiters at quiescence, so nothing is
+    /// woken. Slot generations and epochs guard queued events only, and a
+    /// quiescent engine has none, so they are left as they are.
+    pub fn replay(&mut self, effect: &RunEffect) -> Option<Time> {
+        let now = self.core.now;
+        if effect.engine != self.id
+            || !self.quiescent()
+            || self.free_slots.len() < effect.finish_order.len()
+            || effect
+                .resources
+                .iter()
+                .any(|r| r.horizon.is_some() && self.core.resources[r.id.0] > now)
+        {
+            return None;
+        }
+        let core = &mut self.core;
+        for &(cell, delta) in &effect.cells {
+            core.cells[cell.0].value += delta;
+        }
+        for r in &effect.resources {
+            core.metrics
+                .on_replay(r.id, r.busy, r.bytes, r.acquires, r.queue_delay);
+            if let Some(h) = r.horizon {
+                core.resources[r.id.0] = now + h;
+            }
+        }
+        for &(id, delta) in &effect.counters {
+            core.metrics.inc_id(id, delta);
+        }
+        core.now = now + effect.advance;
+        core.seq += effect.seq;
+        core.events_processed += effect.events;
+        core.clamped_past += effect.clamped;
+        core.queue.set_horizon(core.now.as_ps());
+        // Spawn `k` took the `k`-th slot popped; finishing pushed it back.
+        let base = self.free_slots.len() - effect.finish_order.len();
+        let popped: Vec<u32> = self.free_slots.drain(base..).rev().collect();
+        self.free_slots
+            .extend(effect.finish_order.iter().map(|&k| popped[k as usize]));
+        self.replayed += 1;
+        Some(now)
     }
 }
 
@@ -2118,6 +2289,136 @@ mod tests {
             err.as_deadlock().is_some(),
             "expected deadlock at quiescence, got {err}"
         );
+    }
+
+    /// Books a link and signals a cell when its transfer lands, then
+    /// waits for the cell to gain two from where it found it: a process
+    /// whose behaviour depends only on state relative to its start.
+    struct Xfer {
+        res: ResourceId,
+        cell: CellId,
+        busy: Duration,
+        target: Option<u64>,
+    }
+    impl Process<()> for Xfer {
+        fn step(&mut self, ctx: &mut Ctx<'_, ()>) -> Step {
+            if self.target.is_some() {
+                return Step::Done;
+            }
+            let target = ctx.cell(self.cell) + 2;
+            self.target = Some(target);
+            let done = ctx.acquire(self.res, self.busy);
+            ctx.meter_bytes(self.res, 64);
+            ctx.count("xfers", 1);
+            ctx.cell_add_at(self.cell, 1, done);
+            Step::WaitCell {
+                cell: self.cell,
+                at_least: target,
+            }
+        }
+    }
+
+    /// An engine with one link and one cell, and a run of two transfers
+    /// that queue on the link.
+    fn xfer_engine() -> (Engine<()>, impl Fn(&mut Engine<()>)) {
+        let mut e = Engine::new(());
+        let res = e.alloc_resource();
+        let cell = e.alloc_cell();
+        let run = move |e: &mut Engine<()>| {
+            for ns in [10.0, 15.0] {
+                e.spawn(Xfer {
+                    res,
+                    cell,
+                    busy: Duration::from_ns(ns),
+                    target: None,
+                });
+            }
+            e.run().unwrap();
+        };
+        (e, run)
+    }
+
+    /// A replayed run leaves what simulating it again leaves: the clock,
+    /// the counts, cells, counters, resource accounting and horizons, and
+    /// the slots that later spawns get.
+    #[test]
+    fn replay_leaves_what_a_simulated_run_leaves() {
+        let (mut e, run) = xfer_engine();
+        assert!(e.mark());
+        run(&mut e);
+        let effect = e.take_effect().expect("an exact run");
+        let (mut reference, run_ref) = xfer_engine();
+        run_ref(&mut reference);
+        run_ref(&mut reference);
+        assert_eq!(e.replay(&effect), Some(Time::from_ps(25_000)));
+        assert_eq!(e.replayed_runs(), 1);
+        assert_eq!(e.now(), reference.now());
+        assert_eq!(e.events_processed(), reference.events_processed());
+        assert_eq!(e.metrics(), reference.metrics());
+        assert_eq!(e.cell(CellId(0)), 4);
+        // The horizon and the slot order show in the next run.
+        run(&mut e);
+        run_ref(&mut reference);
+        assert_eq!(e.now(), reference.now());
+        assert_eq!(e.metrics(), reference.metrics());
+        assert_eq!(e.spawn(Once), reference.spawn(Once));
+        assert_eq!(e.core.seq, reference.core.seq);
+    }
+
+    struct Once;
+    impl Process<()> for Once {
+        fn step(&mut self, _ctx: &mut Ctx<'_, ()>) -> Step {
+            Step::Done
+        }
+    }
+
+    /// Each condition of a replay is checked: the recording engine,
+    /// quiescence (daemons included), no observer, no fault plan, and
+    /// idle resources; a run that found its link busy is not recorded.
+    #[test]
+    fn replay_refuses_every_state_it_cannot_reproduce() {
+        let (mut e, run) = xfer_engine();
+        assert!(e.mark());
+        run(&mut e);
+        let effect = e.take_effect().unwrap();
+        let (mut other, _) = xfer_engine();
+        assert_eq!(other.replay(&effect), None, "another engine");
+        // A link booked past now: refused, and a run from here is not
+        // recorded either.
+        let res = ResourceId(0);
+        e.spawn(move |ctx: &mut Ctx<'_, ()>| {
+            ctx.acquire(res, Duration::from_us(1.0));
+            Step::Done
+        });
+        e.run().unwrap();
+        assert_eq!(e.replay(&effect), None, "busy resource");
+        assert!(e.mark());
+        run(&mut e);
+        assert_eq!(e.take_effect(), None, "recorded from a busy link");
+        // A parked daemon keeps the engine from quiescence.
+        let (mut d, run_d) = xfer_engine();
+        assert!(d.mark());
+        run_d(&mut d);
+        let effect = d.take_effect().unwrap();
+        let never = d.alloc_cell();
+        d.spawn_daemon(Parked { cell: never });
+        d.run().unwrap();
+        assert!(!d.mark());
+        assert_eq!(d.replay(&effect), None, "parked daemon");
+        for refuse in [
+            |e: &mut Engine<()>| e.set_fault_plan(FaultPlan::new(1)),
+            |e: &mut Engine<()>| e.enable_tracing(),
+            |e: &mut Engine<()>| e.enable_profiling(),
+        ] {
+            let (mut e, run) = xfer_engine();
+            assert!(e.mark());
+            run(&mut e);
+            let effect = e.take_effect().unwrap();
+            refuse(&mut e);
+            assert!(!e.mark());
+            assert_eq!(e.replay(&effect), None);
+            assert_eq!(e.replayed_runs(), 0);
+        }
     }
 
     /// Spawning the same process shape many times stores its label once

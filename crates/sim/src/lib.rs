@@ -46,6 +46,7 @@ mod intern;
 pub mod json;
 mod metrics;
 mod process;
+mod replay;
 pub mod telemetry;
 mod time;
 mod trace;
@@ -60,6 +61,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget, PathState, SimRng
 pub use intern::fnv1a;
 pub use metrics::{CounterId, Metrics, ResourceStat};
 pub use process::{Process, Step};
+pub use replay::RunEffect;
 pub use telemetry::{Sample, Sampler, SamplerConfig};
 pub use time::{Duration, Time};
 pub use trace::{HighlightSegment, Trace, TraceEvent, TraceEventKind};

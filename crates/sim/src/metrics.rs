@@ -22,7 +22,7 @@ use crate::time::Duration;
 /// A pre-resolved counter handle (see [`Metrics::counter_id`]): stable
 /// for the lifetime of the registry that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(u32);
+pub struct CounterId(pub(crate) u32);
 
 /// A snapshot of one resource's accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,6 +168,21 @@ impl Metrics {
 
     pub(crate) fn add_bytes(&mut self, r: ResourceId, bytes: u64) {
         self.bytes[r.0] += bytes;
+    }
+
+    /// Adds a replayed run's accounting for one resource.
+    pub(crate) fn on_replay(
+        &mut self,
+        r: ResourceId,
+        busy: Duration,
+        bytes: u64,
+        acquires: u64,
+        queued: Duration,
+    ) {
+        self.busy[r.0] += busy;
+        self.bytes[r.0] += bytes;
+        self.acquires[r.0] += acquires;
+        self.queue_delay[r.0] += queued;
     }
 
     /// Removes busy time that an abort cancelled before it elapsed
