@@ -4,10 +4,9 @@
 //! thread, (b) FIFO push → proxy processing, (c) signal → wait matching
 //! under the counted-wait rule, and (d) barrier arrive → exit across all
 //! parties. Cycle detection yields static deadlocks. Over the acyclic
-//! graph, sparse clocks kept per synchronization epoch
-//! ([`EpochClocks`]) answer reachability for the race check.
+//! graph, one walk of the topological order ([`walk`]) keeps a live
+//! clock per thread and answers reachability for the race check.
 
-use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use hw::MemoryPool;
@@ -64,17 +63,79 @@ pub(crate) fn analyze(
 struct Graph {
     /// Event id of `(thread, 0)`; `offsets[threads.len()]` = total.
     offsets: Vec<usize>,
-    succs: Vec<Vec<usize>>,
-    preds: Vec<Vec<usize>>,
+    /// Each event's thread, by event id.
+    thread: Vec<u32>,
+    succs: Adjacency,
+    preds: Adjacency,
+}
+
+/// One direction of a graph's edges, flat: node `n`'s neighbours are
+/// `edges[starts[n]..starts[n + 1]]`, in the order they were drawn.
+#[derive(Default)]
+struct Adjacency {
+    starts: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Lists, per node of `0..nodes`, the value of each of the `len`
+    /// entries `entry(k) = (node, value)` that names it, in entry order
+    /// (a stable counting sort).
+    fn group(nodes: usize, len: usize, entry: impl Fn(usize) -> (usize, usize)) -> Adjacency {
+        let mut starts = vec![0u32; nodes + 1];
+        for k in 0..len {
+            starts[entry(k).0] += 1;
+        }
+        // Each node's end; filling backwards then leaves each its start.
+        for n in 1..nodes {
+            starts[n] += starts[n - 1];
+        }
+        starts[nodes] = narrow(len);
+        let mut edges = vec![0; len];
+        for k in (0..len).rev() {
+            let (n, v) = entry(k);
+            starts[n] -= 1;
+            edges[starts[n] as usize] = narrow(v);
+        }
+        Adjacency { starts, edges }
+    }
+
+    fn of(&self, n: usize) -> &[u32] {
+        &self.edges[self.starts[n] as usize..self.starts[n + 1] as usize]
+    }
+}
+
+/// Adds the edge `from → to` to a list in the making; a self-edge is
+/// dropped.
+fn edge(edges: &mut Vec<(usize, usize)>, from: usize, to: usize) {
+    if from != to {
+        edges.push((from, to));
+    }
 }
 
 impl Graph {
+    /// A graph without edges over threads whose events start at
+    /// `offsets`.
+    fn new(offsets: Vec<usize>) -> Graph {
+        let thread = offsets
+            .windows(2)
+            .enumerate()
+            .flat_map(|(t, w)| std::iter::repeat_n(narrow(t), w[1] - w[0]))
+            .collect();
+        Graph {
+            offsets,
+            thread,
+            succs: Adjacency::default(),
+            preds: Adjacency::default(),
+        }
+    }
+
     fn id(&self, thread: usize, idx: usize) -> usize {
         self.offsets[thread] + idx
     }
 
     fn locate(&self, id: usize) -> (usize, usize) {
-        let t = self.offsets.partition_point(|&o| o <= id) - 1;
+        let t = self.thread[id] as usize;
         (t, id - self.offsets[t])
     }
 
@@ -87,12 +148,11 @@ impl Graph {
         *self.offsets.last().unwrap_or(&0)
     }
 
-    fn edge(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        self.succs[from].push(to);
-        self.preds[to].push(from);
+    /// Sets the graph's edges, `(from, to)` in the order they were drawn.
+    fn link(&mut self, edges: &[(usize, usize)]) {
+        let total = self.total();
+        self.succs = Adjacency::group(total, edges.len(), |k| edges[k]);
+        self.preds = Adjacency::group(total, edges.len(), |k| (edges[k].1, edges[k].0));
     }
 
     /// Builds every edge class; imbalance findings fall out of wait
@@ -105,25 +165,18 @@ impl Graph {
             total += t.events.len();
         }
         offsets.push(total);
-        let mut g = Graph {
-            offsets,
-            succs: vec![Vec::new(); total],
-            preds: vec![Vec::new(); total],
-        };
+        let mut g = Graph::new(offsets);
+        let mut edges = Vec::with_capacity(total + model.extra_edges.len());
 
         // (a) Program order.
         for (t, th) in model.threads.iter().enumerate() {
             for i in 1..th.events.len() {
-                let a = g.id(t, i - 1);
-                let b = g.id(t, i);
-                g.edge(a, b);
+                edge(&mut edges, g.id(t, i - 1), g.id(t, i));
             }
         }
         // (b) Push → proxy.
         for &((ft, fi), (tt, ti)) in &model.extra_edges {
-            let a = g.id(ft, fi);
-            let b = g.id(tt, ti);
-            g.edge(a, b);
+            edge(&mut edges, g.id(ft, fi), g.id(tt, ti));
         }
 
         let incs = cell_table(model, &g, |ev| ev.incs());
@@ -153,7 +206,7 @@ impl Graph {
                     let m_u = events.len() as u64;
                     let o = (w.needed + m_u).saturating_sub(total_incs);
                     if o >= 1 {
-                        g.edge(events[(o - 1) as usize].2, wait_id);
+                        edge(&mut edges, events[(o - 1) as usize].2, wait_id);
                     }
                 }
             }
@@ -191,24 +244,26 @@ impl Graph {
                 for av in &per_thread {
                     for ev in &ex {
                         if let (Some(a), Some(e)) = (av.get(r), ev.get(r)) {
-                            g.edge(a.2, e.2);
+                            edge(&mut edges, a.2, e.2);
                         }
                     }
                 }
             }
         }
+        g.link(&edges);
         g
     }
 
     /// Kahn's algorithm; `Err` carries one happens-before cycle.
     fn topo_order(&self) -> Result<Vec<usize>, Vec<usize>> {
         let total = self.total();
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut indeg: Vec<u32> = (0..total).map(|n| narrow(self.preds.of(n).len())).collect();
         let mut order = Vec::with_capacity(total);
         let mut ready: Vec<usize> = (0..total).filter(|&i| indeg[i] == 0).collect();
         while let Some(id) = ready.pop() {
             order.push(id);
-            for &s in &self.succs[id] {
+            for &s in self.succs.of(id) {
+                let s = s as usize;
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
                     ready.push(s);
@@ -236,9 +291,11 @@ impl Graph {
                 return Err(cycle);
             }
             seen.insert(cur, path.len() - 1);
-            let next = self.preds[cur]
+            let next = self
+                .preds
+                .of(cur)
                 .iter()
-                .copied()
+                .map(|&p| p as usize)
                 .find(|p| stuck.contains(p))
                 .expect("stuck node has a stuck predecessor");
             path.push(next);
@@ -311,48 +368,123 @@ fn check_orphans(model: &Model<'_>, findings: &mut Vec<VerifyError>) {
     }
 }
 
-/// Cross-thread reachability over the acyclic graph, from one sparse
-/// clock per synchronization epoch.
+/// Answers, for each of `pairs` (two events on different threads),
+/// whether one happens before the other, in one walk of the acyclic
+/// graph's topological `order`. Also returns how many components the
+/// clocks it stored for other threads' joins hold.
 ///
-/// An epoch starts at every event with a predecessor other than its
-/// program-order one, or with none. The later events of its run learn
-/// nothing new about other threads, so they share its clock. That clock
-/// joins, over the first event's predecessors `p`, `p`'s clock and `p`'s
-/// own component `(thread, index + 1)`, and lists its non-zero
-/// `(thread, count)` components in thread order. It is exact on every
-/// thread but the epoch's own, which no query reads: event `(u, i)`
-/// happens before an event of another thread iff that event's clock maps
-/// `u` to at least `i + 1`.
-struct EpochClocks {
-    /// Each event's epoch, by event id.
-    epoch: Vec<usize>,
-    /// Epoch `k`'s clock is `comps[ends[k]..ends[k + 1]]`.
-    ends: Vec<usize>,
-    comps: Vec<(u32, u32)>,
+/// The walk keeps one live clock per thread: a sorted list of the
+/// non-zero `(thread, count)` components in which count `c` for thread
+/// `u` says that events `(u, 0..c)` happen before the thread's current
+/// event. It is exact on every thread but its own, which no answer
+/// reads. When an event has a predecessor `p = (u, j)` on another
+/// thread, the walk joins into its thread's live clock the clock stored
+/// for `p` and raises `u`'s component to `j + 1`, unless the live clock
+/// already covers `p`: then it covers everything `p` knew too. A
+/// predecessor on the event's own thread adds nothing, since program
+/// order already brought all it knew. So the live clock changes only at
+/// such joins, and the walk stores a copy of it only when an event with
+/// a successor on another thread needs one, once per change.
+///
+/// Each pair is answered at the later of its events in `order`. Every
+/// edge points forward in that order, so the later event cannot happen
+/// before the earlier one, and the earlier one, `(u, i)`, happens before
+/// it iff the later event's live clock maps `u` to at least `i + 1`.
+fn walk(g: &Graph, order: &[usize], pairs: &[(u32, u32)]) -> (Vec<bool>, usize) {
+    let total = g.total();
+    let mut pos = vec![0u32; total];
+    for (k, &id) in order.iter().enumerate() {
+        pos[id] = narrow(k);
+    }
+    let later: Vec<u32> = pairs
+        .iter()
+        .map(|&(a, b)| std::cmp::max_by_key(a, b, |&e| pos[e as usize]))
+        .collect();
+    let asks = Adjacency::group(total, pairs.len(), |k| (later[k] as usize, k));
+
+    let threads = g.offsets.len() - 1;
+    let mut live: Vec<Vec<(u32, u32)>> = vec![Vec::new(); threads];
+    // Each thread's stored copy of its live clock as it stands, if any.
+    let mut saved: Vec<Option<u32>> = vec![None; threads];
+    // The stored clock of each event with a successor on another thread:
+    // stored clock `k` is `comps[ends[k]..ends[k + 1]]`.
+    let mut clock_of = vec![0u32; total];
+    let (mut ends, mut comps) = (vec![0], Vec::new());
+    let mut ordered = vec![false; pairs.len()];
+    for &id in order {
+        let t = g.thread[id] as usize;
+        let own = g.offsets[t]..g.offsets[t + 1];
+        let clock = &mut live[t];
+        for &p in g.preds.of(id) {
+            let p = p as usize;
+            if own.contains(&p) {
+                continue;
+            }
+            let (u, j) = g.locate(p);
+            if covers(clock, u, j) {
+                continue;
+            }
+            let k = clock_of[p] as usize;
+            join(clock, &comps[ends[k]..ends[k + 1]]);
+            raise(clock, narrow(u), narrow(j + 1));
+            saved[t] = None;
+        }
+        for &q in asks.of(id) {
+            let (a, b) = pairs[q as usize];
+            let (u, i) = g.locate(if a as usize == id { b } else { a } as usize);
+            ordered[q as usize] = covers(clock, u, i);
+        }
+        if g.succs.of(id).iter().any(|&s| !own.contains(&(s as usize))) {
+            clock_of[id] = *saved[t].get_or_insert_with(|| {
+                comps.extend_from_slice(clock);
+                ends.push(comps.len());
+                narrow(ends.len() - 2)
+            });
+        }
+    }
+    (ordered, comps.len())
 }
 
-/// Writes the componentwise maximum of two clocks to `out`.
-fn join(out: &mut Vec<(u32, u32)>, a: &[(u32, u32)], b: &[(u32, u32)]) {
-    let (mut i, mut j) = (0, 0);
-    while let (Some(&(u, c)), Some(&(v, d))) = (a.get(i), b.get(j)) {
-        match u.cmp(&v) {
-            Ordering::Less => {
-                out.push((u, c));
-                i += 1;
+/// Whether `clock` says that event `idx` of `thread` happens before.
+fn covers(clock: &[(u32, u32)], thread: usize, idx: usize) -> bool {
+    clock
+        .binary_search_by_key(&narrow(thread), |&(u, _)| u)
+        .is_ok_and(|n| clock[n].1 as usize > idx)
+}
+
+/// Raises `clock` to the componentwise maximum of it and `theirs`, in
+/// place. The merge runs from the back, so the components below
+/// `theirs`' first stay where they are: a gathering thread's clock does
+/// not move for a peer that knows little.
+fn join(clock: &mut Vec<(u32, u32)>, theirs: &[(u32, u32)]) {
+    let n = clock.len();
+    // Room for every component of `theirs`; the merge overwrites it.
+    clock.extend_from_slice(theirs);
+    // `clock[..i]` and `theirs[..j]` are left to merge, into
+    // `clock[..w]`; `w - i >= j`, so no write lands on an unread
+    // component.
+    let (mut i, mut j, mut w) = (n, theirs.len(), clock.len());
+    while j > 0 {
+        let (v, d) = theirs[j - 1];
+        w -= 1;
+        match i.checked_sub(1).map(|k| clock[k]) {
+            Some((u, c)) if u > v => {
+                clock[w] = (u, c);
+                i -= 1;
             }
-            Ordering::Greater => {
-                out.push((v, d));
-                j += 1;
+            Some((u, c)) if u == v => {
+                clock[w] = (u, c.max(d));
+                i -= 1;
+                j -= 1;
             }
-            Ordering::Equal => {
-                out.push((u, c.max(d)));
-                i += 1;
-                j += 1;
+            _ => {
+                clock[w] = (v, d);
+                j -= 1;
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    // Each shared component left one slot empty between the two parts.
+    clock.drain(i..w);
 }
 
 /// Raises `clock`'s component for `thread` to at least `count`.
@@ -363,61 +495,13 @@ fn raise(clock: &mut Vec<(u32, u32)>, thread: u32, count: u32) {
     }
 }
 
-/// A thread index or event count as a clock stores it.
+/// A thread index, event id or count as a clock or an edge list stores
+/// it.
 fn narrow(n: usize) -> u32 {
-    u32::try_from(n).expect("a plan has fewer than 2^32 threads and events per thread")
-}
-
-impl EpochClocks {
-    /// Builds every epoch's clock, visiting events in topological `order`.
-    fn build(g: &Graph, order: &[usize]) -> EpochClocks {
-        let mut clocks = EpochClocks {
-            epoch: vec![0; g.total()],
-            ends: vec![0],
-            comps: Vec::new(),
-        };
-        // The join so far, and the buffer its next step writes.
-        let (mut acc, mut next) = (Vec::new(), Vec::new());
-        for &id in order {
-            let (_, i) = g.locate(id);
-            if i > 0 && g.preds[id].iter().all(|&p| p == id - 1) {
-                clocks.epoch[id] = clocks.epoch[id - 1];
-                continue;
-            }
-            acc.clear();
-            for &p in &g.preds[id] {
-                let (u, j) = g.locate(p);
-                next.clear();
-                join(&mut next, &acc, clocks.clock(p));
-                raise(&mut next, narrow(u), narrow(j + 1));
-                std::mem::swap(&mut acc, &mut next);
-            }
-            clocks.epoch[id] = clocks.ends.len() - 1;
-            clocks.comps.extend_from_slice(&acc);
-            clocks.ends.push(clocks.comps.len());
-        }
-        clocks
-    }
-
-    /// The clock of `id`'s epoch.
-    fn clock(&self, id: usize) -> &[(u32, u32)] {
-        let k = self.epoch[id];
-        &self.comps[self.ends[k]..self.ends[k + 1]]
-    }
-
-    /// Whether event `idx` of `thread` happens before event `id`, which
-    /// lies on another thread.
-    fn ordered(&self, thread: usize, idx: usize, id: usize) -> bool {
-        let clock = self.clock(id);
-        clock
-            .binary_search_by_key(&narrow(thread), |&(u, _)| u)
-            .is_ok_and(|n| clock[n].1 as usize > idx)
-    }
+    u32::try_from(n).expect("a plan has fewer than 2^32 events, edges and accesses")
 }
 
 fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec<VerifyError>) {
-    let clocks = EpochClocks::build(g, order);
-
     struct Rec {
         buf: hw::BufferId,
         /// Place in record order: by thread, event, then access.
@@ -447,42 +531,48 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
         }
     }
     // Overlap sweep: per buffer by start, each record meets only the
-    // records that start before it ends.
+    // records that start before it ends. It needs no clocks, so it
+    // collects every conflicting pair of records on different threads
+    // first, and one walk then says which of them the graph orders.
     recs.sort_unstable_by_key(|r| (r.buf, r.start, r.n));
-
-    let site = |r: &Rec| model.threads[r.thread].events[r.idx].site;
-    // Each racing pair, keyed by buffer and site pair, with its place in
-    // record order.
-    let mut races = Vec::new();
+    // Each conflicting pair, as records and as events.
+    let (mut conflicts, mut events) = (Vec::new(), Vec::new());
     for (k, p) in recs.iter().enumerate() {
         let overlapping = recs[k + 1..]
             .iter()
             .take_while(|q| q.buf == p.buf && q.start < p.end);
         // `q` starts in `[p.start, p.end)`; only an empty `q` at
         // `p.start` misses `p`.
-        for q in overlapping {
-            if p.thread == q.thread || (!p.write && !q.write) || q.end <= p.start {
-                continue;
+        for (m, q) in (k + 1..).zip(overlapping) {
+            if p.thread != q.thread && (p.write || q.write) && q.end > p.start {
+                conflicts.push((narrow(k), narrow(m)));
+                events.push((narrow(p.id), narrow(q.id)));
             }
-            if clocks.ordered(p.thread, p.idx, q.id) || clocks.ordered(q.thread, q.idx, p.id) {
-                continue;
-            }
-            let (a, b) = if p.n < q.n { (p, q) } else { (q, p) };
-            let (x, y) = if site(a) <= site(b) { (a, b) } else { (b, a) };
-            races.push((
-                (p.buf, site(x), site(y)),
-                (a.n, b.n),
-                VerifyError::Race {
-                    first: site(x),
-                    first_range: (x.start, x.end),
-                    first_write: x.write,
-                    second: site(y),
-                    second_range: (y.start, y.end),
-                    second_write: y.write,
-                    buf: p.buf,
-                },
-            ));
         }
+    }
+    let (ordered, _) = walk(g, order, &events);
+
+    let site = |r: &Rec| model.threads[r.thread].events[r.idx].site;
+    // Each racing pair, keyed by buffer and site pair, with its place in
+    // record order.
+    let mut races = Vec::new();
+    for (&(k, m), _) in conflicts.iter().zip(ordered).filter(|&(_, o)| !o) {
+        let (p, q) = (&recs[k as usize], &recs[m as usize]);
+        let (a, b) = if p.n < q.n { (p, q) } else { (q, p) };
+        let (x, y) = if site(a) <= site(b) { (a, b) } else { (b, a) };
+        races.push((
+            (p.buf, site(x), site(y)),
+            (a.n, b.n),
+            VerifyError::Race {
+                first: site(x),
+                first_range: (x.start, x.end),
+                first_write: x.write,
+                second: site(y),
+                second_range: (y.start, y.end),
+                second_write: y.write,
+                buf: p.buf,
+            },
+        ));
     }
     // One finding per buffer and site pair: its first pair in record
     // order.
@@ -495,7 +585,14 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
 mod tests {
     use proptest::prelude::*;
 
-    use super::{EpochClocks, Graph};
+    use super::{edge, walk, Graph};
+
+    /// A graph over threads whose events start at `offsets`.
+    fn graph(offsets: Vec<usize>, edges: &[(usize, usize)]) -> Graph {
+        let mut g = Graph::new(offsets);
+        g.link(edges);
+        g
+    }
 
     /// An acyclic graph over threads of `lens` events each: program order,
     /// plus random edges between the events of a random interleaving, each
@@ -507,14 +604,10 @@ mod tests {
             offsets.push(offsets[offsets.len() - 1] + len);
         }
         let total = offsets[lens.len()];
-        let mut g = Graph {
-            offsets,
-            succs: vec![Vec::new(); total],
-            preds: vec![Vec::new(); total],
-        };
+        let mut edges = Vec::new();
         for (t, &len) in lens.iter().enumerate() {
             for i in 1..len {
-                g.edge(g.id(t, i - 1), g.id(t, i));
+                edge(&mut edges, offsets[t] + i - 1, offsets[t] + i);
             }
         }
         let mut next = vec![0; lens.len()];
@@ -522,7 +615,7 @@ mod tests {
         while interleaving.len() < total {
             let t = rng.next_u64() as usize % lens.len();
             if next[t] < lens[t] {
-                interleaving.push(g.id(t, next[t]));
+                interleaving.push(offsets[t] + next[t]);
                 next[t] += 1;
             }
         }
@@ -530,10 +623,10 @@ mod tests {
             let a = rng.next_u64() as usize % total;
             let b = rng.next_u64() as usize % total;
             if a < b {
-                g.edge(interleaving[a], interleaving[b]);
+                edge(&mut edges, interleaving[a], interleaving[b]);
             }
         }
-        g
+        graph(offsets, &edges)
     }
 
     /// Every event reachable from `from` along `succs`.
@@ -541,7 +634,8 @@ mod tests {
         let mut seen = vec![false; g.total()];
         let mut stack = vec![from];
         while let Some(x) = stack.pop() {
-            for &s in &g.succs[x] {
+            for &s in g.succs.of(x) {
+                let s = s as usize;
                 if !seen[s] {
                     seen[s] = true;
                     stack.push(s);
@@ -551,32 +645,73 @@ mod tests {
         seen
     }
 
+    /// Every pair of events on different threads, each way round.
+    fn cross_pairs(g: &Graph) -> Vec<(u32, u32)> {
+        let total = g.total() as u32;
+        (0..total)
+            .flat_map(|a| (0..total).map(move |b| (a, b)))
+            .filter(|&(a, b)| g.thread[a as usize] != g.thread[b as usize])
+            .collect()
+    }
+
+    /// Asserts that the walk orders each of `pairs` exactly when DFS finds
+    /// a path between its events, returning the components it stored.
+    fn assert_walk_is_reachability(g: &Graph, pairs: &[(u32, u32)]) -> usize {
+        let order = g.topo_order().expect("the graph is acyclic");
+        let reach: Vec<Vec<bool>> = (0..g.total()).map(|a| reachable(g, a)).collect();
+        let (ordered, stored) = walk(g, &order, pairs);
+        for (&(a, b), &ordered) in pairs.iter().zip(&ordered) {
+            let (a, b) = (a as usize, b as usize);
+            assert_eq!(
+                ordered,
+                reach[a][b] || reach[b][a],
+                "{:?} and {:?}",
+                g.locate(a),
+                g.locate(b)
+            );
+        }
+        stored
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn epoch_clocks_answer_reachability(
-            lens in collection::vec(1usize..13, 2..9),
+        fn walk_answers_reachability(
+            lens in collection::vec(1usize..13, 2..20),
             seed in any::<u64>(),
         ) {
             let g = random_graph(&lens, &mut TestRng::new(seed));
-            let order = g.topo_order().expect("every edge points forward in one interleaving");
-            let clocks = EpochClocks::build(&g, &order);
-            for a in 0..g.total() {
-                let (u, i) = g.locate(a);
-                let reach = reachable(&g, a);
-                for (b, &reached) in reach.iter().enumerate() {
-                    if g.locate(b).0 != u {
-                        prop_assert_eq!(
-                            clocks.ordered(u, i, b),
-                            reached,
-                            "{:?} before {:?}",
-                            (u, i),
-                            g.locate(b)
-                        );
-                    }
-                }
-            }
+            assert_walk_is_reachability(&g, &cross_pairs(&g));
         }
+    }
+
+    /// A gather: thread `N` starts `N` threads with one event, each of
+    /// them answers with another, and thread `N` waits for the answers in
+    /// turn. Thread `N` starts a new epoch at every wait, so per-epoch
+    /// clocks held about `N²/2` components; the walk stores one clock per
+    /// answer, of one component each.
+    #[test]
+    fn a_gather_stores_clocks_linear_in_its_threads() {
+        const N: usize = 512;
+        let mut offsets: Vec<usize> = (0..=N).map(|t| 2 * t).collect();
+        offsets.push(3 * N + 1);
+        let gather = |i: usize| 2 * N + i;
+        let mut edges = Vec::new();
+        for t in 0..N {
+            edge(&mut edges, 2 * t, 2 * t + 1);
+            edge(&mut edges, gather(0), 2 * t);
+            edge(&mut edges, 2 * t + 1, gather(t + 1));
+        }
+        for i in 1..=N {
+            edge(&mut edges, gather(i - 1), gather(i));
+        }
+        let g = graph(offsets, &edges);
+        let pairs: Vec<(u32, u32)> = cross_pairs(&g)
+            .into_iter()
+            .filter(|&(a, b)| a < b)
+            .collect();
+        let stored = assert_walk_is_reachability(&g, &pairs);
+        assert!(stored <= 2 * N, "the walk stored {stored} components");
     }
 }

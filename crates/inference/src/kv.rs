@@ -120,6 +120,18 @@ pub enum KvError {
     /// The free list is empty and nothing can be spilled (allocation
     /// under oversubscription with every block pinned).
     OutOfBlocks,
+    /// The request already holds a reservation. Refused before anything
+    /// changes.
+    AlreadyReserved {
+        /// The request.
+        id: u64,
+    },
+    /// The request holds no reservation: it was never reserved, or was
+    /// released, spilled or lost since. Refused before anything changes.
+    UnknownRequest {
+        /// The request.
+        id: u64,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -207,10 +219,14 @@ impl PagedKvManager {
     ///
     /// # Errors
     ///
+    /// [`KvError::AlreadyReserved`] when `id` holds a reservation;
     /// [`KvError::NeverFits`] when the worst case exceeds the whole
     /// pool; [`KvError::NoHeadroom`] when the reservation budget
     /// (`total * oversubscription`) is exhausted.
     pub fn reserve(&mut self, id: u64, worst_case_tokens: usize) -> Result<Reservation, KvError> {
+        if self.owners.contains_key(&id) {
+            return Err(KvError::AlreadyReserved { id });
+        }
         let want = self.blocks_for(worst_case_tokens);
         if want > self.cfg.total_blocks {
             return Err(KvError::NeverFits {
@@ -224,14 +240,13 @@ impl PagedKvManager {
             return Err(KvError::NoHeadroom { want, available });
         }
         self.reserved_total += want;
-        let prev = self.owners.insert(
+        self.owners.insert(
             id,
             Owner {
                 blocks: Vec::new(),
                 reserved: want,
             },
         );
-        assert!(prev.is_none(), "request {id} reserved twice");
         Ok(Reservation { blocks: want })
     }
 
@@ -240,12 +255,16 @@ impl PagedKvManager {
     ///
     /// # Errors
     ///
+    /// [`KvError::UnknownRequest`] when `id` holds no reservation;
     /// [`KvError::OutOfBlocks`] when the free list runs dry (only
     /// possible under oversubscription > 1.0 — the scheduler must spill
     /// a victim and retry).
     pub fn grow_to(&mut self, id: u64, tokens: usize) -> Result<usize, KvError> {
         let want = self.blocks_for(tokens);
-        let have = self.owners.get(&id).expect("unknown request").blocks.len();
+        let Some(owner) = self.owners.get_mut(&id) else {
+            return Err(KvError::UnknownRequest { id });
+        };
+        let have = owner.blocks.len();
         if want <= have {
             return Ok(0);
         }
@@ -254,12 +273,7 @@ impl PagedKvManager {
             return Err(KvError::OutOfBlocks);
         }
         for _ in 0..need {
-            let b = self.free.pop().expect("checked above");
-            self.owners
-                .get_mut(&id)
-                .expect("unknown request")
-                .blocks
-                .push(b);
+            owner.blocks.push(self.free.pop().expect("checked above"));
         }
         self.stats.allocated += need as u64;
         self.stats.peak_used = self.stats.peak_used.max(self.used());
@@ -547,6 +561,63 @@ mod tests {
         kv.release(1);
         kv.drop_prefix_cache();
         assert_eq!(kv.used(), 0);
+        assert!(kv.stats().balances());
+    }
+
+    /// What a refused call must leave as it found: blocks used, blocks
+    /// held by requests 1 and 2, the reservation headroom and the stats.
+    fn state(kv: &PagedKvManager) -> (usize, usize, usize, f64, KvStats) {
+        (
+            kv.used(),
+            kv.held(1),
+            kv.held(2),
+            kv.reserve_headroom(),
+            kv.stats(),
+        )
+    }
+
+    #[test]
+    fn a_second_reservation_is_refused_before_anything_changes() {
+        let mut kv = mgr(10, 1.0);
+        kv.reserve(1, 64).unwrap();
+        kv.grow_to(1, 64).unwrap(); // 4 blocks
+        let before = state(&kv);
+        assert_eq!(
+            kv.reserve(1, 32).unwrap_err(),
+            KvError::AlreadyReserved { id: 1 }
+        );
+        assert_eq!(
+            kv.restore(1, 32, 32).unwrap_err(),
+            KvError::AlreadyReserved { id: 1 }
+        );
+        assert_eq!(state(&kv), before);
+        assert_eq!(kv.held(1), 4);
+        kv.release(1);
+        assert_eq!(kv.used(), 0);
+        assert!(kv.stats().balances());
+    }
+
+    #[test]
+    fn growing_an_unknown_request_is_refused_before_anything_changes() {
+        let mut kv = mgr(10, 1.0);
+        kv.reserve(1, 64).unwrap();
+        kv.grow_to(1, 32).unwrap(); // 2 blocks
+        let before = state(&kv);
+        assert_eq!(
+            kv.grow_to(2, 16).unwrap_err(),
+            KvError::UnknownRequest { id: 2 }
+        );
+        assert_eq!(state(&kv), before);
+        // A released request is unknown again.
+        kv.reserve(2, 16).unwrap();
+        kv.release(2);
+        let before = state(&kv);
+        assert_eq!(
+            kv.grow_to(2, 16).unwrap_err(),
+            KvError::UnknownRequest { id: 2 }
+        );
+        assert_eq!(state(&kv), before);
+        kv.release(1);
         assert!(kv.stats().balances());
     }
 

@@ -275,15 +275,37 @@ fn try_join(kv: &mut PagedKvManager, mut job: Job, kv_bpt: f64, clock_us: &mut f
                 *clock_us += tokens as f64 * kv_bpt / HOST_LINK_BYTES_PER_US;
                 Join::Joined(job)
             }
-            Err(KvError::NeverFits { .. }) => Join::Never,
-            Err(_) => Join::Blocked(job),
+            Err(e) => refused(e, job),
         }
     } else {
         match kv.reserve(job.id, worst) {
             Ok(_) => Join::Joined(job),
-            Err(KvError::NeverFits { .. }) => Join::Never,
-            Err(_) => Join::Blocked(job),
+            Err(e) => refused(e, job),
         }
+    }
+}
+
+/// Where a refused reservation or restore leaves `job`. The scheduler
+/// reserves a job only while it holds no reservation, so a bookkeeping
+/// error is a scheduler bug, never a full pool to wait out.
+fn refused(e: KvError, job: Job) -> Join {
+    match e {
+        KvError::NeverFits { .. } => Join::Never,
+        KvError::NoHeadroom { .. } | KvError::OutOfBlocks => Join::Blocked(job),
+        KvError::AlreadyReserved { .. } | KvError::UnknownRequest { .. } => {
+            unreachable!("KV bookkeeping broke joining request {}: {e:?}", job.id)
+        }
+    }
+}
+
+/// Whether a `grow_to` reached its target: `false` when the pool ran out
+/// of blocks. The scheduler grows only running jobs, which hold a
+/// reservation, so any other error is a scheduler bug.
+fn grown(r: std::result::Result<usize, KvError>) -> bool {
+    match r {
+        Ok(_) => true,
+        Err(KvError::OutOfBlocks) => false,
+        Err(e) => unreachable!("KV bookkeeping broke growing a running job: {e:?}"),
     }
 }
 
@@ -341,7 +363,7 @@ fn grow_or_spill(
     rt: &mut RequestTracer,
 ) -> Grow {
     loop {
-        if kv.grow_to(id, target_own).is_ok() {
+        if grown(kv.grow_to(id, target_own)) {
             return Grow::Grown;
         }
         // Victim: the other running job holding the most blocks (newest
@@ -358,7 +380,7 @@ fn grow_or_spill(
         // Nobody else holds blocks; the last possible donor is the
         // prefix cache.
         kv.drop_prefix_cache();
-        if kv.grow_to(id, target_own).is_ok() {
+        if grown(kv.grow_to(id, target_own)) {
             return Grow::Grown;
         }
         let pos = running
