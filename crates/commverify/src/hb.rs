@@ -27,11 +27,12 @@ pub(crate) fn analyze(
 ) -> Vec<VerifyError> {
     let mut findings = Vec::new();
     let graph = Graph::build(model, &mut findings);
-    check_bounds(model, pool, &mut findings);
+    let recs = records(model, &graph);
+    check_bounds(model, pool, &recs, &mut findings);
 
     match graph.topo_order() {
         Ok(order) => {
-            check_races(model, &graph, &order, &mut findings);
+            check_races(model, &graph, &order, recs, &mut findings);
             // The provenance pass replays one linearization; that final
             // state only speaks for *every* linearization when
             // conflicting accesses are ordered, so a racy plan skips
@@ -328,21 +329,64 @@ fn cell_run(table: &[(CellId, usize, usize)], cell: CellId) -> &[(CellId, usize,
     &table[table.partition_point(|e| e.0 < cell)..table.partition_point(|e| e.0 <= cell)]
 }
 
-fn check_bounds(model: &Model<'_>, pool: &MemoryPool, findings: &mut Vec<VerifyError>) {
-    let mut seen = HashSet::new();
-    for th in &model.threads {
-        for ev in &th.events {
+/// One byte-range access of one event.
+struct Rec {
+    buf: hw::BufferId,
+    /// Place in record order: by thread, event, then access.
+    n: usize,
+    id: usize,
+    thread: usize,
+    idx: usize,
+    start: usize,
+    end: usize,
+    write: bool,
+}
+
+impl Rec {
+    fn site(&self, model: &Model<'_>) -> Site {
+        model.threads[self.thread].events[self.idx].site
+    }
+}
+
+/// Every event's byte-range accesses, each event's footprint derived
+/// once, in record order.
+fn records(model: &Model<'_>, g: &Graph) -> Vec<Rec> {
+    let mut recs = Vec::new();
+    for (t, th) in model.threads.iter().enumerate() {
+        for (i, ev) in th.events.iter().enumerate() {
             for a in ev.accesses() {
-                let len = pool.len(a.buf);
-                if a.end > len && seen.insert((ev.site, a.buf, a.start, a.end)) {
-                    findings.push(VerifyError::OutOfBounds {
-                        site: ev.site,
-                        buf: a.buf,
-                        range: (a.start, a.end),
-                        len,
-                    });
-                }
+                recs.push(Rec {
+                    buf: a.buf,
+                    n: recs.len(),
+                    id: g.id(t, i),
+                    thread: t,
+                    idx: i,
+                    start: a.start,
+                    end: a.end,
+                    write: a.write,
+                });
             }
+        }
+    }
+    recs
+}
+
+fn check_bounds(
+    model: &Model<'_>,
+    pool: &MemoryPool,
+    recs: &[Rec],
+    findings: &mut Vec<VerifyError>,
+) {
+    let mut seen = HashSet::new();
+    for r in recs {
+        let len = pool.len(r.buf);
+        if r.end > len && seen.insert((r.site(model), r.buf, r.start, r.end)) {
+            findings.push(VerifyError::OutOfBounds {
+                site: r.site(model),
+                buf: r.buf,
+                range: (r.start, r.end),
+                len,
+            });
         }
     }
 }
@@ -501,35 +545,13 @@ fn narrow(n: usize) -> u32 {
     u32::try_from(n).expect("a plan has fewer than 2^32 events, edges and accesses")
 }
 
-fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec<VerifyError>) {
-    struct Rec {
-        buf: hw::BufferId,
-        /// Place in record order: by thread, event, then access.
-        n: usize,
-        id: usize,
-        thread: usize,
-        idx: usize,
-        start: usize,
-        end: usize,
-        write: bool,
-    }
-    let mut recs = Vec::new();
-    for (t, th) in model.threads.iter().enumerate() {
-        for (i, ev) in th.events.iter().enumerate() {
-            for a in ev.accesses() {
-                recs.push(Rec {
-                    buf: a.buf,
-                    n: recs.len(),
-                    id: g.id(t, i),
-                    thread: t,
-                    idx: i,
-                    start: a.start,
-                    end: a.end,
-                    write: a.write,
-                });
-            }
-        }
-    }
+fn check_races(
+    model: &Model<'_>,
+    g: &Graph,
+    order: &[usize],
+    mut recs: Vec<Rec>,
+    findings: &mut Vec<VerifyError>,
+) {
     // Overlap sweep: per buffer by start, each record meets only the
     // records that start before it ends. It needs no clocks, so it
     // collects every conflicting pair of records on different threads
@@ -552,7 +574,7 @@ fn check_races(model: &Model<'_>, g: &Graph, order: &[usize], findings: &mut Vec
     }
     let (ordered, _) = walk(g, order, &events);
 
-    let site = |r: &Rec| model.threads[r.thread].events[r.idx].site;
+    let site = |r: &Rec| r.site(model);
     // Each racing pair, keyed by buffer and site pair, with its place in
     // record order.
     let mut races = Vec::new();

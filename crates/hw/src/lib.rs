@@ -21,9 +21,9 @@
 //!   links, DMA engines, NICs) that model bandwidth contention.
 //!
 //! Communication libraries (`mscclpp`, `ncclsim`) call the transfer helpers
-//! on [`Machine`] to obtain *completion times* for data movement, and the
-//! [`MemoryPool`] methods to perform the byte movement (or, in a
-//! timing-only pool, only its checks and accounting).
+//! on [`Machine`] to obtain *completion times* for data movement, and
+//! [`MemoryPool::apply`] to perform the byte movement a [`Dataflow`]
+//! describes (or, in a timing-only pool, only its checks and accounting).
 //!
 //! # Example
 //!
@@ -52,6 +52,6 @@ pub use machine::{
     multimem_broadcast_time, multimem_fault, multimem_reduce_time, net_latency, net_time, p2p_time,
     port_utilization, supports_multimem, wire, CopyMode, LinkFault, Machine, PortUtilization, Xfer,
 };
-pub use memory::{BufferId, MemoryPool, PAGE_BYTES};
+pub use memory::{Access, BufferId, Dataflow, MemoryPool, PAGE_BYTES};
 pub use spec::{EnvKind, EnvSpec, GpuSpec, IntraKind, IntraSpec, MultimemSpec, NetSpec};
 pub use topology::{Rank, Topology};

@@ -1,5 +1,7 @@
 //! GPU memory: byte buffers with real copies and element-wise
 //! reductions, or timing-only buffers that keep their length and no bytes.
+//! Every byte a kernel moves goes through one entry,
+//! [`MemoryPool::apply`], which performs a [`Dataflow`].
 
 use std::cell::{Cell, OnceCell};
 use std::mem;
@@ -30,6 +32,169 @@ thread_local! {
 /// Identifies a buffer allocated in a [`MemoryPool`].
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BufferId(usize);
+
+/// One byte-range access of a data-plane operation, half-open
+/// `[start, end)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// The buffer accessed.
+    pub buf: BufferId,
+    /// First byte.
+    pub start: usize,
+    /// One past the last byte.
+    pub end: usize,
+    /// Whether the access writes.
+    pub write: bool,
+}
+
+/// One data-plane operation, the whole of what it does to memory: which
+/// `(buffer, offset)` operands it reads and writes, `bytes` long each,
+/// and how the written bytes derive from the read ones.
+/// [`MemoryPool::apply`] performs it. Each data-moving kernel instruction
+/// (`mscclpp::Instr::dataflow`) and each proxied put is one, and the
+/// static verifier and the dynamic sanitizer read the same value.
+#[derive(Debug, Clone, Copy)]
+pub enum Dataflow<'a> {
+    /// Fresh overwrite `dst = src` (`Copy`, `MemPut`, `PortPut`, `RawPut`).
+    Move {
+        /// Source operand.
+        src: (BufferId, usize),
+        /// Destination operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+    /// Accumulate `dst = op(dst, src)` (`Reduce`, `MemReadReduce`).
+    Accum {
+        /// Source operand.
+        src: (BufferId, usize),
+        /// Destination and accumulator operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+        /// Element type.
+        dtype: DataType,
+        /// Reduction operator.
+        op: ReduceOp,
+    },
+    /// Three-address reduce `dst = op(a, b)` (`ReduceInto`,
+    /// `RawReducePut`).
+    Reduce2 {
+        /// First operand.
+        a: (BufferId, usize),
+        /// Second operand.
+        b: (BufferId, usize),
+        /// Destination operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+        /// Element type.
+        dtype: DataType,
+        /// Reduction operator.
+        op: ReduceOp,
+    },
+    /// Multimem load-reduce of every member buffer at `src_off` into
+    /// `dst` (`SwitchReduce`).
+    ReduceAll {
+        /// The switch channel's members.
+        members: &'a [(Rank, BufferId)],
+        /// Offset into every member buffer.
+        src_off: usize,
+        /// Destination operand.
+        dst: (BufferId, usize),
+        /// Operand size in bytes.
+        bytes: usize,
+        /// Element type.
+        dtype: DataType,
+        /// Reduction operator.
+        op: ReduceOp,
+    },
+    /// Multimem store of `src` into every member buffer at `dst_off`
+    /// (`SwitchBroadcast`).
+    Replicate {
+        /// Source operand.
+        src: (BufferId, usize),
+        /// The switch channel's members.
+        members: &'a [(Rank, BufferId)],
+        /// Offset into every member buffer.
+        dst_off: usize,
+        /// Operand size in bytes.
+        bytes: usize,
+    },
+}
+
+impl<'a> Dataflow<'a> {
+    /// Size in bytes of every operand.
+    #[inline]
+    pub fn bytes(self) -> usize {
+        match self {
+            Dataflow::Move { bytes, .. }
+            | Dataflow::Accum { bytes, .. }
+            | Dataflow::Reduce2 { bytes, .. }
+            | Dataflow::ReduceAll { bytes, .. }
+            | Dataflow::Replicate { bytes, .. } => bytes,
+        }
+    }
+
+    /// The operands read, in operand order. An `Accum` also reads its
+    /// destination, which is not listed here.
+    #[inline]
+    pub fn reads(self) -> impl Iterator<Item = (BufferId, usize)> + Clone + 'a {
+        match self {
+            Dataflow::Move { src, .. }
+            | Dataflow::Accum { src, .. }
+            | Dataflow::Replicate { src, .. } => operands([Some(src), None], (&[], 0)),
+            Dataflow::Reduce2 { a, b, .. } => operands([Some(a), Some(b)], (&[], 0)),
+            Dataflow::ReduceAll {
+                members, src_off, ..
+            } => operands([None; 2], (members, src_off)),
+        }
+    }
+
+    /// The operands written.
+    #[inline]
+    pub fn writes(self) -> impl Iterator<Item = (BufferId, usize)> + Clone + 'a {
+        match self {
+            Dataflow::Move { dst, .. }
+            | Dataflow::Accum { dst, .. }
+            | Dataflow::Reduce2 { dst, .. }
+            | Dataflow::ReduceAll { dst, .. } => operands([Some(dst), None], (&[], 0)),
+            Dataflow::Replicate {
+                members, dst_off, ..
+            } => operands([None; 2], (members, dst_off)),
+        }
+    }
+
+    /// Every byte-range access: the reads in operand order, then the
+    /// writes.
+    #[inline]
+    pub fn accesses(self) -> impl Iterator<Item = Access> + 'a {
+        let bytes = self.bytes();
+        let at = move |write| {
+            move |(buf, start): (BufferId, usize)| Access {
+                buf,
+                start,
+                end: start + bytes,
+                write,
+            }
+        };
+        self.reads()
+            .map(at(false))
+            .chain(self.writes().map(at(true)))
+    }
+}
+
+/// Up to two fixed operands followed by every member buffer at one
+/// offset (a shape without members passes an empty slice).
+#[inline]
+fn operands<'a>(
+    [a, b]: [Option<(BufferId, usize)>; 2],
+    (members, off): (&'a [(Rank, BufferId)], usize),
+) -> impl Iterator<Item = (BufferId, usize)> + Clone + 'a {
+    a.into_iter()
+        .chain(b)
+        .chain(members.iter().map(move |&(_, buf)| (buf, off)))
+}
 
 #[derive(Debug)]
 struct Buffer {
@@ -168,9 +333,10 @@ fn in_one_page(off: usize, len: usize) -> bool {
 ///   records only its length. A page is created, as zeros, by the first
 ///   write that touches it; a page never written reads as zeros and
 ///   reading it creates nothing, so a buffer costs memory only for the
-///   pages some operation wrote. Peer-to-peer `put`, switch `reduce`, and
-///   local `copy` operations move actual bytes here, page run by page
-///   run, so benchmark harnesses can verify collective outputs
+///   pages some operation wrote. [`apply`](MemoryPool::apply) moves actual
+///   bytes here for every [`Dataflow`] (peer-to-peer puts, switch
+///   reductions and broadcasts, local copies and reductions), page run by
+///   page run, so benchmark harnesses can verify collective outputs
 ///   bit-for-bit (within floating-point reduction-order tolerance) before
 ///   trusting a timing. [`bytes`](MemoryPool::bytes) returns a page's own
 ///   bytes for a range inside one page, and a contiguous copy for a range
@@ -187,8 +353,8 @@ fn in_one_page(off: usize, len: usize) -> bool {
 ///   keeps the heap of the largest bytes pool it has dropped until it
 ///   builds its next pool or exits.
 /// * **Timing-only** ([`Machine::timing_only`](crate::Machine::timing_only)):
-///   a buffer records its length and no page is ever created. The
-///   data-plane operations run the same range and overlap checks and
+///   a buffer records its length and no page is ever created.
+///   [`apply`](MemoryPool::apply) runs the same range and overlap checks and
 ///   count the same [`moved_bytes`](MemoryPool::moved_bytes) as in a
 ///   bytes pool, then return without touching bytes. The readers
 ///   ([`bytes`](MemoryPool::bytes), [`bytes_mut`](MemoryPool::bytes_mut),
@@ -206,8 +372,8 @@ pub struct MemoryPool {
     heap: Vec<u8>,
     /// Buffers hold no payload (fixed at construction).
     timing_only: bool,
-    /// Cumulative bytes moved by data-plane operations (`copy`, `reduce`,
-    /// `reduce_into`, `multimem_*`), counting operand traffic. Host-side
+    /// Cumulative bytes moved by data-plane operations
+    /// ([`MemoryPool::apply`]), counting operand traffic. Host-side
     /// initialization (`write`, `fill_with`) is not counted.
     moved_bytes: u64,
     /// Reusable `f32` accumulator for the reductions that go through
@@ -264,11 +430,11 @@ impl MemoryPool {
     /// Cumulative bytes moved by data-plane operations so far, equal in
     /// both payload modes.
     ///
-    /// Counts the payload of every `copy` and `multimem_broadcast`
-    /// destination write, and the operand bytes read by reductions
-    /// (`reduce`/`reduce_into` read two streams and write one, so they
-    /// count `3 * count * element_size`; `multimem_reduce` counts each
-    /// source plus the destination).
+    /// Counts the payload of every destination write of a `Move` or a
+    /// `Replicate`, and the operand bytes of reductions: an `Accum` or a
+    /// `Reduce2` reads two streams and writes one, so it counts
+    /// `3 * count * element_size`; a `ReduceAll` counts each member plus
+    /// the destination.
     pub fn moved_bytes(&self) -> u64 {
         self.moved_bytes
     }
@@ -397,151 +563,95 @@ impl MemoryPool {
         b.write(heap, off, src);
     }
 
-    /// Copies `len` bytes from `(src, src_off)` to `(dst, dst_off)`.
+    /// Performs one data-plane operation: the move, accumulation or
+    /// reduction that `flow` describes, page run by page run. A reducing
+    /// operation covers `bytes / dtype.size()` whole elements and computes
+    /// in `f32`, rounded back to `dtype` (GPU mixed-precision behaviour).
+    /// A `Reduce2` or `ReduceAll` reads every source before it writes, so
+    /// its operands may alias in any way; a `Move` or `Replicate` whose
+    /// destination shares the source's buffer has memmove semantics.
     ///
-    /// Supports `src == dst` (memmove semantics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range is out of bounds.
-    pub fn copy(
-        &mut self,
-        src: BufferId,
-        src_off: usize,
-        dst: BufferId,
-        dst_off: usize,
-        len: usize,
-    ) {
-        self.account(len, len, [(src, src_off), (dst, dst_off)]);
-        if self.timing_only {
-            return;
-        }
-        self.spread(src, src_off, &[(dst, dst_off)], len);
-    }
-
-    /// Element-wise `dst = op(dst, src)` over `count` elements of `dtype`.
-    ///
-    /// Arithmetic is performed in `f32` and rounded back to `dtype`,
-    /// matching GPU mixed-precision reduction behaviour.
+    /// Every operand range is checked before any byte moves, and
+    /// [`moved_bytes`](MemoryPool::moved_bytes) grows by the operation's
+    /// traffic, in both payload modes; a timing-only pool stops there.
     ///
     /// # Panics
     ///
-    /// Panics if either range is out of bounds, or if `src == dst` with
-    /// overlapping ranges.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reduce(
-        &mut self,
-        src: BufferId,
-        src_off: usize,
-        dst: BufferId,
-        dst_off: usize,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    ) {
-        let len = count * dtype.size();
-        if src.0 == dst.0 {
-            let lo = src_off.min(dst_off);
-            let hi = (src_off.max(dst_off)) + len;
-            assert!(
-                src_off + len <= dst_off || dst_off + len <= src_off,
-                "overlapping in-place reduce: [{lo}, {hi})"
-            );
-        }
-        self.account(3 * len, len, [(src, src_off), (dst, dst_off)]);
-        if self.timing_only {
-            return;
-        }
-        let es = dtype.size();
-        if src != dst && src_off.is_multiple_of(es) && dst_off.is_multiple_of(es) {
-            for (i, n) in runs([src_off, dst_off], len) {
-                let (s, d) = self.two_pages((src, src_off + i), (dst, dst_off + i), n);
-                dtype.reduce_lanes(op, d, s);
+    /// Panics naming the first operand range that is out of bounds
+    /// (reads first, then writes), if an `Accum`'s source and destination
+    /// overlap in one buffer, or if a `ReduceAll` has no members.
+    pub fn apply(&mut self, flow: Dataflow<'_>) {
+        let whole = |bytes: usize, dtype: DataType| bytes / dtype.size() * dtype.size();
+        let (len, moved) = match flow {
+            Dataflow::Move { bytes, .. } => (bytes, bytes),
+            Dataflow::Replicate { members, bytes, .. } => (bytes, members.len() * bytes),
+            Dataflow::Accum {
+                src,
+                dst,
+                bytes,
+                dtype,
+                ..
+            } => {
+                let len = whole(bytes, dtype);
+                if src.0 == dst.0 {
+                    let lo = src.1.min(dst.1);
+                    let hi = src.1.max(dst.1) + len;
+                    assert!(
+                        src.1 + len <= dst.1 || dst.1 + len <= src.1,
+                        "overlapping in-place reduce: [{lo}, {hi})"
+                    );
+                }
+                (len, 3 * len)
             }
-        } else {
-            // `op(dst, src)` through the registers, the same bits.
-            let operands = [(dst, dst_off), (src, src_off)];
-            self.fold(&operands, dst, dst_off, count, dtype, op);
-        }
-    }
-
-    /// Three-address element-wise reduction: `dst = op(a, b)` over `count`
-    /// elements of `dtype` (the GPU register path of NCCL's
-    /// `recvReduceCopy`: no intermediate store into either operand).
-    ///
-    /// Aliasing among the three ranges is allowed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any range is out of bounds.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reduce_into(
-        &mut self,
-        a: BufferId,
-        a_off: usize,
-        b: BufferId,
-        b_off: usize,
-        dst: BufferId,
-        dst_off: usize,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    ) {
-        let len = count * dtype.size();
-        self.account(3 * len, len, [(a, a_off), (b, b_off), (dst, dst_off)]);
+            Dataflow::Reduce2 { bytes, dtype, .. } => {
+                let len = whole(bytes, dtype);
+                (len, 3 * len)
+            }
+            Dataflow::ReduceAll {
+                members,
+                bytes,
+                dtype,
+                ..
+            } => {
+                assert!(
+                    !members.is_empty(),
+                    "a switch reduce needs at least one member"
+                );
+                let len = whole(bytes, dtype);
+                (len, (members.len() + 1) * len)
+            }
+        };
+        self.account(moved, len, flow.reads().chain(flow.writes()));
         if self.timing_only {
             return;
         }
-        self.fold(&[(a, a_off), (b, b_off)], dst, dst_off, count, dtype, op);
-    }
-
-    /// Switch-style multimem load-reduce: `dst = op(srcs...)` over `count`
-    /// elements, reducing corresponding elements of every source buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `srcs` is empty or any range is out of bounds.
-    pub fn multimem_reduce(
-        &mut self,
-        srcs: &[(BufferId, usize)],
-        dst: BufferId,
-        dst_off: usize,
-        count: usize,
-        dtype: DataType,
-        op: ReduceOp,
-    ) {
-        assert!(
-            !srcs.is_empty(),
-            "multimem_reduce needs at least one source"
-        );
-        let len = count * dtype.size();
-        let operands = srcs.iter().copied().chain([(dst, dst_off)]);
-        self.account((srcs.len() + 1) * len, len, operands);
-        if self.timing_only {
-            return;
+        match flow {
+            Dataflow::Move { src, .. } | Dataflow::Replicate { src, .. } => {
+                self.spread(src, flow.writes(), len);
+            }
+            Dataflow::Accum {
+                src,
+                dst,
+                dtype,
+                op,
+                ..
+            } => {
+                let es = dtype.size();
+                if src.0 != dst.0 && src.1.is_multiple_of(es) && dst.1.is_multiple_of(es) {
+                    for (i, n) in runs([src.1, dst.1], len) {
+                        let (s, d) = self.two_pages((src.0, src.1 + i), (dst.0, dst.1 + i), n);
+                        dtype.reduce_lanes(op, d, s);
+                    }
+                } else {
+                    // `op(dst, src)` through the registers, the same bits.
+                    self.fold([dst, src], dst, len, dtype, op);
+                }
+            }
+            Dataflow::Reduce2 { dst, dtype, op, .. }
+            | Dataflow::ReduceAll { dst, dtype, op, .. } => {
+                self.fold(flow.reads(), dst, len, dtype, op);
+            }
         }
-        self.fold(srcs, dst, dst_off, count, dtype, op);
-    }
-
-    /// Switch-style multimem store-broadcast: writes `len` bytes from
-    /// `(src, src_off)` into every `(dst, dst_off)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any range is out of bounds.
-    pub fn multimem_broadcast(
-        &mut self,
-        src: BufferId,
-        src_off: usize,
-        dsts: &[(BufferId, usize)],
-        len: usize,
-    ) {
-        let operands = [(src, src_off)].into_iter().chain(dsts.iter().copied());
-        self.account(len * dsts.len(), len, operands);
-        if self.timing_only {
-            return;
-        }
-        self.spread(src, src_off, dsts, len);
     }
 
     /// Fills a buffer with encoded elements produced by `f(element_index)`,
@@ -586,9 +696,14 @@ impl MemoryPool {
     /// one page run of both at a time. When a destination shares the
     /// source's buffer the source goes through `stage` first, so every
     /// destination gets it as it was before the first write.
-    fn spread(&mut self, src: BufferId, src_off: usize, dsts: &[(BufferId, usize)], len: usize) {
-        if dsts.iter().all(|&(dst, _)| dst != src) {
-            for &(dst, dst_off) in dsts {
+    fn spread(
+        &mut self,
+        (src, src_off): (BufferId, usize),
+        dsts: impl Iterator<Item = (BufferId, usize)> + Clone,
+        len: usize,
+    ) {
+        if dsts.clone().all(|(dst, _)| dst != src) {
+            for (dst, dst_off) in dsts {
                 for (i, n) in runs([src_off, dst_off], len) {
                     let (s, d) = self.two_pages((src, src_off + i), (dst, dst_off + i), n);
                     d.copy_from_slice(s);
@@ -599,33 +714,32 @@ impl MemoryPool {
         let mut stage = mem::take(&mut self.stage);
         stage.clear();
         self.buffers[src.0].read_into(&self.heap, src_off, len, &mut stage);
-        for &(dst, dst_off) in dsts {
+        for (dst, dst_off) in dsts {
             self.buffers[dst.0].write(&mut self.heap, dst_off, &stage);
         }
         self.stage = stage;
     }
 
-    /// `dst = op(srcs...)` over `count` elements through the `f32`
-    /// accumulator, the register path: every source is read before the
-    /// destination is written, so the ranges may alias in any way. An
-    /// operand whose offset is not a multiple of the element size has
-    /// elements that straddle pages, so it goes through `stage`.
+    /// `dst = op(srcs...)` over the `len / dtype.size()` elements of
+    /// `len` bytes through the `f32` accumulator, the register path: every
+    /// source is read before the destination is written, so the ranges may
+    /// alias in any way. An operand whose offset is not a multiple of the
+    /// element size has elements that straddle pages, so it goes through
+    /// `stage`.
     fn fold(
         &mut self,
-        srcs: &[(BufferId, usize)],
-        dst: BufferId,
-        dst_off: usize,
-        count: usize,
+        srcs: impl IntoIterator<Item = (BufferId, usize)>,
+        (dst, dst_off): (BufferId, usize),
+        len: usize,
         dtype: DataType,
         op: ReduceOp,
     ) {
         let es = dtype.size();
-        let len = count * es;
         let mut acc = mem::take(&mut self.scratch);
         let mut stage = mem::take(&mut self.stage);
         acc.clear();
-        acc.resize(count, 0.0);
-        for (k, &(src, off)) in srcs.iter().enumerate() {
+        acc.resize(len / es, 0.0);
+        for (k, (src, off)) in srcs.into_iter().enumerate() {
             let mut lanes = |i: usize, bytes: &[u8]| {
                 let acc = &mut acc[i / es..][..bytes.len() / es];
                 if k == 0 {
@@ -768,7 +882,11 @@ mod tests {
         let a = p.alloc(Rank(0), 16);
         let b = p.alloc(Rank(1), 16);
         p.write(a, 0, &[1, 2, 3, 4]);
-        p.copy(a, 0, b, 4, 4);
+        p.apply(Dataflow::Move {
+            src: (a, 0),
+            dst: (b, 4),
+            bytes: 4,
+        });
         assert_eq!(p.bytes(b, 4, 4), &[1, 2, 3, 4]);
         assert_eq!(p.rank_of(a), Rank(0));
         assert_eq!(p.rank_of(b), Rank(1));
@@ -779,7 +897,11 @@ mod tests {
         let mut p = MemoryPool::new();
         let a = p.alloc(Rank(0), 8);
         p.write(a, 0, &[9, 8, 7, 6]);
-        p.copy(a, 0, a, 4, 4);
+        p.apply(Dataflow::Move {
+            src: (a, 0),
+            dst: (a, 4),
+            bytes: 4,
+        });
         assert_eq!(p.bytes(a, 0, 8), &[9, 8, 7, 6, 9, 8, 7, 6]);
     }
 
@@ -790,7 +912,13 @@ mod tests {
         let b = p.alloc(Rank(1), 8);
         p.fill_with(a, DataType::F32, |i| i as f32);
         p.fill_with(b, DataType::F32, |i| 10.0 * i as f32);
-        p.reduce(a, 0, b, 0, 2, DataType::F32, ReduceOp::Sum);
+        p.apply(Dataflow::Accum {
+            src: (a, 0),
+            dst: (b, 0),
+            bytes: 8,
+            dtype: DataType::F32,
+            op: ReduceOp::Sum,
+        });
         assert_eq!(p.to_f32_vec(b, DataType::F32), vec![0.0, 11.0]);
     }
 
@@ -802,7 +930,13 @@ mod tests {
         p.fill_with(a, DataType::F16, |_| 1.0);
         p.fill_with(b, DataType::F16, |_| 2048.0);
         // 2048 + 1 is not representable in f16; rounds to 2048.
-        p.reduce(a, 0, b, 0, 1, DataType::F16, ReduceOp::Sum);
+        p.apply(Dataflow::Accum {
+            src: (a, 0),
+            dst: (b, 0),
+            bytes: 2,
+            dtype: DataType::F16,
+            op: ReduceOp::Sum,
+        });
         assert_eq!(p.to_f32_vec(b, DataType::F16), vec![2048.0]);
     }
 
@@ -814,8 +948,15 @@ mod tests {
             p.fill_with(b, DataType::F32, |i| (r + i) as f32);
         }
         let dst = p.alloc(Rank(0), 8);
-        let srcs: Vec<_> = bufs.iter().map(|&b| (b, 0)).collect();
-        p.multimem_reduce(&srcs, dst, 0, 2, DataType::F32, ReduceOp::Sum);
+        let members: Vec<_> = bufs.iter().map(|&b| (p.rank_of(b), b)).collect();
+        p.apply(Dataflow::ReduceAll {
+            members: &members,
+            src_off: 0,
+            dst: (dst, 0),
+            bytes: 8,
+            dtype: DataType::F32,
+            op: ReduceOp::Sum,
+        });
         // element 0: 0+1+2+3=6, element 1: 1+2+3+4=10
         assert_eq!(p.to_f32_vec(dst, DataType::F32), vec![6.0, 10.0]);
     }
@@ -827,7 +968,12 @@ mod tests {
         p.write(src, 0, &[5, 6, 7, 8]);
         let d1 = p.alloc(Rank(1), 4);
         let d2 = p.alloc(Rank(2), 4);
-        p.multimem_broadcast(src, 0, &[(d1, 0), (d2, 0)], 4);
+        p.apply(Dataflow::Replicate {
+            src: (src, 0),
+            members: &[(Rank(1), d1), (Rank(2), d2)],
+            dst_off: 0,
+            bytes: 4,
+        });
         assert_eq!(p.bytes(d1, 0, 4), &[5, 6, 7, 8]);
         assert_eq!(p.bytes(d2, 0, 4), &[5, 6, 7, 8]);
     }
@@ -837,30 +983,70 @@ mod tests {
         for pool in MODES {
             let mut p = pool();
             let a = p.alloc(Rank(0), 16);
-            let msg = panic_message(|| p.reduce(a, 0, a, 4, 2, DataType::F32, ReduceOp::Sum));
+            let msg = panic_message(|| {
+                p.apply(Dataflow::Accum {
+                    src: (a, 0),
+                    dst: (a, 4),
+                    bytes: 8,
+                    dtype: DataType::F32,
+                    op: ReduceOp::Sum,
+                });
+            });
             assert!(msg.contains("overlapping in-place reduce"), "{msg}");
         }
     }
 
-    /// Runs each of the five data-plane ops once over 16-byte buffers and
-    /// returns `moved_bytes` after each.
+    /// Applies each of the five dataflow shapes once over 16-byte buffers
+    /// and returns `moved_bytes` after each.
     fn traffic(mut p: MemoryPool) -> Vec<u64> {
         let a = p.alloc(Rank(0), 16);
         let b = p.alloc(Rank(1), 16);
         let c = p.alloc(Rank(2), 16);
+        let members = [(Rank(0), a), (Rank(1), b)];
         let (f32, sum) = (DataType::F32, ReduceOp::Sum);
-        let mut after = Vec::new();
-        p.copy(a, 0, b, 0, 16);
-        after.push(p.moved_bytes());
-        p.reduce(a, 0, b, 0, 2, f32, sum);
-        after.push(p.moved_bytes());
-        p.reduce_into(a, 0, b, 4, c, 8, 2, f32, sum);
-        after.push(p.moved_bytes());
-        p.multimem_reduce(&[(a, 0), (b, 0)], c, 0, 4, DataType::F16, sum);
-        after.push(p.moved_bytes());
-        p.multimem_broadcast(c, 0, &[(a, 8), (b, 8)], 8);
-        after.push(p.moved_bytes());
-        after
+        let flows = [
+            Dataflow::Move {
+                src: (a, 0),
+                dst: (b, 0),
+                bytes: 16,
+            },
+            Dataflow::Accum {
+                src: (a, 0),
+                dst: (b, 0),
+                bytes: 8,
+                dtype: f32,
+                op: sum,
+            },
+            Dataflow::Reduce2 {
+                a: (a, 0),
+                b: (b, 4),
+                dst: (c, 8),
+                bytes: 8,
+                dtype: f32,
+                op: sum,
+            },
+            Dataflow::ReduceAll {
+                members: &members,
+                src_off: 0,
+                dst: (c, 0),
+                bytes: 8,
+                dtype: DataType::F16,
+                op: sum,
+            },
+            Dataflow::Replicate {
+                src: (c, 0),
+                members: &members,
+                dst_off: 8,
+                bytes: 8,
+            },
+        ];
+        flows
+            .into_iter()
+            .map(|flow| {
+                p.apply(flow);
+                p.moved_bytes()
+            })
+            .collect()
     }
 
     #[test]
@@ -870,10 +1056,10 @@ mod tests {
         p.write(a, 0, &[1; 16]); // host init: not counted
         p.fill_with(a, DataType::F32, |_| 0.0); // host init: not counted
         assert_eq!(p.moved_bytes(), 0);
-        // copy: 16 B written. reduce and reduce_into over 2 f32 elements
-        // read two streams and write one: 3 * 8 each. multimem_reduce
-        // over 8 B reads two sources and writes one: 3 * 8. The
-        // broadcast writes 8 B to two destinations: 2 * 8.
+        // Move: 16 B written. Accum and Reduce2 over 2 f32 elements read
+        // two streams and write one: 3 * 8 each. ReduceAll over 8 B reads
+        // two members and writes one: 3 * 8. Replicate writes 8 B to two
+        // members: 2 * 8.
         let want = vec![16, 40, 64, 88, 104];
         assert_eq!(traffic(MemoryPool::new()), want);
         assert_eq!(traffic(MemoryPool::timing_only()), want);
@@ -886,19 +1072,64 @@ mod tests {
         const SUM: ReduceOp = ReduceOp::Sum;
         // `a` and `b` are 16 bytes each; every op reaches past one end.
         let ops: [(&str, Op); 7] = [
-            ("copy src", |p, a, b| p.copy(a, 8, b, 0, 16)),
-            ("copy dst", |p, a, b| p.copy(a, 0, b, 12, 8)),
-            ("reduce", |p, a, b| p.reduce(a, 0, b, 8, 4, F32, SUM)),
-            ("reduce_into", |p, a, b| {
-                p.reduce_into(a, 0, b, 0, a, 12, 2, F32, SUM);
+            ("move src", |p, a, b| {
+                p.apply(Dataflow::Move {
+                    src: (a, 8),
+                    dst: (b, 0),
+                    bytes: 16,
+                });
             }),
-            ("multimem_reduce", |p, a, b| {
-                p.multimem_reduce(&[(a, 0), (b, 16)], a, 0, 1, F32, SUM);
+            ("move dst", |p, a, b| {
+                p.apply(Dataflow::Move {
+                    src: (a, 0),
+                    dst: (b, 12),
+                    bytes: 8,
+                });
             }),
-            ("multimem_broadcast", |p, a, b| {
-                p.multimem_broadcast(a, 0, &[(b, 0), (b, 13)], 4);
+            ("accum", |p, a, b| {
+                p.apply(Dataflow::Accum {
+                    src: (a, 0),
+                    dst: (b, 8),
+                    bytes: 16,
+                    dtype: F32,
+                    op: SUM,
+                });
             }),
-            ("offset overflow", |p, a, b| p.copy(a, usize::MAX, b, 0, 2)),
+            ("reduce2", |p, a, b| {
+                p.apply(Dataflow::Reduce2 {
+                    a: (a, 0),
+                    b: (b, 0),
+                    dst: (a, 12),
+                    bytes: 8,
+                    dtype: F32,
+                    op: SUM,
+                });
+            }),
+            ("reduce all", |p, a, b| {
+                p.apply(Dataflow::ReduceAll {
+                    members: &[(Rank(0), a), (Rank(1), b)],
+                    src_off: 13,
+                    dst: (a, 0),
+                    bytes: 4,
+                    dtype: F32,
+                    op: SUM,
+                });
+            }),
+            ("replicate", |p, a, b| {
+                p.apply(Dataflow::Replicate {
+                    src: (a, 0),
+                    members: &[(Rank(0), a), (Rank(1), b)],
+                    dst_off: 13,
+                    bytes: 4,
+                });
+            }),
+            ("offset overflow", |p, a, b| {
+                p.apply(Dataflow::Move {
+                    src: (a, usize::MAX),
+                    dst: (b, 0),
+                    bytes: 2,
+                });
+            }),
         ];
         for pool in MODES {
             for (name, op) in ops {
@@ -959,11 +1190,42 @@ mod tests {
         assert_eq!(p.len(a), MIB80);
         assert_eq!(p.rank_of(a), Rank(3));
         // Full-length ops still run and count, and create no payload.
-        p.copy(a, 0, b, 0, MIB80);
-        p.reduce(a, 0, b, 0, MIB80 / 2, DataType::F16, ReduceOp::Sum);
-        p.reduce_into(a, 0, b, 0, a, 0, MIB80 / 2, DataType::F16, ReduceOp::Sum);
-        p.multimem_reduce(&[(a, 0), (b, 0)], a, 0, 8, DataType::F32, ReduceOp::Max);
-        p.multimem_broadcast(a, 0, &[(b, 0)], MIB80);
+        let (f16, sum) = (DataType::F16, ReduceOp::Sum);
+        let members = [(Rank(3), a), (Rank(4), b)];
+        p.apply(Dataflow::Move {
+            src: (a, 0),
+            dst: (b, 0),
+            bytes: MIB80,
+        });
+        p.apply(Dataflow::Accum {
+            src: (a, 0),
+            dst: (b, 0),
+            bytes: MIB80,
+            dtype: f16,
+            op: sum,
+        });
+        p.apply(Dataflow::Reduce2 {
+            a: (a, 0),
+            b: (b, 0),
+            dst: (a, 0),
+            bytes: MIB80,
+            dtype: f16,
+            op: sum,
+        });
+        p.apply(Dataflow::ReduceAll {
+            members: &members,
+            src_off: 0,
+            dst: (a, 0),
+            bytes: 32,
+            dtype: DataType::F32,
+            op: ReduceOp::Max,
+        });
+        p.apply(Dataflow::Replicate {
+            src: (a, 0),
+            members: &members[1..],
+            dst_off: 0,
+            bytes: MIB80,
+        });
         assert_eq!(p.moved_bytes(), 8 * MIB80 as u64 + 96);
         assert_eq!(p.resident_bytes(), 0);
     }
@@ -987,7 +1249,11 @@ mod tests {
         assert!(p.buffers[b.0].pages.is_empty());
         // The last page holds only the rest of the buffer.
         let c = p.alloc(Rank(2), PAGE_BYTES + 10);
-        p.copy(a, 2 * PAGE_BYTES - 2, c, PAGE_BYTES + 6, 4);
+        p.apply(Dataflow::Move {
+            src: (a, 2 * PAGE_BYTES - 2),
+            dst: (c, PAGE_BYTES + 6),
+            bytes: 4,
+        });
         assert_eq!(p.resident_bytes(), 2 * PAGE_BYTES as u64 + 10);
         assert_eq!(p.bytes(c, PAGE_BYTES + 4, 6), &[0, 0, 7, 7, 7, 7]);
     }
@@ -1013,7 +1279,11 @@ mod tests {
             p.bytes(a, 2 * PAGE_BYTES + 1, 2),
             &[3, before[2 * PAGE_BYTES + 2]]
         );
-        p.copy(a, PAGE_BYTES - 3, b, PAGE_BYTES - 3, 3);
+        p.apply(Dataflow::Move {
+            src: (a, PAGE_BYTES - 3),
+            dst: (b, PAGE_BYTES - 3),
+            bytes: 3,
+        });
         assert_eq!(
             p.bytes(b, PAGE_BYTES - 3, 3),
             &[before[PAGE_BYTES - 3], 3, 3]
@@ -1030,7 +1300,13 @@ mod tests {
         let mut p = MemoryPool::new();
         let a = p.alloc(Rank(0), 16);
         p.fill_with(a, DataType::F32, |i| i as f32); // [0,1,2,3]
-        p.reduce(a, 0, a, 8, 2, DataType::F32, ReduceOp::Sum);
+        p.apply(Dataflow::Accum {
+            src: (a, 0),
+            dst: (a, 8),
+            bytes: 8,
+            dtype: DataType::F32,
+            op: ReduceOp::Sum,
+        });
         assert_eq!(p.to_f32_vec(a, DataType::F32), vec![0.0, 1.0, 2.0, 4.0]);
     }
 
@@ -1057,7 +1333,11 @@ mod tests {
         let mut t = MemoryPool::timing_only();
         assert_eq!(t.heap.capacity(), 0);
         let b = t.alloc(Rank(1), 3 * PAGE_BYTES);
-        t.copy(b, 0, b, PAGE_BYTES, PAGE_BYTES);
+        t.apply(Dataflow::Move {
+            src: (b, 0),
+            dst: (b, PAGE_BYTES),
+            bytes: PAGE_BYTES,
+        });
         drop(t);
         assert_eq!(spare_capacity(), kept);
         // A smaller bytes pool's heap does not displace it.

@@ -12,7 +12,7 @@
 //! in runs of any length, and must match the model's scalar
 //! `decode` / `apply` / `encode` element by element.
 
-use hw::{BufferId, DataType, MemoryPool, Rank, ReduceOp, PAGE_BYTES};
+use hw::{BufferId, DataType, Dataflow, MemoryPool, Rank, ReduceOp, PAGE_BYTES};
 use proptest::prelude::*;
 
 const PAGE: usize = PAGE_BYTES;
@@ -27,6 +27,9 @@ const MAX_LEN: usize = 2 * PAGE + 7;
 type At = (BufferId, usize);
 
 /// One pool method call over the buffers of `pool()`, always in range.
+/// The data-plane ops are the [`Dataflow`] shapes that
+/// [`MemoryPool::apply`] performs; the reducing ones take an element
+/// count.
 #[derive(Debug)]
 enum Op {
     Write(At, Vec<u8>),
@@ -35,7 +38,9 @@ enum Op {
     Copy(At, At, usize),
     Reduce(At, At, usize, DataType, ReduceOp),
     ReduceInto([At; 3], usize, DataType, ReduceOp),
+    /// A switch reduce: the sources share one offset.
     MultimemReduce(Vec<At>, At, usize, DataType, ReduceOp),
+    /// A switch broadcast: the destinations share one offset.
     MultimemBroadcast(At, Vec<At>, usize),
     /// `bytes_mut`, then a write through the view.
     WriteView(At, usize, u8),
@@ -68,9 +73,11 @@ impl Op {
             0 | 2 | 6 | 7 | 8 => 1 + below(max_len),
             _ => count * dtype.size(),
         };
-        let mut at = || {
-            let i = below(SIZES.len());
-            let size = SIZES[i];
+        // `n` operands in random buffers at one offset that leaves room
+        // for `len` bytes in each.
+        let mut at = |n: usize| {
+            let picked: Vec<usize> = (0..n).map(|_| below(SIZES.len())).collect();
+            let size = picked.iter().map(|&i| SIZES[i]).min().expect("n > 0");
             let off = if below(2) == 0 {
                 below(size - len + 1)
             } else {
@@ -79,31 +86,34 @@ impl Op {
                 let boundary = PAGE * (1 + below(size / PAGE));
                 boundary.saturating_sub(1 + below(len)).min(size - len)
             };
-            (bufs[i], off)
+            picked
+                .into_iter()
+                .map(|i| (bufs[i], off))
+                .collect::<Vec<At>>()
         };
         Some(match kind {
             0 => {
-                let dst = at();
+                let dst = at(1)[0];
                 Op::Write(dst, (0..len).map(|_| below(256) as u8).collect())
             }
             1 => {
-                let buf = at().0;
+                let buf = at(1)[0].0;
                 Op::Fill(buf, dtype, below(usize::MAX) as u64)
             }
-            2 => Op::Copy(at(), at(), len),
+            2 => Op::Copy(at(1)[0], at(1)[0], len),
             3 => {
-                let (src, dst) = (at(), at());
+                let (src, dst) = (at(1)[0], at(1)[0]);
                 if src.0 == dst.0 && src.1.abs_diff(dst.1) < len {
                     return None;
                 }
                 Op::Reduce(src, dst, count, dtype, op)
             }
-            4 => Op::ReduceInto([at(), at(), at()], count, dtype, op),
-            5 => Op::MultimemReduce(vec![at(), at(), at()], at(), count, dtype, op),
-            6 => Op::MultimemBroadcast(at(), vec![at(), at()], len),
-            7 => Op::WriteView(at(), len, len as u8 ^ 0x5a),
-            8 => Op::Read(at(), len),
-            _ => Op::Decode(at().0, dtype),
+            4 => Op::ReduceInto([at(1)[0], at(1)[0], at(1)[0]], count, dtype, op),
+            5 => Op::MultimemReduce(at(3), at(1)[0], count, dtype, op),
+            6 => Op::MultimemBroadcast(at(1)[0], at(2), len),
+            7 => Op::WriteView(at(1)[0], len, len as u8 ^ 0x5a),
+            8 => Op::Read(at(1)[0], len),
+            _ => Op::Decode(at(1)[0].0, dtype),
         })
     }
 
@@ -125,25 +135,54 @@ impl Op {
                 m.write(buf, 0, &data);
             }
             Op::Copy(src, dst, len) => {
-                p.copy(src.0, src.1, dst.0, dst.1, len);
+                p.apply(Dataflow::Move {
+                    src,
+                    dst,
+                    bytes: len,
+                });
                 let data = m.read(src, len);
                 m.write(dst.0, dst.1, &data);
                 m.moved += len as u64;
             }
             Op::Reduce(src, dst, count, dtype, op) => {
-                p.reduce(src.0, src.1, dst.0, dst.1, count, dtype, op);
+                p.apply(Dataflow::Accum {
+                    src,
+                    dst,
+                    bytes: count * dtype.size(),
+                    dtype,
+                    op,
+                });
                 m.fold(&[dst, src], dst, count, dtype, op);
             }
             Op::ReduceInto([a, b, dst], count, dtype, op) => {
-                p.reduce_into(a.0, a.1, b.0, b.1, dst.0, dst.1, count, dtype, op);
+                p.apply(Dataflow::Reduce2 {
+                    a,
+                    b,
+                    dst,
+                    bytes: count * dtype.size(),
+                    dtype,
+                    op,
+                });
                 m.fold(&[a, b], dst, count, dtype, op);
             }
             Op::MultimemReduce(ref srcs, dst, count, dtype, op) => {
-                p.multimem_reduce(srcs, dst.0, dst.1, count, dtype, op);
+                p.apply(Dataflow::ReduceAll {
+                    members: &members(p, srcs),
+                    src_off: srcs[0].1,
+                    dst,
+                    bytes: count * dtype.size(),
+                    dtype,
+                    op,
+                });
                 m.fold(srcs, dst, count, dtype, op);
             }
             Op::MultimemBroadcast(src, ref dsts, len) => {
-                p.multimem_broadcast(src.0, src.1, dsts, len);
+                p.apply(Dataflow::Replicate {
+                    src,
+                    members: &members(p, dsts),
+                    dst_off: dsts[0].1,
+                    bytes: len,
+                });
                 let data = m.read(src, len);
                 for &(dst, off) in dsts {
                     m.write(dst, off, &data);
@@ -181,6 +220,11 @@ impl Op {
         }
         Ok(())
     }
+}
+
+/// The switch-channel members of `ops`, operands at one offset.
+fn members(p: &MemoryPool, ops: &[At]) -> Vec<(Rank, BufferId)> {
+    ops.iter().map(|&(buf, _)| (p.rank_of(buf), buf)).collect()
 }
 
 /// Element `i` of a fill from `seed`: half the time a small integer,

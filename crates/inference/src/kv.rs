@@ -132,6 +132,15 @@ pub enum KvError {
         /// The request.
         id: u64,
     },
+    /// A pool with zero tokens per block. Refused before the pool is
+    /// built.
+    ZeroBlockTokens,
+    /// A pool of 2^32 blocks or more, which `u32` block ids cannot name.
+    /// Refused before the pool is built or resized.
+    TooManyBlocks {
+        /// The pool size asked for.
+        total: usize,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -154,19 +163,23 @@ pub struct PagedKvManager {
 impl PagedKvManager {
     /// Builds the pool with `cfg.total_blocks` blocks (callers resolve a
     /// zero `total_blocks` against the engine capacity model first).
-    pub fn new(cfg: KvConfig) -> PagedKvManager {
-        assert!(cfg.block_tokens > 0, "block_tokens must be positive");
-        let total = u32::try_from(cfg.total_blocks).expect("block pool fits u32 ids");
-        PagedKvManager {
+    ///
+    /// # Errors
+    ///
+    /// [`KvError::ZeroBlockTokens`] when `cfg.block_tokens` is 0;
+    /// [`KvError::TooManyBlocks`] when `cfg.total_blocks` is 2^32 or more.
+    pub fn new(cfg: KvConfig) -> Result<PagedKvManager, KvError> {
+        if cfg.block_tokens == 0 {
+            return Err(KvError::ZeroBlockTokens);
+        }
+        Ok(PagedKvManager {
             cfg,
-            // LIFO free list popping ascending ids first keeps
-            // allocation order deterministic and test-friendly.
-            free: (0..total).rev().collect(),
+            free: free_list(cfg.total_blocks)?,
             owners: HashMap::new(),
             reserved_total: 0,
             stats: KvStats::default(),
             prefix: PrefixCache::default(),
-        }
+        })
     }
 
     /// The pool configuration.
@@ -361,7 +374,12 @@ impl PagedKvManager {
     /// path); the pool is then resized to `new_total` (the shrunken TP
     /// degree stores fewer tokens: the survivors hold more weights
     /// each). Returns the number of lost blocks.
-    pub fn lose_to_dead_rank(&mut self, new_total: usize) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// [`KvError::TooManyBlocks`] when `new_total` is 2^32 or more.
+    pub fn lose_to_dead_rank(&mut self, new_total: usize) -> Result<u64, KvError> {
+        let free = free_list(new_total)?;
         let mut lost = 0u64;
         for (_, owner) in self.owners.drain() {
             lost += owner.blocks.len() as u64;
@@ -370,10 +388,9 @@ impl PagedKvManager {
         self.prefix = PrefixCache::default();
         self.reserved_total = 0;
         self.stats.lost_to_dead_rank += lost;
-        let total = u32::try_from(new_total).expect("block pool fits u32 ids");
         self.cfg.total_blocks = new_total;
-        self.free = (0..total).rev().collect();
-        lost
+        self.free = free;
+        Ok(lost)
     }
 
     /// Looks up `prefix_id` in the prefix cache: a hit returns the
@@ -445,6 +462,13 @@ struct PrefixCache {
     blocks: usize,
 }
 
+/// The free list of a fresh pool of `total` blocks. It pops ascending
+/// ids first (LIFO), which keeps allocation order deterministic.
+fn free_list(total: usize) -> Result<Vec<u32>, KvError> {
+    let top = u32::try_from(total).map_err(|_| KvError::TooManyBlocks { total })?;
+    Ok((0..top).rev().collect())
+}
+
 impl PagedKvManager {
     fn free_blocks(&mut self, mut blocks: Vec<u32>) {
         // Deterministic free order: descending ids so the LIFO pop
@@ -465,6 +489,7 @@ mod tests {
             spill_watermark: 0.9,
             oversubscription: over,
         })
+        .expect("a valid pool")
     }
 
     #[test]
@@ -527,12 +552,46 @@ mod tests {
     }
 
     #[test]
+    fn pools_that_cannot_be_built_are_refused() {
+        let cfg = KvConfig {
+            block_tokens: 0,
+            total_blocks: 4,
+            ..KvConfig::default()
+        };
+        assert_eq!(
+            PagedKvManager::new(cfg).unwrap_err(),
+            KvError::ZeroBlockTokens
+        );
+        let cfg = KvConfig {
+            total_blocks: 1 << 32,
+            ..KvConfig::default()
+        };
+        assert_eq!(
+            PagedKvManager::new(cfg).unwrap_err(),
+            KvError::TooManyBlocks { total: 1 << 32 }
+        );
+        // A resize past 2^32 blocks is refused before anything changes.
+        let mut kv = mgr(10, 1.0);
+        kv.reserve(1, 64).unwrap();
+        kv.grow_to(1, 64).unwrap();
+        assert_eq!(
+            kv.lose_to_dead_rank(1 << 32).unwrap_err(),
+            KvError::TooManyBlocks { total: 1 << 32 }
+        );
+        assert_eq!(
+            (kv.config().total_blocks, kv.used(), kv.held(1)),
+            (10, 4, 4)
+        );
+        assert_eq!(kv.stats().lost_to_dead_rank, 0);
+    }
+
+    #[test]
     fn rank_death_loses_every_device_block_and_shrinks_the_pool() {
         let mut kv = mgr(10, 1.0);
         kv.reserve(1, 64).unwrap();
         kv.grow_to(1, 64).unwrap(); // 4 blocks
         kv.prefix_insert(99, 32); // 2 cache blocks
-        let lost = kv.lose_to_dead_rank(8);
+        let lost = kv.lose_to_dead_rank(8).unwrap();
         assert_eq!(lost, 6);
         assert_eq!(kv.config().total_blocks, 8);
         assert_eq!(kv.used(), 0);

@@ -285,6 +285,11 @@ fn try_join(kv: &mut PagedKvManager, mut job: Job, kv_bpt: f64, clock_us: &mut f
     }
 }
 
+/// The serving error of a KV block pool that cannot be built or resized.
+fn invalid_pool(e: KvError) -> Error {
+    Error::InvalidArgument(format!("KV block pool: {e:?}"))
+}
+
 /// Where a refused reservation or restore leaves `job`. The scheduler
 /// reserves a job only while it holds no reservation, so a bookkeeping
 /// error is a scheduler bug, never a full pool to wait out.
@@ -292,7 +297,10 @@ fn refused(e: KvError, job: Job) -> Join {
     match e {
         KvError::NeverFits { .. } => Join::Never,
         KvError::NoHeadroom { .. } | KvError::OutOfBlocks => Join::Blocked(job),
-        KvError::AlreadyReserved { .. } | KvError::UnknownRequest { .. } => {
+        KvError::AlreadyReserved { .. }
+        | KvError::UnknownRequest { .. }
+        | KvError::ZeroBlockTokens
+        | KvError::TooManyBlocks { .. } => {
             unreachable!("KV bookkeeping broke joining request {}: {e:?}", job.id)
         }
     }
@@ -398,7 +406,8 @@ fn grow_or_spill(
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidArgument`] if `cfg.max_batch` is 0, and
+/// Returns [`Error::InvalidArgument`] if `cfg.max_batch` is 0 or the KV
+/// block pool would hold 2^32 blocks or more, and
 /// [`Error::EpochChanged`] if the backend's communicator epoch
 /// advanced without the loop observing the recovery, and propagates
 /// kernel failures only when no recovery is possible. Overload alone
@@ -422,7 +431,7 @@ pub(crate) fn run(
     if derive_blocks {
         kv_cfg.total_blocks = (engine.kv_capacity_tokens() / block_tokens).max(1);
     }
-    let mut kv = PagedKvManager::new(kv_cfg);
+    let mut kv = PagedKvManager::new(kv_cfg).map_err(invalid_pool)?;
     let mut adm = Admission::new(cfg.admission, cfg.seed);
     let kv_bpt = engine.model().kv_bytes_per_token() as f64;
 
@@ -889,7 +898,7 @@ pub(crate) fn run(
             } else {
                 (cfg.kv.total_blocks * engine.tp() / tp0).max(1)
             };
-            kv.lose_to_dead_rank(new_blocks);
+            kv.lose_to_dead_rank(new_blocks).map_err(invalid_pool)?;
             for mut job in running.drain(..) {
                 // The prefix cache died with the pool; host spill copies
                 // (made before the death) survive in host memory.

@@ -264,8 +264,8 @@ impl ServeObservation {
 ///
 /// # Errors
 ///
-/// Returns [`mscclpp::Error::InvalidArgument`] if `cfg.max_batch` is 0.
-/// Propagates kernel deadlocks from the communication stack when no
+/// Returns [`mscclpp::Error::InvalidArgument`] if `cfg.max_batch` is 0
+/// or the KV block pool would hold 2^32 blocks or more. Propagates kernel deadlocks from the communication stack when no
 /// recovery is possible (no rank died, or the backend cannot shrink),
 /// and [`mscclpp::Error::EpochChanged`] if the communicator epoch
 /// advanced without the loop observing it. Overload never errors — it

@@ -156,11 +156,6 @@ impl Comm {
     pub fn reconvene(&self, survivors: &[Rank]) -> Result<Vec<MemBootstrap>> {
         self.store.reconvene(survivors)
     }
-
-    /// The underlying bootstrap rendezvous.
-    pub fn bootstrap_store(&self) -> &BootstrapStore {
-        &self.store
-    }
 }
 
 /// Host-side setup handle: registers memory and builds channels.

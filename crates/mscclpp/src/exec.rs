@@ -9,7 +9,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use hw::{CopyMode, LinkFault, Machine, Rank};
+use hw::{CopyMode, Dataflow, LinkFault, Machine, Rank};
 use sim::{CellId, Ctx, Duration, Engine, Process, RunEffect, SpanLabelId, Step, Time};
 
 use crate::error::Result;
@@ -104,6 +104,18 @@ impl SpanIds {
             port_sem: engine.span_label_id("wait.port_sem"),
             sem: engine.span_label_id("wait.sem"),
             barrier: engine.span_label_id("wait.barrier"),
+        }
+    }
+
+    /// The span of a counted wait ([`Instr::wait`]).
+    fn wait(&self, instr: &Instr) -> SpanLabelId {
+        match instr {
+            Instr::MemWait { .. } => self.mem_sem,
+            Instr::MemWaitData { .. } => self.mem_data,
+            Instr::PortWait { .. } => self.port_sem,
+            Instr::SemWait { .. } => self.sem,
+            Instr::Barrier { .. } => self.barrier,
+            _ => unreachable!("{} is not a counted wait", instr.mnemonic()),
         }
     }
 }
@@ -232,6 +244,30 @@ impl TbProc {
         }
     }
 
+    /// Performs `instr`'s footprint ([`Instr::dataflow`]) on the pool,
+    /// then records it with the sanitizer: every byte a kernel moves
+    /// goes through here.
+    fn apply(&self, ctx: &mut Ctx<'_, Machine>, site: Site, instr: &Instr) {
+        let flow = instr.dataflow().expect("a data-moving instruction");
+        ctx.world.pool_mut().apply(flow);
+        self.san_footprint(site, instr);
+    }
+
+    /// Blocks on `instr`'s counted wait ([`Instr::wait`]) for its next
+    /// round, inside its wait span.
+    fn wait_next_round(&mut self, ctx: &mut Ctx<'_, Machine>, instr: &Instr) -> Step {
+        let wait = instr.wait().expect("a counted wait");
+        let round = wait.counter.get() + 1;
+        wait.counter.set(round);
+        self.pending = Pending::Advance;
+        self.san_wait(wait.cell);
+        ctx.span_begin_id(self.sids.wait(instr));
+        Step::WaitCell {
+            cell: wait.cell,
+            at_least: round * wait.per_round,
+        }
+    }
+
     /// Hands a port request to the sanitizer's proxy thread for this
     /// block and the endpoint `pushed_cell` (no-op on the normal path).
     fn san_push(&self, site: Site, instr: &Instr, pushed_cell: CellId) {
@@ -330,10 +366,9 @@ impl Process<Machine> for TbProc {
         match *instr {
             Instr::MemPut {
                 ref ch,
-                src_off,
-                dst_off,
                 bytes,
                 with_signal,
+                ..
             } => {
                 if self.path_dead(ctx, ch.local_rank, ch.peer_rank) {
                     return self.park_link_down(ctx);
@@ -343,10 +378,7 @@ impl Process<Machine> for TbProc {
                     crate::Protocol::HB => bytes as u64,
                 };
                 let xfer = hw::p2p_time(ctx, ch.local_rank, ch.peer_rank, wire, CopyMode::Thread);
-                ctx.world
-                    .pool_mut()
-                    .copy(ch.local_buf, src_off, ch.remote_buf, dst_off, bytes);
-                self.san_footprint(site, instr);
+                self.apply(ctx, site, instr);
                 ctx.cell_add_at(ch.peer_arrival, 1, xfer.arrival);
                 if with_signal {
                     ctx.cell_add_at(ch.peer_sem, 1, xfer.arrival + self.ov.signal_fence);
@@ -372,37 +404,11 @@ impl Process<Machine> for TbProc {
                 self.pc += 1;
                 self.quick(ctx, self.ov.signal_issue)
             }
-            Instr::MemWait { ref ch } => {
-                let expect = ch.sem_expect.get() + 1;
-                ch.sem_expect.set(expect);
-                self.pending = Pending::Advance;
-                self.san_wait(ch.my_sem);
-                ctx.span_begin_id(self.sids.mem_sem);
-                Step::WaitCell {
-                    cell: ch.my_sem,
-                    at_least: expect,
-                }
-            }
-            Instr::MemWaitData { ref ch } => {
-                let expect = ch.arrival_expect.get() + 1;
-                ch.arrival_expect.set(expect);
-                self.pending = Pending::Advance;
-                self.san_wait(ch.my_arrival);
-                ctx.span_begin_id(self.sids.mem_data);
-                Step::WaitCell {
-                    cell: ch.my_arrival,
-                    at_least: expect,
-                }
-            }
-            Instr::MemReadReduce {
-                ref ch,
-                remote_off,
-                local_buf,
-                local_off,
-                bytes,
-                dtype,
-                op,
-            } => {
+            Instr::MemWait { .. }
+            | Instr::MemWaitData { .. }
+            | Instr::PortWait { .. }
+            | Instr::SemWait { .. } => self.wait_next_round(ctx, instr),
+            Instr::MemReadReduce { ref ch, bytes, .. } => {
                 if self.path_dead(ctx, ch.peer_rank, ch.local_rank) {
                     return self.park_link_down(ctx);
                 }
@@ -415,17 +421,7 @@ impl Process<Machine> for TbProc {
                     bytes as u64,
                     CopyMode::Thread,
                 );
-                let count = bytes / dtype.size();
-                ctx.world.pool_mut().reduce(
-                    ch.remote_buf,
-                    remote_off,
-                    local_buf,
-                    local_off,
-                    count,
-                    dtype,
-                    op,
-                );
-                self.san_footprint(site, instr);
+                self.apply(ctx, site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, xfer.arrival, self.ov.mem_put_issue)
             }
@@ -516,99 +512,52 @@ impl Process<Machine> for TbProc {
                     },
                 }
             }
-            Instr::PortWait { ref ch } => {
-                let expect = ch.sem_expect.get() + 1;
-                ch.sem_expect.set(expect);
-                self.pending = Pending::Advance;
-                self.san_wait(ch.my_sem);
-                ctx.span_begin_id(self.sids.port_sem);
-                Step::WaitCell {
-                    cell: ch.my_sem,
-                    at_least: expect,
-                }
-            }
-            Instr::SwitchReduce {
-                ref ch,
-                src_off,
-                dst_buf,
-                dst_off,
-                bytes,
-                dtype,
-                op,
-            } => {
+            Instr::SwitchReduce { ref ch, bytes, .. } => {
                 if matches!(hw::multimem_fault(ctx), LinkFault::Down) {
                     return self.park_link_down(ctx);
                 }
                 let done = hw::multimem_reduce_time(ctx, ch.rank, bytes as u64);
-                let count = bytes / dtype.size();
-                let srcs: Vec<_> = ch.members.iter().map(|&(_, b)| (b, src_off)).collect();
-                ctx.world
-                    .pool_mut()
-                    .multimem_reduce(&srcs, dst_buf, dst_off, count, dtype, op);
-                self.san_footprint(site, instr);
+                self.apply(ctx, site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, done, self.ov.switch_issue)
             }
-            Instr::SwitchBroadcast {
-                ref ch,
-                src_buf,
-                src_off,
-                dst_off,
-                bytes,
-            } => {
+            Instr::SwitchBroadcast { ref ch, bytes, .. } => {
                 if matches!(hw::multimem_fault(ctx), LinkFault::Down) {
                     return self.park_link_down(ctx);
                 }
                 let xfer = hw::multimem_broadcast_time(ctx, ch.rank, bytes as u64);
-                let dsts: Vec<_> = ch.members.iter().map(|&(_, b)| (b, dst_off)).collect();
-                ctx.world
-                    .pool_mut()
-                    .multimem_broadcast(src_buf, src_off, &dsts, bytes);
-                self.san_footprint(site, instr);
+                self.apply(ctx, site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, xfer.sender_free, self.ov.switch_issue)
             }
-            Instr::Copy {
-                src,
-                src_off,
-                dst,
-                dst_off,
-                bytes,
-            } => {
-                let done = hw::local_copy_time(ctx, self.rank, bytes as u64);
-                ctx.world.pool_mut().copy(src, src_off, dst, dst_off, bytes);
-                self.san_footprint(site, instr);
-                self.pc += 1;
-                self.busy_until(ctx, now, done, Duration::ZERO)
-            }
-            Instr::Reduce {
-                src,
-                src_off,
-                dst,
-                dst_off,
-                bytes,
-                dtype,
-                op,
-            } => {
-                let done = hw::local_reduce_time(ctx, self.rank, bytes as u64);
-                let count = bytes / dtype.size();
-                ctx.world
-                    .pool_mut()
-                    .reduce(src, src_off, dst, dst_off, count, dtype, op);
-                self.san_footprint(site, instr);
+            Instr::Copy { bytes, .. }
+            | Instr::Reduce { bytes, .. }
+            | Instr::ReduceInto { bytes, .. } => {
+                let done = match instr.dataflow() {
+                    Some(Dataflow::Move { .. }) => {
+                        hw::local_copy_time(ctx, self.rank, bytes as u64)
+                    }
+                    _ => hw::local_reduce_time(ctx, self.rank, bytes as u64),
+                };
+                self.apply(ctx, site, instr);
                 self.pc += 1;
                 self.busy_until(ctx, now, done, Duration::ZERO)
             }
             Instr::RawPut {
                 src_rank,
-                src,
-                src_off,
                 dst_rank,
-                dst,
-                dst_off,
                 bytes,
                 wire_factor,
                 ref notify,
+                ..
+            }
+            | Instr::RawReducePut {
+                src_rank,
+                dst_rank,
+                bytes,
+                wire_factor,
+                ref notify,
+                ..
             } => {
                 if self.path_dead(ctx, src_rank, dst_rank) {
                     return self.park_link_down(ctx);
@@ -628,84 +577,12 @@ impl Process<Machine> for TbProc {
                     let proxy = self.ov.proxy_handle + self.ov.proxy_post;
                     (staged, xfer.arrival + proxy)
                 };
-                ctx.world.pool_mut().copy(src, src_off, dst, dst_off, bytes);
-                self.san_footprint(site, instr);
+                self.apply(ctx, site, instr);
                 if let Some(sem) = notify {
                     ctx.cell_add_at(sem.cell, 1, arrival);
                 }
                 self.pc += 1;
                 self.busy_until(ctx, now, sender_free, self.ov.mem_put_issue)
-            }
-            Instr::RawReducePut {
-                src_rank,
-                a,
-                a_off,
-                b,
-                b_off,
-                dst_rank,
-                dst,
-                dst_off,
-                bytes,
-                wire_factor,
-                dtype,
-                op,
-                ref notify,
-            } => {
-                if self.path_dead(ctx, src_rank, dst_rank) {
-                    return self.park_link_down(ctx);
-                }
-                let wire = (bytes as f64 * wire_factor) as u64;
-                let topo = ctx.world.topology();
-                let (sender_free, arrival) = if topo.same_node(src_rank, dst_rank) {
-                    let xfer = hw::p2p_time(ctx, src_rank, dst_rank, wire, CopyMode::Thread);
-                    (xfer.sender_free, xfer.arrival)
-                } else {
-                    let staged = hw::local_copy_time(ctx, src_rank, wire);
-                    let xfer = hw::net_time(ctx, src_rank, dst_rank, wire);
-                    let proxy = self.ov.proxy_handle + self.ov.proxy_post;
-                    (staged, xfer.arrival + proxy)
-                };
-                let count = bytes / dtype.size();
-                ctx.world
-                    .pool_mut()
-                    .reduce_into(a, a_off, b, b_off, dst, dst_off, count, dtype, op);
-                self.san_footprint(site, instr);
-                if let Some(sem) = notify {
-                    ctx.cell_add_at(sem.cell, 1, arrival);
-                }
-                self.pc += 1;
-                self.busy_until(ctx, now, sender_free, self.ov.mem_put_issue)
-            }
-            Instr::ReduceInto {
-                a,
-                a_off,
-                b,
-                b_off,
-                dst,
-                dst_off,
-                bytes,
-                dtype,
-                op,
-            } => {
-                let done = hw::local_reduce_time(ctx, self.rank, bytes as u64);
-                let count = bytes / dtype.size();
-                ctx.world
-                    .pool_mut()
-                    .reduce_into(a, a_off, b, b_off, dst, dst_off, count, dtype, op);
-                self.san_footprint(site, instr);
-                self.pc += 1;
-                self.busy_until(ctx, now, done, Duration::ZERO)
-            }
-            Instr::SemWait { ref sem } => {
-                let expect = sem.expect.get() + 1;
-                sem.expect.set(expect);
-                self.pending = Pending::Advance;
-                self.san_wait(sem.cell);
-                ctx.span_begin_id(self.sids.sem);
-                Step::WaitCell {
-                    cell: sem.cell,
-                    at_least: expect,
-                }
             }
             Instr::SemSignal { ref sem } => {
                 if self.path_dead(ctx, self.rank, sem.owner) {
@@ -728,17 +605,9 @@ impl Process<Machine> for TbProc {
                 self.quick(ctx, self.ov.signal_issue)
             }
             Instr::Barrier { ref barrier } => {
-                let round = barrier.round.get() + 1;
-                barrier.round.set(round);
                 self.san_footprint(site, instr);
                 ctx.cell_add_at(barrier.cell, 1, now + self.ov.barrier_arrive + barrier.prop);
-                self.pending = Pending::Advance;
-                self.san_wait(barrier.cell);
-                ctx.span_begin_id(self.sids.barrier);
-                Step::WaitCell {
-                    cell: barrier.cell,
-                    at_least: round * barrier.parties as u64,
-                }
+                self.wait_next_round(ctx, instr)
             }
             Instr::Compute { dur } => {
                 self.pc += 1;
@@ -887,9 +756,8 @@ struct Recorded {
     per_rank_end: Vec<Duration>,
 }
 
-/// One wait counter a batch reads: a `MemoryChannel`'s sem or arrival
-/// expect, a `Semaphore`'s expect, or a `DeviceBarrier`'s round, and the
-/// cell its waits compare against. A wait needs the cell at
+/// One wait counter a batch reads ([`Instr::wait`]), and the cell its
+/// waits compare against. A wait needs the cell at
 /// `(counter + 1) * per_round`, so the batch's waits unblock the same way
 /// from any state in which the cell leads `counter * per_round` by the
 /// same amount.
@@ -919,27 +787,26 @@ impl WaitCounter {
 fn wait_counters(engine: &Engine<Machine>, kernels: &[Kernel]) -> Option<Vec<WaitCounter>> {
     let mut waits = Vec::new();
     for instr in kernels.iter().flat_map(|k| k.blocks.iter().flatten()) {
-        waits.push(match instr {
-            Instr::MemWait { ch } => (&ch.sem_expect, ch.my_sem, 1),
-            Instr::MemWaitData { ch } => (&ch.arrival_expect, ch.my_arrival, 1),
-            Instr::SemWait { sem } => (&sem.expect, sem.cell, 1),
-            Instr::Barrier { barrier } => (&barrier.round, barrier.cell, barrier.parties as u64),
+        if matches!(
+            instr,
             Instr::PortPut { .. }
-            | Instr::PortSignal { .. }
-            | Instr::PortFlush { .. }
-            | Instr::PortWait { .. } => return None,
-            _ => continue,
-        });
+                | Instr::PortSignal { .. }
+                | Instr::PortFlush { .. }
+                | Instr::PortWait { .. }
+        ) {
+            return None;
+        }
+        waits.extend(instr.wait());
     }
-    waits.sort_unstable_by_key(|&(counter, ..)| Rc::as_ptr(counter));
-    waits.dedup_by(|a, b| Rc::ptr_eq(a.0, b.0));
-    let waits = waits.into_iter().map(|(counter, cell, per_round)| {
+    waits.sort_unstable_by_key(|w| Rc::as_ptr(w.counter));
+    waits.dedup_by(|a, b| Rc::ptr_eq(a.counter, b.counter));
+    let waits = waits.into_iter().map(|wait| {
         let mut w = WaitCounter {
-            counter: Rc::clone(counter),
-            cell,
-            per_round,
+            counter: Rc::clone(wait.counter),
+            cell: wait.cell,
+            per_round: wait.per_round,
             lead: 0,
-            rounds: counter.get(),
+            rounds: wait.counter.get(),
         };
         w.lead = w.lead(engine);
         w

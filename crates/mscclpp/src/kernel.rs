@@ -24,9 +24,11 @@
 //! # }
 //! ```
 
+use std::cell::Cell;
 use std::fmt;
+use std::rc::Rc;
 
-use hw::{BufferId, DataType, Rank, ReduceOp};
+use hw::{BufferId, DataType, Dataflow, Rank, ReduceOp};
 use sim::{CellId, Duration};
 
 use crate::channel::{
@@ -390,10 +392,13 @@ impl Instr {
         }
     }
 
-    /// The bytes this instruction reads and writes, or `None` when it
-    /// moves no data (waits, signals, flushes, barriers, compute). The
-    /// static verifier, the dynamic sanitizer and the mutation harness
-    /// all read an instruction's data footprint from here.
+    /// The whole of what this instruction does to memory: the bytes it
+    /// reads and writes and how the written ones derive from the read
+    /// ones, or `None` when it moves no data (waits, signals, flushes,
+    /// barriers, compute). The interpreter executes exactly this value
+    /// ([`hw::MemoryPool::apply`]), and the static verifier, the dynamic
+    /// sanitizer and the mutation harness read it, so a plan is proven
+    /// against the footprint that runs.
     #[inline]
     pub fn dataflow(&self) -> Option<Dataflow<'_>> {
         Some(match *self {
@@ -444,11 +449,14 @@ impl Instr {
                 local_buf,
                 local_off,
                 bytes,
-                ..
+                dtype,
+                op,
             } => Dataflow::Accum {
                 src: (ch.remote_buf, remote_off),
                 dst: (local_buf, local_off),
                 bytes,
+                dtype,
+                op,
             },
             Instr::Reduce {
                 src,
@@ -456,11 +464,14 @@ impl Instr {
                 dst,
                 dst_off,
                 bytes,
-                ..
+                dtype,
+                op,
             } => Dataflow::Accum {
                 src: (src, src_off),
                 dst: (dst, dst_off),
                 bytes,
+                dtype,
+                op,
             },
             Instr::ReduceInto {
                 a,
@@ -470,7 +481,8 @@ impl Instr {
                 dst,
                 dst_off,
                 bytes,
-                ..
+                dtype,
+                op,
             }
             | Instr::RawReducePut {
                 a,
@@ -480,12 +492,16 @@ impl Instr {
                 dst,
                 dst_off,
                 bytes,
+                dtype,
+                op,
                 ..
             } => Dataflow::Reduce2 {
                 a: (a, a_off),
                 b: (b, b_off),
                 dst: (dst, dst_off),
                 bytes,
+                dtype,
+                op,
             },
             Instr::SwitchReduce {
                 ref ch,
@@ -493,12 +509,15 @@ impl Instr {
                 dst_buf,
                 dst_off,
                 bytes,
-                ..
+                dtype,
+                op,
             } => Dataflow::ReduceAll {
                 members: &ch.members,
                 src_off,
                 dst: (dst_buf, dst_off),
                 bytes,
+                dtype,
+                op,
             },
             Instr::SwitchBroadcast {
                 ref ch,
@@ -568,155 +587,53 @@ impl Instr {
         };
         cells.into_iter().flatten()
     }
-}
 
-/// One byte-range access of an instruction, half-open `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    /// The buffer accessed.
-    pub buf: BufferId,
-    /// First byte.
-    pub start: usize,
-    /// One past the last byte.
-    pub end: usize,
-    /// Whether the access writes.
-    pub write: bool,
-}
-
-/// The data footprint of one instruction ([`Instr::dataflow`]): which
-/// `(buffer, offset)` operands it reads and writes, `bytes` long each,
-/// and how the written bytes derive from the read ones.
-#[derive(Debug, Clone, Copy)]
-pub enum Dataflow<'a> {
-    /// Fresh overwrite `dst = src` (`Copy`, `MemPut`, `PortPut`, `RawPut`).
-    Move {
-        /// Source operand.
-        src: (BufferId, usize),
-        /// Destination operand.
-        dst: (BufferId, usize),
-        /// Operand size in bytes.
-        bytes: usize,
-    },
-    /// Accumulate `dst = op(dst, src)` (`Reduce`, `MemReadReduce`).
-    Accum {
-        /// Source operand.
-        src: (BufferId, usize),
-        /// Destination and accumulator operand.
-        dst: (BufferId, usize),
-        /// Operand size in bytes.
-        bytes: usize,
-    },
-    /// Three-address reduce `dst = op(a, b)` (`ReduceInto`,
-    /// `RawReducePut`).
-    Reduce2 {
-        /// First operand.
-        a: (BufferId, usize),
-        /// Second operand.
-        b: (BufferId, usize),
-        /// Destination operand.
-        dst: (BufferId, usize),
-        /// Operand size in bytes.
-        bytes: usize,
-    },
-    /// Multimem load-reduce of every member buffer at `src_off` into
-    /// `dst` (`SwitchReduce`).
-    ReduceAll {
-        /// The switch channel's members.
-        members: &'a [(Rank, BufferId)],
-        /// Offset into every member buffer.
-        src_off: usize,
-        /// Destination operand.
-        dst: (BufferId, usize),
-        /// Operand size in bytes.
-        bytes: usize,
-    },
-    /// Multimem store of `src` into every member buffer at `dst_off`
-    /// (`SwitchBroadcast`).
-    Replicate {
-        /// Source operand.
-        src: (BufferId, usize),
-        /// The switch channel's members.
-        members: &'a [(Rank, BufferId)],
-        /// Offset into every member buffer.
-        dst_off: usize,
-        /// Operand size in bytes.
-        bytes: usize,
-    },
-}
-
-impl<'a> Dataflow<'a> {
-    /// Size in bytes of every operand.
-    #[inline]
-    pub fn bytes(self) -> usize {
-        match self {
-            Dataflow::Move { bytes, .. }
-            | Dataflow::Accum { bytes, .. }
-            | Dataflow::Reduce2 { bytes, .. }
-            | Dataflow::ReduceAll { bytes, .. }
-            | Dataflow::Replicate { bytes, .. } => bytes,
-        }
-    }
-
-    /// The operands read, in operand order. An `Accum` also reads its
-    /// destination, which is not listed here.
-    #[inline]
-    pub fn reads(self) -> impl Iterator<Item = (BufferId, usize)> + 'a {
-        match self {
-            Dataflow::Move { src, .. }
-            | Dataflow::Accum { src, .. }
-            | Dataflow::Replicate { src, .. } => operands([Some(src), None], None),
-            Dataflow::Reduce2 { a, b, .. } => operands([Some(a), Some(b)], None),
-            Dataflow::ReduceAll {
-                members, src_off, ..
-            } => operands([None; 2], Some((members, src_off))),
-        }
-    }
-
-    /// The operands written.
-    #[inline]
-    pub fn writes(self) -> impl Iterator<Item = (BufferId, usize)> + 'a {
-        match self {
-            Dataflow::Move { dst, .. }
-            | Dataflow::Accum { dst, .. }
-            | Dataflow::Reduce2 { dst, .. }
-            | Dataflow::ReduceAll { dst, .. } => operands([Some(dst), None], None),
-            Dataflow::Replicate {
-                members, dst_off, ..
-            } => operands([None; 2], Some((members, dst_off))),
-        }
-    }
-
-    /// Every byte-range access: the reads in operand order, then the
-    /// writes.
-    #[inline]
-    pub fn accesses(self) -> impl Iterator<Item = Access> + 'a {
-        let bytes = self.bytes();
-        let at = move |write| {
-            move |(buf, start): (BufferId, usize)| Access {
-                buf,
-                start,
-                end: start + bytes,
-                write,
-            }
+    /// The counted wait this instruction performs, or `None` when it
+    /// performs none. The interpreter's waits and launch replay's wait
+    /// counters both read it.
+    pub(crate) fn wait(&self) -> Option<CountedWait<'_>> {
+        let (counter, cell, per_round) = match self {
+            Instr::MemWait { ch } => (&ch.sem_expect, ch.my_sem, 1),
+            Instr::MemWaitData { ch } => (&ch.arrival_expect, ch.my_arrival, 1),
+            Instr::PortWait { ch } => (&ch.sem_expect, ch.my_sem, 1),
+            Instr::SemWait { sem } => (&sem.expect, sem.cell, 1),
+            Instr::Barrier { barrier } => (&barrier.round, barrier.cell, barrier.parties as u64),
+            Instr::MemPut { .. }
+            | Instr::MemSignal { .. }
+            | Instr::MemReadReduce { .. }
+            | Instr::PortPut { .. }
+            | Instr::PortSignal { .. }
+            | Instr::PortFlush { .. }
+            | Instr::SwitchReduce { .. }
+            | Instr::SwitchBroadcast { .. }
+            | Instr::Copy { .. }
+            | Instr::Reduce { .. }
+            | Instr::RawPut { .. }
+            | Instr::RawReducePut { .. }
+            | Instr::ReduceInto { .. }
+            | Instr::SemSignal { .. }
+            | Instr::Compute { .. } => return None,
         };
-        self.reads()
-            .map(at(false))
-            .chain(self.writes().map(at(true)))
+        Some(CountedWait {
+            counter,
+            cell,
+            per_round,
+        })
     }
 }
 
-/// Up to two fixed operands followed by every member buffer at one
-/// offset.
-#[inline]
-fn operands<'a>(
-    fixed: [Option<(BufferId, usize)>; 2],
-    members: Option<(&'a [(Rank, BufferId)], usize)>,
-) -> impl Iterator<Item = (BufferId, usize)> + 'a {
-    fixed.into_iter().flatten().chain(
-        members
-            .into_iter()
-            .flat_map(|(ms, off)| ms.iter().map(move |&(_, buf)| (buf, off))),
-    )
+/// A counted wait ([`Instr::wait`]): its `k`-th round blocks until `cell`
+/// reaches `k * per_round`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CountedWait<'a> {
+    /// The rounds waited for so far: a channel's sem or arrival expect, a
+    /// semaphore's expect, or a barrier's round. Clones of the waiting
+    /// handle share it.
+    pub counter: &'a Rc<Cell<u64>>,
+    /// The cell the wait compares against.
+    pub cell: CellId,
+    /// Cell increments per round: a barrier's parties, else 1.
+    pub per_round: u64,
 }
 
 /// The site of one instruction: which rank, thread block, and program
@@ -754,25 +671,6 @@ impl Kernel {
     /// Total instruction count across all thread blocks.
     pub fn instr_count(&self) -> usize {
         self.blocks.iter().map(Vec::len).sum()
-    }
-
-    /// Instruction mix of this kernel: `(mnemonic, count)` pairs in
-    /// mnemonic order.
-    pub fn instr_mix(&self) -> Vec<(&'static str, u64)> {
-        let mut mix = [0u64; Instr::KIND_COUNT];
-        for block in &self.blocks {
-            for instr in block {
-                mix[instr.opcode()] += 1;
-            }
-        }
-        let mut out: Vec<(&'static str, u64)> = mix
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| (Instr::MNEMONICS[k], c))
-            .collect();
-        out.sort_unstable_by_key(|&(m, _)| m);
-        out
     }
 }
 

@@ -75,9 +75,7 @@ pub use exec::{
     record_launch_mix, run_kernels, run_kernels_sanitized, run_kernels_sanitized_shared,
     run_kernels_shared, KernelTiming, LaunchRecord,
 };
-pub use kernel::{
-    peers_staggered, split_range, Access, BlockBuilder, Dataflow, Instr, Kernel, KernelBuilder,
-    Site,
-};
+pub use hw::{Access, Dataflow};
+pub use kernel::{peers_staggered, split_range, BlockBuilder, Instr, Kernel, KernelBuilder, Site};
 pub use overheads::Overheads;
 pub use sanitizer::{SanRace, SanReport};

@@ -27,7 +27,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use hw::{CopyMode, LinkFault, Machine, Rank};
+use hw::{CopyMode, Dataflow, LinkFault, Machine, Rank};
 use sim::{CellId, CounterId, Ctx, Duration, Process, SimRng, Step};
 
 use crate::channel::{FifoState, ProxyRequest};
@@ -165,7 +165,11 @@ impl Process<Machine> for ProxyProc {
                     ctx.count_id(ids.signals, 1);
                 }
                 let xfer = self.transfer(ctx, bytes);
-                ctx.world.pool_mut().copy(src, src_off, dst, dst_off, bytes);
+                ctx.world.pool_mut().apply(Dataflow::Move {
+                    src: (src, src_off),
+                    dst: (dst, dst_off),
+                    bytes,
+                });
                 ctx.cell_add_at(self.completed_cell, 1, xfer.sender_free);
                 ctx.cell_add_at(self.peer_arrival, 1, xfer.arrival);
                 if with_signal {

@@ -24,10 +24,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use hw::BufferId;
+use hw::{Access, BufferId};
 use sim::{CellId, VClock};
 
-use crate::kernel::{Access, Instr, Site};
+use crate::kernel::{Instr, Site};
 
 /// One unordered conflicting access pair observed at run time.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -658,3 +658,84 @@ fn an_outside_signal_refuses_replay() {
     assert_eq!((replayed, twin_replayed), (1, 0));
     assert_eq!(plain, twin);
 }
+
+/// Launch replay keeps every counted wait's counter: a batch with a
+/// `MemWait`, a `MemWaitData`, a `SemWait` and a `Barrier` replays its
+/// second and third launches and leaves what a profiled twin, which never
+/// replays, leaves. A signal to the `SemWait`'s cell from outside the
+/// batch then refuses the next replay, and the launch after that replays
+/// from the new lead.
+#[test]
+fn every_counted_wait_replays_like_its_simulated_run() {
+    let run = |profiled: bool| {
+        let mut engine = Engine::new(Machine::timing_only(EnvKind::A100_40G.spec(1)));
+        if profiled {
+            engine.enable_profiling();
+        }
+        let mut setup = Setup::new(&mut engine);
+        let bufs = setup.alloc_all(4096);
+        let pair = |setup: &mut Setup<'_>, protocol| {
+            setup
+                .memory_channel_pair(
+                    Rank(0),
+                    bufs[0],
+                    bufs[1],
+                    Rank(1),
+                    bufs[1],
+                    bufs[0],
+                    protocol,
+                )
+                .unwrap()
+        };
+        let (hb0, hb1) = pair(&mut setup, Protocol::HB);
+        let (ll0, ll1) = pair(&mut setup, Protocol::LL);
+        let sem = setup.semaphore(Rank(1));
+        let barriers = setup.device_barrier(&[Rank(0), Rank(1)]);
+        let ov = setup.overheads().clone();
+        let mut k0 = KernelBuilder::new(Rank(0));
+        k0.block(0)
+            .put_with_signal(&hb0, 0, 0, 1024)
+            .put(&ll0, 2048, 2048, 1024)
+            .sem_signal(&sem)
+            .barrier(&barriers[0]);
+        let mut k1 = KernelBuilder::new(Rank(1));
+        k1.block(0)
+            .wait(&hb1)
+            .wait_data(&ll1)
+            .sem_wait(&sem)
+            .barrier(&barriers[1]);
+        let batch = Rc::new(vec![k0.build(), k1.build()]);
+        let record = LaunchRecord::default();
+        let mut timings = Vec::new();
+        let mut replayed = Vec::new();
+        let mut launch = |engine: &mut Engine<Machine>| {
+            timings.push(run_kernels_shared(engine, &batch, &ov, &record).unwrap());
+            replayed.push(engine.replayed_runs());
+        };
+        for _ in 0..3 {
+            launch(&mut engine);
+        }
+        let cell = sem.cell;
+        engine.spawn(move |ctx: &mut Ctx<'_, Machine>| {
+            ctx.cell_add(cell, 1);
+            Step::Done
+        });
+        engine.run().unwrap();
+        for _ in 0..2 {
+            launch(&mut engine);
+        }
+        let state = (
+            timings,
+            engine.now(),
+            engine.events_processed(),
+            engine.metrics().clone(),
+            engine.world().pool().moved_bytes(),
+        );
+        (state, replayed)
+    };
+    let (plain, replayed) = run(false);
+    let (twin, twin_replayed) = run(true);
+    assert_eq!(replayed, [0, 1, 2, 2, 3]);
+    assert_eq!(twin_replayed, [0; 5]);
+    assert_eq!(plain, twin);
+}

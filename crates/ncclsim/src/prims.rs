@@ -90,17 +90,6 @@ impl<'a, 'b> Prims<'a, 'b> {
         self.put_slot(conn, src, src_off, bytes);
     }
 
-    /// `recv`: wait for the next staged chunk and return its offset,
-    /// crediting the slot back. The data remains in staging; use the
-    /// fused forms to consume it without an extra copy.
-    pub fn recv_discard(&mut self, conn: &Conn) -> usize {
-        self.group_sync();
-        self.tb.sem_wait(&conn.data);
-        let off = conn.next_recv(self.cfg, self.proto);
-        self.tb.sem_signal(&conn.credit);
-        off
-    }
-
     /// Fused `recvReduceSend`: receive a chunk, reduce it with the user
     /// input, and forward the partial sum to the next peer (Figure 1's
     /// middle steps).

@@ -18,7 +18,6 @@
 //!   (FIFO pop, doorbell, completion post);
 //! - **compute/copy** — kernel busy time: local reductions and copies.
 
-use crate::Histogram;
 use sim::{DepGraph, DepNode, Duration, HighlightSegment, Time, WakeCause};
 
 /// Blame buckets for critical-path time.
@@ -380,52 +379,4 @@ fn rank_of(label: &str) -> Option<String> {
         return None;
     }
     Some(rest[..end].to_owned())
-}
-
-/// Synthesizes per-resource occupancy counter samples from a recorded
-/// graph, as `(time, resource, depth)` triples in time order — the
-/// number of grants in flight on each resource over time. Feed these
-/// into a trace as counter events, or use
-/// [`occupancy_histogram`] for a distribution summary.
-pub fn occupancy(g: &DepGraph) -> Vec<(Time, usize, u64)> {
-    let mut edges: Vec<(Time, usize, i64)> = Vec::new();
-    for n in &g.nodes {
-        for a in &n.acquires {
-            if a.done > a.start {
-                edges.push((a.start, a.resource, 1));
-                edges.push((a.done, a.resource, -1));
-            }
-        }
-    }
-    edges.sort_by_key(|&(t, r, delta)| (t, r, delta));
-    let mut depth: std::collections::BTreeMap<usize, i64> = Default::default();
-    let mut out = Vec::with_capacity(edges.len());
-    for (t, r, delta) in edges {
-        let d = depth.entry(r).or_insert(0);
-        *d += delta;
-        out.push((t, r, u64::try_from(*d).unwrap_or(0)));
-    }
-    out
-}
-
-/// Histogram of per-acquire queueing delay (ns) across the whole graph —
-/// a distribution view of link contention.
-pub fn queue_delay_histogram(g: &DepGraph) -> Histogram {
-    let mut h = Histogram::new();
-    for n in &g.nodes {
-        for a in &n.acquires {
-            h.record((a.start - a.earliest).as_ns() as u64);
-        }
-    }
-    h
-}
-
-/// Histogram of resource occupancy samples (grants in flight) — see
-/// [`occupancy`].
-pub fn occupancy_histogram(g: &DepGraph) -> Histogram {
-    let mut h = Histogram::new();
-    for (_, _, d) in occupancy(g) {
-        h.record(d);
-    }
-    h
 }

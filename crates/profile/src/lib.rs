@@ -26,10 +26,7 @@ mod critical;
 mod histogram;
 pub mod whatif;
 
-pub use critical::{
-    critical_path, occupancy, occupancy_histogram, queue_delay_histogram, Blame, BlameBreakdown,
-    CriticalPathReport, PathSegment,
-};
+pub use critical::{critical_path, Blame, BlameBreakdown, CriticalPathReport, PathSegment};
 pub use histogram::Histogram;
 pub use whatif::{retime, Perturbation, WhatIfOutcome};
 

@@ -840,11 +840,6 @@ impl<W> Engine<W> {
         self.core.faults = Some(plan);
     }
 
-    /// Removes the fault schedule, if any, and returns it.
-    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.core.faults.take()
-    }
-
     /// The active fault plan, if injection is enabled.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.core.faults.as_ref()

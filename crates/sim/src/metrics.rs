@@ -219,11 +219,6 @@ impl Metrics {
             .map(|i| self.resource(ResourceId(i)))
             .collect()
     }
-
-    /// Number of resources tracked.
-    pub fn resource_count(&self) -> usize {
-        self.labels.len()
-    }
 }
 
 #[cfg(test)]

@@ -43,11 +43,6 @@ impl Time {
         self.0 as f64 / 1e6
     }
 
-    /// This instant expressed in milliseconds.
-    pub fn as_ms(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// This instant expressed in seconds.
     pub fn as_secs(self) -> f64 {
         self.0 as f64 / 1e12

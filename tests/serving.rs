@@ -11,7 +11,8 @@
 //!   terminal state, for every seed and rate;
 //! * an unobserved communicator epoch change surfaces as the typed
 //!   [`mscclpp::Error::EpochChanged`], not a silent wrong answer, and a
-//!   zero batch limit as [`mscclpp::Error::InvalidArgument`].
+//!   zero batch limit or a KV block pool too large for its block ids as
+//!   [`mscclpp::Error::InvalidArgument`].
 
 use std::cell::Cell;
 
@@ -219,6 +220,26 @@ fn zero_max_batch_is_a_typed_error() {
     .expect_err("max_batch 0 admits nothing");
     assert!(
         matches!(&err, mscclpp::Error::InvalidArgument(m) if m.contains("max_batch")),
+        "{err}"
+    );
+    assert_eq!(engine.engine_mut().now().as_ps(), 0, "nothing ran");
+}
+
+/// A KV pool of 2^32 blocks, which block ids cannot name, is a typed
+/// error refused before the pool is built, not a panic.
+#[test]
+fn oversized_kv_pool_is_a_typed_error() {
+    let mut engine = engine();
+    let trace = synthetic_trace(4, 16, 2, 1_000.0, 1);
+    let mut cfg = ServeConfig::permissive(8);
+    cfg.kv = KvConfig {
+        total_blocks: 1 << 32,
+        ..KvConfig::default()
+    };
+    let err = serve_trace_observed(&mut engine, &MscclppBackend::new(), &trace, &cfg)
+        .expect_err("2^32 blocks have no u32 ids");
+    assert!(
+        matches!(&err, mscclpp::Error::InvalidArgument(m) if m.contains("TooManyBlocks")),
         "{err}"
     );
     assert_eq!(engine.engine_mut().now().as_ps(), 0, "nothing ran");
